@@ -97,7 +97,11 @@ class SystemBlock:
     def model(self, where: str) -> SystemModel:
         if self.structure is None or self.copula is None:
             raise SpecError(f"{where} needs both 'structure' and 'copula' for this command")
-        return SystemModel(self.structure, self.copula, self.margin)
+        try:
+            return SystemModel(self.structure, self.copula, self.margin)
+        except ValueError as exc:
+            # build_distortion refuses structures with too many path sets
+            raise SpecError(f"{where}: {exc}") from exc
 
 
 def _load_system(d: dict, where: str) -> SystemBlock:

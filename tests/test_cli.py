@@ -1,4 +1,5 @@
 import json
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -212,6 +213,17 @@ class TestSchemaValidation:
             "relation": "c_star",
         }
         assert run(tmp_path, "verify", bad) == 1
+
+    def test_too_many_path_sets_is_a_spec_error(self, tmp_path, capsys):
+        three_of_seven = {
+            "structure": {"n": 7, "paths": [list(c) for c in combinations(range(1, 8), 3)]},
+            "copula": {"copula": "independence"},
+            "margin": {"family": "exp", "rate": 1.0},
+        }
+        spec = {"system1": three_of_seven, "system2": SERIES3_SYSTEM, "relation": "c_star"}
+        assert run(tmp_path, "verify", spec) == 1
+        err = capsys.readouterr().err
+        assert err == "error: system1: structure has 35 minimal path sets; refusing more than 20\n"
 
     def test_unreadable_spec(self, capsys):
         assert main(["verify", "/nonexistent/spec.json"]) == 1

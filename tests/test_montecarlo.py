@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import spearmanr
 
 from coherent_age.copulas import ClaytonOakes, FGM, GumbelHougaard, Independence
 from coherent_age.distributions import Exponential, LinearFailureRate
@@ -16,6 +15,13 @@ def empirical_joint_cdf(u, p):
     return float(np.mean(np.all(u <= p, axis=1)))
 
 
+def rank_correlation(a, b):
+    # Spearman's rho for continuous samples: no ties, so ranks are a permutation
+    ra = np.argsort(np.argsort(a))
+    rb = np.argsort(np.argsort(b))
+    return float(np.corrcoef(ra, rb)[0, 1])
+
+
 def three_se(value, n=N):
     return 3.0 * math.sqrt(max(value * (1.0 - value), 1e-12) / n)
 
@@ -26,7 +32,7 @@ class TestSamplers:
         assert u.shape == (N, 3)
         for i in range(3):
             for j in range(i + 1, 3):
-                rho = spearmanr(u[:, i], u[:, j]).statistic
+                rho = rank_correlation(u[:, i], u[:, j])
                 assert abs(rho) < 0.01
 
     def test_margins_uniform(self):

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +20,7 @@ from coherent_age.orders import (
 )
 from coherent_age.systems import Structure, SystemModel
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 LFR_X = LinearFailureRate(1.0, 1.0)
 LFR_Y = LinearFailureRate(2.0, 1.0)
 
@@ -239,6 +244,8 @@ class TestIntegralIdentity:
         sysm = series3_system(Exponential(1.0))
         report = integral_identity_check(sysm)
         assert report.max_abs < 1e-9
+        # H = 3 identically, so the rule returns 3 * Delta(x) to rounding
+        assert report.max_abs_cum_hazard <= 1e-12
 
     def test_fgm_system(self):
         report = integral_identity_check(fgm_system())
@@ -248,6 +255,22 @@ class TestIntegralIdentity:
         sysm = SystemModel(Structure.parallel(2), Independence(2), Exponential(1.0))
         report = integral_identity_check(sysm)
         assert report.max_abs_cum_rev_hazard < 1e-9
+
+    def test_unattainable_tolerance_raises(self):
+        with pytest.raises(RuntimeError, match="quadrature did not converge"):
+            integral_identity_check(fgm_system(), quad_tol=1e-18)
+
+    def test_infinite_limit_raises(self):
+        # Weibull shape 10: F(1e-40) underflows to 0, so Dtilde = -ln F is infinite
+        sysm = series3_system(Weibull(10.0, 1.0))
+        with pytest.raises(ValueError, match="not finite"):
+            integral_identity_check(sysm, Grid(np.array([1e-40, 1.0])))
+
+    def test_cli_import_loads_no_scipy(self):
+        code = "import sys, coherent_age.cli; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
 
 
 class TestSignChangeCount:
