@@ -14,7 +14,7 @@ try:
 except ImportError:
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from coherent_age import Grid, check_monotone, check_sign, kofn_distortion
+from coherent_age import Grid, Independence, build_distortion, check_monotone, check_sign, k_of_n_paths
 
 
 def main():
@@ -26,7 +26,7 @@ def main():
 
     grid = Grid.probability(1e-3, args.grid_size)
     pairs = [(k, n) for n in range(1, args.max_n + 1) for k in range(1, n + 1)]
-    dists = {kn: kofn_distortion(*kn) for kn in pairs}
+    dists = {(k, n): build_distortion(k_of_n_paths(k, n), Independence(n)) for k, n in pairs}
 
     start = time.perf_counter()
     worst = {"H-sign": 0.0, "H-mono": 0.0, "R-sign": 0.0, "R-mono": 0.0,

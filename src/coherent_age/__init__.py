@@ -20,19 +20,14 @@ from .orders import (
     check_order,
     check_sign,
     integral_identity_check,
-    sign_change_count,
     system_order_direct,
 )
 from .systems import (
-    CoefficientDistortion,
     Distortion,
-    KofNDistortion,
     Structure,
     SystemModel,
     build_distortion,
     k_of_n_paths,
-    kofn_distortion,
-    structure_copula_from_dict,
 )
 from .verifier import (
     ConditionEntry,
@@ -47,7 +42,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ClaytonOakes",
-    "CoefficientDistortion",
     "ConditionEntry",
     "ConditionReport",
     "Copula",
@@ -58,7 +52,6 @@ __all__ = [
     "GumbelHougaard",
     "IdentityReport",
     "Independence",
-    "KofNDistortion",
     "LifetimeDistribution",
     "LinearFailureRate",
     "OrderVerdict",
@@ -77,11 +70,8 @@ __all__ = [
     "distribution_from_dict",
     "integral_identity_check",
     "k_of_n_paths",
-    "kofn_distortion",
     "sample_copula",
-    "sign_change_count",
     "simulate_system",
-    "structure_copula_from_dict",
     "system_order_direct",
     "verify_bstar",
     "verify_cstar",

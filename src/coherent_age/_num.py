@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-ArrayLike = "float | np.ndarray"
-
 
 def match_input(x, values: np.ndarray):
     """Return a Python float for scalar input, the array otherwise."""

@@ -29,13 +29,12 @@ import numpy as np
 from .copulas import Copula, copula_from_dict
 from .distributions import LifetimeDistribution, distribution_from_dict
 from .montecarlo import SimConfig, simulate_system
-from .orders import Grid, OrderVerdict, check_order
+from .orders import RELATIONS, Grid, OrderVerdict, check_order
 from .systems import Structure, SystemModel
 from .verifier import VerifyConfig, corollary_index_check, verify_bstar, verify_cstar
 
 __all__ = ["main", "SpecError", "load_spec", "parse_table", "format_float"]
 
-ORDER_RELATIONS = ("st", "hr", "rh", "c", "b", "c_star", "b_star")
 VERIFY_RELATIONS = ("c_star", "b_star")
 
 
@@ -179,7 +178,7 @@ def load_spec(raw: dict, command: str) -> RunSpec:
         spec.system2 = _load_system(raw["system2"], "system2")
 
     if "relation" in raw:
-        allowed = VERIFY_RELATIONS if command == "verify" else ORDER_RELATIONS
+        allowed = VERIFY_RELATIONS if command == "verify" else RELATIONS
         spec.relation = raw["relation"]
         if spec.relation not in allowed:
             raise SpecError(f"relation must be one of {allowed}, got {spec.relation!r}")

@@ -39,7 +39,6 @@ __all__ = [
     "check_order",
     "system_order_direct",
     "integral_identity_check",
-    "sign_change_count",
 ]
 
 RELATIONS = ("st", "hr", "rh", "c", "b", "c_star", "b_star")
@@ -426,22 +425,3 @@ def _graded_gauss_legendre(integrand, upper: np.ndarray, xs: np.ndarray, quad_to
         )
     return hi
 
-
-def sign_change_count(
-    f: Callable[[np.ndarray], np.ndarray],
-    grid: Grid,
-    tol: float = 0.0,
-) -> tuple[int, str]:
-    """Count strict sign alternations of f on the grid, ignoring |f| <= tol.
-
-    Returns the alternation count and the collapsed pattern, e.g. (1, "-+").
-    """
-    values = as_float_array(f(grid.points))
-    values = values[np.isfinite(values)]
-    signs = np.sign(values[np.abs(values) > tol])
-    pattern = []
-    for s in signs:
-        ch = "+" if s > 0 else "-"
-        if not pattern or pattern[-1] != ch:
-            pattern.append(ch)
-    return max(0, len(pattern) - 1), "".join(pattern)

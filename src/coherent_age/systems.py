@@ -13,16 +13,18 @@ functionals
 
     H(p) = p h'(p) / h(p)        R(p) = (1-p) h'(p) / (1 - h(p))
 
-and their derivatives by second-level central differences.  k-out-of-n
-distortions under independent components get a dedicated representation via
-binomial tail sums: the expanded signed-coefficient polynomial cancels
-catastrophically in 1-h and h' near p = 1, while the tail sums are stable
-everywhere.
+and their derivatives by second-level central differences.  Under
+independent components h is a polynomial and h, 1-h and h' are evaluated in
+Bernstein form, sum_k w_k p^k (1-p)^(deg-k), whose weights count the
+component subsets that contain a path set (the structure's signature
+representation): every term is nonnegative, so nothing cancels near p = 0
+or p = 1.  Dependent copulas use the signed sum of c_j K_j, which can cancel
+in 1-h and h' near p = 1 for parallel-heavy structures.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
 
@@ -35,18 +37,14 @@ from .distributions import LifetimeDistribution
 __all__ = [
     "Structure",
     "Distortion",
-    "CoefficientDistortion",
-    "KofNDistortion",
     "build_distortion",
-    "kofn_distortion",
     "k_of_n_paths",
     "SystemModel",
 ]
 
 # endpoint clamp for the elasticity functionals, defined on the open interval
 EPS_CLAMP = 1e-9
-# central-difference steps: first level for h', second level for H'/R'
-FD_STEP_H = 1e-6
+# central-difference step for H'/R'
 FD_STEP_ELASTICITY = 1e-5
 # inclusion-exclusion over path subfamilies is exact but 2^r; refuse beyond
 MAX_PATH_SETS = 20
@@ -112,27 +110,55 @@ def k_of_n_paths(k: int, n: int) -> Structure:
     return Structure.from_paths(n, combinations(range(1, n + 1), k))
 
 
+@dataclass(frozen=True)
 class Distortion:
-    """Dual distortion with evaluation, derivative and elasticity functionals."""
+    """h(p) = sum_j c_j K_j(p) with signed integer coefficients over one copula,
+    with its derivative and elasticity functionals.
+
+    Coefficients must sum to 1 (h(1) = 1) and carry j >= 1 only (h(0) = 0).
+    Under independence h, 1-h and h' are evaluated in Bernstein form instead,
+    from weights derived once from the exact coefficients.
+    """
+
+    copula: Copula
+    coeffs: tuple[tuple[int, int], ...]
+    # (h, 1-h, h') Bernstein weights under independence, None otherwise
+    _bernstein: tuple | None = field(init=False, default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if not self.coeffs:
+            raise ValueError("distortion needs at least one coefficient")
+        total = 0
+        for j, c in self.coeffs:
+            if j < 1 or j > self.copula.dim:
+                raise ValueError(f"coefficient index {j} outside 1..{self.copula.dim}")
+            if c == 0:
+                raise ValueError("zero coefficients must be dropped")
+            total += c
+        if total != 1:
+            raise ValueError(f"coefficients must sum to 1, got {total}")
+        if isinstance(self.copula, Independence):
+            object.__setattr__(self, "_bernstein", _bernstein_weights(self.copula.dim, self.coeffs))
 
     def h(self, p):
-        raise NotImplementedError
+        return match_input(p, self._evaluate(self._check_unit(p), 0, self.copula.exch))
 
     def one_minus_h(self, p):
-        raise NotImplementedError
+        # coefficients sum to 1, so 1-h = sum c_j (1 - K_j); each complement
+        # is computed in its stable per-family form
+        return match_input(p, self._evaluate(self._check_unit(p), 1, self.copula.exch_compl))
 
-    def h_prime(self, p, *, finite_diff: bool = False):
-        """Derivative of h; closed form by default, central difference on request."""
-        if not finite_diff:
-            return self._h_prime_closed(p)
-        pa = self._check_open(p)
-        lo = np.maximum(pa - FD_STEP_H, 0.0)
-        hi = np.minimum(pa + FD_STEP_H, 1.0)
-        out = (as_float_array(self.h(hi)) - as_float_array(self.h(lo))) / (hi - lo)
-        return match_input(p, out)
+    def h_prime(self, p):
+        return match_input(p, self._evaluate(self._check_open(p), 2, self.copula.exch_deriv))
 
-    def _h_prime_closed(self, p):
-        raise NotImplementedError
+    def _evaluate(self, pa: np.ndarray, which: int, family_term) -> np.ndarray:
+        """Bernstein weights `which` under independence, else sum_j c_j family_term(p, j)."""
+        if self._bernstein is not None:
+            return _bernstein_sum(pa, self._bernstein[which])
+        out = np.zeros_like(pa)
+        for j, c in self.coeffs:
+            out += c * as_float_array(family_term(pa, j))
+        return out
 
     def H(self, p):
         """Hazard-transfer elasticity p h'(p)/h(p), clamped to the open interval.
@@ -182,6 +208,33 @@ class Distortion:
         return pa
 
 
+def _bernstein_weights(n: int, coeffs) -> tuple[tuple[float, ...], ...]:
+    """Bernstein weights of h, 1-h and h' for h = sum_j c_j p^j.
+
+    p^j = sum_k C(n-j, k-j) p^k (1-p)^(n-k), so h has the degree-n weights
+    N_k = sum_j c_j C(n-j, k-j), the number of k-subsets of components that
+    contain a path set; 1-h has C(n,k) - N_k; h' has the degree-(n-1)
+    weights D_k = (k+1) N_(k+1) - (n-k) N_k.  All three are nonnegative for a
+    coherent structure.
+    """
+    counts = [sum(c * comb(n - j, k - j) for j, c in coeffs if j <= k) for k in range(n + 1)]
+    compl = [comb(n, k) - counts[k] for k in range(n + 1)]
+    deriv = [(k + 1) * counts[k + 1] - (n - k) * counts[k] for k in range(n)]
+    return tuple(tuple(float(w) for w in weights) for weights in (counts, compl, deriv))
+
+
+def _bernstein_sum(pa: np.ndarray, weights: tuple[float, ...]) -> np.ndarray:
+    """sum_k w_k p^k (1-p)^(deg-k), deg = len(weights) - 1; with nonnegative
+    weights every term is nonnegative, so nothing cancels."""
+    q = 1.0 - pa
+    deg = len(weights) - 1
+    out = np.zeros_like(pa)
+    for k, w in enumerate(weights):
+        if w:
+            out += w * pa**k * q ** (deg - k)
+    return out
+
+
 def _flagged_ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         out = num / den
@@ -192,94 +245,7 @@ def _flagged_ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class CoefficientDistortion(Distortion):
-    """h(p) = sum_j c_j K_j(p) with signed integer coefficients over one copula.
-
-    The representation works uniformly for polynomial and non-polynomial
-    copula families.  Coefficients must sum to 1 (h(1) = 1) and carry j >= 1
-    only (h(0) = 0).
-    """
-
-    copula: Copula
-    coeffs: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        if not self.coeffs:
-            raise ValueError("distortion needs at least one coefficient")
-        total = 0
-        for j, c in self.coeffs:
-            if j < 1 or j > self.copula.dim:
-                raise ValueError(f"coefficient index {j} outside 1..{self.copula.dim}")
-            if c == 0:
-                raise ValueError("zero coefficients must be dropped")
-            total += c
-        if total != 1:
-            raise ValueError(f"coefficients must sum to 1, got {total}")
-
-    def h(self, p):
-        pa = self._check_unit(p)
-        out = np.zeros_like(pa)
-        for j, c in self.coeffs:
-            out += c * as_float_array(self.copula.exch(pa, j))
-        return match_input(p, out)
-
-    def one_minus_h(self, p):
-        # coefficients sum to 1, so 1-h = sum c_j (1 - K_j); each complement
-        # is computed in its stable per-family form
-        pa = self._check_unit(p)
-        out = np.zeros_like(pa)
-        for j, c in self.coeffs:
-            out += c * as_float_array(self.copula.exch_compl(pa, j))
-        return match_input(p, out)
-
-    def _h_prime_closed(self, p):
-        pa = self._check_open(p)
-        out = np.zeros_like(pa)
-        for j, c in self.coeffs:
-            out += c * as_float_array(self.copula.exch_deriv(pa, j))
-        return match_input(p, out)
-
-
-@dataclass(frozen=True)
-class KofNDistortion(Distortion):
-    """k-out-of-n distortion under independence, via binomial tail sums.
-
-    h(p) = sum_{j=k}^{n} C(n,j) p^j (1-p)^{n-j}.  Both tails are sums of
-    positive terms and h'(p) = k C(n,k) p^{k-1} (1-p)^{n-k} is a single
-    product, so h, 1-h and h' stay fully accurate across (0, 1).
-    """
-
-    k: int
-    n: int
-
-    def __post_init__(self):
-        if not 1 <= self.k <= self.n:
-            raise ValueError(f"need 1 <= k <= n, got k={self.k}, n={self.n}")
-
-    def h(self, p):
-        pa = self._check_unit(p)
-        q = 1.0 - pa
-        out = np.zeros_like(pa)
-        for j in range(self.k, self.n + 1):
-            out += comb(self.n, j) * pa**j * q ** (self.n - j)
-        return match_input(p, out)
-
-    def one_minus_h(self, p):
-        pa = self._check_unit(p)
-        q = 1.0 - pa
-        out = np.zeros_like(pa)
-        for j in range(0, self.k):
-            out += comb(self.n, j) * pa**j * q ** (self.n - j)
-        return match_input(p, out)
-
-    def _h_prime_closed(self, p):
-        pa = self._check_open(p)
-        out = self.k * comb(self.n, self.k) * pa ** (self.k - 1) * (1.0 - pa) ** (self.n - self.k)
-        return match_input(p, out)
-
-
-def build_distortion(structure: Structure, copula: Copula) -> CoefficientDistortion:
+def build_distortion(structure: Structure, copula: Copula) -> Distortion:
     """Assemble the dual distortion of a structure under a survival copula.
 
     Inclusion-exclusion over nonempty subfamilies of minimal path sets: a
@@ -311,28 +277,7 @@ def build_distortion(structure: Structure, copula: Copula) -> CoefficientDistort
         coeffs[size] = coeffs.get(size, 0) + sign
 
     pairs = tuple(sorted((j, c) for j, c in coeffs.items() if c != 0))
-    return CoefficientDistortion(copula=copula, coeffs=pairs)
-
-
-def kofn_distortion(k: int, n: int) -> KofNDistortion:
-    """Distortion of the k-out-of-n system with independent components."""
-    return KofNDistortion(k=k, n=n)
-
-
-def structure_copula_from_dict(fragment: dict) -> tuple[Structure, Copula]:
-    """Parse the fused fragment {"n": ..., "paths": [...], "copula": {...}}."""
-    from .copulas import copula_from_dict
-
-    if not isinstance(fragment, dict):
-        raise ValueError("system fragment must be an object")
-    unknown = set(fragment) - {"n", "paths", "copula"}
-    if unknown:
-        raise ValueError(f"unknown fields in system fragment: {sorted(unknown)}")
-    missing = {"n", "paths", "copula"} - set(fragment)
-    if missing:
-        raise ValueError(f"missing fields in system fragment: {sorted(missing)}")
-    structure = Structure.from_paths(int(fragment["n"]), fragment["paths"])
-    return structure, copula_from_dict(fragment["copula"], structure.n)
+    return Distortion(copula=copula, coeffs=pairs)
 
 
 @dataclass
@@ -342,17 +287,10 @@ class SystemModel:
     structure: Structure
     copula: Copula
     margin: LifetimeDistribution
-    distortion: Distortion | None = None
+    distortion: Distortion = field(init=False)
 
     def __post_init__(self):
-        if self.distortion is None:
-            self.distortion = build_distortion(self.structure, self.copula)
-
-    @classmethod
-    def k_of_n(cls, k: int, n: int, margin: LifetimeDistribution) -> "SystemModel":
-        """k-out-of-n system with independent components, using the stable
-        binomial-tail distortion."""
-        return cls(k_of_n_paths(k, n), Independence(n), margin, distortion=kofn_distortion(k, n))
+        self.distortion = build_distortion(self.structure, self.copula)
 
     def survival(self, x):
         return match_input(x, as_float_array(self.distortion.h(self.margin.sf(x))))

@@ -34,7 +34,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .orders import Grid, OrderVerdict, check_monotone, check_order, check_sign, system_order_direct
+from .orders import (
+    Grid,
+    OrderVerdict,
+    _ratio_verdict,
+    check_monotone,
+    check_order,
+    check_sign,
+    system_order_direct,
+)
 from .systems import SystemModel
 
 __all__ = [
@@ -146,18 +154,9 @@ def _combine(name: str, parts: list[OrderVerdict], boundary: bool = False, detai
 
 
 def _ratio_condition(name, d1, d2, func_name, direction, grid, tol) -> ConditionEntry:
-    f1 = getattr(d1, func_name)
-    f2 = getattr(d2, func_name)
-
-    def ratio(p):
-        num = np.asarray(f1(p), dtype=float)
-        den = np.asarray(f2(p), dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = num / den
-        return np.where(np.abs(den) < 1e-12, np.nan, out)
-
-    verdict = check_monotone(ratio, grid, direction=direction, tol=tol, relation=name)
-    return _combine(name, [verdict])
+    p = grid.points
+    num, den = getattr(d1, func_name)(p), getattr(d2, func_name)(p)
+    return _combine(name, [_ratio_verdict(p, num, den, direction, tol, name)])
 
 
 def _elasticity_sign_condition(name, dist, kind, grid, sign_slack, tol_fd, fd_step) -> ConditionEntry:

@@ -11,7 +11,7 @@ from coherent_age.copulas import FGM, GumbelHougaard, Independence
 from coherent_age.distributions import Exponential, LinearFailureRate
 from coherent_age.montecarlo import SimConfig, sample_copula, simulate_system
 from coherent_age.orders import Grid, check_monotone, check_sign, integral_identity_check
-from coherent_age.systems import Structure, SystemModel, build_distortion, kofn_distortion
+from coherent_age.systems import Structure, SystemModel, build_distortion, k_of_n_paths
 from coherent_age.verifier import corollary_index_check, verify_bstar, verify_cstar
 
 PGRID = Grid.probability(1e-3, 2001)
@@ -88,7 +88,7 @@ def test_criterion_4_kofn_lemma_sweep():
     start = time.perf_counter()
     slack = 1e-8
     pairs = [(k, n) for n in range(1, 7) for k in range(1, n + 1)]
-    dists = {kn: kofn_distortion(*kn) for kn in pairs}
+    dists = {(k, n): build_distortion(k_of_n_paths(k, n), Independence(n)) for k, n in pairs}
     failures = []
 
     for kn, d in dists.items():

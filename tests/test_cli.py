@@ -120,6 +120,21 @@ class TestVerify:
         }
         assert run(tmp_path, "verify", payload) == 0
 
+    def test_parallel_pair_from_path_sets_certifies(self, tmp_path, capsys):
+        # 1-out-of-3 vs 1-out-of-5 is covered by the k-out-of-n corollary for
+        # b_star; built from path sets, the verdict must not depend on 1-h
+        # cancelling near p = 1
+        def parallel(n, rate):
+            return {
+                "structure": {"n": n, "paths": [[i] for i in range(1, n + 1)]},
+                "copula": {"copula": "independence"},
+                "margin": {"family": "exp", "rate": rate},
+            }
+
+        payload = {"system1": parallel(3, 3.0), "system2": parallel(5, 2.0), "relation": "b_star"}
+        assert run(tmp_path, "verify", payload) == 0
+        assert json.loads(capsys.readouterr().out)["conclusion"] == "certified"
+
     def test_json_output_deterministic(self, tmp_path, capsys):
         outputs = []
         for _ in range(2):

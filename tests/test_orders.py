@@ -15,10 +15,9 @@ from coherent_age.orders import (
     check_order,
     check_sign,
     integral_identity_check,
-    sign_change_count,
     system_order_direct,
 )
-from coherent_age.systems import Structure, SystemModel
+from coherent_age.systems import Structure, SystemModel, k_of_n_paths
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 LFR_X = LinearFailureRate(1.0, 1.0)
@@ -31,6 +30,10 @@ def fgm_system(theta=1.0, margin=LFR_X):
 
 def series3_system(margin=LFR_Y):
     return SystemModel(Structure.series(3), Independence(3), margin)
+
+
+def kofn_system(k, n, margin):
+    return SystemModel(k_of_n_paths(k, n), Independence(n), margin)
 
 
 class TestGrid:
@@ -230,12 +233,12 @@ class TestSystemOrderDirect:
                 for m in range(1, 6):
                     for l in range(1, m + 1):
                         if corollary_index_check(k, n, l, m, "c_star"):
-                            s1 = SystemModel.k_of_n(k, n, margins_c[0])
-                            s2 = SystemModel.k_of_n(l, m, margins_c[1])
+                            s1 = kofn_system(k, n, margins_c[0])
+                            s2 = kofn_system(l, m, margins_c[1])
                             assert system_order_direct(s1, s2, "c_star").holds == "yes"
                         if corollary_index_check(k, n, l, m, "b_star"):
-                            s1 = SystemModel.k_of_n(k, n, margins_b[0])
-                            s2 = SystemModel.k_of_n(l, m, margins_b[1])
+                            s1 = kofn_system(k, n, margins_b[0])
+                            s2 = kofn_system(l, m, margins_b[1])
                             assert system_order_direct(s1, s2, "b_star").holds == "yes"
 
 
@@ -272,25 +275,3 @@ class TestIntegralIdentity:
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "False"
 
-
-class TestSignChangeCount:
-    def test_single_crossing(self):
-        g = Grid.linear(0.1, 2.0, 101)
-        count, pattern = sign_change_count(lambda x: x - 1.0, g)
-        assert (count, pattern) == (1, "-+")
-
-    def test_constant(self):
-        g = Grid.linear(0.1, 2.0, 11)
-        assert sign_change_count(lambda x: np.ones_like(x), g) == (0, "+")
-
-    def test_system_cumulative_hazard_gap(self):
-        # Delta_sys1 - 0.8 * Delta_sys2 crosses at most once on the grid
-        s1, s2 = fgm_system(), series3_system()
-        g = Grid.margin_bracketed(s1.margin, s2.margin)
-
-        def gap(x):
-            return np.asarray(s1.cum_hazard(x)) - 0.8 * np.asarray(s2.cum_hazard(x))
-
-        count, pattern = sign_change_count(gap, g)
-        assert count <= 1
-        assert pattern in ("-", "+", "-+")

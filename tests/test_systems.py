@@ -1,18 +1,13 @@
 import math
+from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 from coherent_age.copulas import ClaytonOakes, FGM, GumbelHougaard, Independence
 from coherent_age.distributions import Exponential, LinearFailureRate
-from coherent_age.systems import (
-    KofNDistortion,
-    Structure,
-    SystemModel,
-    build_distortion,
-    k_of_n_paths,
-    kofn_distortion,
-)
+from coherent_age.systems import Structure, SystemModel, build_distortion, k_of_n_paths
 
 GRID = np.linspace(0.0, 1.0, 1001)
 OPEN_GRID = np.linspace(1e-3, 1.0 - 1e-3, 1001)
@@ -21,6 +16,41 @@ OPEN_GRID = np.linspace(1e-3, 1.0 - 1e-3, 1001)
 def fgm_pair_series(theta):
     """min{X1, max{X2, X3}} under the trivariate FGM copula."""
     return build_distortion(Structure.from_paths(3, [[1, 2], [1, 3]]), FGM(theta=theta))
+
+
+def kofn(k, n):
+    return build_distortion(k_of_n_paths(k, n), Independence(n))
+
+
+def exact_reference(structure, p):
+    """h, 1-h and h' at p with independent components, in exact rationals.
+
+    Enumerates all 2^n component states, so it shares nothing with the
+    engine's coefficients or weights.
+    """
+    n = structure.n
+    p = Fraction(p)
+    q = 1 - p
+    h = omh = dh = Fraction(0)
+    for size in range(n + 1):
+        term = p**size * q ** (n - size)
+        dterm = size * p ** (size - 1) * q ** (n - size) - (n - size) * p**size * q ** (n - size - 1)
+        for state in combinations(range(1, n + 1), size):
+            if any(path <= set(state) for path in structure.paths):
+                h += term
+                dh += dterm
+            else:
+                omh += term
+    return h, omh, dh
+
+
+REFERENCE_STRUCTURES = {
+    "parallel5": Structure.parallel(5),
+    "parallel8": Structure.parallel(8),
+    "bridge": Structure.from_paths(5, [[1, 4], [2, 5], [1, 3, 5], [2, 3, 4]]),
+    "two-of-four": k_of_n_paths(2, 4),
+    "three-of-six": k_of_n_paths(3, 6),
+}
 
 
 class TestStructure:
@@ -99,36 +129,53 @@ class TestBuildDistortion:
             build_distortion(Structure.parallel(21), Independence(21))
 
 
+class TestExactReference:
+    @pytest.mark.parametrize("name", sorted(REFERENCE_STRUCTURES))
+    def test_independent_functionals_match_state_enumeration(self, name):
+        structure = REFERENCE_STRUCTURES[name]
+        d = build_distortion(structure, Independence(structure.n))
+        for p in (0.5, 0.99, 0.999, 1.0 - 1e-6):
+            ref = exact_reference(structure, p)
+            got = (d.h(p), d.one_minus_h(p), d.h_prime(p))
+            for label, value, exact in zip(("h", "1-h", "h'"), got, ref):
+                rel = abs(Fraction(value) - exact) / exact
+                assert rel <= 1e-13, (name, p, label, float(rel))
+
+
 class TestKofN:
     def test_series_and_parallel_forms(self):
-        np.testing.assert_allclose(kofn_distortion(4, 4).h(GRID), GRID**4, atol=1e-15)
-        np.testing.assert_allclose(
-            kofn_distortion(1, 4).h(GRID), 1 - (1 - GRID) ** 4, atol=1e-15
-        )
+        np.testing.assert_allclose(kofn(4, 4).h(GRID), GRID**4, atol=1e-15)
+        np.testing.assert_allclose(kofn(1, 4).h(GRID), 1 - (1 - GRID) ** 4, atol=1e-15)
 
     def test_two_of_three(self):
-        np.testing.assert_allclose(
-            kofn_distortion(2, 3).h(GRID), 3 * GRID**2 - 2 * GRID**3, atol=1e-15
-        )
+        np.testing.assert_allclose(kofn(2, 3).h(GRID), 3 * GRID**2 - 2 * GRID**3, atol=1e-15)
 
     @pytest.mark.parametrize("k,n", [(1, 2), (2, 3), (1, 3), (2, 4), (3, 5), (3, 6)])
     def test_matches_inclusion_exclusion(self, k, n):
-        built = build_distortion(k_of_n_paths(k, n), Independence(n))
-        direct = kofn_distortion(k, n)
-        np.testing.assert_allclose(built.h(GRID), direct.h(GRID), atol=1e-12)
+        # the Bernstein form reproduces the signed inclusion-exclusion
+        # polynomial sum_j c_j p^j, and both equal the exact state sum
+        d = kofn(k, n)
+        signed = sum(c * GRID**j for j, c in d.coeffs)
+        np.testing.assert_allclose(d.h(GRID), signed, atol=1e-12)
+        for p in (0.25, 0.5, 0.999):
+            h, omh, dh = exact_reference(k_of_n_paths(k, n), p)
+            assert d.h(p) == pytest.approx(float(h), rel=1e-14)
+            assert d.one_minus_h(p) == pytest.approx(float(omh), rel=1e-14)
+            assert d.h_prime(p) == pytest.approx(float(dh), rel=1e-14)
 
     def test_index_validation(self):
         with pytest.raises(ValueError):
-            kofn_distortion(0, 3)
+            k_of_n_paths(0, 3)
         with pytest.raises(ValueError):
-            kofn_distortion(4, 3)
+            k_of_n_paths(4, 3)
 
     def test_parallel_reversed_elasticity_is_constant(self):
         # (1-p) h'/(1-h) for the parallel system is identically n; this dies
-        # by cancellation unless 1-h is a positive tail sum
-        d = kofn_distortion(1, 6)
+        # by cancellation unless 1-h and h' are sums of nonnegative terms
         p = np.linspace(1e-3, 1 - 1e-3, 501)
-        np.testing.assert_allclose(d.R(p), 6.0, rtol=1e-10)
+        for n in (6, 8):
+            d = build_distortion(Structure.parallel(n), Independence(n))
+            np.testing.assert_allclose(d.R(p), float(n), rtol=1e-10, err_msg=f"n={n}")
 
 
 class TestEvaluation:
@@ -147,10 +194,11 @@ class TestEvaluation:
         assert d.h_prime(0.25) == pytest.approx(a * 0.25 ** (a - 1.0), rel=1e-13)
 
     def test_finite_difference_fallback_agrees(self):
+        step = 1e-6
         for d in (fgm_pair_series(0.6), build_distortion(k_of_n_paths(2, 3), ClaytonOakes(1.2, 3))):
             p = np.linspace(0.05, 0.95, 37)
             closed = np.asarray(d.h_prime(p))
-            fd = np.asarray(d.h_prime(p, finite_diff=True))
+            fd = (np.asarray(d.h(p + step)) - np.asarray(d.h(p - step))) / (2 * step)
             np.testing.assert_allclose(fd, closed, rtol=1e-7, atol=1e-7)
 
     def test_domain_validation(self):
@@ -217,35 +265,14 @@ class TestSystemModel:
         np.testing.assert_allclose(sysm.cum_rev_hazard(x), target, rtol=1e-10)
 
     def test_k_of_n_constructor_uses_binomial_tails(self):
-        sysm = SystemModel.k_of_n(2, 4, Exponential(2.0))
-        assert isinstance(sysm.distortion, KofNDistortion)
-        assert sysm.structure.n == 4
-        p = 0.3
-        assert sysm.distortion.h(p) == pytest.approx(
-            build_distortion(sysm.structure, sysm.copula).h(p), abs=1e-14
-        )
-
-
-class TestFusedFragment:
-    def test_parse_and_build(self):
-        from coherent_age.systems import structure_copula_from_dict
-
-        structure, copula = structure_copula_from_dict(
-            {"n": 3, "paths": [[1, 2], [1, 3]], "copula": {"copula": "fgm", "theta": 0.5}}
-        )
-        assert structure == Structure.from_paths(3, [[1, 2], [1, 3]])
-        assert copula == FGM(theta=0.5)
-        d = build_distortion(structure, copula)
-        assert d.h(0.5) == pytest.approx(2 * 0.25 - 0.125 - 0.5 * 0.125**2, abs=1e-15)
-
-    def test_unknown_field_rejected(self):
-        from coherent_age.systems import structure_copula_from_dict
-
-        with pytest.raises(ValueError, match="unknown"):
-            structure_copula_from_dict({"n": 2, "paths": [[1, 2]], "copula": {"copula": "independence"}, "x": 1})
-
-    def test_missing_field_rejected(self):
-        from coherent_age.systems import structure_copula_from_dict
-
-        with pytest.raises(ValueError, match="missing"):
-            structure_copula_from_dict({"n": 2, "paths": [[1, 2]]})
+        sysm = SystemModel(k_of_n_paths(2, 4), Independence(4), Exponential(2.0))
+        assert sysm.distortion == build_distortion(sysm.structure, sysm.copula)
+        for p in (0.3, 0.999):
+            q = 1.0 - p
+            assert sysm.distortion.h(p) == pytest.approx(
+                sum(math.comb(4, j) * p**j * q ** (4 - j) for j in range(2, 5)), rel=1e-14
+            )
+            assert sysm.distortion.one_minus_h(p) == pytest.approx(q**4 + 4 * p * q**3, rel=1e-14)
+        # the distortion always comes from the structure and copula
+        with pytest.raises(TypeError):
+            SystemModel(k_of_n_paths(2, 4), Independence(4), Exponential(2.0), sysm.distortion)

@@ -4,7 +4,7 @@ from corpus_helpers import random_instance
 
 from coherent_age.copulas import FGM, GumbelHougaard, Independence
 from coherent_age.distributions import Exponential, LinearFailureRate
-from coherent_age.systems import Structure, SystemModel
+from coherent_age.systems import Structure, SystemModel, k_of_n_paths
 from coherent_age.verifier import (
     VerifyConfig,
     corollary_index_check,
@@ -23,6 +23,10 @@ def fgm_pair_series_system(theta=1.0, margin=None):
 
 def series3_independent_system(margin=None):
     return SystemModel(Structure.series(3), Independence(3), margin or LinearFailureRate(2.0, 1.0))
+
+
+def kofn_system(k, n, margin):
+    return SystemModel(k_of_n_paths(k, n), Independence(n), margin)
 
 
 def gumbel_series_system(m, theta, margin):
@@ -124,8 +128,8 @@ class TestCorollaryIndexCheck:
                     for l in range(1, m + 1):
                         if corollary_index_check(k, n, l, m, "c_star"):
                             rep = verify_cstar(
-                                SystemModel.k_of_n(k, n, margins_c[0]),
-                                SystemModel.k_of_n(l, m, margins_c[1]),
+                                kofn_system(k, n, margins_c[0]),
+                                kofn_system(l, m, margins_c[1]),
                                 FAST_CFG,
                             )
                             assert rep.conclusion == "certified", (k, n, l, m, "c_star")
@@ -133,8 +137,8 @@ class TestCorollaryIndexCheck:
                             checked += 1
                         if corollary_index_check(k, n, l, m, "b_star"):
                             rep = verify_bstar(
-                                SystemModel.k_of_n(k, n, margins_b[0]),
-                                SystemModel.k_of_n(l, m, margins_b[1]),
+                                kofn_system(k, n, margins_b[0]),
+                                kofn_system(l, m, margins_b[1]),
                                 FAST_CFG,
                             )
                             assert rep.conclusion == "certified", (k, n, l, m, "b_star")
