@@ -144,8 +144,8 @@ class Distortion:
         return match_input(p, self._evaluate(self._check_unit(p), 0, self.copula.exch))
 
     def one_minus_h(self, p):
-        # coefficients sum to 1, so 1-h = sum c_j (1 - K_j); each complement
-        # is computed in its stable per-family form
+        # signed form: coefficients sum to 1, so 1-h = sum c_j (1 - K_j); each
+        # complement is computed in its stable per-family form
         return match_input(p, self._evaluate(self._check_unit(p), 1, self.copula.exch_compl))
 
     def h_prime(self, p):
