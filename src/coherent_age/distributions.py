@@ -46,12 +46,12 @@ class LifetimeDistribution(ABC):
     """Nonnegative lifetime law; values are immutable and all methods pure."""
 
     @abstractmethod
-    def cum_hazard(self, x):
-        """Cumulative hazard -ln sf(x), exact closed form."""
+    def _chz(self, xa: np.ndarray) -> np.ndarray:
+        """Cumulative hazard -ln sf on a validated array, exact closed form."""
 
     @abstractmethod
-    def hazard(self, x):
-        """Hazard rate pdf/sf."""
+    def _hz(self, xa: np.ndarray) -> np.ndarray:
+        """Hazard rate pdf/sf on a validated array."""
 
     @abstractmethod
     def isf(self, v):
@@ -60,6 +60,13 @@ class LifetimeDistribution(ABC):
     @abstractmethod
     def to_dict(self) -> dict:
         """JSON-ready parameter fragment."""
+
+    # every public function validates its argument once, then calls the cores
+    def cum_hazard(self, x):
+        return match_input(x, self._chz(_check_nonneg(x)))
+
+    def hazard(self, x):
+        return match_input(x, self._hz(_check_nonneg(x)))
 
     def sf(self, x):
         xa = _check_nonneg(x)
@@ -100,13 +107,6 @@ class LifetimeDistribution(ABC):
             raise ValueError("quantile level must lie in [0, 1]")
         return match_input(u, as_float_array(self.isf(1.0 - ua)))
 
-    # array-in/array-out cores used internally to avoid double validation
-    def _chz(self, xa: np.ndarray) -> np.ndarray:
-        return as_float_array(self.cum_hazard(xa))
-
-    def _hz(self, xa: np.ndarray) -> np.ndarray:
-        return as_float_array(self.hazard(xa))
-
 
 @dataclass(frozen=True)
 class Exponential(LifetimeDistribution):
@@ -117,13 +117,11 @@ class Exponential(LifetimeDistribution):
     def __post_init__(self):
         _positive(self.rate, "rate")
 
-    def cum_hazard(self, x):
-        xa = _check_nonneg(x)
-        return match_input(x, self.rate * xa)
+    def _chz(self, xa):
+        return self.rate * xa
 
-    def hazard(self, x):
-        xa = _check_nonneg(x)
-        return match_input(x, np.full_like(xa, self.rate))
+    def _hz(self, xa):
+        return np.full_like(xa, self.rate)
 
     def isf(self, v):
         va = as_float_array(v)
@@ -150,13 +148,11 @@ class LinearFailureRate(LifetimeDistribution):
         if not math.isfinite(self.beta) or self.beta < 0.0:
             raise ValueError(f"beta must be a nonnegative finite real, got {self.beta!r}")
 
-    def cum_hazard(self, x):
-        xa = _check_nonneg(x)
-        return match_input(x, self.alpha * (xa + self.beta * xa * xa))
+    def _chz(self, xa):
+        return self.alpha * (xa + self.beta * xa * xa)
 
-    def hazard(self, x):
-        xa = _check_nonneg(x)
-        return match_input(x, self.alpha * (1.0 + 2.0 * self.beta * xa))
+    def _hz(self, xa):
+        return self.alpha * (1.0 + 2.0 * self.beta * xa)
 
     def isf(self, v):
         # positive root of beta*x^2 + x - t/alpha = 0, written so the
@@ -182,15 +178,12 @@ class Weibull(LifetimeDistribution):
         _positive(self.shape, "shape")
         _positive(self.scale, "scale")
 
-    def cum_hazard(self, x):
-        xa = _check_nonneg(x)
-        return match_input(x, (xa / self.scale) ** self.shape)
+    def _chz(self, xa):
+        return (xa / self.scale) ** self.shape
 
-    def hazard(self, x):
-        xa = _check_nonneg(x)
+    def _hz(self, xa):
         with np.errstate(divide="ignore"):
-            out = (self.shape / self.scale) * (xa / self.scale) ** (self.shape - 1.0)
-        return match_input(x, out)
+            return (self.shape / self.scale) * (xa / self.scale) ** (self.shape - 1.0)
 
     def isf(self, v):
         va = as_float_array(v)

@@ -1,10 +1,9 @@
 """Copula-sampling oracle validating distortions and system survival curves.
 
 Sampling is split across independent substreams spawned from one 64-bit seed
-(numpy SeedSequence), and per-substream blocks are concatenated in stream
-order, so output is bit-identical for a fixed (seed, stream_count) no matter
-how many worker threads run the streams.  The ``COHERENT_AGE_THREADS``
-environment variable caps worker threads.
+(numpy SeedSequence); the substreams run in order and their blocks are
+concatenated in stream order, so output is bit-identical for a fixed
+(seed, stream_count).
 
 Samplers: independence draws directly; the trivariate FGM uses rejection
 against independence with density bound 1 + |theta|; Gumbel-Hougaard uses the
@@ -20,8 +19,6 @@ validated empirically.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,31 +49,16 @@ class SimConfig:
             raise ValueError("seed must fit in 64 bits")
 
 
-def thread_cap() -> int:
-    raw = os.environ.get("COHERENT_AGE_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def sample_copula(copula: Copula, cfg: SimConfig) -> np.ndarray:
     """Sample cfg.sample_count rows from the copula, shape (N, dim)."""
     children = np.random.SeedSequence(cfg.seed).spawn(cfg.stream_count)
     base, extra = divmod(cfg.sample_count, cfg.stream_count)
     counts = [base + (1 if i < extra else 0) for i in range(cfg.stream_count)]
-
-    def run(args):
-        child, count = args
-        return _sample_chunk(copula, count, np.random.default_rng(child))
-
-    jobs = [(c, n) for c, n in zip(children, counts) if n > 0]
-    workers = min(thread_cap(), len(jobs))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(run, jobs))
-    else:
-        chunks = [run(job) for job in jobs]
+    chunks = [
+        _sample_chunk(copula, count, np.random.default_rng(child))
+        for child, count in zip(children, counts)
+        if count > 0
+    ]
     return np.vstack(chunks)
 
 

@@ -100,16 +100,12 @@ class Grid:
         """Log-spaced grid spanning the [q_lo, q_hi] quantiles of the equal
         mixture of the two margins, avoiding both indeterminate tails."""
 
-        def mix_cdf(x: float) -> float:
-            return 0.5 * (float(dist_x.cdf(x)) + float(dist_y.cdf(x)))
+        def mix_cdf(x):
+            return 0.5 * (dist_x.cdf(x) + dist_y.cdf(x))
 
-        lo_bracket = min(dist_x.quantile(q_lo), dist_y.quantile(q_lo))
-        hi_bracket = max(dist_x.quantile(q_hi), dist_y.quantile(q_hi))
-        lo = _quantile_bisect(mix_cdf, q_lo, lo_bracket, hi_bracket)
-        hi = _quantile_bisect(mix_cdf, q_hi, lo_bracket, hi_bracket)
-        if policy == "log":
-            return cls.log_spaced(lo, hi, size)
-        return cls.linear(lo, hi, size)
+        lo = min(dist_x.quantile(q_lo), dist_y.quantile(q_lo))
+        hi = max(dist_x.quantile(q_hi), dist_y.quantile(q_hi))
+        return cls._bracketed(mix_cdf, lo, hi, size, q_lo, q_hi, policy)
 
     @classmethod
     def system_bracketed(
@@ -125,10 +121,10 @@ class Grid:
         the two SYSTEM lifetimes.  System lifetimes can live far from their
         component margins (a parallel system dies long after its first
         component), and ratios of system cumulative hazards are indeterminate
-        outside this range."""
+        outside this range, so the margins' bracket is widened first."""
 
-        def mix_cdf(x: float) -> float:
-            return 1.0 - 0.5 * (float(sys1.survival(x)) + float(sys2.survival(x)))
+        def mix_cdf(x):
+            return 1.0 - 0.5 * (sys1.survival(x) + sys2.survival(x))
 
         lo = min(sys1.margin.quantile(q_lo), sys2.margin.quantile(q_lo))
         for _ in range(200):
@@ -140,23 +136,28 @@ class Grid:
             if mix_cdf(hi) >= q_hi or hi > 1e280:
                 break
             hi *= 2.0
-        lo_q = _quantile_bisect(mix_cdf, q_lo, lo, hi)
-        hi_q = _quantile_bisect(mix_cdf, q_hi, lo, hi)
-        if policy == "log":
-            return cls.log_spaced(lo_q, hi_q, size)
-        return cls.linear(lo_q, hi_q, size)
+        return cls._bracketed(mix_cdf, lo, hi, size, q_lo, q_hi, policy)
 
-
-def _quantile_bisect(cdf, target: float, lo: float, hi: float, iters: int = 80) -> float:
-    if hi <= lo:
-        return lo
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if cdf(mid) < target:
-            lo = mid
+    @classmethod
+    def _bracketed(cls, mix_cdf, lo: float, hi: float, size: int, q_lo: float, q_hi: float,
+                   policy: str) -> "Grid":
+        """Grid between the q_lo and q_hi quantiles of mix_cdf, both found by
+        80 halvings of [lo, hi] with one array call of mix_cdf per step."""
+        if hi <= lo:
+            ends = (lo, lo)
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            targets = np.array([q_lo, q_hi])
+            lo_b = np.full(2, float(lo))
+            hi_b = np.full(2, float(hi))
+            for _ in range(80):
+                mid = 0.5 * (lo_b + hi_b)
+                below = as_float_array(mix_cdf(mid)) < targets
+                lo_b = np.where(below, mid, lo_b)
+                hi_b = np.where(below, hi_b, mid)
+            ends = 0.5 * (lo_b + hi_b)
+        if policy == "log":
+            return cls.log_spaced(float(ends[0]), float(ends[1]), size)
+        return cls.linear(float(ends[0]), float(ends[1]), size)
 
 
 @dataclass(frozen=True)
@@ -171,9 +172,6 @@ class OrderVerdict:
     skipped: int = 0
     checked: int = 0
     note: str = ""
-
-    def as_row(self) -> list:
-        return [self.relation, self.holds, self.witness_x, self.violation, self.skipped]
 
 
 def _verdict_from_values(
@@ -236,16 +234,20 @@ def check_sign(
     relation: str = "sign",
 ) -> OrderVerdict:
     """Certify f <= 0 (or >= 0) on the grid within tol."""
+    return _sign_verdict(grid.points, as_float_array(f(grid.points)), sign, tol, relation)
+
+
+def _sign_verdict(xs: np.ndarray, values: np.ndarray, sign: str, tol: float, relation: str) -> OrderVerdict:
     if sign not in ("nonpositive", "nonnegative"):
         raise ValueError(f"sign must be 'nonpositive' or 'nonnegative', got {sign!r}")
-    values = as_float_array(f(grid.points))
     finite = np.isfinite(values)
     skipped = int(np.sum(~finite))
     kept = values[finite]
-    xs = grid.points[finite]
+    total = xs.size
+    xs = xs[finite]
     if kept.size == 0:
         raise ValueError("empty grid after skipping flagged points")
-    if skipped > MAX_SKIP_FRACTION * grid.points.size:
+    if skipped > MAX_SKIP_FRACTION * total:
         return OrderVerdict(relation, "inconclusive", None, np.nan, tol, skipped, kept.size,
                             note="too many points skipped")
     viol = kept if sign == "nonpositive" else -kept

@@ -178,18 +178,18 @@ class Distortion:
         num = (1.0 - pa) * as_float_array(self.h_prime(pa))
         return match_input(p, _flagged_ratio(num, omh))
 
-    def H_prime(self, p, step: float = FD_STEP_ELASTICITY):
+    def H_prime(self, p):
         """Central difference of H; imposes a ~1e-8 accuracy floor on
         monotonicity checks built from it."""
-        return self._elasticity_prime(self.H, p, step)
+        return self._elasticity_prime(self.H, p)
 
-    def R_prime(self, p, step: float = FD_STEP_ELASTICITY):
-        return self._elasticity_prime(self.R, p, step)
+    def R_prime(self, p):
+        return self._elasticity_prime(self.R, p)
 
-    def _elasticity_prime(self, func, p, step):
+    def _elasticity_prime(self, func, p):
         pa = self._check_open(p)
-        lo = np.maximum(pa - step, EPS_CLAMP)
-        hi = np.minimum(pa + step, 1.0 - EPS_CLAMP)
+        lo = np.maximum(pa - FD_STEP_ELASTICITY, EPS_CLAMP)
+        hi = np.minimum(pa + FD_STEP_ELASTICITY, 1.0 - EPS_CLAMP)
         out = (as_float_array(func(hi)) - as_float_array(func(lo))) / (hi - lo)
         return match_input(p, out)
 

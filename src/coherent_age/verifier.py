@@ -38,9 +38,9 @@ from .orders import (
     Grid,
     OrderVerdict,
     _ratio_verdict,
-    check_monotone,
+    _sign_verdict,
+    _verdict_from_values,
     check_order,
-    check_sign,
     system_order_direct,
 )
 from .systems import SystemModel
@@ -73,7 +73,6 @@ class VerifyConfig:
     tol: float = 1e-9
     tol_fd: float = 1e-6
     sign_slack: float = 1e-8
-    fd_step: float = 1e-5
     x_grid: Grid | None = None
     x_grid_size: int = 2001
 
@@ -159,27 +158,20 @@ def _ratio_condition(name, d1, d2, func_name, direction, grid, tol) -> Condition
     return _combine(name, [_ratio_verdict(p, num, den, direction, tol, name)])
 
 
-def _elasticity_sign_condition(name, dist, kind, grid, sign_slack, tol_fd, fd_step) -> ConditionEntry:
+def _elasticity_sign_condition(name, dist, kind, grid, sign_slack, tol_fd) -> ConditionEntry:
     """Condition of the form '(1-p)H'/H negative and decreasing' (kind='H')
     or 'p R'/R positive and decreasing' (kind='R')."""
-
+    p = grid.points
     if kind == "H":
-        def g(p):
-            return (1.0 - p) * np.asarray(dist.H_prime(p, fd_step), dtype=float) / np.asarray(
-                dist.H(p), dtype=float
-            )
+        values = (1.0 - p) * np.asarray(dist.H_prime(p), dtype=float) / np.asarray(dist.H(p), dtype=float)
         sign = "nonpositive"
     else:
-        def g(p):
-            return p * np.asarray(dist.R_prime(p, fd_step), dtype=float) / np.asarray(
-                dist.R(p), dtype=float
-            )
+        values = p * np.asarray(dist.R_prime(p), dtype=float) / np.asarray(dist.R(p), dtype=float)
         sign = "nonnegative"
 
-    sign_verdict = check_sign(g, grid, sign=sign, tol=sign_slack, relation=f"{name}:sign")
-    mono_verdict = check_monotone(g, grid, direction="decr", tol=tol_fd, relation=f"{name}:decreasing")
+    sign_verdict = _sign_verdict(p, values, sign, sign_slack, f"{name}:sign")
+    mono_verdict = _verdict_from_values(p, values, "decr", tol_fd, f"{name}:decreasing")
 
-    values = np.asarray(g(grid.points), dtype=float)
     finite = values[np.isfinite(values)]
     # boundary: the sign condition holds only by slack (identically-zero case)
     if sign == "nonpositive":
@@ -214,15 +206,15 @@ def _verify(sys1: SystemModel, sys2: SystemModel, relation: str, cfg: VerifyConf
     if relation == "c_star":
         entries = {
             "i": _ratio_condition("i", d1, d2, "H", "decr", pgrid, cfg.tol),
-            "ii": _elasticity_sign_condition("ii", d1, "H", pgrid, cfg.sign_slack, cfg.tol_fd, cfg.fd_step),
-            "iii": _elasticity_sign_condition("iii", d2, "H", pgrid, cfg.sign_slack, cfg.tol_fd, cfg.fd_step),
+            "ii": _elasticity_sign_condition("ii", d1, "H", pgrid, cfg.sign_slack, cfg.tol_fd),
+            "iii": _elasticity_sign_condition("iii", d2, "H", pgrid, cfg.sign_slack, cfg.tol_fd),
             "iv": _margin_condition("iv", sys1, sys2, "c_star", (sys2, sys1), xgrid, cfg.tol),
         }
     else:
         entries = {
             "i": _ratio_condition("i", d1, d2, "R", "incr", pgrid, cfg.tol),
-            "ii": _elasticity_sign_condition("ii", d1, "R", pgrid, cfg.sign_slack, cfg.tol_fd, cfg.fd_step),
-            "iii": _elasticity_sign_condition("iii", d2, "R", pgrid, cfg.sign_slack, cfg.tol_fd, cfg.fd_step),
+            "ii": _elasticity_sign_condition("ii", d1, "R", pgrid, cfg.sign_slack, cfg.tol_fd),
+            "iii": _elasticity_sign_condition("iii", d2, "R", pgrid, cfg.sign_slack, cfg.tol_fd),
             "iv": _margin_condition("iv", sys1, sys2, "b_star", (sys1, sys2), xgrid, cfg.tol),
         }
 

@@ -138,9 +138,17 @@ class TestValidation:
         with pytest.raises(ValueError):
             ctor()
 
-    def test_negative_argument_rejected(self):
+    @pytest.mark.parametrize("func", ALL_FUNCS)
+    @pytest.mark.parametrize(
+        "dist",
+        [Exponential(1.0), LinearFailureRate(1.0, 0.5), Weibull(2.0, 1.5)],
+        ids=["exp", "lfr", "weibull"],
+    )
+    def test_negative_argument_rejected(self, dist, func):
         with pytest.raises(ValueError):
-            Exponential(1.0).sf(-0.5)
+            getattr(dist, func)(-0.5)
+        with pytest.raises(ValueError):
+            getattr(dist, func)(np.array([1.0, -0.5]))
 
     def test_quantile_range_checked(self):
         with pytest.raises(ValueError):

@@ -76,15 +76,6 @@ class TestReproducibility:
         b = sample_copula(cop, cfg)
         assert a.tobytes() == b.tobytes()
 
-    def test_thread_count_does_not_change_output(self, monkeypatch):
-        cfg = SimConfig(sample_count=20_000, seed=5, stream_count=8)
-        cop = ClaytonOakes(1.2, 3)
-        monkeypatch.setenv("COHERENT_AGE_THREADS", "1")
-        a = sample_copula(cop, cfg)
-        monkeypatch.setenv("COHERENT_AGE_THREADS", "8")
-        b = sample_copula(cop, cfg)
-        assert a.tobytes() == b.tobytes()
-
     def test_stream_split_covers_sample_count(self):
         cfg = SimConfig(sample_count=10_001, seed=1, stream_count=7)
         u = sample_copula(Independence(2), cfg)

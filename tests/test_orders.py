@@ -63,6 +63,22 @@ class TestGrid:
         assert dy.quantile(0.001) <= g.points[0] <= dx.quantile(0.001)
         assert dy.quantile(0.999) <= g.points[-1] <= dx.quantile(0.999)
 
+    @pytest.mark.parametrize("policy", ["log", "linear"])
+    def test_system_bracketed_widens_past_the_margin(self, policy):
+        # a parallel system outlives its components: its 0.999 quantile lies
+        # beyond the margin's, so the margin bracket must widen to reach it
+        system = SystemModel(Structure.parallel(8), Independence(8), Exponential(1.0))
+        g = Grid.system_bracketed(system, system, size=11, policy=policy)
+        assert g.policy == policy
+        assert g.points[-1] > system.margin.quantile(0.999)
+        mix_cdf = 1.0 - np.asarray(system.survival(g.points[[0, -1]]))
+        np.testing.assert_allclose(mix_cdf, [0.001, 0.999], rtol=0.0, atol=1e-12)
+        # closed form: the system cdf is (1 - e^-x)^8
+        exact = -np.log1p(-np.array([0.001, 0.999]) ** (1.0 / 8.0))
+        np.testing.assert_allclose(g.points[[0, -1]], exact, rtol=1e-12)
+        spacing = np.diff(g.points) if policy == "linear" else np.diff(np.log(g.points))
+        np.testing.assert_allclose(spacing, spacing[0], rtol=1e-9)
+
 
 class TestCheckMonotone:
     def test_identity_increasing(self):
