@@ -143,21 +143,19 @@ class Grid:
                    policy: str) -> "Grid":
         """Grid between the q_lo and q_hi quantiles of mix_cdf, both found by
         80 halvings of [lo, hi] with one array call of mix_cdf per step."""
+        build = cls.log_spaced if policy == "log" else cls.linear
         if hi <= lo:
-            ends = (lo, lo)
-        else:
-            targets = np.array([q_lo, q_hi])
-            lo_b = np.full(2, float(lo))
-            hi_b = np.full(2, float(hi))
-            for _ in range(80):
-                mid = 0.5 * (lo_b + hi_b)
-                below = as_float_array(mix_cdf(mid)) < targets
-                lo_b = np.where(below, mid, lo_b)
-                hi_b = np.where(below, hi_b, mid)
-            ends = 0.5 * (lo_b + hi_b)
-        if policy == "log":
-            return cls.log_spaced(float(ends[0]), float(ends[1]), size)
-        return cls.linear(float(ends[0]), float(ends[1]), size)
+            return build(lo, lo, size)
+        targets = np.array([q_lo, q_hi])
+        lo_b = np.full(2, float(lo))
+        hi_b = np.full(2, float(hi))
+        for _ in range(80):
+            mid = 0.5 * (lo_b + hi_b)
+            below = as_float_array(mix_cdf(mid)) < targets
+            lo_b = np.where(below, mid, lo_b)
+            hi_b = np.where(below, hi_b, mid)
+        ends = 0.5 * (lo_b + hi_b)
+        return build(float(ends[0]), float(ends[1]), size)
 
 
 @dataclass(frozen=True)
