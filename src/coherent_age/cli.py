@@ -148,8 +148,28 @@ class RunSpec:
         return spec_hash(self.raw)
 
 
-def load_spec(raw: dict, command: str) -> RunSpec:
-    """Validate a raw spec dict for one subcommand; unknown fields are rejected."""
+def _check_grid(spec: RunSpec) -> None:
+    """The one rule for the final grid size and eps_endpoint, spec or flag."""
+    if not isinstance(spec.grid_size, int) or spec.grid_size < 2:
+        raise SpecError(f"grid size must be an integer >= 2, got {spec.grid_size!r}")
+    if not 0.0 < spec.eps_endpoint < 0.5:
+        raise SpecError(f"eps_endpoint must satisfy 0 < eps < 0.5, got {spec.eps_endpoint!r}")
+
+
+def load_spec(
+    raw: dict,
+    command: str,
+    *,
+    grid_size: int | None = None,
+    tol: float | None = None,
+    eps_endpoint: float | None = None,
+    seed: int | None = None,
+) -> RunSpec:
+    """Validate a raw spec dict for one subcommand; unknown fields are rejected.
+
+    Keywords that are not None override the spec's values (the command-line
+    flags); the final grid size and eps_endpoint are checked after them.
+    """
     schemas = {
         "distortion": ({"system1"}, {"grid", "tolerances", "output"}),
         "check-order": ({"system1", "system2", "relation"}, {"grid", "tolerances", "output"}),
@@ -188,34 +208,42 @@ def load_spec(raw: dict, command: str) -> RunSpec:
         spec.grid_policy = raw["grid"].get("policy", spec.grid_policy)
         if spec.grid_policy not in ("log", "linear"):
             raise SpecError(f"grid policy must be 'log' or 'linear', got {spec.grid_policy!r}")
-        spec.grid_size = int(raw["grid"].get("size", spec.grid_size))
-        if spec.grid_size < 2:
-            raise SpecError("grid size must be at least 2")
+        spec.grid_size = raw["grid"].get("size", spec.grid_size)
 
     if "tolerances" in raw:
         _require(raw["tolerances"], set(), _TOL_KEYS, "tolerances")
         for key in _TOL_KEYS:
             if key in raw["tolerances"]:
-                setattr(spec, key, float(raw["tolerances"][key]))
+                value = raw["tolerances"][key]
+                try:
+                    setattr(spec, key, float(value))
+                except (TypeError, ValueError) as exc:
+                    raise SpecError(f"tolerances.{key} must be a number, got {value!r}") from exc
 
-    if "simulation" in raw:
-        _require(raw["simulation"], set(), _SIM_KEYS, "simulation")
-        block = raw["simulation"]
+    if command == "simulate":
+        block = raw.get("simulation", {})
+        _require(block, set(), _SIM_KEYS, "simulation")
         try:
             spec.sim = SimConfig(
                 sample_count=int(block.get("sample_count", 100_000)),
-                seed=int(block.get("seed", 0)),
+                seed=int(block.get("seed", 0) if seed is None else seed),
                 stream_count=int(block.get("stream_count", 4)),
             )
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise SpecError(f"invalid simulation block: {exc}") from exc
-    elif command == "simulate":
-        spec.sim = SimConfig()
 
     if "output" in raw:
         _require(raw["output"], set(), _OUTPUT_KEYS, "output")
         spec.out_csv = raw["output"].get("csv")
         spec.out_json = raw["output"].get("json")
+
+    if grid_size is not None:
+        spec.grid_size = grid_size
+    if tol is not None:
+        spec.tol = tol
+    if eps_endpoint is not None:
+        spec.eps_endpoint = eps_endpoint
+    _check_grid(spec)
     return spec
 
 
@@ -388,17 +416,14 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: cannot read spec: {exc}", file=sys.stderr)
         return 1
     try:
-        spec = load_spec(raw, args.command)
-        if args.grid_size is not None:
-            spec.grid_size = args.grid_size
-        if args.tol is not None:
-            spec.tol = args.tol
-        if args.eps_endpoint is not None:
-            spec.eps_endpoint = args.eps_endpoint
-        if args.seed is not None and spec.sim is not None:
-            spec.sim = SimConfig(
-                sample_count=spec.sim.sample_count, seed=args.seed, stream_count=spec.sim.stream_count
-            )
+        spec = load_spec(
+            raw,
+            args.command,
+            grid_size=args.grid_size,
+            tol=args.tol,
+            eps_endpoint=args.eps_endpoint,
+            seed=args.seed,
+        )
         return _COMMANDS[args.command](spec)
     except SpecError as exc:
         print(f"error: {exc}", file=sys.stderr)

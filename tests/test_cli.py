@@ -240,6 +240,37 @@ class TestSchemaValidation:
         err = capsys.readouterr().err
         assert err == "error: system1: structure has 35 minimal path sets; refusing more than 20\n"
 
+    def test_non_numeric_tolerance_is_a_spec_error(self, tmp_path, capsys):
+        assert run(tmp_path, "verify", {**VERIFY_SPEC, "tolerances": {"tol": "abc"}}) == 1
+        assert capsys.readouterr().err == "error: tolerances.tol must be a number, got 'abc'\n"
+
+    def test_non_integer_grid_size_is_a_spec_error(self, tmp_path, capsys):
+        assert run(tmp_path, "verify", {**VERIFY_SPEC, "grid": {"size": "many"}}) == 1
+        assert capsys.readouterr().err == "error: grid size must be an integer >= 2, got 'many'\n"
+
+    @pytest.mark.parametrize(
+        "block, flags, message",
+        [
+            ({"grid": {"size": 1}}, [], "grid size must be an integer >= 2, got 1"),
+            ({"grid": {"size": 2.5}}, [], "grid size must be an integer >= 2, got 2.5"),
+            ({}, ["--grid-size", "1"], "grid size must be an integer >= 2, got 1"),
+            ({"tolerances": {"eps_endpoint": 0.6}}, [], "eps_endpoint must satisfy 0 < eps < 0.5, got 0.6"),
+            ({}, ["--eps-endpoint", "0.6"], "eps_endpoint must satisfy 0 < eps < 0.5, got 0.6"),
+            ({"tolerances": {"eps_endpoint": 0}}, [], "eps_endpoint must satisfy 0 < eps < 0.5, got 0.0"),
+            ({}, ["--eps-endpoint", "0"], "eps_endpoint must satisfy 0 < eps < 0.5, got 0.0"),
+        ],
+        ids=[
+            "spec-size-1", "spec-size-2.5", "flag-size-1",
+            "spec-eps-0.6", "flag-eps-0.6", "spec-eps-0", "flag-eps-0",
+        ],
+    )
+    @pytest.mark.parametrize("command", ["distortion", "verify"])
+    def test_out_of_range_grid_value_is_a_spec_error(self, tmp_path, capsys, command, block, flags, message):
+        # spec values and flag overrides go through the same check
+        payload = {**(VERIFY_SPEC if command == "verify" else {"system1": FGM_SYSTEM}), **block}
+        assert run(tmp_path, command, payload, *flags) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_unreadable_spec(self, capsys):
         assert main(["verify", "/nonexistent/spec.json"]) == 1
         assert "cannot read spec" in capsys.readouterr().err

@@ -53,6 +53,39 @@ REFERENCE_STRUCTURES = {
 }
 
 
+def subfamily_coefficients(structure):
+    """Inclusion-exclusion coefficients by walking all 2^r - 1 nonempty
+    subfamilies of path sets: subfamily S adds (-1)^(|S|+1) at |union S|."""
+    masks = [sum(1 << (i - 1) for i in path) for path in structure.paths]
+    r = len(masks)
+    unions = [0] * (1 << r)
+    coeffs = {}
+    for s in range(1, 1 << r):
+        low = (s & -s).bit_length() - 1
+        unions[s] = unions[s & (s - 1)] | masks[low]
+        size = unions[s].bit_count()
+        coeffs[size] = coeffs.get(size, 0) + (1 if s.bit_count() & 1 else -1)
+    return tuple(sorted((j, c) for j, c in coeffs.items() if c != 0))
+
+
+def random_minimal_structure(rng, n, max_paths):
+    # path sizes w or w+1 keep many candidates mutually non-nested
+    while True:
+        w = int(rng.integers(1, max(n - 1, 1) + 1))
+        cand = set()
+        for _ in range(int(rng.integers(max_paths // 2, max_paths + 1))):
+            size = min(n, w + int(rng.integers(0, 2)))
+            cand.add(frozenset(int(i) for i in rng.choice(np.arange(1, n + 1), size=size, replace=False)))
+        minimal = [a for a in cand if not any(b < a for b in cand)]
+        if set().union(*minimal) == set(range(1, n + 1)):
+            return Structure.from_paths(n, minimal)
+
+
+def coefficient_copulas(n):
+    copulas = [Independence(n), GumbelHougaard(1.7, n), ClaytonOakes(0.9, n)]
+    return copulas + [FGM(0.5)] if n == 3 else copulas
+
+
 class TestStructure:
     def test_series_and_parallel(self):
         assert Structure.series(3).paths == (frozenset({1, 2, 3}),)
@@ -127,6 +160,30 @@ class TestBuildDistortion:
     def test_too_many_path_sets_refused(self):
         with pytest.raises(ValueError, match="path sets"):
             build_distortion(Structure.parallel(21), Independence(21))
+
+
+class TestCoefficientReference:
+    """build_distortion's coefficients equal the subfamily walk's exactly."""
+
+    @staticmethod
+    def check(structure):
+        expected = subfamily_coefficients(structure)
+        for copula in coefficient_copulas(structure.n):
+            assert build_distortion(structure, copula).coeffs == expected, (structure.paths, copula)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_k_of_n(self, n):
+        for k in range(1, n + 1):
+            self.check(k_of_n_paths(k, n))
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE_STRUCTURES))
+    def test_reference_structures(self, name):
+        self.check(REFERENCE_STRUCTURES[name])
+
+    def test_random_minimal_structures(self):
+        rng = np.random.default_rng(20)
+        for _ in range(300):
+            self.check(random_minimal_structure(rng, int(rng.integers(1, 9)), 12))
 
 
 class TestExactReference:
