@@ -148,12 +148,26 @@ class RunSpec:
         return spec_hash(self.raw)
 
 
+def _number(value, what: str) -> int | float:
+    """A spec number: a JSON int or float, not a bool and not a string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SpecError(f"{what} must be a number, got {value!r}")
+    return value
+
+
 def _check_grid(spec: RunSpec) -> None:
-    """The one rule for the final grid size and eps_endpoint, spec or flag."""
-    if not isinstance(spec.grid_size, int) or spec.grid_size < 2:
-        raise SpecError(f"grid size must be an integer >= 2, got {spec.grid_size!r}")
-    if not 0.0 < spec.eps_endpoint < 0.5:
-        raise SpecError(f"eps_endpoint must satisfy 0 < eps < 0.5, got {spec.eps_endpoint!r}")
+    """The one rule for the final grid size and eps_endpoint, spec or flag:
+    an integral size whose probability grid Grid accepts."""
+    size = _number(spec.grid_size, "grid size")
+    if isinstance(size, float) and size.is_integer():
+        size = int(size)
+    if not isinstance(size, int):
+        raise SpecError(f"grid size must be an integer, got {size!r}")
+    spec.grid_size = size
+    try:
+        Grid.probability(spec.eps_endpoint, size)
+    except ValueError as exc:
+        raise SpecError(f"grid size {size}, eps_endpoint {spec.eps_endpoint!r}: {exc}") from exc
 
 
 def load_spec(
@@ -214,11 +228,7 @@ def load_spec(
         _require(raw["tolerances"], set(), _TOL_KEYS, "tolerances")
         for key in _TOL_KEYS:
             if key in raw["tolerances"]:
-                value = raw["tolerances"][key]
-                try:
-                    setattr(spec, key, float(value))
-                except (TypeError, ValueError) as exc:
-                    raise SpecError(f"tolerances.{key} must be a number, got {value!r}") from exc
+                setattr(spec, key, float(_number(raw["tolerances"][key], f"tolerances.{key}")))
 
     if command == "simulate":
         block = raw.get("simulation", {})

@@ -85,6 +85,8 @@ class Grid:
     @classmethod
     def probability(cls, eps: float = 1e-3, size: int = 2001) -> "Grid":
         """Linear grid on [eps, 1-eps] for functionals of reliability p."""
+        if not 0.0 < eps < 0.5:
+            raise ValueError(f"eps_endpoint must satisfy 0 < eps < 0.5, got {eps!r}")
         return cls(np.linspace(eps, 1.0 - eps, size), policy="linear")
 
     @classmethod

@@ -240,33 +240,80 @@ class TestSchemaValidation:
         err = capsys.readouterr().err
         assert err == "error: system1: structure has 35 minimal path sets; refusing more than 20\n"
 
-    def test_non_numeric_tolerance_is_a_spec_error(self, tmp_path, capsys):
-        assert run(tmp_path, "verify", {**VERIFY_SPEC, "tolerances": {"tol": "abc"}}) == 1
-        assert capsys.readouterr().err == "error: tolerances.tol must be a number, got 'abc'\n"
+    @pytest.mark.parametrize("value", ["abc", "1e-9", True], ids=["word", "numeric-string", "bool"])
+    def test_non_numeric_tolerance_is_a_spec_error(self, tmp_path, capsys, value):
+        assert run(tmp_path, "verify", {**VERIFY_SPEC, "tolerances": {"tol": value}}) == 1
+        assert capsys.readouterr().err == f"error: tolerances.tol must be a number, got {value!r}\n"
 
-    def test_non_integer_grid_size_is_a_spec_error(self, tmp_path, capsys):
-        assert run(tmp_path, "verify", {**VERIFY_SPEC, "grid": {"size": "many"}}) == 1
-        assert capsys.readouterr().err == "error: grid size must be an integer >= 2, got 'many'\n"
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            ("many", "grid size must be a number, got 'many'"),
+            ("31", "grid size must be a number, got '31'"),
+            (True, "grid size must be a number, got True"),
+            (2.5, "grid size must be an integer, got 2.5"),
+        ],
+        ids=["word", "numeric-string", "bool", "fraction"],
+    )
+    def test_non_integer_grid_size_is_a_spec_error(self, tmp_path, capsys, value, message):
+        # spec numbers have one type rule: a JSON number, not a string or a bool
+        assert run(tmp_path, "verify", {**VERIFY_SPEC, "grid": {"size": value}}) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_integral_float_grid_size_is_accepted(self, tmp_path, capsys):
+        tables = []
+        for size in (31, 31.0):
+            assert run(tmp_path, "distortion", {"system1": FGM_SYSTEM, "grid": {"size": size}}) == 0
+            _, header, rows = parse_table(capsys.readouterr().out)
+            tables.append((header, rows))
+        assert len(tables[0][1]) == 31
+        assert tables[0] == tables[1]
 
     @pytest.mark.parametrize(
         "block, flags, message",
         [
-            ({"grid": {"size": 1}}, [], "grid size must be an integer >= 2, got 1"),
-            ({"grid": {"size": 2.5}}, [], "grid size must be an integer >= 2, got 2.5"),
-            ({}, ["--grid-size", "1"], "grid size must be an integer >= 2, got 1"),
-            ({"tolerances": {"eps_endpoint": 0.6}}, [], "eps_endpoint must satisfy 0 < eps < 0.5, got 0.6"),
-            ({}, ["--eps-endpoint", "0.6"], "eps_endpoint must satisfy 0 < eps < 0.5, got 0.6"),
-            ({"tolerances": {"eps_endpoint": 0}}, [], "eps_endpoint must satisfy 0 < eps < 0.5, got 0.0"),
-            ({}, ["--eps-endpoint", "0"], "eps_endpoint must satisfy 0 < eps < 0.5, got 0.0"),
+            ({"grid": {"size": 1}}, [], "grid size 1, eps_endpoint 0.001: grid needs at least two points"),
+            ({}, ["--grid-size", "1"], "grid size 1, eps_endpoint 0.001: grid needs at least two points"),
+            (
+                {"tolerances": {"eps_endpoint": 0.6}},
+                [],
+                "grid size 2001, eps_endpoint 0.6: eps_endpoint must satisfy 0 < eps < 0.5, got 0.6",
+            ),
+            (
+                {},
+                ["--eps-endpoint", "0.6"],
+                "grid size 2001, eps_endpoint 0.6: eps_endpoint must satisfy 0 < eps < 0.5, got 0.6",
+            ),
+            (
+                {"tolerances": {"eps_endpoint": 0}},
+                [],
+                "grid size 2001, eps_endpoint 0.0: eps_endpoint must satisfy 0 < eps < 0.5, got 0.0",
+            ),
+            (
+                {},
+                ["--eps-endpoint", "0"],
+                "grid size 2001, eps_endpoint 0.0: eps_endpoint must satisfy 0 < eps < 0.5, got 0.0",
+            ),
+            (
+                {"tolerances": {"eps_endpoint": 0.4999999999999999}},
+                [],
+                "grid size 2001, eps_endpoint 0.4999999999999999: grid points must be strictly increasing",
+            ),
+            (
+                {},
+                ["--eps-endpoint", "0.4999999999999999"],
+                "grid size 2001, eps_endpoint 0.4999999999999999: grid points must be strictly increasing",
+            ),
         ],
         ids=[
-            "spec-size-1", "spec-size-2.5", "flag-size-1",
-            "spec-eps-0.6", "flag-eps-0.6", "spec-eps-0", "flag-eps-0",
+            "spec-size-1", "flag-size-1", "spec-eps-0.6", "flag-eps-0.6",
+            "spec-eps-0", "flag-eps-0", "spec-eps-near-half", "flag-eps-near-half",
         ],
     )
     @pytest.mark.parametrize("command", ["distortion", "verify"])
     def test_out_of_range_grid_value_is_a_spec_error(self, tmp_path, capsys, command, block, flags, message):
-        # spec values and flag overrides go through the same check
+        # spec values and flag overrides go through the same check, whose rule
+        # is the one Grid.probability applies
         payload = {**(VERIFY_SPEC if command == "verify" else {"system1": FGM_SYSTEM}), **block}
         assert run(tmp_path, command, payload, *flags) == 1
         assert capsys.readouterr().err == f"error: {message}\n"

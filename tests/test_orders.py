@@ -51,6 +51,11 @@ class TestGrid:
         with pytest.raises(ValueError):
             Grid(np.array([1.0, 1.0]))
 
+    @pytest.mark.parametrize("eps", [0.0, 0.5, 0.6, -0.1, float("nan")])
+    def test_probability_rejects_eps_outside_open_half(self, eps):
+        with pytest.raises(ValueError, match="0 < eps < 0.5"):
+            Grid.probability(eps, 11)
+
     def test_margin_bracketed_identical_margins(self):
         d = Exponential(2.0)
         g = Grid.margin_bracketed(d, d, size=11)
