@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -119,7 +120,7 @@ def _load_system(d: dict, where: str) -> SystemBlock:
 
 _TOL_KEYS = {"tol", "tol_fd", "sign_slack", "eps_endpoint"}
 _GRID_KEYS = {"policy", "size"}
-_SIM_KEYS = {"sample_count", "seed", "stream_count"}
+_SIM_DEFAULTS = {"sample_count": 100_000, "seed": 0, "stream_count": 4}
 _OUTPUT_KEYS = {"csv", "json"}
 
 
@@ -155,19 +156,26 @@ def _number(value, what: str) -> int | float:
     return value
 
 
-def _check_grid(spec: RunSpec) -> None:
-    """The one rule for the final grid size and eps_endpoint, spec or flag:
-    an integral size whose probability grid Grid accepts."""
-    size = _number(spec.grid_size, "grid size")
-    if isinstance(size, float) and size.is_integer():
-        size = int(size)
-    if not isinstance(size, int):
-        raise SpecError(f"grid size must be an integer, got {size!r}")
-    spec.grid_size = size
+def _integer(value, what: str) -> int:
+    """A spec integer: a spec number with an integral value (31.0 reads as 31)."""
+    value = _number(value, what)
+    if isinstance(value, float) and not value.is_integer():
+        raise SpecError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _check_final(spec: RunSpec) -> None:
+    """The one rule for the final values, spec or flag: an integral grid size
+    whose probability grid Grid accepts, and tolerances finite and >= 0."""
+    size = spec.grid_size = _integer(spec.grid_size, "grid size")
     try:
         Grid.probability(spec.eps_endpoint, size)
     except ValueError as exc:
         raise SpecError(f"grid size {size}, eps_endpoint {spec.eps_endpoint!r}: {exc}") from exc
+    for key in ("tol", "tol_fd", "sign_slack"):
+        value = getattr(spec, key)
+        if not (math.isfinite(value) and value >= 0.0):
+            raise SpecError(f"{key} must be finite and >= 0, got {value!r}")
 
 
 def load_spec(
@@ -182,7 +190,8 @@ def load_spec(
     """Validate a raw spec dict for one subcommand; unknown fields are rejected.
 
     Keywords that are not None override the spec's values (the command-line
-    flags); the final grid size and eps_endpoint are checked after them.
+    flags); the final grid size, eps_endpoint and tolerances are checked
+    after them.
     """
     schemas = {
         "distortion": ({"system1"}, {"grid", "tolerances", "output"}),
@@ -232,14 +241,14 @@ def load_spec(
 
     if command == "simulate":
         block = raw.get("simulation", {})
-        _require(block, set(), _SIM_KEYS, "simulation")
+        _require(block, set(), set(_SIM_DEFAULTS), "simulation")
+        if seed is not None:
+            block = {**block, "seed": seed}
+        fields = {key: _integer(block.get(key, default), f"simulation.{key}")
+                  for key, default in _SIM_DEFAULTS.items()}
         try:
-            spec.sim = SimConfig(
-                sample_count=int(block.get("sample_count", 100_000)),
-                seed=int(block.get("seed", 0) if seed is None else seed),
-                stream_count=int(block.get("stream_count", 4)),
-            )
-        except (TypeError, ValueError) as exc:
+            spec.sim = SimConfig(**fields)
+        except ValueError as exc:
             raise SpecError(f"invalid simulation block: {exc}") from exc
 
     if "output" in raw:
@@ -253,7 +262,7 @@ def load_spec(
         spec.tol = tol
     if eps_endpoint is not None:
         spec.eps_endpoint = eps_endpoint
-    _check_grid(spec)
+    _check_final(spec)
     return spec
 
 

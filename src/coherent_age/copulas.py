@@ -3,9 +3,16 @@
 Four families: Independence, the trivariate Farlie-Gumbel-Morgenstern (FGM)
 perturbation of independence, Gumbel-Hougaard, and Clayton-Oakes.  All are
 exchangeable, so evaluating at a point with ``j`` coordinates equal to ``p``
-and the rest equal to 1 depends only on ``(p, j)``; that reduction
-(``exch``) is what the distortion engine consumes.  Evaluations switch to
-log-space wherever the direct form would overflow or underflow.
+and the rest equal to 1 depends only on ``(p, j)``; that reduction, its
+derivative and its complement are what the distortion engine consumes.
+Evaluations switch to log-space wherever the direct form would overflow or
+underflow.
+
+Each family defines the three reductions once, as array cores ``_exch``,
+``_exch_deriv`` and ``_exch_compl`` on an already validated array with
+``1 <= j <= dim``.  The public ``exch``, ``exch_deriv`` and ``exch_compl``
+of the base class validate ``(p, j)`` once, answer ``j = 0`` and call the
+core; internal callers (the distortion engine) call the cores directly.
 
 Clayton-Oakes uses the standard exchangeable Archimedean form
 ``(sum p_i^-theta - (n-1))^(-1/theta)``; it is an extension family here, kept
@@ -46,20 +53,35 @@ class Copula(ABC):
         """K(p_1, ..., p_n) for a length-n vector (or batch of vectors)."""
 
     @abstractmethod
-    def exch(self, p, j: int):
-        """K with j coordinates at p and n-j at 1; j = 0 gives 1."""
+    def _exch(self, pa: np.ndarray, j: int) -> np.ndarray:
+        """K with j coordinates at p and n-j at 1, on a validated array, 1 <= j <= dim."""
 
     @abstractmethod
-    def exch_deriv(self, p, j: int):
-        """d/dp of ``exch(p, j)`` in closed form."""
+    def _exch_deriv(self, pa: np.ndarray, j: int) -> np.ndarray:
+        """d/dp of ``_exch(pa, j)`` in closed form."""
 
     @abstractmethod
-    def exch_compl(self, p, j: int):
-        """1 - exch(p, j), computed without cancellation near p = 1."""
+    def _exch_compl(self, pa: np.ndarray, j: int) -> np.ndarray:
+        """1 - _exch(pa, j), computed without cancellation near p = 1."""
 
     @abstractmethod
     def to_dict(self) -> dict:
         ...
+
+    def exch(self, p, j: int):
+        """K with j coordinates at p and n-j at 1; j = 0 gives 1."""
+        pa = self._check_exch(p, j)
+        return match_input(p, self._exch(pa, j) if j else np.ones_like(pa))
+
+    def exch_deriv(self, p, j: int):
+        """d/dp of ``exch(p, j)`` in closed form."""
+        pa = self._check_exch(p, j)
+        return match_input(p, self._exch_deriv(pa, j) if j else np.zeros_like(pa))
+
+    def exch_compl(self, p, j: int):
+        """1 - exch(p, j), computed without cancellation near p = 1."""
+        pa = self._check_exch(p, j)
+        return match_input(p, self._exch_compl(pa, j) if j else np.zeros_like(pa))
 
     def _check_point(self, p) -> np.ndarray:
         pa = as_float_array(p)
@@ -90,25 +112,15 @@ class Independence(Copula):
         pa = self._check_point(p)
         return match_input(pa[..., 0] if pa.ndim > 1 else pa[0], np.prod(pa, axis=-1))
 
-    def exch(self, p, j):
-        pa = self._check_exch(p, j)
-        if j == 0:
-            return match_input(p, np.ones_like(pa))
-        return match_input(p, pa**j)
+    def _exch(self, pa, j):
+        return pa**j
 
-    def exch_deriv(self, p, j):
-        pa = self._check_exch(p, j)
-        if j == 0:
-            return match_input(p, np.zeros_like(pa))
-        return match_input(p, j * pa ** (j - 1))
+    def _exch_deriv(self, pa, j):
+        return j * pa ** (j - 1)
 
-    def exch_compl(self, p, j):
-        pa = self._check_exch(p, j)
-        if j == 0:
-            return match_input(p, np.zeros_like(pa))
+    def _exch_compl(self, pa, j):
         with np.errstate(divide="ignore"):
-            out = np.where(pa > 0.0, -np.expm1(j * np.log(np.maximum(pa, 1e-300))), 1.0)
-        return match_input(p, out)
+            return np.where(pa > 0.0, -np.expm1(j * np.log(np.maximum(pa, 1e-300))), 1.0)
 
     def to_dict(self):
         return {"copula": "independence"}
@@ -138,34 +150,23 @@ class FGM(Copula):
         out = prod * (1.0 + self.theta * pert)
         return match_input(pa[..., 0] if pa.ndim > 1 else pa[0], out)
 
-    def exch(self, p, j):
-        pa = self._check_exch(p, j)
-        if j == 0:
-            return match_input(p, np.ones_like(pa))
+    def _exch(self, pa, j):
         if j < 3:
-            return match_input(p, pa**j)
-        return match_input(p, pa**3 * (1.0 + self.theta * (1.0 - pa) ** 3))
+            return pa**j
+        return pa**3 * (1.0 + self.theta * (1.0 - pa) ** 3)
 
-    def exch_deriv(self, p, j):
-        pa = self._check_exch(p, j)
-        if j == 0:
-            return match_input(p, np.zeros_like(pa))
+    def _exch_deriv(self, pa, j):
         if j < 3:
-            return match_input(p, j * pa ** (j - 1))
-        out = 3.0 * pa**2 + 3.0 * self.theta * pa**2 * (1.0 - pa) ** 2 * (1.0 - 2.0 * pa)
-        return match_input(p, out)
+            return j * pa ** (j - 1)
+        return 3.0 * pa**2 + 3.0 * self.theta * pa**2 * (1.0 - pa) ** 2 * (1.0 - 2.0 * pa)
 
-    def exch_compl(self, p, j):
-        pa = self._check_exch(p, j)
-        if j == 0:
-            return match_input(p, np.zeros_like(pa))
+    def _exch_compl(self, pa, j):
         q = 1.0 - pa
         if j == 1:
-            return match_input(p, q)
+            return q
         if j == 2:
-            return match_input(p, q * (1.0 + pa))
-        out = q * (1.0 + pa + pa**2) - self.theta * pa**3 * q**3
-        return match_input(p, out)
+            return q * (1.0 + pa)
+        return q * (1.0 + pa + pa**2) - self.theta * pa**3 * q**3
 
     def to_dict(self):
         return {"copula": "fgm", "theta": self.theta}
@@ -206,29 +207,18 @@ class GumbelHougaard(Copula):
             out[alive] = np.exp(-s)
         return match_input(pa[..., 0] if not scalar else pa[0], out[0] if scalar else out)
 
-    def exch(self, p, j):
-        pa = self._check_exch(p, j)
-        if j == 0:
-            return match_input(p, np.ones_like(pa))
-        return match_input(p, pa ** self._exponent(j))
+    def _exch(self, pa, j):
+        return pa ** self._exponent(j)
 
-    def exch_deriv(self, p, j):
-        pa = self._check_exch(p, j)
-        if j == 0:
-            return match_input(p, np.zeros_like(pa))
+    def _exch_deriv(self, pa, j):
         a = self._exponent(j)
         with np.errstate(divide="ignore"):
-            out = a * pa ** (a - 1.0)
-        return match_input(p, out)
+            return a * pa ** (a - 1.0)
 
-    def exch_compl(self, p, j):
-        pa = self._check_exch(p, j)
-        if j == 0:
-            return match_input(p, np.zeros_like(pa))
+    def _exch_compl(self, pa, j):
         a = self._exponent(j)
         with np.errstate(divide="ignore"):
-            out = np.where(pa > 0.0, -np.expm1(a * np.log(np.maximum(pa, 1e-300))), 1.0)
-        return match_input(p, out)
+            return np.where(pa > 0.0, -np.expm1(a * np.log(np.maximum(pa, 1e-300))), 1.0)
 
     def to_dict(self):
         return {"copula": "gumbel", "theta": self.theta}
@@ -264,10 +254,7 @@ class ClaytonOakes(Copula):
             out[alive] = np.exp(-log_s / self.theta)
         return match_input(pa[..., 0] if not scalar else pa[0], out[0] if scalar else out)
 
-    def exch(self, p, j):
-        pa = self._check_exch(p, j)
-        if j == 0:
-            return match_input(p, np.ones_like(pa))
+    def _exch(self, pa, j):
         out = np.zeros_like(pa)
         pos = pa > 0.0
         with np.errstate(divide="ignore"):
@@ -277,12 +264,9 @@ class ClaytonOakes(Copula):
         k_direct = np.exp(-np.log1p(j * np.expm1(wd)) / self.theta)
         k_limit = pa * j ** (-1.0 / self.theta)
         out[pos] = np.where(direct, k_direct, k_limit)[pos]
-        return match_input(p, out)
+        return out
 
-    def exch_deriv(self, p, j):
-        pa = self._check_exch(p, j)
-        if j == 0:
-            return match_input(p, np.zeros_like(pa))
+    def _exch_deriv(self, pa, j):
         out = np.full_like(pa, j ** (-1.0 / self.theta))  # p -> 0 limit
         pos = pa > 0.0
         with np.errstate(divide="ignore"):
@@ -293,13 +277,9 @@ class ClaytonOakes(Copula):
         log_kp = math.log(j) - (self.theta + 1.0) * logp - ((self.theta + 1.0) / self.theta) * np.log1p(
             j * np.expm1(wd)
         )
-        out = np.where(direct, np.exp(log_kp), out)
-        return match_input(p, out)
+        return np.where(direct, np.exp(log_kp), out)
 
-    def exch_compl(self, p, j):
-        pa = self._check_exch(p, j)
-        if j == 0:
-            return match_input(p, np.zeros_like(pa))
+    def _exch_compl(self, pa, j):
         out = np.ones_like(pa)
         pos = pa > 0.0
         with np.errstate(divide="ignore"):
@@ -309,7 +289,7 @@ class ClaytonOakes(Copula):
         c_direct = -np.expm1(-np.log1p(j * np.expm1(wd)) / self.theta)
         c_limit = 1.0 - pa * j ** (-1.0 / self.theta)
         out[pos] = np.where(direct, c_direct, c_limit)[pos]
-        return match_input(p, out)
+        return out
 
     def to_dict(self):
         return {"copula": "clayton", "theta": self.theta}

@@ -145,24 +145,30 @@ class Distortion:
         if isinstance(self.copula, Independence):
             object.__setattr__(self, "_bernstein", _bernstein_weights(self.copula.dim, self.coeffs))
 
+    # each public function validates its argument once; _evaluate, _H and _R never do
     def h(self, p):
-        return match_input(p, self._evaluate(self._check_unit(p), 0, self.copula.exch))
+        return match_input(p, self._evaluate(self._check_unit(p), 0))
 
     def one_minus_h(self, p):
         # signed form: coefficients sum to 1, so 1-h = sum c_j (1 - K_j); each
         # complement is computed in its stable per-family form
-        return match_input(p, self._evaluate(self._check_unit(p), 1, self.copula.exch_compl))
+        return match_input(p, self._evaluate(self._check_unit(p), 1))
 
     def h_prime(self, p):
-        return match_input(p, self._evaluate(self._check_open(p), 2, self.copula.exch_deriv))
+        return match_input(p, self._evaluate(self._check_open(p), 2))
 
-    def _evaluate(self, pa: np.ndarray, which: int, family_term) -> np.ndarray:
-        """Bernstein weights `which` under independence, else sum_j c_j family_term(p, j)."""
+    def _evaluate(self, p, which: int) -> np.ndarray:
+        """h, 1-h or h' (which = 0, 1, 2) on a validated argument: Bernstein
+        weights under independence, else sum_j c_j K_j with the copula's core."""
+        # a 0-d array for scalar input, never a numpy scalar: scalar and
+        # array powers can differ in the last ulp, which H' and R' amplify
+        pa = as_float_array(p)
         if self._bernstein is not None:
             return _bernstein_sum(pa, self._bernstein[which])
+        core = (self.copula._exch, self.copula._exch_compl, self.copula._exch_deriv)[which]
         out = np.zeros_like(pa)
         for j, c in self.coeffs:
-            out += c * as_float_array(family_term(pa, j))
+            out += c * core(pa, j)
         return out
 
     def H(self, p):
@@ -171,32 +177,32 @@ class Distortion:
         Degenerate points are flagged: inf when h underflows with a nonzero
         numerator, nan when numerator and denominator both underflow.
         """
-        pa = np.clip(as_float_array(p), EPS_CLAMP, 1.0 - EPS_CLAMP)
-        hv = as_float_array(self.h(pa))
-        num = pa * as_float_array(self.h_prime(pa))
-        return match_input(p, _flagged_ratio(num, hv))
+        # h's [0, 1] rule, then the clamp to the open interval
+        return match_input(p, self._H(np.clip(self._check_unit(p), EPS_CLAMP, 1.0 - EPS_CLAMP)))
 
     def R(self, p):
         """Reversed-hazard elasticity (1-p) h'(p)/(1-h(p)) with the same flag policy."""
-        pa = np.clip(as_float_array(p), EPS_CLAMP, 1.0 - EPS_CLAMP)
-        omh = as_float_array(self.one_minus_h(pa))
-        num = (1.0 - pa) * as_float_array(self.h_prime(pa))
-        return match_input(p, _flagged_ratio(num, omh))
+        return match_input(p, self._R(np.clip(self._check_unit(p), EPS_CLAMP, 1.0 - EPS_CLAMP)))
 
     def H_prime(self, p):
         """Central difference of H; imposes a ~1e-8 accuracy floor on
         monotonicity checks built from it."""
-        return self._elasticity_prime(self.H, p)
+        return self._elasticity_prime(self._H, p)
 
     def R_prime(self, p):
-        return self._elasticity_prime(self.R, p)
+        return self._elasticity_prime(self._R, p)
 
-    def _elasticity_prime(self, func, p):
+    def _H(self, pa) -> np.ndarray:
+        return _flagged_ratio(pa * self._evaluate(pa, 2), self._evaluate(pa, 0))
+
+    def _R(self, pa) -> np.ndarray:
+        return _flagged_ratio((1.0 - pa) * self._evaluate(pa, 2), self._evaluate(pa, 1))
+
+    def _elasticity_prime(self, core, p):
         pa = self._check_open(p)
         lo = np.maximum(pa - FD_STEP_ELASTICITY, EPS_CLAMP)
         hi = np.minimum(pa + FD_STEP_ELASTICITY, 1.0 - EPS_CLAMP)
-        out = (as_float_array(func(hi)) - as_float_array(func(lo))) / (hi - lo)
-        return match_input(p, out)
+        return match_input(p, (core(hi) - core(lo)) / (hi - lo))
 
     @staticmethod
     def _check_unit(p) -> np.ndarray:
@@ -309,24 +315,23 @@ class SystemModel:
     def __post_init__(self):
         self.distortion = build_distortion(self.structure, self.copula)
 
+    # margin.sf is validated and lies in [0, 1]: straight to the evaluator
     def survival(self, x):
-        return match_input(x, as_float_array(self.distortion.h(self.margin.sf(x))))
+        return match_input(x, self.distortion._evaluate(self.margin.sf(x), 0))
 
     def cum_hazard(self, x):
         # -ln h(sf(x)): log of h directly where h is small, log1p of the
         # stable complement where h is near 1, accurate in both regimes
-        p = as_float_array(self.margin.sf(x))
-        hv = as_float_array(self.distortion.h(p))
-        omh = as_float_array(self.distortion.one_minus_h(p))
+        p = self.margin.sf(x)
+        hv, omh = self.distortion._evaluate(p, 0), self.distortion._evaluate(p, 1)
         with np.errstate(divide="ignore", invalid="ignore"):
             out = np.where(hv <= 0.5, -np.log(np.maximum(hv, 0.0)), -np.log1p(-np.minimum(omh, 1.0)))
         return match_input(x, out)
 
     def cum_rev_hazard(self, x):
         # -ln(1 - h(sf(x))) with the mirrored branch choice
-        p = as_float_array(self.margin.sf(x))
-        hv = as_float_array(self.distortion.h(p))
-        omh = as_float_array(self.distortion.one_minus_h(p))
+        p = self.margin.sf(x)
+        hv, omh = self.distortion._evaluate(p, 0), self.distortion._evaluate(p, 1)
         with np.errstate(divide="ignore", invalid="ignore"):
             out = np.where(omh <= 0.5, -np.log(np.maximum(omh, 0.0)), -np.log1p(-np.minimum(hv, 1.0)))
         return match_input(x, out)

@@ -1,5 +1,7 @@
 import json
+import math
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -260,6 +262,40 @@ class TestSchemaValidation:
         assert run(tmp_path, "verify", {**VERIFY_SPEC, "grid": {"size": value}}) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "value, rule",
+        [("many", "a number"), ("2", "a number"), (True, "a number"), (2.5, "an integer"), (1000.9, "an integer")],
+        ids=["word", "numeric-string", "bool", "fraction", "large-fraction"],
+    )
+    @pytest.mark.parametrize("field", ["sample_count", "seed", "stream_count"])
+    def test_non_integer_simulation_field_is_a_spec_error(self, tmp_path, capsys, field, value, rule):
+        # the simulation block follows the grid size's integer rule
+        block = {"sample_count": 1000, "seed": 2, "stream_count": 2, field: value}
+        assert run(tmp_path, "simulate", {"system1": SERIES3_SYSTEM, "simulation": block}) == 1
+        assert capsys.readouterr().err == f"error: simulation.{field} must be {rule}, got {value!r}\n"
+
+    def test_integral_float_simulation_fields_are_accepted(self, tmp_path, capsys):
+        outputs = []
+        for block in (
+            {"sample_count": 20000, "seed": 42, "stream_count": 4},
+            {"sample_count": 20000.0, "seed": 42.0, "stream_count": 4.0},
+        ):
+            assert run(tmp_path, "simulate", {"system1": SERIES3_SYSTEM, "simulation": block}) == 0
+            outputs.append(capsys.readouterr().out.splitlines()[1:])  # past the spec hash
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan, -1.0], ids=["inf", "nan", "negative"])
+    @pytest.mark.parametrize("source", ["tol", "tol_fd", "sign_slack", "--tol"])
+    def test_out_of_range_tolerance_is_a_spec_error(self, tmp_path, capsys, source, value):
+        # the final tolerances, from the spec or the flag, must be finite and >= 0
+        if source.startswith("--"):
+            code = run(tmp_path, "verify", VERIFY_SPEC, f"{source}={value}")
+        else:
+            code = run(tmp_path, "verify", {**VERIFY_SPEC, "tolerances": {source: value}})
+        assert code == 1
+        name = source.lstrip("-")
+        assert capsys.readouterr().err == f"error: {name} must be finite and >= 0, got {value!r}\n"
+
     def test_integral_float_grid_size_is_accepted(self, tmp_path, capsys):
         tables = []
         for size in (31, 31.0):
@@ -358,3 +394,68 @@ class TestRoundTrip:
         for row in rows[::10]:
             p = float(row[0])
             assert float(row[1]) == float(d.h(p))
+
+
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "golden"
+GOLDEN_RUNS = json.loads((GOLDEN / "runs.json").read_text())
+
+
+def assert_same_value(got, want, where):
+    """Numbers within rel 1e-12 / abs 1e-14 (numpy builds may differ in the
+    last ulp); every other value exactly."""
+    if isinstance(want, float) and isinstance(got, float):
+        close = math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-14)
+        assert close or (math.isnan(got) and math.isnan(want)), f"{where}: {got!r} != {want!r}"
+    else:
+        assert type(got) is type(want) and got == want, f"{where}: {got!r} != {want!r}"
+
+
+def assert_same_json(got, want, where="$"):
+    if isinstance(want, dict):
+        assert isinstance(got, dict) and sorted(got) == sorted(want), f"{where}: keys differ"
+        for key in want:
+            assert_same_json(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), f"{where}: lengths differ"
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_same_json(g, w, f"{where}[{i}]")
+    else:
+        assert_same_value(got, want, where)
+
+
+def as_number(field: str):
+    try:
+        return float(field)
+    except ValueError:
+        return field
+
+
+def assert_same_table(got: str, want: str):
+    got_lines, want_lines = got.splitlines(), want.splitlines()
+    assert len(got_lines) == len(want_lines)
+    header = next(i for i, line in enumerate(want_lines) if not line.startswith("# "))
+    assert got_lines[: header + 1] == want_lines[: header + 1], "meta or header lines differ"
+    for n in range(header + 1, len(want_lines)):
+        g_fields, w_fields = got_lines[n].split(","), want_lines[n].split(",")
+        assert len(g_fields) == len(w_fields), f"line {n + 1}: field counts differ"
+        for g, w in zip(g_fields, w_fields):
+            if g != w:
+                assert_same_value(as_number(g), as_number(w), f"line {n + 1}")
+
+
+class TestGolden:
+    """Each bundled spec against the stdout and exit code recorded in
+    tests/golden (runs.json names them); the recorded outputs change only
+    with a deliberate, called-out change of output."""
+
+    @pytest.mark.parametrize("golden", GOLDEN_RUNS, ids=[r["spec"].removesuffix(".json") for r in GOLDEN_RUNS])
+    def test_bundled_spec_output(self, capsys, golden):
+        code = main([golden["command"], str(ROOT / "specs" / golden["spec"])])
+        got = capsys.readouterr().out
+        want = (GOLDEN / golden["stdout"]).read_text()
+        assert code == golden["exit_code"]
+        if want.startswith("{"):
+            assert_same_json(json.loads(got), json.loads(want))
+        else:
+            assert_same_table(got, want)

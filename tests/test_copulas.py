@@ -64,8 +64,16 @@ class TestEval:
 
 class TestExchangeableReduction:
     def test_j_zero_is_one(self):
-        for cop in all_families():
+        # the base class answers j = 0 for every family: K_0 = 1, so K_0' = 0
+        # and 1 - K_0 = 0, for scalar and array p
+        p = np.array([0.0, 0.37, 1.0])
+        for cop in all_families() + all_families(5):
             assert cop.exch(0.37, 0) == 1.0
+            assert cop.exch_deriv(0.37, 0) == 0.0
+            assert cop.exch_compl(0.37, 0) == 0.0
+            np.testing.assert_array_equal(cop.exch(p, 0), 1.0)
+            np.testing.assert_array_equal(cop.exch_deriv(p, 0), 0.0)
+            np.testing.assert_array_equal(cop.exch_compl(p, 0), 0.0)
 
     def test_fgm_two_at_p(self):
         # the perturbation vanishes when one coordinate sits at 1
@@ -173,11 +181,29 @@ class TestValidation:
         with pytest.raises(ValueError):
             Independence(2).eval([0.5, 1.2])
 
-    def test_exch_j_out_of_range(self):
-        with pytest.raises(ValueError):
-            Independence(3).exch(0.5, 4)
-        with pytest.raises(ValueError):
-            Independence(3).exch(0.5, -1)
+    @pytest.mark.parametrize(
+        "p, j, match",
+        [
+            (-0.1, 1, r"must lie in \[0, 1\]"),
+            (1.1, 1, r"must lie in \[0, 1\]"),
+            (0.5, -1, "j must be an integer"),
+            (0.5, "dim+1", "j must be an integer"),
+            (0.5, 1.5, "j must be an integer"),
+        ],
+        ids=["p=-0.1", "p=1.1", "j=-1", "j=dim+1", "j=1.5"],
+    )
+    @pytest.mark.parametrize("shape", ["scalar", "array"])
+    @pytest.mark.parametrize("func", ["exch", "exch_deriv", "exch_compl"])
+    @pytest.mark.parametrize("family", range(4), ids=["independence", "gumbel", "clayton", "fgm"])
+    def test_exch_j_out_of_range(self, family, func, shape, p, j, match):
+        # the public reductions are the one boundary: the base class validates
+        # (p, j) before any family core runs
+        cop = all_families()[family]
+        if j == "dim+1":
+            j = cop.dim + 1
+        arg = p if shape == "scalar" else np.array([0.25, p])
+        with pytest.raises(ValueError, match=match):
+            getattr(cop, func)(arg, j)
 
 
 class TestSerialisation:

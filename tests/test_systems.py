@@ -302,6 +302,21 @@ class TestElasticities:
         expected = (a - 1 - a * p + p**a) / (1 - p - p**a + p ** (a + 1))
         np.testing.assert_allclose(p * d.R_prime(p) / d.R(p), expected, rtol=1e-4)
 
+    @pytest.mark.parametrize(
+        "p", [1.5, -0.3, [0.5, 1.5], [-0.3, 0.5]], ids=["1.5", "-0.3", "array-1.5", "array--0.3"]
+    )
+    @pytest.mark.parametrize("func", ["H", "R"])
+    def test_elasticity_rejects_argument_outside_unit_interval(self, func, p):
+        # H and R follow h's [0, 1] rule before clamping to the open interval
+        d = build_distortion(Structure.parallel(3), Independence(3))
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            getattr(d, func)(p)
+
+    def test_elasticity_clamps_unit_interval_endpoints(self):
+        d = build_distortion(Structure.parallel(3), Independence(3))
+        assert d.H(0.0) == d.H(1e-9) and d.H(1.0) == d.H(1.0 - 1e-9)
+        assert d.R(0.0) == d.R(1e-9) and d.R(1.0) == d.R(1.0 - 1e-9)
+
 
 class TestSystemModel:
     def test_survival_composition(self):
