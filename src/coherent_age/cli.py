@@ -68,9 +68,14 @@ def _require(d: dict, required: set[str], optional: set[str], where: str) -> Non
 
 def _load_structure(d: dict, where: str) -> Structure:
     _require(d, {"n", "paths"}, set(), where)
+    n = _integer(d["n"], f"{where}.structure.n")
+    paths = d["paths"]
+    if not (isinstance(paths, list) and all(isinstance(path, list) for path in paths)):
+        raise SpecError(f"{where}.structure.paths must be a list of lists, got {paths!r}")
+    paths = [[_integer(i, f"{where}.structure.paths entry") for i in path] for path in paths]
     try:
-        return Structure.from_paths(int(d["n"]), d["paths"])
-    except (ValueError, TypeError) as exc:
+        return Structure.from_paths(n, paths)
+    except ValueError as exc:
         raise SpecError(f"invalid structure in {where}: {exc}") from exc
 
 
@@ -207,10 +212,7 @@ def load_spec(
     spec = RunSpec(raw=raw, command=command)
 
     if command == "corollary":
-        try:
-            spec.indices = tuple(int(raw[k]) for k in ("k", "n", "l", "m"))
-        except (TypeError, ValueError) as exc:
-            raise SpecError(f"corollary indices must be integers: {exc}") from exc
+        spec.indices = tuple(_integer(raw[key], key) for key in ("k", "n", "l", "m"))
         spec.relation = raw["relation"]
         if spec.relation not in VERIFY_RELATIONS:
             raise SpecError(f"relation must be one of {VERIFY_RELATIONS}, got {spec.relation!r}")

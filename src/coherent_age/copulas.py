@@ -277,7 +277,9 @@ class ClaytonOakes(Copula):
         log_kp = math.log(j) - (self.theta + 1.0) * logp - ((self.theta + 1.0) / self.theta) * np.log1p(
             j * np.expm1(wd)
         )
-        return np.where(direct, np.exp(log_kp), out)
+        # the limit points' log_kp can exceed the float range: exponentiate
+        # only the direct ones
+        return np.where(direct, np.exp(np.where(direct, log_kp, 0.0)), out)
 
     def _exch_compl(self, pa, j):
         out = np.ones_like(pa)

@@ -52,6 +52,10 @@ GL_NODES = 16
 GL_PANELS = (32, 64)
 # grid points per integrand call: bounds each (points x nodes) temporary to 1.5 MB
 GL_BLOCK = 128
+# halvings of each bracketed grid's quantile search, and how many levels of
+# its bisection tree one call of the mixture CDF evaluates
+BISECT_STEPS = 80
+BISECT_LEVELS = 6
 
 
 @dataclass(frozen=True)
@@ -144,20 +148,44 @@ class Grid:
     def _bracketed(cls, mix_cdf, lo: float, hi: float, size: int, q_lo: float, q_hi: float,
                    policy: str) -> "Grid":
         """Grid between the q_lo and q_hi quantiles of mix_cdf, both found by
-        80 halvings of [lo, hi] with one array call of mix_cdf per step."""
+        BISECT_STEPS halvings of [lo, hi].
+
+        One array call of mix_cdf covers the next BISECT_LEVELS levels of the
+        bisection tree of both targets: every midpoint those levels can reach,
+        each computed as 0.5 * (lo + hi) from the endpoints a halving-at-a-time
+        loop would hold there.  The tree is then walked by the same
+        `value < target` test, so the grid is the same floats as from one call
+        per halving, in ceil(BISECT_STEPS / BISECT_LEVELS) calls.
+        """
         build = cls.log_spaced if policy == "log" else cls.linear
         if hi <= lo:
             return build(lo, lo, size)
-        targets = np.array([q_lo, q_hi])
-        lo_b = np.full(2, float(lo))
-        hi_b = np.full(2, float(hi))
-        for _ in range(80):
-            mid = 0.5 * (lo_b + hi_b)
-            below = as_float_array(mix_cdf(mid)) < targets
-            lo_b = np.where(below, mid, lo_b)
-            hi_b = np.where(below, hi_b, mid)
-        ends = 0.5 * (lo_b + hi_b)
-        return build(float(ends[0]), float(ends[1]), size)
+        targets = (q_lo, q_hi)
+        ends = [[float(lo), float(hi)], [float(lo), float(hi)]]
+        for start in range(0, BISECT_STEPS, BISECT_LEVELS):
+            depth = min(BISECT_LEVELS, BISECT_STEPS - start)
+            # the nodes of one tree level split [lo, hi] at the sorted points
+            # `cuts`: node k spans cuts[k]..cuts[k+1], and its children are
+            # nodes 2k (left) and 2k+1 (right) of the next level
+            cuts = np.array(ends)
+            levels = []
+            for _ in range(depth):
+                mid = 0.5 * (cuts[:, :-1] + cuts[:, 1:])
+                levels.append(mid)
+                finer = np.empty((2, 2 * cuts.shape[1] - 1))
+                finer[:, 0::2] = cuts
+                finer[:, 1::2] = mid
+                cuts = finer
+            # heap order: node i of the subtree has children 2i+1 and 2i+2
+            mids = np.concatenate(levels, axis=1)
+            values = as_float_array(mix_cdf(mids.ravel())).reshape(mids.shape)
+            for end, target, row_mid, row_val in zip(ends, targets, mids.tolist(), values.tolist()):
+                node = 0
+                for _ in range(depth):
+                    below = row_val[node] < target
+                    end[0 if below else 1] = row_mid[node]
+                    node = 2 * node + (2 if below else 1)
+        return build(0.5 * (ends[0][0] + ends[0][1]), 0.5 * (ends[1][0] + ends[1][1]), size)
 
 
 @dataclass(frozen=True)

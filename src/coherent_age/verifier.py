@@ -152,21 +152,19 @@ def _combine(name: str, parts: list[OrderVerdict], boundary: bool = False, detai
     return ConditionEntry(name, "pass", worst.witness_x, worst.violation, boundary, detail)
 
 
-def _ratio_condition(name, d1, d2, func_name, direction, grid, tol) -> ConditionEntry:
-    p = grid.points
-    num, den = getattr(d1, func_name)(p), getattr(d2, func_name)(p)
+def _ratio_condition(name, p, num, den, direction, tol) -> ConditionEntry:
     return _combine(name, [_ratio_verdict(p, num, den, direction, tol, name)])
 
 
-def _elasticity_sign_condition(name, dist, kind, grid, sign_slack, tol_fd) -> ConditionEntry:
+def _elasticity_sign_condition(name, dist, kind, p, elasticity, sign_slack, tol_fd) -> ConditionEntry:
     """Condition of the form '(1-p)H'/H negative and decreasing' (kind='H')
-    or 'p R'/R positive and decreasing' (kind='R')."""
-    p = grid.points
+    or 'p R'/R positive and decreasing' (kind='R'); `elasticity` is H or R of
+    dist on the p-grid."""
     if kind == "H":
-        values = (1.0 - p) * np.asarray(dist.H_prime(p), dtype=float) / np.asarray(dist.H(p), dtype=float)
+        values = (1.0 - p) * np.asarray(dist.H_prime(p), dtype=float) / elasticity
         sign = "nonpositive"
     else:
-        values = p * np.asarray(dist.R_prime(p), dtype=float) / np.asarray(dist.R(p), dtype=float)
+        values = p * np.asarray(dist.R_prime(p), dtype=float) / elasticity
         sign = "nonnegative"
 
     sign_verdict = _sign_verdict(p, values, sign, sign_slack, f"{name}:sign")
@@ -201,22 +199,17 @@ def _conclude(cond: dict[str, ConditionEntry]) -> str:
 def _verify(sys1: SystemModel, sys2: SystemModel, relation: str, cfg: VerifyConfig) -> ConditionReport:
     pgrid = cfg.p_grid()
     xgrid = cfg.x_grid or Grid.margin_bracketed(sys1.margin, sys2.margin, size=cfg.x_grid_size)
-    d1, d2 = sys1.distortion, sys2.distortion
-
-    if relation == "c_star":
-        entries = {
-            "i": _ratio_condition("i", d1, d2, "H", "decr", pgrid, cfg.tol),
-            "ii": _elasticity_sign_condition("ii", d1, "H", pgrid, cfg.sign_slack, cfg.tol_fd),
-            "iii": _elasticity_sign_condition("iii", d2, "H", pgrid, cfg.sign_slack, cfg.tol_fd),
-            "iv": _margin_condition("iv", sys1, sys2, "c_star", (sys2, sys1), xgrid, cfg.tol),
-        }
-    else:
-        entries = {
-            "i": _ratio_condition("i", d1, d2, "R", "incr", pgrid, cfg.tol),
-            "ii": _elasticity_sign_condition("ii", d1, "R", pgrid, cfg.sign_slack, cfg.tol_fd),
-            "iii": _elasticity_sign_condition("iii", d2, "R", pgrid, cfg.sign_slack, cfg.tol_fd),
-            "iv": _margin_condition("iv", sys1, sys2, "b_star", (sys1, sys2), xgrid, cfg.tol),
-        }
+    p = pgrid.points
+    # H for c_star, R for b_star: each elasticity feeds (i) and its own (ii)/(iii)
+    kind = "H" if relation == "c_star" else "R"
+    e1, e2 = (np.asarray(getattr(d, kind)(p), dtype=float) for d in (sys1.distortion, sys2.distortion))
+    st_pair = (sys2, sys1) if relation == "c_star" else (sys1, sys2)
+    entries = {
+        "i": _ratio_condition("i", p, e1, e2, "decr" if relation == "c_star" else "incr", cfg.tol),
+        "ii": _elasticity_sign_condition("ii", sys1.distortion, kind, p, e1, cfg.sign_slack, cfg.tol_fd),
+        "iii": _elasticity_sign_condition("iii", sys2.distortion, kind, p, e2, cfg.sign_slack, cfg.tol_fd),
+        "iv": _margin_condition("iv", sys1, sys2, relation, st_pair, xgrid, cfg.tol),
+    }
 
     # the direct check brackets by system-lifetime quantiles on its own;
     # xgrid covers the margin-order conditions only

@@ -20,6 +20,13 @@ SERIES3_SYSTEM = {
 }
 VERIFY_SPEC = {"system1": FGM_SYSTEM, "system2": SERIES3_SYSTEM, "relation": "c_star"}
 
+# spec integers that the one integer rule refuses, with the rule each breaks
+NON_INTEGERS = pytest.mark.parametrize(
+    "value, rule",
+    [("many", "a number"), ("2", "a number"), (True, "a number"), (2.5, "an integer"), (1000.9, "an integer")],
+    ids=["word", "numeric-string", "bool", "fraction", "large-fraction"],
+)
+
 
 def write_spec(tmp_path, payload, name="spec.json"):
     path = tmp_path / name
@@ -262,17 +269,52 @@ class TestSchemaValidation:
         assert run(tmp_path, "verify", {**VERIFY_SPEC, "grid": {"size": value}}) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
-    @pytest.mark.parametrize(
-        "value, rule",
-        [("many", "a number"), ("2", "a number"), (True, "a number"), (2.5, "an integer"), (1000.9, "an integer")],
-        ids=["word", "numeric-string", "bool", "fraction", "large-fraction"],
-    )
+    @NON_INTEGERS
     @pytest.mark.parametrize("field", ["sample_count", "seed", "stream_count"])
     def test_non_integer_simulation_field_is_a_spec_error(self, tmp_path, capsys, field, value, rule):
         # the simulation block follows the grid size's integer rule
         block = {"sample_count": 1000, "seed": 2, "stream_count": 2, field: value}
         assert run(tmp_path, "simulate", {"system1": SERIES3_SYSTEM, "simulation": block}) == 1
         assert capsys.readouterr().err == f"error: simulation.{field} must be {rule}, got {value!r}\n"
+
+    @NON_INTEGERS
+    def test_non_integer_component_count_is_a_spec_error(self, tmp_path, capsys, value, rule):
+        system = {**SERIES3_SYSTEM, "structure": {"n": value, "paths": [[1, 2, 3]]}}
+        assert run(tmp_path, "distortion", {"system1": system}) == 1
+        assert capsys.readouterr().err == f"error: system1.structure.n must be {rule}, got {value!r}\n"
+
+    @NON_INTEGERS
+    def test_non_integer_path_entry_is_a_spec_error(self, tmp_path, capsys, value, rule):
+        system = {**SERIES3_SYSTEM, "structure": {"n": 3, "paths": [[1, value, 3]]}}
+        assert run(tmp_path, "verify", {**VERIFY_SPEC, "system2": system}) == 1
+        assert capsys.readouterr().err == f"error: system2.structure.paths entry must be {rule}, got {value!r}\n"
+
+    @pytest.mark.parametrize("paths", ["123", [1, 2, 3], [[1, 2], "3"]], ids=["string", "flat", "string-path"])
+    def test_paths_must_be_a_list_of_lists(self, tmp_path, capsys, paths):
+        system = {**SERIES3_SYSTEM, "structure": {"n": 3, "paths": paths}}
+        assert run(tmp_path, "distortion", {"system1": system}) == 1
+        assert capsys.readouterr().err == f"error: system1.structure.paths must be a list of lists, got {paths!r}\n"
+
+    @NON_INTEGERS
+    @pytest.mark.parametrize("field", ["k", "n", "l", "m"])
+    def test_non_integer_corollary_index_is_a_spec_error(self, tmp_path, capsys, field, value, rule):
+        payload = {"k": 1, "n": 3, "l": 2, "m": 3, "relation": "c_star", field: value}
+        assert run(tmp_path, "corollary", payload) == 1
+        assert capsys.readouterr().err == f"error: {field} must be {rule}, got {value!r}\n"
+
+    def test_integral_float_indices_are_accepted(self, tmp_path, capsys):
+        outputs = []
+        for structure, indices in (
+            ({"n": 3, "paths": [[1, 2], [1, 3]]}, {"k": 1, "n": 3, "l": 2, "m": 3}),
+            ({"n": 3.0, "paths": [[1.0, 2.0], [1, 3.0]]}, {"k": 1.0, "n": 3.0, "l": 2.0, "m": 3.0}),
+        ):
+            system = {**FGM_SYSTEM, "structure": structure}
+            assert run(tmp_path, "distortion", {"system1": system, "grid": {"size": 11}}) == 0
+            assert run(tmp_path, "corollary", {**indices, "relation": "c_star"}) == 0
+            out = capsys.readouterr().out
+            # past the spec hashes, which differ with the spelling
+            outputs.append([line for line in out.splitlines() if "spec_sha256" not in line])
+        assert outputs[0] == outputs[1]
 
     def test_integral_float_simulation_fields_are_accepted(self, tmp_path, capsys):
         outputs = []

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -142,6 +143,14 @@ class TestExchangeableReduction:
         for p in (math.exp(-249.0), math.exp(-251.0)):
             assert cop.exch(p, 3) == pytest.approx(p * 3.0 ** (-0.5), rel=1e-9)
             assert cop.exch_deriv(p, 3) == pytest.approx(3.0 ** (-0.5), rel=1e-9)
+
+    def test_clayton_derivative_limit_without_overflow(self):
+        # large theta at p = 1e-300: the direct form's exponent exceeds the
+        # float range, and only the limit j^(-1/theta) may be evaluated there
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = ClaytonOakes(30.0, 3).exch_deriv(1e-300, 2)
+        assert value == 2.0 ** (-1.0 / 30.0)
 
     @given(
         p1=st.floats(min_value=0.001, max_value=0.999),

@@ -10,6 +10,8 @@ import pytest
 from coherent_age.copulas import FGM, GumbelHougaard, Independence
 from coherent_age.distributions import Exponential, LinearFailureRate, Weibull
 from coherent_age.orders import (
+    BISECT_LEVELS,
+    BISECT_STEPS,
     Grid,
     check_monotone,
     check_order,
@@ -18,6 +20,7 @@ from coherent_age.orders import (
     system_order_direct,
 )
 from coherent_age.systems import Structure, SystemModel, k_of_n_paths
+from corpus_helpers import random_instance
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 LFR_X = LinearFailureRate(1.0, 1.0)
@@ -34,6 +37,24 @@ def series3_system(margin=LFR_Y):
 
 def kofn_system(k, n, margin):
     return SystemModel(k_of_n_paths(k, n), Independence(n), margin)
+
+
+def sequential_bracketed(mix_cdf, lo, hi, size, q_lo, q_hi, policy):
+    """Grid._bracketed one halving at a time: 80 array calls of mix_cdf, each
+    on the two current midpoints."""
+    build = Grid.log_spaced if policy == "log" else Grid.linear
+    if hi <= lo:
+        return build(lo, lo, size)
+    targets = np.array([q_lo, q_hi])
+    lo_b = np.full(2, float(lo))
+    hi_b = np.full(2, float(hi))
+    for _ in range(80):
+        mid = 0.5 * (lo_b + hi_b)
+        below = np.asarray(mix_cdf(mid), dtype=float) < targets
+        lo_b = np.where(below, mid, lo_b)
+        hi_b = np.where(below, hi_b, mid)
+    ends = 0.5 * (lo_b + hi_b)
+    return build(float(ends[0]), float(ends[1]), size)
 
 
 class TestGrid:
@@ -83,6 +104,46 @@ class TestGrid:
         np.testing.assert_allclose(g.points[[0, -1]], exact, rtol=1e-12)
         spacing = np.diff(g.points) if policy == "linear" else np.diff(np.log(g.points))
         np.testing.assert_allclose(spacing, spacing[0], rtol=1e-9)
+
+
+class TestBatchedBracketing:
+    def test_grids_match_one_halving_per_call(self, monkeypatch):
+        # every grid both builders make is the sequential reference's, bit for bit
+        batched = Grid._bracketed.__func__
+        compared = []
+
+        def both(cls, mix_cdf, lo, hi, size, q_lo, q_hi, policy):
+            grid = batched(cls, mix_cdf, lo, hi, size, q_lo, q_hi, policy)
+            ref = sequential_bracketed(mix_cdf, lo, hi, size, q_lo, q_hi, policy)
+            compared.append(np.array_equal(grid.points, ref.points))
+            return grid
+
+        monkeypatch.setattr(Grid, "_bracketed", classmethod(both))
+        rng = np.random.default_rng(8080)
+        families = set()
+        for i in range(40):
+            sys1, sys2 = random_instance(rng, ("c_star", "b_star")[i % 2])
+            families |= {type(sys1.copula).__name__, type(sys2.copula).__name__}
+            for policy in ("log", "linear"):
+                Grid.margin_bracketed(sys1.margin, sys2.margin, size=11, policy=policy)
+                Grid.system_bracketed(sys1, sys2, size=11, policy=policy)
+        assert families == {"Independence", "FGM", "GumbelHougaard", "ClaytonOakes"}
+        assert len(compared) == 160 and all(compared)
+
+    def test_mixture_cdf_calls_per_grid(self):
+        calls = []
+
+        def mix_cdf(x):
+            calls.append(x.size)
+            return 0.5 * (LFR_X.cdf(x) + LFR_Y.cdf(x))
+
+        grid = Grid._bracketed(mix_cdf, 1e-4, 10.0, 11, 0.001, 0.999, "log")
+        assert len(calls) <= math.ceil(BISECT_STEPS / BISECT_LEVELS)
+        # each call holds the next levels of both targets' bisection trees
+        assert sum(calls) == 2 * sum(2**min(BISECT_LEVELS, BISECT_STEPS - start) - 1
+                                     for start in range(0, BISECT_STEPS, BISECT_LEVELS))
+        ref = sequential_bracketed(mix_cdf, 1e-4, 10.0, 11, 0.001, 0.999, "log")
+        assert np.array_equal(grid.points, ref.points)
 
 
 class TestCheckMonotone:
