@@ -67,12 +67,13 @@ def _require(d: dict, required: set[str], optional: set[str], where: str) -> Non
 
 
 def _load_structure(d: dict, where: str) -> Structure:
-    _require(d, {"n", "paths"}, set(), where)
-    n = _integer(d["n"], f"{where}.structure.n")
+    block = f"{where}.structure"
+    _require(d, {"n", "paths"}, set(), block)
+    n = _integer(d["n"], f"{block}.n")
     paths = d["paths"]
     if not (isinstance(paths, list) and all(isinstance(path, list) for path in paths)):
-        raise SpecError(f"{where}.structure.paths must be a list of lists, got {paths!r}")
-    paths = [[_integer(i, f"{where}.structure.paths entry") for i in path] for path in paths]
+        raise SpecError(f"{block}.paths must be a list of lists, got {paths!r}")
+    paths = [[_integer(i, f"{block}.paths entry") for i in path] for path in paths]
     try:
         return Structure.from_paths(n, paths)
     except ValueError as exc:

@@ -156,11 +156,15 @@ class LinearFailureRate(LifetimeDistribution):
 
     def isf(self, v):
         # positive root of beta*x^2 + x - t/alpha = 0, written so the
-        # beta -> 0 limit needs no branch and small t loses no precision
+        # beta -> 0 limit needs no branch and small t loses no precision;
+        # at v = 0 (t = inf) the form reads inf/inf, so the root +inf is set
         va = as_float_array(v)
         with np.errstate(divide="ignore"):
             t = -np.log(va)
-        out = 2.0 * t / (self.alpha * (1.0 + np.sqrt(1.0 + 4.0 * self.beta * t / self.alpha)))
+        with np.errstate(invalid="ignore"):
+            root = 1.0 + np.sqrt(1.0 + 4.0 * self.beta * t / self.alpha)
+            out = np.asarray(2.0 * t / (self.alpha * root))
+        out[t == np.inf] = np.inf
         return match_input(v, out)
 
     def to_dict(self) -> dict:

@@ -20,6 +20,7 @@ validated empirically.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -88,7 +89,10 @@ def _sample_fgm(theta: float, count: int, rng: np.random.Generator,
         need = count - filled
         batch = max(1024, int(1.5 * need * bound))
         u = rng.random((batch, 3))
-        density = 1.0 + theta * np.prod(1.0 - 2.0 * u, axis=1)
+        # three column temporaries cost less than one (batch, 3) array;
+        # the product order, and so every bit, is that of np.prod(axis=1)
+        v0, v1, v2 = (1.0 - 2.0 * u[:, i] for i in range(3))
+        density = 1.0 + theta * (v0 * v1 * v2)
         accept = rng.random(batch) * bound < density
         proposed += batch
         take = u[accept][:need]
@@ -120,6 +124,22 @@ def _sample_clayton(theta: float, dim: int, count: int, rng: np.random.Generator
     frailty = rng.gamma(shape=1.0 / theta, scale=1.0, size=count)
     e = rng.standard_exponential((count, dim))
     return (1.0 + e / frailty[:, None]) ** (-1.0 / theta)
+
+
+def _system_lifetime(lifetimes: np.ndarray, paths) -> np.ndarray:
+    """Max over paths of the min within each path, elementwise on column views."""
+    columns = lifetimes.T
+    path_mins = (reduce(np.minimum, [columns[i - 1] for i in sorted(path)]) for path in paths)
+    return reduce(np.maximum, path_mins)
+
+
+def _count_survivors(tau: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Count of tau > x for each x, from one sort; a NaN lifetime never counts."""
+    ordered = np.sort(tau)
+    valid = ordered.size - np.count_nonzero(np.isnan(ordered))
+    # NaNs sort last, so entries <= x come first; a NaN x lands past them all
+    at_most = np.searchsorted(ordered, x, side="right")
+    return valid - np.minimum(at_most, valid)
 
 
 @dataclass(frozen=True)
@@ -170,10 +190,9 @@ def simulate_system(
 
     uniforms = sample_copula(copula, cfg)
     lifetimes = np.asarray(margin.isf(uniforms), dtype=float)
-    path_mins = [np.min(lifetimes[:, [i - 1 for i in sorted(path)]], axis=1) for path in structure.paths]
-    tau = np.max(np.column_stack(path_mins), axis=1)
+    tau = _system_lifetime(lifetimes, structure.paths)
 
-    emp = np.mean(tau[:, None] > x_grid[None, :], axis=0)
+    emp = _count_survivors(tau, x_grid) / tau.size
     distortion = build_distortion(structure, copula)
     ana = np.asarray(distortion.h(margin.sf(x_grid)), dtype=float)
     se = np.sqrt(emp * (1.0 - emp) / cfg.sample_count)

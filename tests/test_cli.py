@@ -295,6 +295,20 @@ class TestSchemaValidation:
         assert run(tmp_path, "distortion", {"system1": system}) == 1
         assert capsys.readouterr().err == f"error: system1.structure.paths must be a list of lists, got {paths!r}\n"
 
+    @pytest.mark.parametrize(
+        "structure, message",
+        [
+            ({"n": 3, "paths": [[1, 2, 3]], "bogus": 1}, "unknown fields in system1.structure: ['bogus']"),
+            ({"n": 3}, "missing fields in system1.structure: ['paths']"),
+            ([3, [[1, 2, 3]]], "system1.structure must be a JSON object"),
+        ],
+        ids=["unknown", "missing", "not-object"],
+    )
+    def test_structure_schema_errors_name_the_structure_block(self, tmp_path, capsys, structure, message):
+        system = {**SERIES3_SYSTEM, "structure": structure}
+        assert run(tmp_path, "distortion", {"system1": system}) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     @NON_INTEGERS
     @pytest.mark.parametrize("field", ["k", "n", "l", "m"])
     def test_non_integer_corollary_index_is_a_spec_error(self, tmp_path, capsys, field, value, rule):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -119,6 +120,27 @@ class TestInvariants:
         d = Weibull(2.0, 1.5)
         assert d.isf(1.0) == 0.0
         assert d.isf(0.0) == math.inf
+
+    @pytest.mark.parametrize(
+        "d",
+        [Weibull(2.0, 1.5), Exponential(0.8), LinearFailureRate(1.3, 0.0), LinearFailureRate(0.4, 2.5)],
+        ids=["weibull", "exp", "lfr-beta0", "lfr"],
+    )
+    def test_isf_endpoints_without_warning(self, d):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert d.isf(1.0) == 0.0
+            assert d.isf(0.0) == math.inf
+            assert d.quantile(1.0) == math.inf
+            assert d.quantile(np.array([0.0, 1.0])).tolist() == [0.0, math.inf]
+
+    @pytest.mark.parametrize("alpha", [0.05, 1.0, 1.7, 40.0])
+    def test_lfr_beta_zero_isf_is_exponential_bit_for_bit(self, alpha):
+        v = np.concatenate([[0.0, 5e-324, 1e-300], np.linspace(0.0, 1.0, 1001), np.geomspace(1e-12, 1.0, 500)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            a = LinearFailureRate(alpha, 0.0).isf(v)
+        assert np.array_equal(a, Exponential(alpha).isf(v))
 
 
 class TestValidation:

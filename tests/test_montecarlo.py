@@ -5,8 +5,15 @@ import pytest
 
 from coherent_age.copulas import ClaytonOakes, FGM, GumbelHougaard, Independence
 from coherent_age.distributions import Exponential, LinearFailureRate
-from coherent_age.montecarlo import SimConfig, _sample_fgm, sample_copula, simulate_system
-from coherent_age.systems import Structure
+from coherent_age.montecarlo import (
+    SimConfig,
+    _count_survivors,
+    _sample_fgm,
+    _system_lifetime,
+    sample_copula,
+    simulate_system,
+)
+from coherent_age.systems import Structure, k_of_n_paths
 
 N = 100_000
 
@@ -124,6 +131,95 @@ class TestSimulateSystem:
         )
         assert res.x.shape == (3,)
         assert np.all(res.std_err > 0.0)
+
+
+# Reference formulations: the fancy-index / column_stack system lifetime, the
+# broadcast empirical survival and the np.prod FGM density. The module's
+# column-view, sort-and-count and explicit-product forms must give the same bits.
+
+def reference_system_lifetime(lifetimes, paths):
+    path_mins = [np.min(lifetimes[:, [i - 1 for i in sorted(path)]], axis=1) for path in paths]
+    return np.max(np.column_stack(path_mins), axis=1)
+
+
+def reference_empirical_sf(tau, x):
+    return np.mean(tau[:, None] > x[None, :], axis=0)
+
+
+def reference_sample_fgm(theta, count, rng, max_rounds=256):
+    bound = 1.0 + abs(theta)
+    out = np.empty((count, 3))
+    filled = 0
+    for _ in range(max_rounds):
+        if filled == count:
+            break
+        need = count - filled
+        batch = max(1024, int(1.5 * need * bound))
+        u = rng.random((batch, 3))
+        density = 1.0 + theta * np.prod(1.0 - 2.0 * u, axis=1)
+        accept = rng.random(batch) * bound < density
+        take = u[accept][:need]
+        out[filled : filled + take.shape[0]] = take
+        filled += take.shape[0]
+    return out
+
+
+BRIDGE = Structure.from_paths(5, [[1, 4], [2, 5], [1, 3, 5], [2, 3, 4]])
+TWO_OF_THREE = k_of_n_paths(2, 3)
+TWO_OF_FOUR = k_of_n_paths(2, 4)
+
+# every copula family on a multi-path structure of its dimension
+REFERENCE_CASES = [
+    ("fgm-two-of-three", TWO_OF_THREE, FGM(-0.7), LinearFailureRate(1.0, 1.0)),
+    ("fgm-pair-series", Structure.from_paths(3, [[1, 2], [1, 3]]), FGM(1.0), Exponential(2.0)),
+    ("indep-bridge", BRIDGE, Independence(5), LinearFailureRate(2.0, 1.0)),
+    ("indep-two-of-four", TWO_OF_FOUR, Independence(4), Exponential(1.0)),
+    ("gumbel-two-of-four", TWO_OF_FOUR, GumbelHougaard(2.0, 4), Exponential(2.0)),
+    ("gumbel-bridge", BRIDGE, GumbelHougaard(1.5, 5), LinearFailureRate(1.0, 0.5)),
+    ("clayton-two-of-four", TWO_OF_FOUR, ClaytonOakes(1.5, 4), LinearFailureRate(1.0, 2.0)),
+    ("clayton-bridge", BRIDGE, ClaytonOakes(0.8, 5), Exponential(1.0)),
+]
+
+
+class TestReferenceFormulations:
+    @pytest.mark.parametrize(
+        "structure, copula, margin", [case[1:] for case in REFERENCE_CASES], ids=[case[0] for case in REFERENCE_CASES]
+    )
+    def test_lifetime_and_survival_match_reference(self, structure, copula, margin):
+        cfg = SimConfig(sample_count=20_000, seed=41, stream_count=3)
+        lifetimes = np.asarray(margin.isf(sample_copula(copula, cfg)), dtype=float)
+        tau = _system_lifetime(lifetimes, structure.paths)
+        assert np.array_equal(tau, reference_system_lifetime(lifetimes, structure.paths))
+
+        # a user grid that is unsorted, has ties, and has sample values on it
+        x = np.array([0.7, 0.1, 0.7, 0.0, 2.5, 0.3, 0.1, tau[0], tau[5], np.inf])
+        emp = _count_survivors(tau, x) / tau.size
+        assert np.array_equal(emp, reference_empirical_sf(tau, x))
+
+        res = simulate_system(structure, copula, margin, cfg, x_grid=x)
+        assert np.array_equal(res.empirical_sf, reference_empirical_sf(tau, x))
+
+    @pytest.mark.parametrize("theta", [1.0, 0.35, -0.6, -1.0])
+    def test_fgm_sampler_matches_np_prod_density(self, theta):
+        for seed in (0, 9):
+            a = _sample_fgm(theta, 30_001, np.random.default_rng(seed))
+            b = reference_sample_fgm(theta, 30_001, np.random.default_rng(seed))
+            assert np.array_equal(a, b)
+
+    def test_nan_lifetime_counts_as_not_surviving(self):
+        tau = np.array([0.5, np.nan, 2.0, 0.5, np.nan, 1.0, 3.0])
+        x = np.array([1.0, 0.5, -np.inf, 0.0, np.inf, 2.0, np.nan, 0.75])
+        counts = _count_survivors(tau, x)
+        assert np.array_equal(counts, np.sum(tau[:, None] > x[None, :], axis=0))
+        assert counts.tolist() == [2, 3, 5, 5, 0, 1, 0, 3]
+
+    def test_nan_component_lifetime_propagates_like_reference(self):
+        lifetimes = np.array([[1.0, 2.0, 3.0, 4.0], [np.nan, 2.0, 3.0, 4.0], [1.0, 1.0, 1.0, 1.0]])
+        tau = _system_lifetime(lifetimes, TWO_OF_FOUR.paths)
+        reference = reference_system_lifetime(lifetimes, TWO_OF_FOUR.paths)
+        assert np.array_equal(tau, reference, equal_nan=True)
+        assert np.isnan(tau[1])
+        assert _count_survivors(tau, np.array([0.5])).tolist() == [2]
 
 
 class TestConfigValidation:
