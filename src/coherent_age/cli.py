@@ -5,6 +5,11 @@ One JSON spec file drives each run; flags exist only for overrides
 17 significant digits so golden-file diffs are meaningful, and every CSV/JSON
 artifact records the sha256 of the input spec.
 
+Every spec field is read under the one rule in ``_num``: objects through
+``_require``, numbers through ``_number``, ``_real`` and ``_integer``, and the
+margin and copula fragments through ``read_fragment``, whose field lists and
+defaults are the family classes' own.  Any breach raises ``SpecError``.
+
 Subcommands and exit codes:
 
     distortion   table of p, h, h_prime, H, R          0 ok / 3 numeric flags
@@ -27,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._num import SpecError, _integer, _real, _require
 from .copulas import Copula, copula_from_dict
 from .distributions import LifetimeDistribution, distribution_from_dict
 from .montecarlo import SimConfig, simulate_system
@@ -37,10 +43,6 @@ from .verifier import VerifyConfig, corollary_index_check, verify_bstar, verify_
 __all__ = ["main", "SpecError", "load_spec", "parse_table", "format_float"]
 
 VERIFY_RELATIONS = ("c_star", "b_star")
-
-
-class SpecError(ValueError):
-    """Raised for any schema violation in a run spec; maps to exit code 1."""
 
 
 def format_float(v: float) -> str:
@@ -55,17 +57,6 @@ def spec_hash(raw: dict) -> str:
 # ---------------------------------------------------------------------------
 # schema validation
 
-def _require(d: dict, required: set[str], optional: set[str], where: str) -> None:
-    if not isinstance(d, dict):
-        raise SpecError(f"{where} must be a JSON object")
-    unknown = set(d) - required - optional
-    if unknown:
-        raise SpecError(f"unknown fields in {where}: {sorted(unknown)}")
-    missing = required - set(d)
-    if missing:
-        raise SpecError(f"missing fields in {where}: {sorted(missing)}")
-
-
 def _load_structure(d: dict, where: str) -> Structure:
     block = f"{where}.structure"
     _require(d, {"n", "paths"}, set(), block)
@@ -78,20 +69,6 @@ def _load_structure(d: dict, where: str) -> Structure:
         return Structure.from_paths(n, paths)
     except ValueError as exc:
         raise SpecError(f"invalid structure in {where}: {exc}") from exc
-
-
-def _load_margin(d: dict, where: str) -> LifetimeDistribution:
-    try:
-        return distribution_from_dict(d)
-    except (ValueError, TypeError) as exc:
-        raise SpecError(f"invalid margin in {where}: {exc}") from exc
-
-
-def _load_copula(d: dict, dim: int, where: str) -> Copula:
-    try:
-        return copula_from_dict(d, dim)
-    except (ValueError, TypeError) as exc:
-        raise SpecError(f"invalid copula in {where}: {exc}") from exc
 
 
 @dataclass
@@ -112,13 +89,13 @@ class SystemBlock:
 
 def _load_system(d: dict, where: str) -> SystemBlock:
     _require(d, {"margin"}, {"structure", "copula"}, where)
-    margin = _load_margin(d["margin"], where)
+    margin = distribution_from_dict(d["margin"], f"{where}.margin")
     structure = _load_structure(d["structure"], where) if "structure" in d else None
     copula = None
     if "copula" in d:
         if structure is None:
             raise SpecError(f"{where}: 'copula' requires 'structure' for its dimension")
-        copula = _load_copula(d["copula"], structure.n, where)
+        copula = copula_from_dict(d["copula"], structure.n, f"{where}.copula")
     elif structure is not None:
         raise SpecError(f"{where}: 'structure' requires 'copula'")
     return SystemBlock(margin=margin, structure=structure, copula=copula)
@@ -153,21 +130,6 @@ class RunSpec:
     @property
     def sha256(self) -> str:
         return spec_hash(self.raw)
-
-
-def _number(value, what: str) -> int | float:
-    """A spec number: a JSON int or float, not a bool and not a string."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SpecError(f"{what} must be a number, got {value!r}")
-    return value
-
-
-def _integer(value, what: str) -> int:
-    """A spec integer: a spec number with an integral value (31.0 reads as 31)."""
-    value = _number(value, what)
-    if isinstance(value, float) and not value.is_integer():
-        raise SpecError(f"{what} must be an integer, got {value!r}")
-    return int(value)
 
 
 def _check_final(spec: RunSpec) -> None:
@@ -240,7 +202,7 @@ def load_spec(
         _require(raw["tolerances"], set(), _TOL_KEYS, "tolerances")
         for key in _TOL_KEYS:
             if key in raw["tolerances"]:
-                setattr(spec, key, float(_number(raw["tolerances"][key], f"tolerances.{key}")))
+                setattr(spec, key, _real(raw["tolerances"][key], f"tolerances.{key}"))
 
     if command == "simulate":
         block = raw.get("simulation", {})
@@ -336,16 +298,10 @@ def _cmd_distortion(spec: RunSpec) -> int:
     return 3 if numeric_flags else 0
 
 
-def _x_grid(spec: RunSpec) -> Grid:
-    return Grid.margin_bracketed(
-        spec.system1.margin, spec.system2.margin, size=spec.grid_size, policy=spec.grid_policy
-    )
-
-
 def _cmd_check_order(spec: RunSpec) -> int:
-    verdict = check_order(
-        spec.system1.margin, spec.system2.margin, spec.relation, grid=_x_grid(spec), tol=spec.tol
-    )
+    m1, m2 = spec.system1.margin, spec.system2.margin
+    grid = Grid.margin_bracketed(m1, m2, size=spec.grid_size, policy=spec.grid_policy)
+    verdict = check_order(m1, m2, spec.relation, grid=grid, tol=spec.tol)
     text = _verdict_csv({"spec_sha256": spec.sha256}, verdict)
     _write(text, spec.out_csv)
     return {"yes": 0, "no": 2, "inconclusive": 3}[verdict.holds]
@@ -356,11 +312,11 @@ def _cmd_verify(spec: RunSpec) -> int:
     sys2 = spec.system2.model("system2")
     cfg = VerifyConfig(
         eps_endpoint=spec.eps_endpoint,
-        p_grid_size=spec.grid_size,
+        grid_size=spec.grid_size,
         tol=spec.tol,
         tol_fd=spec.tol_fd,
         sign_slack=spec.sign_slack,
-        x_grid=_x_grid(spec),
+        grid_policy=spec.grid_policy,
     )
     verify = verify_cstar if spec.relation == "c_star" else verify_bstar
     report = verify(sys1, sys2, cfg)
@@ -434,7 +390,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         with open(args.spec, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    # ValueError covers JSONDecodeError and an integer literal past the
+    # interpreter's digit limit, which json.load refuses with a plain ValueError
+    except (OSError, ValueError) as exc:
         print(f"error: cannot read spec: {exc}", file=sys.stderr)
         return 1
     try:

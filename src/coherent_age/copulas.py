@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._num import as_float_array, match_input
+from ._num import as_float_array, match_input, read_fragment
 
 __all__ = [
     "Copula",
@@ -49,10 +49,6 @@ class Copula(ABC):
     dim: int
 
     @abstractmethod
-    def eval(self, p):
-        """K(p_1, ..., p_n) for a length-n vector (or batch of vectors)."""
-
-    @abstractmethod
     def _exch(self, pa: np.ndarray, j: int) -> np.ndarray:
         """K with j coordinates at p and n-j at 1, on a validated array, 1 <= j <= dim."""
 
@@ -63,10 +59,6 @@ class Copula(ABC):
     @abstractmethod
     def _exch_compl(self, pa: np.ndarray, j: int) -> np.ndarray:
         """1 - _exch(pa, j), computed without cancellation near p = 1."""
-
-    @abstractmethod
-    def to_dict(self) -> dict:
-        ...
 
     def exch(self, p, j: int):
         """K with j coordinates at p and n-j at 1; j = 0 gives 1."""
@@ -82,14 +74,6 @@ class Copula(ABC):
         """1 - exch(p, j), computed without cancellation near p = 1."""
         pa = self._check_exch(p, j)
         return match_input(p, self._exch_compl(pa, j) if j else np.zeros_like(pa))
-
-    def _check_point(self, p) -> np.ndarray:
-        pa = as_float_array(p)
-        if pa.shape[-1:] != (self.dim,):
-            raise ValueError(f"expected point(s) of dimension {self.dim}, got shape {pa.shape}")
-        if np.any((pa < 0.0) | (pa > 1.0)):
-            raise ValueError("copula arguments must lie in [0, 1]")
-        return pa
 
     def _check_exch(self, p, j: int) -> np.ndarray:
         if not isinstance(j, (int, np.integer)) or j < 0 or j > self.dim:
@@ -108,10 +92,6 @@ class Independence(Copula):
         if self.dim < 1:
             raise ValueError("dimension must be at least 1")
 
-    def eval(self, p):
-        pa = self._check_point(p)
-        return match_input(pa[..., 0] if pa.ndim > 1 else pa[0], np.prod(pa, axis=-1))
-
     def _exch(self, pa, j):
         return pa**j
 
@@ -121,9 +101,6 @@ class Independence(Copula):
     def _exch_compl(self, pa, j):
         with np.errstate(divide="ignore"):
             return np.where(pa > 0.0, -np.expm1(j * np.log(np.maximum(pa, 1e-300))), 1.0)
-
-    def to_dict(self):
-        return {"copula": "independence"}
 
 
 @dataclass(frozen=True)
@@ -143,13 +120,6 @@ class FGM(Copula):
         if self.dim != 3:
             raise ValueError("FGM copula is defined for dimension 3 only")
 
-    def eval(self, p):
-        pa = self._check_point(p)
-        prod = np.prod(pa, axis=-1)
-        pert = np.prod(1.0 - pa, axis=-1)
-        out = prod * (1.0 + self.theta * pert)
-        return match_input(pa[..., 0] if pa.ndim > 1 else pa[0], out)
-
     def _exch(self, pa, j):
         if j < 3:
             return pa**j
@@ -168,9 +138,6 @@ class FGM(Copula):
             return q * (1.0 + pa)
         return q * (1.0 + pa + pa**2) - self.theta * pa**3 * q**3
 
-    def to_dict(self):
-        return {"copula": "fgm", "theta": self.theta}
-
 
 @dataclass(frozen=True)
 class GumbelHougaard(Copula):
@@ -188,25 +155,6 @@ class GumbelHougaard(Copula):
     def _exponent(self, j: int) -> float:
         return j ** (1.0 / self.theta)
 
-    def eval(self, p):
-        pa = self._check_point(p)
-        scalar = pa.ndim == 1
-        pts = np.atleast_2d(pa)
-        out = np.zeros(pts.shape[0])
-        alive = np.all(pts > 0.0, axis=-1)
-        if np.any(alive):
-            with np.errstate(divide="ignore"):
-                t = -np.log(pts[alive])
-            tmax = np.max(t, axis=-1)
-            # max-normalised power sum keeps t**theta from overflowing
-            pos = tmax > 0.0
-            s = np.zeros_like(tmax)
-            if np.any(pos):
-                ratio = t[pos] / tmax[pos, None]
-                s[pos] = tmax[pos] * np.sum(ratio**self.theta, axis=-1) ** (1.0 / self.theta)
-            out[alive] = np.exp(-s)
-        return match_input(pa[..., 0] if not scalar else pa[0], out[0] if scalar else out)
-
     def _exch(self, pa, j):
         return pa ** self._exponent(j)
 
@@ -219,9 +167,6 @@ class GumbelHougaard(Copula):
         a = self._exponent(j)
         with np.errstate(divide="ignore"):
             return np.where(pa > 0.0, -np.expm1(a * np.log(np.maximum(pa, 1e-300))), 1.0)
-
-    def to_dict(self):
-        return {"copula": "gumbel", "theta": self.theta}
 
 
 @dataclass(frozen=True)
@@ -236,23 +181,6 @@ class ClaytonOakes(Copula):
             raise ValueError(f"Clayton-Oakes theta must be > 0, got {self.theta!r}")
         if self.dim < 1:
             raise ValueError("dimension must be at least 1")
-
-    def eval(self, p):
-        pa = self._check_point(p)
-        scalar = pa.ndim == 1
-        pts = np.atleast_2d(pa)
-        out = np.zeros(pts.shape[0])
-        alive = np.all(pts > 0.0, axis=-1)
-        if np.any(alive):
-            with np.errstate(divide="ignore"):
-                w = -self.theta * np.log(pts[alive])  # = ln p^-theta >= 0
-            wmax = np.max(w, axis=-1)
-            n = pts.shape[-1]
-            # ln(sum e^w - (n-1)) computed relative to the max exponent
-            inner = np.sum(np.exp(w - wmax[:, None]), axis=-1) - (n - 1) * np.exp(-wmax)
-            log_s = wmax + np.log(inner)
-            out[alive] = np.exp(-log_s / self.theta)
-        return match_input(pa[..., 0] if not scalar else pa[0], out[0] if scalar else out)
 
     def _exch(self, pa, j):
         out = np.zeros_like(pa)
@@ -293,36 +221,15 @@ class ClaytonOakes(Copula):
         out[pos] = np.where(direct, c_direct, c_limit)[pos]
         return out
 
-    def to_dict(self):
-        return {"copula": "clayton", "theta": self.theta}
 
-
-_COPULA_KEYS = {
-    "independence": set(),
-    "fgm": {"theta"},
-    "gumbel": {"theta"},
-    "clayton": {"theta"},
+_FAMILIES = {
+    "independence": Independence,
+    "fgm": FGM,
+    "gumbel": GumbelHougaard,
+    "clayton": ClaytonOakes,
 }
 
 
-def copula_from_dict(fragment: dict, dim: int) -> Copula:
+def copula_from_dict(fragment: dict, dim: int, where: str = "copula") -> Copula:
     """Build a copula from a JSON fragment; dimension comes from the structure."""
-    if not isinstance(fragment, dict) or "copula" not in fragment:
-        raise ValueError("copula fragment must be an object with a 'copula' field")
-    name = fragment["copula"]
-    if name not in _COPULA_KEYS:
-        raise ValueError(f"unknown copula family {name!r}")
-    params = {k: v for k, v in fragment.items() if k != "copula"}
-    unknown = set(params) - _COPULA_KEYS[name]
-    if unknown:
-        raise ValueError(f"unknown fields for copula {name!r}: {sorted(unknown)}")
-    if name == "independence":
-        return Independence(dim=dim)
-    theta = float(params["theta"])
-    if name == "fgm":
-        if dim != 3:
-            raise ValueError("FGM copula requires dimension 3")
-        return FGM(theta=theta)
-    if name == "gumbel":
-        return GumbelHougaard(theta=theta, dim=dim)
-    return ClaytonOakes(theta=theta, dim=dim)
+    return read_fragment(fragment, "copula", _FAMILIES, where, dim=dim)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._num import as_float_array, match_input
+from ._num import as_float_array, match_input, read_fragment
 
 __all__ = [
     "LifetimeDistribution",
@@ -56,10 +56,6 @@ class LifetimeDistribution(ABC):
     @abstractmethod
     def isf(self, v):
         """Inverse survival function: x such that sf(x) = v."""
-
-    @abstractmethod
-    def to_dict(self) -> dict:
-        """JSON-ready parameter fragment."""
 
     # every public function validates its argument once, then calls the cores
     def cum_hazard(self, x):
@@ -129,9 +125,6 @@ class Exponential(LifetimeDistribution):
             out = -np.log(va) / self.rate
         return match_input(v, out)
 
-    def to_dict(self) -> dict:
-        return {"family": "exp", "rate": self.rate}
-
 
 @dataclass(frozen=True)
 class LinearFailureRate(LifetimeDistribution):
@@ -167,9 +160,6 @@ class LinearFailureRate(LifetimeDistribution):
         out[t == np.inf] = np.inf
         return match_input(v, out)
 
-    def to_dict(self) -> dict:
-        return {"family": "lfr", "alpha": self.alpha, "beta": self.beta}
-
 
 @dataclass(frozen=True)
 class Weibull(LifetimeDistribution):
@@ -195,30 +185,10 @@ class Weibull(LifetimeDistribution):
             t = -np.log(va)
         return match_input(v, self.scale * t ** (1.0 / self.shape))
 
-    def to_dict(self) -> dict:
-        return {"family": "weibull", "shape": self.shape, "scale": self.scale}
+
+_FAMILIES = {"exp": Exponential, "lfr": LinearFailureRate, "weibull": Weibull}
 
 
-_FAMILY_KEYS = {
-    "exp": {"rate"},
-    "lfr": {"alpha", "beta"},
-    "weibull": {"shape", "scale"},
-}
-
-
-def distribution_from_dict(fragment: dict) -> LifetimeDistribution:
+def distribution_from_dict(fragment: dict, where: str = "margin") -> LifetimeDistribution:
     """Build a distribution from a JSON fragment, rejecting unknown fields."""
-    if not isinstance(fragment, dict) or "family" not in fragment:
-        raise ValueError("distribution fragment must be an object with a 'family' field")
-    family = fragment["family"]
-    if family not in _FAMILY_KEYS:
-        raise ValueError(f"unknown distribution family {family!r}")
-    params = {k: v for k, v in fragment.items() if k != "family"}
-    unknown = set(params) - _FAMILY_KEYS[family]
-    if unknown:
-        raise ValueError(f"unknown fields for family {family!r}: {sorted(unknown)}")
-    if family == "exp":
-        return Exponential(rate=float(params["rate"]))
-    if family == "lfr":
-        return LinearFailureRate(alpha=float(params["alpha"]), beta=float(params.get("beta", 0.0)))
-    return Weibull(shape=float(params["shape"]), scale=float(params.get("scale", 1.0)))
+    return read_fragment(fragment, "family", _FAMILIES, where)

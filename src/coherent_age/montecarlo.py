@@ -95,7 +95,7 @@ def _sample_fgm(theta: float, count: int, rng: np.random.Generator,
         density = 1.0 + theta * (v0 * v1 * v2)
         accept = rng.random(batch) * bound < density
         proposed += batch
-        take = u[accept][:need]
+        take = u[np.flatnonzero(accept)[:need]]
         out[filled : filled + take.shape[0]] = take
         filled += take.shape[0]
     if filled < count:

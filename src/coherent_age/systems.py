@@ -104,9 +104,6 @@ class Structure:
     def parallel(cls, n: int) -> "Structure":
         return cls.from_paths(n, [[i] for i in range(1, n + 1)])
 
-    def to_dict(self) -> dict:
-        return {"n": self.n, "paths": [sorted(p) for p in self.paths]}
-
 
 def k_of_n_paths(k: int, n: int) -> Structure:
     """Structure whose minimal path sets are all k-subsets of {1..n}."""

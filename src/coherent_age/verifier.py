@@ -65,19 +65,20 @@ class VerifyConfig:
 
     tol applies to closed-form checks; tol_fd to checks contaminated by the
     second-level finite differences behind H'/R'; sign_slack classifies
-    identically-zero sign conditions as boundary passes.
+    identically-zero sign conditions as boundary passes.  grid_size is the
+    size of both the p-grid on [eps_endpoint, 1-eps_endpoint] and the x-grid
+    bracketing the two margins, which grid_policy spaces "log" or "linear".
     """
 
     eps_endpoint: float = 1e-3
-    p_grid_size: int = 2001
+    grid_size: int = 2001
     tol: float = 1e-9
     tol_fd: float = 1e-6
     sign_slack: float = 1e-8
-    x_grid: Grid | None = None
-    x_grid_size: int = 2001
+    grid_policy: str = "log"
 
     def p_grid(self) -> Grid:
-        return Grid.probability(self.eps_endpoint, self.p_grid_size)
+        return Grid.probability(self.eps_endpoint, self.grid_size)
 
 
 @dataclass(frozen=True)
@@ -198,7 +199,7 @@ def _conclude(cond: dict[str, ConditionEntry]) -> str:
 
 def _verify(sys1: SystemModel, sys2: SystemModel, relation: str, cfg: VerifyConfig) -> ConditionReport:
     pgrid = cfg.p_grid()
-    xgrid = cfg.x_grid or Grid.margin_bracketed(sys1.margin, sys2.margin, size=cfg.x_grid_size)
+    xgrid = Grid.margin_bracketed(sys1.margin, sys2.margin, size=cfg.grid_size, policy=cfg.grid_policy)
     p = pgrid.points
     # H for c_star, R for b_star: each elasticity feeds (i) and its own (ii)/(iii)
     kind = "H" if relation == "c_star" else "R"

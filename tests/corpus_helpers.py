@@ -1,4 +1,5 @@
-"""Shared randomized-instance generators and the golden triple corpus."""
+"""Shared randomized-instance generators, the golden triple corpus, and the
+full copula K(p_1, ..., p_n) that the exchangeable reductions are tested against."""
 
 import numpy as np
 
@@ -86,3 +87,58 @@ def golden_corpus():
         ("bridge-indep", bridge_ish, Independence(4), LinearFailureRate(2.0, 1.0)),
         ("gumbel-two-of-four", k_of_n_paths(2, 4), GumbelHougaard(2.0, 4), Exponential(2.0)),
     ]
+
+
+def _independence_k(cop, pts):
+    return np.prod(pts, axis=-1)
+
+
+def _fgm_k(cop, pts):
+    return np.prod(pts, axis=-1) * (1.0 + cop.theta * np.prod(1.0 - pts, axis=-1))
+
+
+def _gumbel_k(cop, pts):
+    out = np.zeros(pts.shape[0])
+    alive = np.all(pts > 0.0, axis=-1)
+    if np.any(alive):
+        with np.errstate(divide="ignore"):
+            t = -np.log(pts[alive])
+        tmax = np.max(t, axis=-1)
+        # max-normalised power sum keeps t**theta from overflowing
+        pos = tmax > 0.0
+        s = np.zeros_like(tmax)
+        if np.any(pos):
+            ratio = t[pos] / tmax[pos, None]
+            s[pos] = tmax[pos] * np.sum(ratio**cop.theta, axis=-1) ** (1.0 / cop.theta)
+        out[alive] = np.exp(-s)
+    return out
+
+
+def _clayton_k(cop, pts):
+    out = np.zeros(pts.shape[0])
+    alive = np.all(pts > 0.0, axis=-1)
+    if np.any(alive):
+        with np.errstate(divide="ignore"):
+            w = -cop.theta * np.log(pts[alive])  # = ln p^-theta >= 0
+        wmax = np.max(w, axis=-1)
+        n = pts.shape[-1]
+        # ln(sum e^w - (n-1)) computed relative to the max exponent
+        inner = np.sum(np.exp(w - wmax[:, None]), axis=-1) - (n - 1) * np.exp(-wmax)
+        log_s = wmax + np.log(inner)
+        out[alive] = np.exp(-log_s / cop.theta)
+    return out
+
+
+_COPULA_K = {Independence: _independence_k, FGM: _fgm_k, GumbelHougaard: _gumbel_k, ClaytonOakes: _clayton_k}
+
+
+def copula_eval(cop, p):
+    """K(p_1, ..., p_n) of ``cop`` at a length-n point (a float) or at a
+    batch of points, one per row (an array)."""
+    pa = np.asarray(p, dtype=float)
+    if pa.shape[-1:] != (cop.dim,):
+        raise ValueError(f"expected point(s) of dimension {cop.dim}, got shape {pa.shape}")
+    if np.any((pa < 0.0) | (pa > 1.0)):
+        raise ValueError("copula arguments must lie in [0, 1]")
+    out = _COPULA_K[type(cop)](cop, np.atleast_2d(pa))
+    return float(out[0]) if pa.ndim == 1 else out

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from coherent_age.cli import SpecError, load_spec, main, parse_table
+from coherent_age.distributions import LinearFailureRate, Weibull
 
 FGM_SYSTEM = {
     "structure": {"n": 3, "paths": [[1, 2], [1, 3]]},
@@ -20,11 +21,17 @@ SERIES3_SYSTEM = {
 }
 VERIFY_SPEC = {"system1": FGM_SYSTEM, "system2": SERIES3_SYSTEM, "relation": "c_star"}
 
+# spec values that are not JSON numbers, by test id
+NOT_NUMBERS = {"word": "many", "numeric-string": "2", "bool": True}
 # spec integers that the one integer rule refuses, with the rule each breaks
 NON_INTEGERS = pytest.mark.parametrize(
     "value, rule",
-    [("many", "a number"), ("2", "a number"), (True, "a number"), (2.5, "an integer"), (1000.9, "an integer")],
-    ids=["word", "numeric-string", "bool", "fraction", "large-fraction"],
+    [(value, "a number") for value in NOT_NUMBERS.values()] + [(2.5, "an integer"), (1000.9, "an integer")],
+    ids=[*NOT_NUMBERS, "fraction", "large-fraction"],
+)
+# spec reals that the number rule refuses
+NON_NUMBERS = pytest.mark.parametrize(
+    "value", [*NOT_NUMBERS.values(), None, [2.0]], ids=[*NOT_NUMBERS, "null", "list"]
 )
 
 
@@ -309,6 +316,82 @@ class TestSchemaValidation:
         assert run(tmp_path, "distortion", {"system1": system}) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "block, fragment, field",
+        [
+            ("margin", {"family": "exp"}, "rate"),
+            ("margin", {"family": "lfr", "beta": 1.0}, "alpha"),
+            ("margin", {"family": "weibull", "scale": 1.0}, "shape"),
+            ("copula", {"copula": "fgm"}, "theta"),
+            ("copula", {"copula": "gumbel"}, "theta"),
+            ("copula", {"copula": "clayton"}, "theta"),
+        ],
+        ids=["exp", "lfr", "weibull", "fgm", "gumbel", "clayton"],
+    )
+    def test_missing_family_parameter_is_a_spec_error(self, tmp_path, capsys, block, fragment, field):
+        # a parameter without a default in the family class is required
+        system = {**FGM_SYSTEM, block: fragment}
+        assert run(tmp_path, "distortion", {"system1": system}) == 1
+        assert capsys.readouterr().err == f"error: missing fields in system1.{block}: ['{field}']\n"
+
+    @NON_NUMBERS
+    @pytest.mark.parametrize("block, field", [("margin", "alpha"), ("copula", "theta")])
+    def test_non_number_family_parameter_is_a_spec_error(self, tmp_path, capsys, block, field, value):
+        # margin and copula parameters follow the tolerances' number rule
+        system = {**FGM_SYSTEM, block: {**FGM_SYSTEM[block], field: value}}
+        assert run(tmp_path, "distortion", {"system1": system}) == 1
+        assert capsys.readouterr().err == f"error: system1.{block}.{field} must be a number, got {value!r}\n"
+
+    @pytest.mark.parametrize(
+        "block, fragment, message",
+        [
+            (
+                "margin",
+                {"family": "exp", "rate": -1.0},
+                "invalid system1.margin: rate must be a positive finite real, got -1.0",
+            ),
+            (
+                "margin",
+                {"family": ["exp"]},
+                "system1.margin.family must be one of ['exp', 'lfr', 'weibull'], got ['exp']",
+            ),
+            ("margin", ["exp", 1.0], "system1.margin must be a JSON object"),
+            ("copula", {"copula": "fgm", "theta": 2}, "invalid system1.copula: FGM theta must lie in [-1, 1], got 2.0"),
+            ("copula", {"copula": "gumbel", "theta": 2.0, "dim": 3}, "unknown fields in system1.copula: ['dim']"),
+        ],
+        ids=["out-of-range", "list-family", "not-object", "fgm-theta", "fixed-dim"],
+    )
+    def test_malformed_family_fragment_is_a_spec_error(self, tmp_path, capsys, block, fragment, message):
+        system = {**FGM_SYSTEM, block: fragment}
+        assert run(tmp_path, "distortion", {"system1": system}) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "payload, what",
+        [
+            ({**VERIFY_SPEC, "tolerances": {"tol": 10**400}}, "tolerances.tol"),
+            ({**VERIFY_SPEC, "system2": {**SERIES3_SYSTEM, "margin": {"family": "exp", "rate": 10**400}}},
+             "system2.margin.rate"),
+        ],
+        ids=["tolerance", "margin"],
+    )
+    def test_integer_beyond_float_range_is_a_spec_error(self, tmp_path, capsys, payload, what):
+        assert run(tmp_path, "verify", payload) == 1
+        assert capsys.readouterr().err == f"error: {what} is too large for a float\n"
+
+    @pytest.mark.parametrize(
+        "margin, expected",
+        [
+            ({"family": "weibull", "shape": 2}, Weibull(2.0, 1.0)),
+            ({"family": "lfr", "alpha": 1.5}, LinearFailureRate(1.5, 0.0)),
+        ],
+        ids=["weibull-scale", "lfr-beta"],
+    )
+    def test_optional_family_parameters_take_their_defaults(self, margin, expected):
+        raw = {"system1": {"margin": margin}, "system2": {"margin": margin}, "relation": "st"}
+        spec = load_spec(raw, "check-order")
+        assert spec.system1.margin == expected
+
     @NON_INTEGERS
     @pytest.mark.parametrize("field", ["k", "n", "l", "m"])
     def test_non_integer_corollary_index_is_a_spec_error(self, tmp_path, capsys, field, value, rule):
@@ -418,6 +501,17 @@ class TestSchemaValidation:
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         assert main(["verify", str(path)]) == 1
+
+    def test_integer_past_the_digit_limit_is_one_error_line(self, tmp_path, capsys):
+        # json.load refuses such a literal with a plain ValueError where the
+        # interpreter limits integer digits; elsewhere the number rule does
+        path = tmp_path / "long.json"
+        margin = '{"family": "exp", "rate": ' + "1" * 5000 + "}"
+        path.write_text('{"system1": {"margin": ' + margin + '}, "system2": {"margin": ' + margin + '}, '
+                        '"relation": "st"}')
+        assert main(["check-order", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_load_spec_rejects_unknown_command(self):
         with pytest.raises(SpecError):

@@ -180,10 +180,16 @@ class TestValidation:
 class TestSerialisation:
     @pytest.mark.parametrize(
         "d",
-        [Exponential(3.0), LinearFailureRate(1.0, 1.0), Weibull(2.0, 1.0)],
+        [
+            ({"family": "exp", "rate": 3.0}, Exponential(3.0)),
+            ({"family": "lfr", "alpha": 1.0, "beta": 1.0}, LinearFailureRate(1.0, 1.0)),
+            ({"family": "weibull", "shape": 2.0, "scale": 1.0}, Weibull(2.0, 1.0)),
+        ],
     )
     def test_round_trip(self, d):
-        assert distribution_from_dict(d.to_dict()) == d
+        # a literal fragment parses to the distribution it spells
+        fragment, expected = d
+        assert distribution_from_dict(fragment) == expected
 
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):

@@ -12,7 +12,7 @@ from coherent_age.verifier import (
     verify_cstar,
 )
 
-FAST_CFG = VerifyConfig(p_grid_size=501, x_grid_size=501)
+FAST_CFG = VerifyConfig(grid_size=501)
 
 
 def fgm_pair_series_system(theta=1.0, margin=None):
