@@ -300,7 +300,10 @@ def _cmd_distortion(spec: RunSpec) -> int:
 
 def _cmd_check_order(spec: RunSpec) -> int:
     m1, m2 = spec.system1.margin, spec.system2.margin
-    grid = Grid.margin_bracketed(m1, m2, size=spec.grid_size, policy=spec.grid_policy)
+    try:
+        grid = Grid.margin_bracketed(m1, m2, size=spec.grid_size, policy=spec.grid_policy)
+    except ValueError as exc:
+        raise SpecError(f"cannot grid the two margins: {exc}") from exc
     verdict = check_order(m1, m2, spec.relation, grid=grid, tol=spec.tol)
     text = _verdict_csv({"spec_sha256": spec.sha256}, verdict)
     _write(text, spec.out_csv)
@@ -319,7 +322,10 @@ def _cmd_verify(spec: RunSpec) -> int:
         grid_policy=spec.grid_policy,
     )
     verify = verify_cstar if spec.relation == "c_star" else verify_bstar
-    report = verify(sys1, sys2, cfg)
+    try:
+        report = verify(sys1, sys2, cfg)
+    except ValueError as exc:
+        raise SpecError(f"cannot verify the two systems: {exc}") from exc
     payload = {"spec_sha256": spec.sha256, **report.to_dict(), "exit_code": report.exit_code}
     _write(json.dumps(payload, sort_keys=True, indent=2) + "\n", spec.out_json)
     return report.exit_code

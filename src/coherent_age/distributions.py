@@ -121,7 +121,8 @@ class Exponential(LifetimeDistribution):
 
     def isf(self, v):
         va = as_float_array(v)
-        with np.errstate(divide="ignore"):
+        # a quantile past the float range is +inf, like the one at v = 0
+        with np.errstate(divide="ignore", over="ignore"):
             out = -np.log(va) / self.rate
         return match_input(v, out)
 
@@ -181,9 +182,11 @@ class Weibull(LifetimeDistribution):
 
     def isf(self, v):
         va = as_float_array(v)
-        with np.errstate(divide="ignore"):
+        # a quantile past the float range is +inf, like the one at v = 0
+        with np.errstate(divide="ignore", over="ignore"):
             t = -np.log(va)
-        return match_input(v, self.scale * t ** (1.0 / self.shape))
+            out = self.scale * t ** (1.0 / self.shape)
+        return match_input(v, out)
 
 
 _FAMILIES = {"exp": Exponential, "lfr": LinearFailureRate, "weibull": Weibull}

@@ -19,6 +19,7 @@ Supported relations between margins X and Y:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache
 from typing import Callable
@@ -52,15 +53,13 @@ GL_NODES = 16
 GL_PANELS = (32, 64)
 # grid points per integrand call: bounds each (points x nodes) temporary to 1.5 MB
 GL_BLOCK = 128
-# halvings of each bracketed grid's quantile search, and how many levels of
-# its bisection tree one call of the mixture CDF evaluates
+# halvings of each bracketed grid's quantile search
 BISECT_STEPS = 80
-BISECT_LEVELS = 6
 
 
 @dataclass(frozen=True)
 class Grid:
-    """Strictly increasing evaluation grid of positive reals."""
+    """Strictly increasing evaluation grid of positive finite reals."""
 
     points: np.ndarray
     policy: str = "custom"
@@ -69,6 +68,8 @@ class Grid:
         pts = as_float_array(self.points)
         if pts.ndim != 1 or pts.size < 2:
             raise ValueError("grid needs at least two points")
+        if not np.all(np.isfinite(pts)):
+            raise ValueError("grid points must be finite")
         if np.any(pts <= 0.0):
             raise ValueError("grid points must be positive")
         if np.any(np.diff(pts) <= 0.0):
@@ -106,8 +107,10 @@ class Grid:
         """Log-spaced grid spanning the [q_lo, q_hi] quantiles of the equal
         mixture of the two margins, avoiding both indeterminate tails."""
 
+        # the bisection points are nonnegative: straight to the margins' cores
         def mix_cdf(x):
-            return 0.5 * (dist_x.cdf(x) + dist_y.cdf(x))
+            xa = as_float_array(x)
+            return 0.5 * (-np.expm1(-dist_x._chz(xa)) + -np.expm1(-dist_y._chz(xa)))
 
         lo = min(dist_x.quantile(q_lo), dist_y.quantile(q_lo))
         hi = max(dist_x.quantile(q_hi), dist_y.quantile(q_hi))
@@ -129,8 +132,12 @@ class Grid:
         component), and ratios of system cumulative hazards are indeterminate
         outside this range, so the margins' bracket is widened first."""
 
+        # SystemModel.survival on the cores: the points are nonnegative, so
+        # every margin survival lies in [0, 1]
         def mix_cdf(x):
-            return 1.0 - 0.5 * (sys1.survival(x) + sys2.survival(x))
+            xa = as_float_array(x)
+            sf1, sf2 = (s.distortion._evaluate(np.exp(-s.margin._chz(xa)), 0) for s in (sys1, sys2))
+            return 1.0 - 0.5 * (sf1 + sf2)
 
         lo = min(sys1.margin.quantile(q_lo), sys2.margin.quantile(q_lo))
         for _ in range(200):
@@ -147,45 +154,62 @@ class Grid:
     @classmethod
     def _bracketed(cls, mix_cdf, lo: float, hi: float, size: int, q_lo: float, q_hi: float,
                    policy: str) -> "Grid":
-        """Grid between the q_lo and q_hi quantiles of mix_cdf, both found by
-        BISECT_STEPS halvings of [lo, hi].
+        """Grid between the q_lo and q_hi quantiles of mix_cdf, both found as
+        the floats that BISECT_STEPS halvings of [lo, hi] reach.
 
-        One array call of mix_cdf covers the next BISECT_LEVELS levels of the
-        bisection tree of both targets: every midpoint those levels can reach,
-        each computed as 0.5 * (lo + hi) from the endpoints a halving-at-a-time
-        loop would hold there.  The tree is then walked by the same
-        `value < target` test, so the grid is the same floats as from one call
-        per halving, in ceil(BISECT_STEPS / BISECT_LEVELS) calls.
+        Each target keeps its bracket [a, b] and F there (the first call
+        evaluates lo and hi).  Each later call guesses the target by the
+        secant through (a, F(a)) and (b, F(b)), or the midpoint where that
+        is not finite or leaves [a, b], walks the halvings m = 0.5 * (a + b)
+        towards the guess, and evaluates every m of both walks at once.  The
+        halvings are taken while `F(m) < target` agrees with the guessed
+        side, and so is the first that disagrees, whose value is known: each
+        call takes at least one, and no grid depends on the guess.  A target
+        is done when its midpoint equals an end of its bracket (every later
+        bracket has that midpoint) or after BISECT_STEPS halvings, so the
+        grid is the same floats as from one call per halving.
         """
         build = cls.log_spaced if policy == "log" else cls.linear
         if hi <= lo:
             return build(lo, lo, size)
+        lo, hi = float(lo), float(hi)
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError(f"the quantile bracket [{lo!r}, {hi!r}] is not finite")
+        f_lo, f_hi = as_float_array(mix_cdf(np.array([lo, hi]))).tolist()
         targets = (q_lo, q_hi)
-        ends = [[float(lo), float(hi)], [float(lo), float(hi)]]
-        for start in range(0, BISECT_STEPS, BISECT_LEVELS):
-            depth = min(BISECT_LEVELS, BISECT_STEPS - start)
-            # the nodes of one tree level split [lo, hi] at the sorted points
-            # `cuts`: node k spans cuts[k]..cuts[k+1], and its children are
-            # nodes 2k (left) and 2k+1 (right) of the next level
-            cuts = np.array(ends)
-            levels = []
-            for _ in range(depth):
-                mid = 0.5 * (cuts[:, :-1] + cuts[:, 1:])
-                levels.append(mid)
-                finer = np.empty((2, 2 * cuts.shape[1] - 1))
-                finer[:, 0::2] = cuts
-                finer[:, 1::2] = mid
-                cuts = finer
-            # heap order: node i of the subtree has children 2i+1 and 2i+2
-            mids = np.concatenate(levels, axis=1)
-            values = as_float_array(mix_cdf(mids.ravel())).reshape(mids.shape)
-            for end, target, row_mid, row_val in zip(ends, targets, mids.tolist(), values.tolist()):
-                node = 0
-                for _ in range(depth):
-                    below = row_val[node] < target
-                    end[0 if below else 1] = row_mid[node]
-                    node = 2 * node + (2 if below else 1)
-        return build(0.5 * (ends[0][0] + ends[0][1]), 0.5 * (ends[1][0] + ends[1][1]), size)
+        # per target: a, b, F(a), F(b) and the halvings taken
+        state = [[lo, hi, f_lo, f_hi, 0], [lo, hi, f_lo, f_hi, 0]]
+        while True:
+            walks = []
+            for target, (a, b, fa, fb, steps) in zip(targets, state):
+                guess = a + (target - fa) * (b - a) / (fb - fa) if fb != fa else math.nan
+                if not a <= guess <= b:
+                    guess = 0.5 * (a + b)
+                walk = []
+                for _ in range(steps, BISECT_STEPS):
+                    m = 0.5 * (a + b)
+                    if m == a or m == b:
+                        break
+                    below = m < guess
+                    walk.append((m, below))
+                    a, b = (m, b) if below else (a, m)
+                walks.append(walk)
+            points = [m for walk in walks for m, _ in walk]
+            if not points:
+                break
+            values = as_float_array(mix_cdf(np.array(points))).tolist()
+            for target, end, walk in zip(targets, state, walks):
+                walk_values, values = values[: len(walk)], values[len(walk) :]
+                for (m, guessed), value in zip(walk, walk_values):
+                    below = value < target
+                    if below:
+                        end[0], end[2] = m, value
+                    else:
+                        end[1], end[3] = m, value
+                    end[4] += 1
+                    if below != guessed:
+                        break
+        return build(0.5 * (state[0][0] + state[0][1]), 0.5 * (state[1][0] + state[1][1]), size)
 
 
 @dataclass(frozen=True)

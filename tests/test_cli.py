@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from itertools import combinations
 from pathlib import Path
 
@@ -181,6 +182,23 @@ class TestCheckOrder:
         assert run(tmp_path, "check-order", payload) == 2
 
 
+    def test_quantile_past_the_float_range_is_one_error_line(self, tmp_path, capsys):
+        # Weibull(0.002)'s 0.999 quantile overflows: no grid can be built
+        payload = {
+            "system1": {"margin": {"family": "weibull", "shape": 0.002, "scale": 1.0}},
+            "system2": {"margin": {"family": "exp", "rate": 1.0}},
+            "relation": "c_star",
+        }
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(tmp_path, "check-order", payload) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: cannot grid the two margins: the quantile bracket [0.0, inf] is not finite\n"
+        )
+
+
 class TestSimulate:
     def test_csv_and_reproducibility(self, tmp_path):
         out = tmp_path / "sim.csv"
@@ -244,6 +262,15 @@ class TestSchemaValidation:
             "relation": "c_star",
         }
         assert run(tmp_path, "verify", bad) == 1
+
+    def test_quantile_past_the_float_range_is_a_spec_error(self, tmp_path, capsys):
+        system1 = {**SERIES3_SYSTEM, "margin": {"family": "weibull", "shape": 0.002, "scale": 1.0}}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(tmp_path, "verify", {**VERIFY_SPEC, "system1": system1}) == 1
+        assert capsys.readouterr().err == (
+            "error: cannot verify the two systems: the quantile bracket [0.0, inf] is not finite\n"
+        )
 
     def test_too_many_path_sets_is_a_spec_error(self, tmp_path, capsys):
         three_of_seven = {

@@ -134,6 +134,17 @@ class TestInvariants:
             assert d.quantile(1.0) == math.inf
             assert d.quantile(np.array([0.0, 1.0])).tolist() == [0.0, math.inf]
 
+    @pytest.mark.parametrize(
+        "d", [Weibull(0.002, 1.0), Exponential(1e-308)], ids=["weibull-shape-0.002", "exp-rate-1e-308"]
+    )
+    def test_isf_past_the_float_range_is_inf_without_warning(self, d):
+        # -log(0.001)^500 = 6.9^500 and 6.9 / 1e-308 overflow a float
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert d.isf(0.001) == math.inf
+            assert d.quantile(0.999) == math.inf
+            assert np.isinf(d.quantile(np.array([0.5, 0.999]))).tolist() == [False, True]
+
     @pytest.mark.parametrize("alpha", [0.05, 1.0, 1.7, 40.0])
     def test_lfr_beta_zero_isf_is_exponential_bit_for_bit(self, alpha):
         v = np.concatenate([[0.0, 5e-324, 1e-300], np.linspace(0.0, 1.0, 1001), np.geomspace(1e-12, 1.0, 500)])

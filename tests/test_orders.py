@@ -1,4 +1,3 @@
-import math
 import os
 import subprocess
 import sys
@@ -10,7 +9,6 @@ import pytest
 from coherent_age.copulas import FGM, GumbelHougaard, Independence
 from coherent_age.distributions import Exponential, LinearFailureRate, Weibull
 from coherent_age.orders import (
-    BISECT_LEVELS,
     BISECT_STEPS,
     Grid,
     check_monotone,
@@ -57,6 +55,27 @@ def sequential_bracketed(mix_cdf, lo, hi, size, q_lo, q_hi, policy):
     return build(float(ends[0]), float(ends[1]), size)
 
 
+def _lfr_mixture(x):
+    return 0.5 * (LFR_X.cdf(x) + LFR_Y.cdf(x))
+
+
+def _ulp_jitter(x):
+    # one ulp up or down by the parity of x's last mantissa bit: not monotone
+    v = _lfr_mixture(x)
+    odd = (np.asarray(x, dtype=float).view(np.uint64) & 1) == 1
+    return np.where(odd, np.nextafter(v, 2.0), np.nextafter(v, -1.0))
+
+
+# (mixture, lo, hi) on which a secant guess is wrong, undefined or not finite
+ADVERSARIAL_MIXTURES = {
+    "step": (lambda x: np.where(x < 2.0, 0.0, np.where(x < 5.0, 0.5, 1.0)), 1e-4, 10.0),
+    "flat": (lambda x: np.full_like(x, 0.5), 1e-4, 10.0),
+    "nan-above-1": (lambda x: np.where(x > 1.0, np.nan, _lfr_mixture(x)), 1e-4, 10.0),
+    "ulp-jitter": (_ulp_jitter, 1e-4, 10.0),
+    "ends-1e-300-1e300": (lambda x: np.minimum(x / 1e300, 1.0), 1e-300, 1e300),
+}
+
+
 class TestGrid:
     def test_log_spacing(self):
         g = Grid.log_spaced(0.01, 10.0, 101)
@@ -71,6 +90,16 @@ class TestGrid:
             Grid(np.array([0.0, 1.0]))
         with pytest.raises(ValueError):
             Grid(np.array([1.0, 1.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_points_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            Grid(np.array([1.0, 2.0, bad]))
+
+    def test_bracket_past_the_float_range_rejected(self):
+        # the 0.999 quantile of Weibull(0.002) is 6.9^500, past the float range
+        with pytest.raises(ValueError, match=r"quantile bracket \[0.0, inf\] is not finite"):
+            Grid.margin_bracketed(Weibull(0.002, 1.0), Exponential(1.0), size=5)
 
     @pytest.mark.parametrize("eps", [0.0, 0.5, 0.6, -0.1, float("nan")])
     def test_probability_rejects_eps_outside_open_half(self, eps):
@@ -121,29 +150,83 @@ class TestBatchedBracketing:
         monkeypatch.setattr(Grid, "_bracketed", classmethod(both))
         rng = np.random.default_rng(8080)
         families = set()
-        for i in range(40):
-            sys1, sys2 = random_instance(rng, ("c_star", "b_star")[i % 2])
+        pairs = [random_instance(rng, ("c_star", "b_star")[i % 2]) for i in range(40)]
+        # parallel(8) widens the system bracket far past the margins'; Weibull
+        # shape < 1 puts the lower quantiles many decades below the upper
+        parallel8 = k_of_n_paths(1, 8)
+        pairs += [
+            (kofn_system(1, 8, Weibull(0.4, 1.3)), kofn_system(2, 3, Weibull(0.7, 2.0))),
+            (SystemModel(parallel8, GumbelHougaard(1.5, 8), Weibull(0.6, 1.0)),
+             SystemModel(parallel8, Independence(8), Exponential(2.0))),
+        ]
+        for sys1, sys2 in pairs:
             families |= {type(sys1.copula).__name__, type(sys2.copula).__name__}
             for policy in ("log", "linear"):
                 Grid.margin_bracketed(sys1.margin, sys2.margin, size=11, policy=policy)
                 Grid.system_bracketed(sys1, sys2, size=11, policy=policy)
         assert families == {"Independence", "FGM", "GumbelHougaard", "ClaytonOakes"}
-        assert len(compared) == 160 and all(compared)
+        assert len(compared) == 4 * len(pairs) and all(compared)
 
     def test_mixture_cdf_calls_per_grid(self):
         calls = []
 
         def mix_cdf(x):
             calls.append(x.size)
-            return 0.5 * (LFR_X.cdf(x) + LFR_Y.cdf(x))
+            return _lfr_mixture(x)
 
         grid = Grid._bracketed(mix_cdf, 1e-4, 10.0, 11, 0.001, 0.999, "log")
-        assert len(calls) <= math.ceil(BISECT_STEPS / BISECT_LEVELS)
-        # each call holds the next levels of both targets' bisection trees
-        assert sum(calls) == 2 * sum(2**min(BISECT_LEVELS, BISECT_STEPS - start) - 1
-                                     for start in range(0, BISECT_STEPS, BISECT_LEVELS))
+        # the tree this replaced took ceil(80 / 6) = 14 calls
+        assert len(calls) < 14
         ref = sequential_bracketed(mix_cdf, 1e-4, 10.0, 11, 0.001, 0.999, "log")
         assert np.array_equal(grid.points, ref.points)
+
+    @pytest.mark.parametrize("name", sorted(ADVERSARIAL_MIXTURES))
+    def test_adversarial_mixtures_match_one_halving_per_call(self, name):
+        # no secant guess can be trusted here; the grid must not depend on it
+        mix_cdf, lo, hi = ADVERSARIAL_MIXTURES[name]
+        calls = []
+
+        def counted(x):
+            calls.append(x.size)
+            return mix_cdf(x)
+
+        for policy in ("log", "linear"):
+            calls.clear()
+            grid = Grid._bracketed(counted, lo, hi, 11, 0.001, 0.999, policy)
+            assert len(calls) <= BISECT_STEPS + 1
+            ref = sequential_bracketed(mix_cdf, lo, hi, 11, 0.001, 0.999, policy)
+            assert np.array_equal(grid.points, ref.points)
+
+    def test_empty_bracket_raises_like_the_reference(self):
+        calls = []
+
+        def mix_cdf(x):
+            calls.append(x.size)
+            return _lfr_mixture(x)
+
+        for lo, hi in ((1.0, 1.0), (2.0, 1.0)):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                sequential_bracketed(mix_cdf, lo, hi, 11, 0.001, 0.999, "linear")
+            with pytest.raises(ValueError, match="strictly increasing"):
+                Grid._bracketed(mix_cdf, lo, hi, 11, 0.001, 0.999, "linear")
+        assert calls == []
+
+    @pytest.mark.parametrize("lo", [1.0, 1.0 + 2.0**-52])
+    def test_stalled_bracket_takes_no_halving(self, lo):
+        # [lo, next float]: the midpoint rounds to lo (even) or to the upper
+        # end (odd lo), so every halving would keep it; only the ends are evaluated
+        hi = float(np.nextafter(lo, 2.0))
+        calls = []
+
+        def mix_cdf(x):
+            calls.append(x.size)
+            return np.full_like(x, 0.5)
+
+        with pytest.raises(ValueError, match="strictly increasing"):
+            Grid._bracketed(mix_cdf, lo, hi, 11, 0.001, 0.999, "linear")
+        assert calls == [2]
+        with pytest.raises(ValueError, match="strictly increasing"):
+            sequential_bracketed(mix_cdf, lo, hi, 11, 0.001, 0.999, "linear")
 
 
 class TestCheckMonotone:
