@@ -101,7 +101,7 @@ def _load_system(d: dict, where: str) -> SystemBlock:
     return SystemBlock(margin=margin, structure=structure, copula=copula)
 
 
-_TOL_KEYS = {"tol", "tol_fd", "sign_slack", "eps_endpoint"}
+_TOL_KEYS = {"tol", "sign_slack", "eps_endpoint"}
 _GRID_KEYS = {"policy", "size"}
 _SIM_DEFAULTS = {"sample_count": 100_000, "seed": 0, "stream_count": 4}
 _OUTPUT_KEYS = {"csv", "json"}
@@ -119,7 +119,6 @@ class RunSpec:
     grid_policy: str = "log"
     grid_size: int = 2001
     tol: float = 1e-9
-    tol_fd: float = 1e-6
     sign_slack: float = 1e-8
     eps_endpoint: float = 1e-3
     sim: SimConfig | None = None
@@ -140,7 +139,7 @@ def _check_final(spec: RunSpec) -> None:
         Grid.probability(spec.eps_endpoint, size)
     except ValueError as exc:
         raise SpecError(f"grid size {size}, eps_endpoint {spec.eps_endpoint!r}: {exc}") from exc
-    for key in ("tol", "tol_fd", "sign_slack"):
+    for key in ("tol", "sign_slack"):
         value = getattr(spec, key)
         if not (math.isfinite(value) and value >= 0.0):
             raise SpecError(f"{key} must be finite and >= 0, got {value!r}")
@@ -317,7 +316,6 @@ def _cmd_verify(spec: RunSpec) -> int:
         eps_endpoint=spec.eps_endpoint,
         grid_size=spec.grid_size,
         tol=spec.tol,
-        tol_fd=spec.tol_fd,
         sign_slack=spec.sign_slack,
         grid_policy=spec.grid_policy,
     )

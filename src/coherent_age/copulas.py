@@ -4,15 +4,18 @@ Four families: Independence, the trivariate Farlie-Gumbel-Morgenstern (FGM)
 perturbation of independence, Gumbel-Hougaard, and Clayton-Oakes.  All are
 exchangeable, so evaluating at a point with ``j`` coordinates equal to ``p``
 and the rest equal to 1 depends only on ``(p, j)``; that reduction, its
-derivative and its complement are what the distortion engine consumes.
+first two derivatives and its complement are what the distortion engine
+consumes.
 Evaluations switch to log-space wherever the direct form would overflow or
 underflow.
 
-Each family defines the three reductions once, as array cores ``_exch``,
-``_exch_deriv`` and ``_exch_compl`` on an already validated array with
-``1 <= j <= dim``.  The public ``exch``, ``exch_deriv`` and ``exch_compl``
-of the base class validate ``(p, j)`` once, answer ``j = 0`` and call the
-core; internal callers (the distortion engine) call the cores directly.
+Each family defines the reductions once, as array cores ``_exch``,
+``_exch_deriv``, ``_exch_second`` and ``_exch_compl`` on an already validated
+array with ``1 <= j <= dim``.  The public ``exch``, ``exch_deriv`` and
+``exch_compl`` of the base class validate ``(p, j)`` once, answer ``j = 0``
+and call the core; internal callers (the distortion engine) call the cores
+directly.  ``_exch_second`` feeds only the elasticity derivatives, which
+live on the open interval, and has no public wrapper.
 
 Clayton-Oakes uses the standard exchangeable Archimedean form
 ``(sum p_i^-theta - (n-1))^(-1/theta)``; it is an extension family here, kept
@@ -57,6 +60,10 @@ class Copula(ABC):
         """d/dp of ``_exch(pa, j)`` in closed form."""
 
     @abstractmethod
+    def _exch_second(self, pa: np.ndarray, j: int) -> np.ndarray:
+        """d^2/dp^2 of ``_exch(pa, j)`` in closed form, for 0 < p < 1."""
+
+    @abstractmethod
     def _exch_compl(self, pa: np.ndarray, j: int) -> np.ndarray:
         """1 - _exch(pa, j), computed without cancellation near p = 1."""
 
@@ -98,6 +105,9 @@ class Independence(Copula):
     def _exch_deriv(self, pa, j):
         return j * pa ** (j - 1)
 
+    def _exch_second(self, pa, j):
+        return j * (j - 1) * pa ** (j - 2) if j > 1 else np.zeros_like(pa)
+
     def _exch_compl(self, pa, j):
         with np.errstate(divide="ignore"):
             return np.where(pa > 0.0, -np.expm1(j * np.log(np.maximum(pa, 1e-300))), 1.0)
@@ -129,6 +139,13 @@ class FGM(Copula):
         if j < 3:
             return j * pa ** (j - 1)
         return 3.0 * pa**2 + 3.0 * self.theta * pa**2 * (1.0 - pa) ** 2 * (1.0 - 2.0 * pa)
+
+    def _exch_second(self, pa, j):
+        if j < 3:
+            return j * (j - 1) * pa ** (j - 2) if j > 1 else np.zeros_like(pa)
+        # 6p (1 + theta (1-p)(1 - 5p + 5p^2)), regrouped so that theta = -1
+        # does not cancel near p = 0; the bracket is positive on [0, 1]
+        return 6.0 * pa * ((1.0 + self.theta) - self.theta * pa * (6.0 - 10.0 * pa + 5.0 * pa**2))
 
     def _exch_compl(self, pa, j):
         q = 1.0 - pa
@@ -162,6 +179,11 @@ class GumbelHougaard(Copula):
         a = self._exponent(j)
         with np.errstate(divide="ignore"):
             return a * pa ** (a - 1.0)
+
+    def _exch_second(self, pa, j):
+        # a - 1 = expm1(ln j / theta) keeps its digits as theta grows
+        a = self._exponent(j)
+        return (a * math.expm1(math.log(j) / self.theta)) * pa ** (a - 2.0)
 
     def _exch_compl(self, pa, j):
         a = self._exponent(j)
@@ -208,6 +230,19 @@ class ClaytonOakes(Copula):
         # the limit points' log_kp can exceed the float range: exponentiate
         # only the direct ones
         return np.where(direct, np.exp(np.where(direct, log_kp, 0.0)), out)
+
+    def _exch_second(self, pa, j):
+        # K'' = K' (theta+1)(j-1) / (p S) with S = 1 + j (p^-theta - 1), in
+        # log space; past the cutoff S = j p^-theta to float precision
+        if j == 1:
+            return np.zeros_like(pa)
+        logp = np.log(pa)
+        w = -self.theta * logp
+        direct = w < _CLAYTON_LOG_CUTOFF
+        log_s = np.where(direct, np.log1p(j * np.expm1(np.minimum(w, _CLAYTON_LOG_CUTOFF))), math.log(j) + w)
+        return np.exp(
+            math.log(j * (j - 1) * (self.theta + 1.0)) - (self.theta + 2.0) * logp - (2.0 + 1.0 / self.theta) * log_s
+        )
 
     def _exch_compl(self, pa, j):
         out = np.ones_like(pa)

@@ -151,13 +151,23 @@ class LinearFailureRate(LifetimeDistribution):
     def isf(self, v):
         # positive root of beta*x^2 + x - t/alpha = 0, written so the
         # beta -> 0 limit needs no branch and small t loses no precision;
-        # at v = 0 (t = inf) the form reads inf/inf, so the root +inf is set
+        # at v = 0 (t = inf) the form reads inf/inf, so the root +inf is set,
+        # and a root past the float range is a quiet +inf
         va = as_float_array(v)
         with np.errstate(divide="ignore"):
             t = -np.log(va)
-        with np.errstate(invalid="ignore"):
-            root = 1.0 + np.sqrt(1.0 + 4.0 * self.beta * t / self.alpha)
-            out = np.asarray(2.0 * t / (self.alpha * root))
+        with np.errstate(invalid="ignore", over="ignore"):
+            scaled = self.alpha * (1.0 + np.sqrt(1.0 + 4.0 * self.beta * t / self.alpha))
+            out = np.asarray(2.0 * t / scaled)
+            # where alpha*root is not finite (4*beta*t/alpha past the float
+            # range, or alpha itself near it), the same root divided through
+            # by sqrt(alpha), (2t/sqrt(a)) / (sqrt(a) + sqrt(a + 4bt)), whose
+            # terms stay in range: hypot(sqrt(a), 2 sqrt(b) sqrt(t)) is
+            # sqrt(a + 4bt) without forming 4bt
+            wide = ~np.isfinite(scaled) & np.isfinite(t)
+            if np.any(wide):
+                ra, tw = math.sqrt(self.alpha), t[wide]
+                out[wide] = (2.0 * tw / ra) / (ra + np.hypot(ra, 2.0 * math.sqrt(self.beta) * np.sqrt(tw)))
         out[t == np.inf] = np.inf
         return match_input(v, out)
 

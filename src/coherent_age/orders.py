@@ -237,7 +237,7 @@ def _verdict_from_values(
     if direction not in ("incr", "decr"):
         raise ValueError(f"direction must be 'incr' or 'decr', got {direction!r}")
     finite = np.isfinite(values)
-    skipped = pre_skipped + int(np.sum(~finite))
+    skipped = pre_skipped + finite.size - int(np.count_nonzero(finite))
     xs_kept = xs[finite]
     kept = values[finite]
     total = xs.size + pre_skipped
@@ -293,7 +293,7 @@ def _sign_verdict(xs: np.ndarray, values: np.ndarray, sign: str, tol: float, rel
     if sign not in ("nonpositive", "nonnegative"):
         raise ValueError(f"sign must be 'nonpositive' or 'nonnegative', got {sign!r}")
     finite = np.isfinite(values)
-    skipped = int(np.sum(~finite))
+    skipped = finite.size - int(np.count_nonzero(finite))
     kept = values[finite]
     total = xs.size
     xs = xs[finite]
@@ -313,7 +313,7 @@ def _ratio_verdict(xs, num, den, direction, tol, relation) -> OrderVerdict:
     num = as_float_array(num)
     den = as_float_array(den)
     keep = np.isfinite(num) & np.isfinite(den) & (np.abs(den) >= RATIO_FLOOR)
-    pre_skipped = int(np.sum(~keep))
+    pre_skipped = keep.size - int(np.count_nonzero(keep))
     if not np.any(keep):
         raise ValueError("empty grid after skipping flagged points")
     ratio = num[keep] / den[keep]

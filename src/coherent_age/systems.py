@@ -17,13 +17,19 @@ functionals
 
     H(p) = p h'(p) / h(p)        R(p) = (1-p) h'(p) / (1 - h(p))
 
-and their derivatives by second-level central differences.  Under
-independent components h is a polynomial and h, 1-h and h' are evaluated in
-Bernstein form, sum_k w_k p^k (1-p)^(deg-k), whose weights count the
-component subsets that contain a path set (the structure's signature
-representation): every term is nonnegative, so nothing cancels near p = 0
-or p = 1.  Dependent copulas use the signed sum of c_j K_j, which can cancel
-in 1-h and h' near p = 1 for parallel-heavy structures.
+and their derivatives in closed form from h, 1-h, h' and h'':
+
+    (1-p) H'/H = (1-p) (1/p + h''/h' - h'/h)
+    p R'/R     = p (-1/(1-p) + h''/h' + h'/(1-h))
+
+so an elasticity and its relative slope on a p-grid cost three evaluations
+of the distortion.  Under independent components h is a polynomial and h,
+1-h, h' and h'' are evaluated in Bernstein form, sum_k w_k p^k (1-p)^(deg-k),
+whose weights for h count the component subsets that contain a path set
+(the structure's signature representation): the terms of h, 1-h and h' are
+nonnegative, so nothing cancels near p = 0 or p = 1.  Dependent copulas use
+the signed sum of c_j K_j, which can cancel in 1-h and h' near p = 1 for
+parallel-heavy structures.
 """
 
 from __future__ import annotations
@@ -48,8 +54,6 @@ __all__ = [
 
 # endpoint clamp for the elasticity functionals, defined on the open interval
 EPS_CLAMP = 1e-9
-# central-difference step for H'/R'
-FD_STEP_ELASTICITY = 1e-5
 # inclusion-exclusion grouped by union is exact, but holds up to 2^r - 1
 # unions when they are all distinct (parallel(r)); refuse beyond
 MAX_PATH_SETS = 20
@@ -115,16 +119,16 @@ def k_of_n_paths(k: int, n: int) -> Structure:
 @dataclass(frozen=True)
 class Distortion:
     """h(p) = sum_j c_j K_j(p) with signed integer coefficients over one copula,
-    with its derivative and elasticity functionals.
+    with its derivatives and elasticity functionals.
 
     Coefficients must sum to 1 (h(1) = 1) and carry j >= 1 only (h(0) = 0).
-    Under independence h, 1-h and h' are evaluated in Bernstein form instead,
-    from weights derived once from the exact coefficients.
+    Under independence h, 1-h, h' and h'' are evaluated in Bernstein form
+    instead, from weights derived once from the exact coefficients.
     """
 
     copula: Copula
     coeffs: tuple[tuple[int, int], ...]
-    # (h, 1-h, h') Bernstein weights under independence, None otherwise
+    # (h, 1-h, h', h'') Bernstein weights under independence, None otherwise
     _bernstein: tuple | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -142,7 +146,7 @@ class Distortion:
         if isinstance(self.copula, Independence):
             object.__setattr__(self, "_bernstein", _bernstein_weights(self.copula.dim, self.coeffs))
 
-    # each public function validates its argument once; _evaluate, _H and _R never do
+    # each public function validates its argument once; _evaluate and _elasticity never do
     def h(self, p):
         return match_input(p, self._evaluate(self._check_unit(p), 0))
 
@@ -155,14 +159,17 @@ class Distortion:
         return match_input(p, self._evaluate(self._check_open(p), 2))
 
     def _evaluate(self, p, which: int) -> np.ndarray:
-        """h, 1-h or h' (which = 0, 1, 2) on a validated argument: Bernstein
-        weights under independence, else sum_j c_j K_j with the copula's core."""
+        """h, 1-h, h' or h'' (which = 0, 1, 2, 3) on a validated argument:
+        Bernstein weights under independence, else sum_j c_j K_j with the
+        copula's core."""
         # a 0-d array for scalar input, never a numpy scalar: scalar and
-        # array powers can differ in the last ulp, which H' and R' amplify
+        # array powers can differ in the last ulp, and a scalar call must
+        # match the same point of an array call
         pa = as_float_array(p)
         if self._bernstein is not None:
             return _bernstein_sum(pa, self._bernstein[which])
-        core = (self.copula._exch, self.copula._exch_compl, self.copula._exch_deriv)[which]
+        copula = self.copula
+        core = (copula._exch, copula._exch_compl, copula._exch_deriv, copula._exch_second)[which]
         out = np.zeros_like(pa)
         for j, c in self.coeffs:
             out += c * core(pa, j)
@@ -174,32 +181,55 @@ class Distortion:
         Degenerate points are flagged: inf when h underflows with a nonzero
         numerator, nan when numerator and denominator both underflow.
         """
-        # h's [0, 1] rule, then the clamp to the open interval
-        return match_input(p, self._H(np.clip(self._check_unit(p), EPS_CLAMP, 1.0 - EPS_CLAMP)))
+        return match_input(p, self._elasticity(self._clamped(p), "H", slope=False))
 
     def R(self, p):
         """Reversed-hazard elasticity (1-p) h'(p)/(1-h(p)) with the same flag policy."""
-        return match_input(p, self._R(np.clip(self._check_unit(p), EPS_CLAMP, 1.0 - EPS_CLAMP)))
+        return match_input(p, self._elasticity(self._clamped(p), "R", slope=False))
 
     def H_prime(self, p):
-        """Central difference of H; imposes a ~1e-8 accuracy floor on
-        monotonicity checks built from it."""
-        return self._elasticity_prime(self._H, p)
+        """dH/dp = H (1/p + h''/h' - h'/h), in closed form."""
+        value, dlog = self._elasticity(self._check_open(p), "H")
+        return match_input(p, value * dlog)
 
     def R_prime(self, p):
-        return self._elasticity_prime(self._R, p)
+        """dR/dp = R (-1/(1-p) + h''/h' + h'/(1-h)), in closed form."""
+        value, dlog = self._elasticity(self._check_open(p), "R")
+        return match_input(p, value * dlog)
 
-    def _H(self, pa) -> np.ndarray:
-        return _flagged_ratio(pa * self._evaluate(pa, 2), self._evaluate(pa, 0))
+    def elasticity_profile(self, p, kind: str):
+        """(H, (1-p) H'/H) for kind "H", or (R, p R'/R) for kind "R".
 
-    def _R(self, pa) -> np.ndarray:
-        return _flagged_ratio((1.0 - pa) * self._evaluate(pa, 2), self._evaluate(pa, 1))
+        Both come from three evaluations on the clamped argument, h, h' and
+        h'' for H and 1-h, h' and h'' for R, with the flag policy of H and R.
+        These are the arrays behind conditions (i)-(iii) of a certificate.
+        """
+        if kind not in ("H", "R"):
+            raise ValueError(f"kind must be 'H' or 'R', got {kind!r}")
+        pa = self._clamped(p)
+        value, dlog = self._elasticity(pa, kind)
+        return match_input(p, value), match_input(p, (1.0 - pa if kind == "H" else pa) * dlog)
 
-    def _elasticity_prime(self, core, p):
-        pa = self._check_open(p)
-        lo = np.maximum(pa - FD_STEP_ELASTICITY, EPS_CLAMP)
-        hi = np.minimum(pa + FD_STEP_ELASTICITY, 1.0 - EPS_CLAMP)
-        return match_input(p, (core(hi) - core(lo)) / (hi - lo))
+    def _elasticity(self, pa, kind: str, slope: bool = True):
+        """H or R on a validated argument in the open interval, and with
+        slope its logarithmic derivative d ln H/dp or d ln R/dp."""
+        d1 = self._evaluate(pa, 2)
+        if kind == "H":
+            hv = self._evaluate(pa, 0)
+            value = _flagged_ratio(pa * d1, hv)
+        else:
+            omh = self._evaluate(pa, 1)
+            value = _flagged_ratio((1.0 - pa) * d1, omh)
+        if not slope:
+            return value
+        curvature = _flagged_ratio(self._evaluate(pa, 3), d1)
+        if kind == "H":
+            return value, 1.0 / pa + curvature - _flagged_ratio(d1, hv)
+        return value, -1.0 / (1.0 - pa) + curvature + _flagged_ratio(d1, omh)
+
+    def _clamped(self, p) -> np.ndarray:
+        # h's [0, 1] rule, then the clamp to the open interval
+        return np.clip(self._check_unit(p), EPS_CLAMP, 1.0 - EPS_CLAMP)
 
     @staticmethod
     def _check_unit(p) -> np.ndarray:
@@ -217,23 +247,26 @@ class Distortion:
 
 
 def _bernstein_weights(n: int, coeffs) -> tuple[tuple[float, ...], ...]:
-    """Bernstein weights of h, 1-h and h' for h = sum_j c_j p^j.
+    """Bernstein weights of h, 1-h, h' and h'' for h = sum_j c_j p^j.
 
     p^j = sum_k C(n-j, k-j) p^k (1-p)^(n-k), so h has the degree-n weights
     N_k = sum_j c_j C(n-j, k-j), the number of k-subsets of components that
     contain a path set; 1-h has C(n,k) - N_k; h' has the degree-(n-1)
-    weights D_k = (k+1) N_(k+1) - (n-k) N_k.  All three are nonnegative for a
-    coherent structure.
+    weights D_k = (k+1) N_(k+1) - (n-k) N_k, and h'' the degree-(n-2)
+    weights (k+1) D_(k+1) - (n-1-k) D_k.  The first three are nonnegative
+    for a coherent structure; h'' changes sign where h' turns.
     """
     counts = [sum(c * comb(n - j, k - j) for j, c in coeffs if j <= k) for k in range(n + 1)]
     compl = [comb(n, k) - counts[k] for k in range(n + 1)]
     deriv = [(k + 1) * counts[k + 1] - (n - k) * counts[k] for k in range(n)]
-    return tuple(tuple(float(w) for w in weights) for weights in (counts, compl, deriv))
+    second = [(k + 1) * deriv[k + 1] - (n - 1 - k) * deriv[k] for k in range(n - 1)]
+    return tuple(tuple(float(w) for w in weights) for weights in (counts, compl, deriv, second))
 
 
 def _bernstein_sum(pa: np.ndarray, weights: tuple[float, ...]) -> np.ndarray:
-    """sum_k w_k p^k (1-p)^(deg-k), deg = len(weights) - 1; with nonnegative
-    weights every term is nonnegative, so nothing cancels."""
+    """sum_k w_k p^k (1-p)^(deg-k), deg = len(weights) - 1 (zero for no
+    weights); with nonnegative weights every term is nonnegative, so nothing
+    cancels."""
     q = 1.0 - pa
     deg = len(weights) - 1
     out = np.zeros_like(pa)

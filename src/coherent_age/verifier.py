@@ -63,17 +63,16 @@ EXIT_INCONCLUSIVE = 3
 class VerifyConfig:
     """Tolerances and grids for one certification run.
 
-    tol applies to closed-form checks; tol_fd to checks contaminated by the
-    second-level finite differences behind H'/R'; sign_slack classifies
-    identically-zero sign conditions as boundary passes.  grid_size is the
-    size of both the p-grid on [eps_endpoint, 1-eps_endpoint] and the x-grid
-    bracketing the two margins, which grid_policy spaces "log" or "linear".
+    tol applies to every ratio and monotonicity check, all of them built
+    from closed forms; sign_slack classifies identically-zero sign conditions
+    as boundary passes.  grid_size is the size of both the p-grid on
+    [eps_endpoint, 1-eps_endpoint] and the x-grid bracketing the two margins,
+    which grid_policy spaces "log" or "linear".
     """
 
     eps_endpoint: float = 1e-3
     grid_size: int = 2001
     tol: float = 1e-9
-    tol_fd: float = 1e-6
     sign_slack: float = 1e-8
     grid_policy: str = "log"
 
@@ -157,19 +156,13 @@ def _ratio_condition(name, p, num, den, direction, tol) -> ConditionEntry:
     return _combine(name, [_ratio_verdict(p, num, den, direction, tol, name)])
 
 
-def _elasticity_sign_condition(name, dist, kind, p, elasticity, sign_slack, tol_fd) -> ConditionEntry:
+def _elasticity_sign_condition(name, kind, p, values, sign_slack, tol) -> ConditionEntry:
     """Condition of the form '(1-p)H'/H negative and decreasing' (kind='H')
-    or 'p R'/R positive and decreasing' (kind='R'); `elasticity` is H or R of
-    dist on the p-grid."""
-    if kind == "H":
-        values = (1.0 - p) * np.asarray(dist.H_prime(p), dtype=float) / elasticity
-        sign = "nonpositive"
-    else:
-        values = p * np.asarray(dist.R_prime(p), dtype=float) / elasticity
-        sign = "nonnegative"
-
+    or 'p R'/R positive and decreasing' (kind='R'); `values` are that
+    relative slope on the p-grid."""
+    sign = "nonpositive" if kind == "H" else "nonnegative"
     sign_verdict = _sign_verdict(p, values, sign, sign_slack, f"{name}:sign")
-    mono_verdict = _verdict_from_values(p, values, "decr", tol_fd, f"{name}:decreasing")
+    mono_verdict = _verdict_from_values(p, values, "decr", tol, f"{name}:decreasing")
 
     finite = values[np.isfinite(values)]
     # boundary: the sign condition holds only by slack (identically-zero case)
@@ -201,14 +194,15 @@ def _verify(sys1: SystemModel, sys2: SystemModel, relation: str, cfg: VerifyConf
     pgrid = cfg.p_grid()
     xgrid = Grid.margin_bracketed(sys1.margin, sys2.margin, size=cfg.grid_size, policy=cfg.grid_policy)
     p = pgrid.points
-    # H for c_star, R for b_star: each elasticity feeds (i) and its own (ii)/(iii)
+    # H for c_star, R for b_star: each elasticity feeds (i), and its relative
+    # slope its own (ii)/(iii); one profile per distortion, three evaluations
     kind = "H" if relation == "c_star" else "R"
-    e1, e2 = (np.asarray(getattr(d, kind)(p), dtype=float) for d in (sys1.distortion, sys2.distortion))
+    (e1, g1), (e2, g2) = (d.elasticity_profile(p, kind) for d in (sys1.distortion, sys2.distortion))
     st_pair = (sys2, sys1) if relation == "c_star" else (sys1, sys2)
     entries = {
         "i": _ratio_condition("i", p, e1, e2, "decr" if relation == "c_star" else "incr", cfg.tol),
-        "ii": _elasticity_sign_condition("ii", sys1.distortion, kind, p, e1, cfg.sign_slack, cfg.tol_fd),
-        "iii": _elasticity_sign_condition("iii", sys2.distortion, kind, p, e2, cfg.sign_slack, cfg.tol_fd),
+        "ii": _elasticity_sign_condition("ii", kind, p, g1, cfg.sign_slack, cfg.tol),
+        "iii": _elasticity_sign_condition("iii", kind, p, g2, cfg.sign_slack, cfg.tol),
         "iv": _margin_condition("iv", sys1, sys2, relation, st_pair, xgrid, cfg.tol),
     }
 

@@ -451,7 +451,7 @@ class TestSchemaValidation:
         assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("value", [math.inf, math.nan, -1.0], ids=["inf", "nan", "negative"])
-    @pytest.mark.parametrize("source", ["tol", "tol_fd", "sign_slack", "--tol"])
+    @pytest.mark.parametrize("source", ["tol", "sign_slack", "--tol"])
     def test_out_of_range_tolerance_is_a_spec_error(self, tmp_path, capsys, source, value):
         # the final tolerances, from the spec or the flag, must be finite and >= 0
         if source.startswith("--"):
@@ -461,6 +461,12 @@ class TestSchemaValidation:
         assert code == 1
         name = source.lstrip("-")
         assert capsys.readouterr().err == f"error: {name} must be finite and >= 0, got {value!r}\n"
+
+    def test_finite_difference_tolerance_is_refused(self, tmp_path, capsys):
+        # the elasticity derivatives are closed forms; no tolerance of their own
+        code = run(tmp_path, "verify", {**VERIFY_SPEC, "tolerances": {"tol_fd": 1e-6}})
+        assert code == 1
+        assert capsys.readouterr().err == "error: unknown fields in tolerances: ['tol_fd']\n"
 
     def test_integral_float_grid_size_is_accepted(self, tmp_path, capsys):
         tables = []

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from corpus_helpers import copula_eval
 from hypothesis import given, strategies as st
+from mpmath import mp, mpf
 
 from coherent_age.copulas import (
     ClaytonOakes,
@@ -153,6 +154,15 @@ class TestExchangeableReduction:
             value = ClaytonOakes(30.0, 3).exch_deriv(1e-300, 2)
         assert value == 2.0 ** (-1.0 / 30.0)
 
+    def test_clayton_second_derivative_across_the_cutoff(self):
+        # past the cutoff K'' = j^(-1/theta) (theta+1)(j-1)/j p^(theta-1)
+        cop = ClaytonOakes(theta=2.0, dim=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for p in (math.exp(-249.0), math.exp(-251.0)):
+                limit = 3.0 ** (-0.5) * 3.0 * 2.0 / 3.0 * p
+                assert cop._exch_second(np.array(p), 3) == pytest.approx(limit, rel=1e-9)
+
     @given(
         p1=st.floats(min_value=0.001, max_value=0.999),
         p2=st.floats(min_value=0.001, max_value=0.999),
@@ -162,6 +172,41 @@ class TestExchangeableReduction:
         for cop in all_families():
             for j in (1, cop.dim):
                 assert cop.exch(lo, j) <= cop.exch(hi, j) + 1e-15
+
+
+def exact_exch(cop, t, j):
+    """K_j at an mpmath point from each family's closed form."""
+    if isinstance(cop, Independence):
+        return t**j
+    if isinstance(cop, FGM):
+        return t**j if j < 3 else t**3 * (1 + cop.theta * (1 - t) ** 3)
+    if isinstance(cop, GumbelHougaard):
+        return t ** (j ** (1 / mpf(cop.theta)))
+    theta = mpf(cop.theta)
+    return (j * t**-theta - (j - 1)) ** (-1 / theta)
+
+
+SECOND_DERIVATIVE_EDGES = [
+    ClaytonOakes(0.05, 4),
+    ClaytonOakes(8.0, 4),
+    GumbelHougaard(1.0, 4),
+    GumbelHougaard(3.0, 4),
+    FGM(1.0),
+    FGM(-1.0),
+    Independence(4),
+]
+
+
+class TestSecondDerivative:
+    @pytest.mark.parametrize("cop", SECOND_DERIVATIVE_EDGES, ids=repr)
+    def test_matches_50_digit_reference(self, cop):
+        # K_j'' against mpmath's numerical derivative of the closed form K_j
+        p = np.array([0.001, 0.5, 0.999])
+        np.testing.assert_array_equal(cop._exch_second(p, 1), 0.0)  # K_1 = p
+        with mp.workdps(50):
+            for j in range(2, cop.dim + 1):
+                want = [float(mp.diff(lambda t: exact_exch(cop, t, j), mpf(x), 2)) for x in p]
+                np.testing.assert_allclose(cop._exch_second(p, j), want, rtol=1e-12, atol=0.0)
 
 
 class TestValidation:

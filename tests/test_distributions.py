@@ -135,7 +135,9 @@ class TestInvariants:
             assert d.quantile(np.array([0.0, 1.0])).tolist() == [0.0, math.inf]
 
     @pytest.mark.parametrize(
-        "d", [Weibull(0.002, 1.0), Exponential(1e-308)], ids=["weibull-shape-0.002", "exp-rate-1e-308"]
+        "d",
+        [Weibull(0.002, 1.0), Exponential(1e-308), LinearFailureRate(1e-308, 0.0)],
+        ids=["weibull-shape-0.002", "exp-rate-1e-308", "lfr-alpha-1e-308"],
     )
     def test_isf_past_the_float_range_is_inf_without_warning(self, d):
         # -log(0.001)^500 = 6.9^500 and 6.9 / 1e-308 overflow a float
@@ -144,6 +146,26 @@ class TestInvariants:
             assert d.isf(0.001) == math.inf
             assert d.quantile(0.999) == math.inf
             assert np.isinf(d.quantile(np.array([0.5, 0.999]))).tolist() == [False, True]
+
+    @pytest.mark.parametrize(
+        "alpha, beta", [(1e-308, 1e300), (5e-324, 1e300), (1.0, 1e308), (1e308, 0.0), (1e308, 1e308)]
+    )
+    def test_lfr_quantile_where_the_root_form_overflows(self, alpha, beta):
+        # 4*beta*t/alpha (or alpha times the root) is past the float range,
+        # the quantile is not: compare with the root at 50 digits
+        from mpmath import mp, mpf, sqrt
+
+        u = np.array([0.0, 0.5, 0.999])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = LinearFailureRate(alpha, beta).quantile(u)
+        with mp.workdps(50):
+            a, b = mpf(alpha), mpf(beta)
+            for level, x in zip(u[1:], got[1:]):
+                t = -mp.log(mpf(1.0 - level))
+                want = 2 * t / (a * (1 + sqrt(1 + 4 * b * t / a)))
+                assert x == pytest.approx(float(want), rel=1e-14)
+        assert got[0] == 0.0
 
     @pytest.mark.parametrize("alpha", [0.05, 1.0, 1.7, 40.0])
     def test_lfr_beta_zero_isf_is_exponential_bit_for_bit(self, alpha):

@@ -4,6 +4,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from mpmath import mp, mpf
 
 from coherent_age.copulas import ClaytonOakes, FGM, GumbelHougaard, Independence
 from coherent_age.distributions import Exponential, LinearFailureRate
@@ -300,7 +301,57 @@ class TestElasticities:
         p = np.linspace(0.05, 0.95, 61)
         np.testing.assert_allclose((1 - p) * d.H_prime(p) / d.H(p), 0.0, atol=1e-9)
         expected = (a - 1 - a * p + p**a) / (1 - p - p**a + p ** (a + 1))
-        np.testing.assert_allclose(p * d.R_prime(p) / d.R(p), expected, rtol=1e-4)
+        np.testing.assert_allclose(p * d.R_prime(p) / d.R(p), expected, rtol=1e-10)
+
+    @pytest.mark.parametrize("k, n", [(1, 1), (1, 4), (2, 4), (4, 4), (3, 6)])
+    def test_bernstein_second_derivative_matches_signed_sum(self, k, n):
+        # Gumbel theta = 1 is independence through the signed sum of p^j
+        p = np.linspace(0.05, 0.95, 19)
+        bern = build_distortion(k_of_n_paths(k, n), Independence(n))
+        signed = build_distortion(k_of_n_paths(k, n), GumbelHougaard(1.0, n))
+        np.testing.assert_allclose(bern._evaluate(p, 3), signed._evaluate(p, 3), rtol=1e-10, atol=1e-10)
+
+    @pytest.mark.parametrize("kind", ["H", "R"])
+    def test_profile_matches_the_public_functionals(self, kind):
+        d = build_distortion(k_of_n_paths(2, 4), GumbelHougaard(1.5, 4))
+        p = np.linspace(0.0, 1.0, 101)  # the endpoints clamp like H and R
+        value, slope = d.elasticity_profile(p, kind)
+        np.testing.assert_array_equal(value, getattr(d, kind)(p))
+        pc = np.clip(p, 1e-9, 1 - 1e-9)
+        weight = 1 - pc if kind == "H" else pc
+        np.testing.assert_allclose(slope, weight * getattr(d, f"{kind}_prime")(pc) / value, rtol=1e-13)
+        with pytest.raises(ValueError, match="kind must be"):
+            d.elasticity_profile(p, "h")
+
+    @pytest.mark.parametrize(
+        "structure, copula, p",
+        [(Structure.parallel(5), Independence(5), 0.999), (k_of_n_paths(2, 4), GumbelHougaard(1.5, 4), 0.001)],
+        ids=["parallel5-independence-0.999", "2of4-gumbel1.5-0.001"],
+    )
+    def test_elasticity_derivatives_match_50_digit_reference(self, structure, copula, p):
+        # H' and R' against mpmath's derivatives of H and R, built from the
+        # exact K_j = p^(j^(1/theta)) (theta = 1 is independence)
+        d = build_distortion(structure, copula)
+        with mp.workdps(50):
+            theta = mpf(getattr(copula, "theta", 1))
+
+            def h(t):
+                return sum(c * t ** (mpf(j) ** (1 / theta)) for j, c in d.coeffs)
+
+            def H(t):
+                return t * mp.diff(h, t) / h(t)
+
+            def R(t):
+                return (1 - t) * mp.diff(h, t) / (1 - h(t))
+
+            want_h, want_r = (float(mp.diff(f, mpf(p))) for f in (H, R))
+        assert d.H_prime(p) == pytest.approx(want_h, rel=1e-10)
+        if abs(want_r) > 1e-30:
+            assert d.R_prime(p) == pytest.approx(want_r, rel=1e-10)
+        else:
+            # parallel(n) under independence: R = n, so R' = 0 (mpmath reads
+            # 1e-45) against terms of order n/(1-p)
+            assert d.R_prime(p) == pytest.approx(0.0, abs=1e-10)
 
     @pytest.mark.parametrize(
         "p", [1.5, -0.3, [0.5, 1.5], [-0.3, 0.5]], ids=["1.5", "-0.3", "array-1.5", "array--0.3"]

@@ -4,7 +4,7 @@ from corpus_helpers import random_instance
 
 from coherent_age.copulas import FGM, GumbelHougaard, Independence
 from coherent_age.distributions import Exponential, LinearFailureRate
-from coherent_age.systems import Structure, SystemModel, k_of_n_paths
+from coherent_age.systems import Distortion, Structure, SystemModel, k_of_n_paths
 from coherent_age.verifier import (
     VerifyConfig,
     corollary_index_check,
@@ -167,6 +167,30 @@ class TestSoundness:
                         sys2.margin,
                     )
         assert certified >= 5  # the corpus must actually exercise certification
+
+
+class TestEvaluateOnce:
+    @pytest.mark.parametrize("relation, verify", [("c_star", verify_cstar), ("b_star", verify_bstar)])
+    def test_three_distortion_evaluations_per_system_on_the_p_grid(self, monkeypatch, relation, verify):
+        # conditions (i)-(iii) need h or 1-h, h' and h'' once each; the
+        # Bernstein engine (system 2) and the signed sum (system 1) alike
+        # every argument of the p-grid's size counts, shifted copies too; the
+        # direct check's system grid has the default 2001 points
+        evaluate = Distortion._evaluate
+        calls = []
+
+        def counted(self, pa, which):
+            if np.size(pa) == FAST_CFG.grid_size:
+                calls.append((id(self), which))
+            return evaluate(self, pa, which)
+
+        monkeypatch.setattr(Distortion, "_evaluate", counted)
+        sys1, sys2 = fgm_pair_series_system(), series3_independent_system()
+        verify(sys1, sys2, FAST_CFG)
+        first = 0 if relation == "c_star" else 1
+        for system in (sys1, sys2):
+            made = sorted(which for owner, which in calls if owner == id(system.distortion))
+            assert made == [first, 2, 3]
 
 
 class TestReportShape:
