@@ -8,7 +8,10 @@ artifact records the sha256 of the input spec.
 Every spec field is read under the one rule in ``_num``: objects through
 ``_require``, numbers through ``_number``, ``_real`` and ``_integer``, and the
 margin and copula fragments through ``read_fragment``, whose field lists and
-defaults are the family classes' own.  Any breach raises ``SpecError``.
+defaults are the family classes' own.  The grid and tolerance settings,
+from the spec and the flags, are checked once by the ``VerifyConfig`` built
+from them, under the rule the library applies.  Any breach raises
+``SpecError``.
 
 Subcommands and exit codes:
 
@@ -26,7 +29,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import sys
 from dataclasses import dataclass
 
@@ -38,7 +40,7 @@ from .distributions import LifetimeDistribution, distribution_from_dict
 from .montecarlo import SimConfig, simulate_system
 from .orders import RELATIONS, Grid, OrderVerdict, check_order
 from .systems import Structure, SystemModel
-from .verifier import VerifyConfig, corollary_index_check, verify_bstar, verify_cstar
+from .verifier import DEFAULT_CONFIG, VerifyConfig, corollary_index_check, verify_bstar, verify_cstar
 
 __all__ = ["main", "SpecError", "load_spec", "parse_table", "format_float"]
 
@@ -116,11 +118,7 @@ class RunSpec:
     system1: SystemBlock | None = None
     system2: SystemBlock | None = None
     relation: str | None = None
-    grid_policy: str = "log"
-    grid_size: int = 2001
-    tol: float = 1e-9
-    sign_slack: float = 1e-8
-    eps_endpoint: float = 1e-3
+    cfg: VerifyConfig = DEFAULT_CONFIG
     sim: SimConfig | None = None
     out_csv: str | None = None
     out_json: str | None = None
@@ -129,20 +127,6 @@ class RunSpec:
     @property
     def sha256(self) -> str:
         return spec_hash(self.raw)
-
-
-def _check_final(spec: RunSpec) -> None:
-    """The one rule for the final values, spec or flag: an integral grid size
-    whose probability grid Grid accepts, and tolerances finite and >= 0."""
-    size = spec.grid_size = _integer(spec.grid_size, "grid size")
-    try:
-        Grid.probability(spec.eps_endpoint, size)
-    except ValueError as exc:
-        raise SpecError(f"grid size {size}, eps_endpoint {spec.eps_endpoint!r}: {exc}") from exc
-    for key in ("tol", "sign_slack"):
-        value = getattr(spec, key)
-        if not (math.isfinite(value) and value >= 0.0):
-            raise SpecError(f"{key} must be finite and >= 0, got {value!r}")
 
 
 def load_spec(
@@ -157,8 +141,8 @@ def load_spec(
     """Validate a raw spec dict for one subcommand; unknown fields are rejected.
 
     Keywords that are not None override the spec's values (the command-line
-    flags); the final grid size, eps_endpoint and tolerances are checked
-    after them.
+    flags); the final grid and tolerance settings are checked by the
+    VerifyConfig built from them, whose ValueError becomes a SpecError.
     """
     schemas = {
         "distortion": ({"system1"}, {"grid", "tolerances", "output"}),
@@ -190,18 +174,22 @@ def load_spec(
         if spec.relation not in allowed:
             raise SpecError(f"relation must be one of {allowed}, got {spec.relation!r}")
 
+    # VerifyConfig field names: grid.policy and grid.size gain a grid_ prefix
+    settings = {}
     if "grid" in raw:
         _require(raw["grid"], set(), _GRID_KEYS, "grid")
-        spec.grid_policy = raw["grid"].get("policy", spec.grid_policy)
-        if spec.grid_policy not in ("log", "linear"):
-            raise SpecError(f"grid policy must be 'log' or 'linear', got {spec.grid_policy!r}")
-        spec.grid_size = raw["grid"].get("size", spec.grid_size)
+        settings.update((f"grid_{key}", value) for key, value in raw["grid"].items())
 
     if "tolerances" in raw:
         _require(raw["tolerances"], set(), _TOL_KEYS, "tolerances")
-        for key in _TOL_KEYS:
-            if key in raw["tolerances"]:
-                setattr(spec, key, _real(raw["tolerances"][key], f"tolerances.{key}"))
+        settings.update((key, _real(value, f"tolerances.{key}")) for key, value in raw["tolerances"].items())
+
+    flags = {"grid_size": grid_size, "tol": tol, "eps_endpoint": eps_endpoint}
+    settings.update((key, value) for key, value in flags.items() if value is not None)
+    try:
+        spec.cfg = VerifyConfig(**settings)
+    except ValueError as exc:
+        raise SpecError(str(exc)) from exc
 
     if command == "simulate":
         block = raw.get("simulation", {})
@@ -220,13 +208,6 @@ def load_spec(
         spec.out_csv = raw["output"].get("csv")
         spec.out_json = raw["output"].get("json")
 
-    if grid_size is not None:
-        spec.grid_size = grid_size
-    if tol is not None:
-        spec.tol = tol
-    if eps_endpoint is not None:
-        spec.eps_endpoint = eps_endpoint
-    _check_final(spec)
     return spec
 
 
@@ -281,29 +262,23 @@ def _verdict_csv(meta: dict, verdict: OrderVerdict) -> str:
 # commands
 
 def _cmd_distortion(spec: RunSpec) -> int:
-    model = spec.system1.model("system1")
-    grid = Grid.probability(spec.eps_endpoint, spec.grid_size)
-    p = grid.points
-    dist = model.distortion
-    h = np.asarray(dist.h(p), dtype=float)
-    hp = np.asarray(dist.h_prime(p), dtype=float)
-    big_h = np.asarray(dist.H(p), dtype=float)
-    big_r = np.asarray(dist.R(p), dtype=float)
-    rows = [[float(a), float(b), float(c), float(d), float(e)] for a, b, c, d, e in zip(p, h, hp, big_h, big_r)]
+    dist = spec.system1.model("system1").distortion
+    p = spec.cfg.p_grid().points
+    columns = [np.asarray(f(p), dtype=float) for f in (dist.h, dist.h_prime, dist.H, dist.R)]
+    rows = [[float(v) for v in row] for row in zip(p, *columns)]
     text = emit_table({"spec_sha256": spec.sha256}, ["p", "h", "h_prime", "H", "R"], rows)
     _write(text, spec.out_csv)
-    numeric_flags = not (np.all(np.isfinite(h)) and np.all(np.isfinite(hp))
-                         and np.all(np.isfinite(big_h)) and np.all(np.isfinite(big_r)))
-    return 3 if numeric_flags else 0
+    # numeric flags: a non-finite value anywhere in the table
+    return 0 if np.all(np.isfinite(columns)) else 3
 
 
 def _cmd_check_order(spec: RunSpec) -> int:
     m1, m2 = spec.system1.margin, spec.system2.margin
     try:
-        grid = Grid.margin_bracketed(m1, m2, size=spec.grid_size, policy=spec.grid_policy)
+        grid = Grid.margin_bracketed(m1, m2, size=spec.cfg.grid_size, policy=spec.cfg.grid_policy)
     except ValueError as exc:
         raise SpecError(f"cannot grid the two margins: {exc}") from exc
-    verdict = check_order(m1, m2, spec.relation, grid=grid, tol=spec.tol)
+    verdict = check_order(m1, m2, spec.relation, grid=grid, tol=spec.cfg.tol)
     text = _verdict_csv({"spec_sha256": spec.sha256}, verdict)
     _write(text, spec.out_csv)
     return {"yes": 0, "no": 2, "inconclusive": 3}[verdict.holds]
@@ -312,16 +287,9 @@ def _cmd_check_order(spec: RunSpec) -> int:
 def _cmd_verify(spec: RunSpec) -> int:
     sys1 = spec.system1.model("system1")
     sys2 = spec.system2.model("system2")
-    cfg = VerifyConfig(
-        eps_endpoint=spec.eps_endpoint,
-        grid_size=spec.grid_size,
-        tol=spec.tol,
-        sign_slack=spec.sign_slack,
-        grid_policy=spec.grid_policy,
-    )
     verify = verify_cstar if spec.relation == "c_star" else verify_bstar
     try:
-        report = verify(sys1, sys2, cfg)
+        report = verify(sys1, sys2, spec.cfg)
     except ValueError as exc:
         raise SpecError(f"cannot verify the two systems: {exc}") from exc
     payload = {"spec_sha256": spec.sha256, **report.to_dict(), "exit_code": report.exit_code}

@@ -257,6 +257,13 @@ class ClaytonOakes(Copula):
         return out
 
 
+def _is_independence(copula: Copula) -> bool:
+    """Whether the copula is exactly the independence law: Independence
+    itself, GumbelHougaard at theta = 1 or FGM at theta = 0."""
+    return (isinstance(copula, Independence) or (isinstance(copula, GumbelHougaard) and copula.theta == 1.0)
+            or (isinstance(copula, FGM) and copula.theta == 0.0))
+
+
 _FAMILIES = {
     "independence": Independence,
     "fgm": FGM,

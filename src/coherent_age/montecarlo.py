@@ -5,11 +5,11 @@ Sampling is split across independent substreams spawned from one 64-bit seed
 concatenated in stream order, so output is bit-identical for a fixed
 (seed, stream_count).
 
-Samplers: independence draws directly; the trivariate FGM uses rejection
-against independence with density bound 1 + |theta|; Gumbel-Hougaard uses the
+Samplers: the independence law (Independence, Gumbel-Hougaard at theta = 1,
+FGM at theta = 0) draws directly; the trivariate FGM uses rejection against
+independence with density bound 1 + |theta|; Gumbel-Hougaard uses the
 positive-stable frailty construction (Chambers-Mallows-Stuck for the stable
-variable), short-circuiting to independence at theta = 1; Clayton-Oakes uses
-a gamma frailty.
+variable); Clayton-Oakes uses a gamma frailty.
 
 Rows are uniforms whose joint distribution function is the survival copula
 K, so component lifetimes are recovered through the survival inverse
@@ -24,7 +24,7 @@ from functools import reduce
 
 import numpy as np
 
-from .copulas import ClaytonOakes, Copula, FGM, GumbelHougaard, Independence
+from .copulas import ClaytonOakes, Copula, FGM, GumbelHougaard, _is_independence
 from .distributions import LifetimeDistribution
 from .systems import Structure, build_distortion
 
@@ -64,7 +64,7 @@ def sample_copula(copula: Copula, cfg: SimConfig) -> np.ndarray:
 
 
 def _sample_chunk(copula: Copula, count: int, rng: np.random.Generator) -> np.ndarray:
-    if isinstance(copula, Independence):
+    if _is_independence(copula):
         return rng.random((count, copula.dim))
     if isinstance(copula, FGM):
         return _sample_fgm(copula.theta, count, rng)
@@ -77,8 +77,6 @@ def _sample_chunk(copula: Copula, count: int, rng: np.random.Generator) -> np.nd
 
 def _sample_fgm(theta: float, count: int, rng: np.random.Generator,
                 max_rounds: int = _FGM_MAX_ROUNDS) -> np.ndarray:
-    if theta == 0.0:
-        return rng.random((count, 3))
     bound = 1.0 + abs(theta)
     out = np.empty((count, 3))
     filled = 0
@@ -107,8 +105,6 @@ def _sample_fgm(theta: float, count: int, rng: np.random.Generator,
 
 
 def _sample_gumbel(theta: float, dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    if theta == 1.0:
-        return rng.random((count, dim))
     alpha = 1.0 / theta
     # positive stable frailty with Laplace transform exp(-t^alpha)
     w = rng.uniform(0.0, np.pi, count)

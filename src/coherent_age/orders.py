@@ -226,38 +226,60 @@ class OrderVerdict:
     note: str = ""
 
 
-def _verdict_from_values(
+MONOTONE_RULES = ("incr", "decr")
+SIGN_RULES = ("nonpositive", "nonnegative")
+
+
+def _verdict(
     xs: np.ndarray,
     values: np.ndarray,
-    direction: str,
+    rule: str,
     tol: float,
     relation: str,
     pre_skipped: int = 0,
 ) -> OrderVerdict:
-    if direction not in ("incr", "decr"):
-        raise ValueError(f"direction must be 'incr' or 'decr', got {direction!r}")
+    """The one grid verdict: values at xs increasing or decreasing (rule in
+    MONOTONE_RULES), or <= 0 or >= 0 (SIGN_RULES), within tol.
+
+    Non-finite values are skipped and counted with the pre_skipped points
+    the caller dropped; more than MAX_SKIP_FRACTION of all points skipped,
+    or fewer than two kept points for a monotone rule, is inconclusive.
+    """
     finite = np.isfinite(values)
     skipped = pre_skipped + finite.size - int(np.count_nonzero(finite))
-    xs_kept = xs[finite]
+    xs = xs[finite]
     kept = values[finite]
-    total = xs.size + pre_skipped
     if kept.size == 0:
         raise ValueError("empty grid after skipping flagged points")
-    if kept.size < 2 or skipped > MAX_SKIP_FRACTION * total:
+    monotone = rule in MONOTONE_RULES
+    if skipped > MAX_SKIP_FRACTION * (finite.size + pre_skipped) or (monotone and kept.size < 2):
         return OrderVerdict(
             relation, "inconclusive", None, np.nan, tol, skipped, kept.size,
             note="too many points skipped",
         )
-    # violation = worst reversal between ANY earlier/later pair (drawdown),
-    # not just adjacent points; a slow cumulative reversal must not certify
-    if direction == "incr":
+    # a monotone violation is the worst reversal between ANY earlier/later
+    # pair (drawdown), not just adjacent points, so a slow cumulative
+    # reversal cannot certify; its witness is the later point of the pair
+    if rule == "incr":
         viol = np.maximum.accumulate(kept)[1:] - kept[1:]
-    else:
+    elif rule == "decr":
         viol = kept[1:] - np.minimum.accumulate(kept)[1:]
+    else:
+        viol = kept if rule == "nonpositive" else -kept
     idx = int(np.argmax(viol))
     worst = float(viol[idx])
     holds = "yes" if worst <= tol else "no"
-    return OrderVerdict(relation, holds, float(xs_kept[idx + 1]), worst, tol, skipped, kept.size)
+    return OrderVerdict(relation, holds, float(xs[idx + monotone]), worst, tol, skipped, kept.size)
+
+
+def _checked(f, grid: Grid, name: str, rule: str, allowed: tuple[str, str], tol: float,
+             relation: str) -> OrderVerdict:
+    if rule not in allowed:
+        raise ValueError(f"{name} must be {allowed[0]!r} or {allowed[1]!r}, got {rule!r}")
+    values = as_float_array(f(grid.points))
+    if values.shape != grid.points.shape:
+        raise ValueError("function must evaluate the whole grid at once")
+    return _verdict(grid.points, values, rule, tol, relation)
 
 
 def check_monotone(
@@ -272,10 +294,7 @@ def check_monotone(
     Non-finite evaluations are skipped and counted; the violation reported is
     the worst reversal between any earlier and later kept point.
     """
-    values = as_float_array(f(grid.points))
-    if values.shape != grid.points.shape:
-        raise ValueError("function must evaluate the whole grid at once")
-    return _verdict_from_values(grid.points, values, direction, tol, relation)
+    return _checked(f, grid, "direction", direction, MONOTONE_RULES, tol, relation)
 
 
 def check_sign(
@@ -286,27 +305,7 @@ def check_sign(
     relation: str = "sign",
 ) -> OrderVerdict:
     """Certify f <= 0 (or >= 0) on the grid within tol."""
-    return _sign_verdict(grid.points, as_float_array(f(grid.points)), sign, tol, relation)
-
-
-def _sign_verdict(xs: np.ndarray, values: np.ndarray, sign: str, tol: float, relation: str) -> OrderVerdict:
-    if sign not in ("nonpositive", "nonnegative"):
-        raise ValueError(f"sign must be 'nonpositive' or 'nonnegative', got {sign!r}")
-    finite = np.isfinite(values)
-    skipped = finite.size - int(np.count_nonzero(finite))
-    kept = values[finite]
-    total = xs.size
-    xs = xs[finite]
-    if kept.size == 0:
-        raise ValueError("empty grid after skipping flagged points")
-    if skipped > MAX_SKIP_FRACTION * total:
-        return OrderVerdict(relation, "inconclusive", None, np.nan, tol, skipped, kept.size,
-                            note="too many points skipped")
-    viol = kept if sign == "nonpositive" else -kept
-    idx = int(np.argmax(viol))
-    worst = float(viol[idx])
-    holds = "yes" if worst <= tol else "no"
-    return OrderVerdict(relation, holds, float(xs[idx]), worst, tol, skipped, kept.size)
+    return _checked(f, grid, "sign", sign, SIGN_RULES, tol, relation)
 
 
 def _ratio_verdict(xs, num, den, direction, tol, relation) -> OrderVerdict:
@@ -317,7 +316,7 @@ def _ratio_verdict(xs, num, den, direction, tol, relation) -> OrderVerdict:
     if not np.any(keep):
         raise ValueError("empty grid after skipping flagged points")
     ratio = num[keep] / den[keep]
-    return _verdict_from_values(xs[keep], ratio, direction, tol, relation, pre_skipped=pre_skipped)
+    return _verdict(xs[keep], ratio, direction, tol, relation, pre_skipped=pre_skipped)
 
 
 def check_order(
@@ -336,10 +335,7 @@ def check_order(
 
     if relation == "st":
         diff = as_float_array(dist_x.sf(x)) - as_float_array(dist_y.sf(x))
-        idx = int(np.argmax(diff))
-        worst = float(diff[idx])
-        holds = "yes" if worst <= tol else "no"
-        return OrderVerdict(relation, holds, float(x[idx]), worst, tol, 0, x.size)
+        return _verdict(x, diff, "nonpositive", tol, relation)
 
     table = {
         "hr": (dist_y.sf, dist_x.sf, "incr"),

@@ -41,7 +41,7 @@ from math import comb
 import numpy as np
 
 from ._num import as_float_array, match_input
-from .copulas import Copula, Independence
+from .copulas import Copula, _is_independence
 from .distributions import LifetimeDistribution
 
 __all__ = [
@@ -122,13 +122,14 @@ class Distortion:
     with its derivatives and elasticity functionals.
 
     Coefficients must sum to 1 (h(1) = 1) and carry j >= 1 only (h(0) = 0).
-    Under independence h, 1-h, h' and h'' are evaluated in Bernstein form
+    Under the independence law (Independence, GumbelHougaard at theta = 1,
+    FGM at theta = 0) h, 1-h, h' and h'' are evaluated in Bernstein form
     instead, from weights derived once from the exact coefficients.
     """
 
     copula: Copula
     coeffs: tuple[tuple[int, int], ...]
-    # (h, 1-h, h', h'') Bernstein weights under independence, None otherwise
+    # (h, 1-h, h', h'') Bernstein weights under the independence law, None otherwise
     _bernstein: tuple | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -143,7 +144,7 @@ class Distortion:
             total += c
         if total != 1:
             raise ValueError(f"coefficients must sum to 1, got {total}")
-        if isinstance(self.copula, Independence):
+        if _is_independence(self.copula):
             object.__setattr__(self, "_bernstein", _bernstein_weights(self.copula.dim, self.coeffs))
 
     # each public function validates its argument once; _evaluate and _elasticity never do
@@ -350,18 +351,19 @@ class SystemModel:
         return match_input(x, self.distortion._evaluate(self.margin.sf(x), 0))
 
     def cum_hazard(self, x):
-        # -ln h(sf(x)): log of h directly where h is small, log1p of the
-        # stable complement where h is near 1, accurate in both regimes
-        p = self.margin.sf(x)
-        hv, omh = self.distortion._evaluate(p, 0), self.distortion._evaluate(p, 1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.where(hv <= 0.5, -np.log(np.maximum(hv, 0.0)), -np.log1p(-np.minimum(omh, 1.0)))
-        return match_input(x, out)
+        """-ln h(sf(x))."""
+        return self._minus_log(x, 0)
 
     def cum_rev_hazard(self, x):
-        # -ln(1 - h(sf(x))) with the mirrored branch choice
+        """-ln(1 - h(sf(x)))."""
+        return self._minus_log(x, 1)
+
+    def _minus_log(self, x, which: int):
+        # -ln of h (which = 0) or 1-h (which = 1), from that value and its
+        # complement: log of the value directly where it is small, log1p of
+        # the stable complement where it is near 1, accurate in both regimes
         p = self.margin.sf(x)
-        hv, omh = self.distortion._evaluate(p, 0), self.distortion._evaluate(p, 1)
+        value, compl = self.distortion._evaluate(p, which), self.distortion._evaluate(p, 1 - which)
         with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.where(omh <= 0.5, -np.log(np.maximum(omh, 0.0)), -np.log1p(-np.minimum(hv, 1.0)))
+            out = np.where(value <= 0.5, -np.log(np.maximum(value, 0.0)), -np.log1p(-np.minimum(compl, 1.0)))
         return match_input(x, out)

@@ -30,19 +30,13 @@ order; its hypotheses are strictly stronger and it is not implemented here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .orders import (
-    Grid,
-    OrderVerdict,
-    _ratio_verdict,
-    _sign_verdict,
-    _verdict_from_values,
-    check_order,
-    system_order_direct,
-)
+from ._num import _integer
+from .orders import Grid, OrderVerdict, _ratio_verdict, _verdict, check_order, system_order_direct
 from .systems import SystemModel
 
 __all__ = [
@@ -68,6 +62,11 @@ class VerifyConfig:
     as boundary passes.  grid_size is the size of both the p-grid on
     [eps_endpoint, 1-eps_endpoint] and the x-grid bracketing the two margins,
     which grid_policy spaces "log" or "linear".
+
+    This is the one place the settings are checked, for the library and the
+    command line alike: a known grid policy, an integral grid size whose
+    p-grid builds, and tolerances finite and >= 0; anything else raises
+    ValueError.
     """
 
     eps_endpoint: float = 1e-3
@@ -76,8 +75,25 @@ class VerifyConfig:
     sign_slack: float = 1e-8
     grid_policy: str = "log"
 
+    def __post_init__(self):
+        if self.grid_policy not in ("log", "linear"):
+            raise ValueError(f"grid policy must be 'log' or 'linear', got {self.grid_policy!r}")
+        object.__setattr__(self, "grid_size", _integer(self.grid_size, "grid size"))
+        try:
+            self.p_grid()
+        except ValueError as exc:
+            raise ValueError(f"grid size {self.grid_size}, eps_endpoint {self.eps_endpoint!r}: {exc}") from exc
+        for key in ("tol", "sign_slack"):
+            value = getattr(self, key)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(f"{key} must be finite and >= 0, got {value!r}")
+
     def p_grid(self) -> Grid:
         return Grid.probability(self.eps_endpoint, self.grid_size)
+
+
+# the config of a verify called without one: checked once, not per call
+DEFAULT_CONFIG = VerifyConfig()
 
 
 @dataclass(frozen=True)
@@ -88,16 +104,6 @@ class ConditionEntry:
     violation: float
     boundary: bool = False
     detail: str = ""
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "status": self.status,
-            "witness": self.witness,
-            "violation": self.violation,
-            "boundary": self.boundary,
-            "detail": self.detail,
-        }
 
 
 @dataclass(frozen=True)
@@ -129,15 +135,8 @@ class ConditionReport:
         return {
             "relation": self.relation,
             "conclusion": self.conclusion,
-            "conditions": [c.to_dict() for c in self.conditions],
-            "direct_check": {
-                "relation": self.direct.relation,
-                "holds": self.direct.holds,
-                "witness_x": self.direct.witness_x,
-                "violation": self.direct.violation,
-                "tolerance": self.direct.tolerance,
-                "skipped": self.direct.skipped,
-            },
+            "conditions": [asdict(c) for c in self.conditions],
+            "direct_check": {k: v for k, v in asdict(self.direct).items() if k not in ("checked", "note")},
         }
 
 
@@ -152,17 +151,13 @@ def _combine(name: str, parts: list[OrderVerdict], boundary: bool = False, detai
     return ConditionEntry(name, "pass", worst.witness_x, worst.violation, boundary, detail)
 
 
-def _ratio_condition(name, p, num, den, direction, tol) -> ConditionEntry:
-    return _combine(name, [_ratio_verdict(p, num, den, direction, tol, name)])
-
-
 def _elasticity_sign_condition(name, kind, p, values, sign_slack, tol) -> ConditionEntry:
     """Condition of the form '(1-p)H'/H negative and decreasing' (kind='H')
     or 'p R'/R positive and decreasing' (kind='R'); `values` are that
     relative slope on the p-grid."""
     sign = "nonpositive" if kind == "H" else "nonnegative"
-    sign_verdict = _sign_verdict(p, values, sign, sign_slack, f"{name}:sign")
-    mono_verdict = _verdict_from_values(p, values, "decr", tol, f"{name}:decreasing")
+    sign_verdict = _verdict(p, values, sign, sign_slack, f"{name}:sign")
+    mono_verdict = _verdict(p, values, "decr", tol, f"{name}:decreasing")
 
     finite = values[np.isfinite(values)]
     # boundary: the sign condition holds only by slack (identically-zero case)
@@ -172,12 +167,6 @@ def _elasticity_sign_condition(name, kind, p, values, sign_slack, tol) -> Condit
         boundary = bool(finite.size and np.min(finite) < sign_slack)
     detail = "holds in the zero-within-slack boundary sense" if boundary else ""
     return _combine(name, [sign_verdict, mono_verdict], boundary=boundary, detail=detail)
-
-
-def _margin_condition(name, sysa, sysb, ageing_rel, st_pair, grid, tol) -> ConditionEntry:
-    ageing = check_order(sysa.margin, sysb.margin, ageing_rel, grid=grid, tol=tol)
-    st = check_order(st_pair[0].margin, st_pair[1].margin, "st", grid=grid, tol=tol)
-    return _combine(name, [ageing, st])
 
 
 def _conclude(cond: dict[str, ConditionEntry]) -> str:
@@ -191,37 +180,36 @@ def _conclude(cond: dict[str, ConditionEntry]) -> str:
 
 
 def _verify(sys1: SystemModel, sys2: SystemModel, relation: str, cfg: VerifyConfig) -> ConditionReport:
-    pgrid = cfg.p_grid()
+    p = cfg.p_grid().points
     xgrid = Grid.margin_bracketed(sys1.margin, sys2.margin, size=cfg.grid_size, policy=cfg.grid_policy)
-    p = pgrid.points
     # H for c_star, R for b_star: each elasticity feeds (i), and its relative
     # slope its own (ii)/(iii); one profile per distortion, three evaluations
     kind = "H" if relation == "c_star" else "R"
     (e1, g1), (e2, g2) = (d.elasticity_profile(p, kind) for d in (sys1.distortion, sys2.distortion))
-    st_pair = (sys2, sys1) if relation == "c_star" else (sys1, sys2)
+    # (iv): the margins age faster in the same sense, and are st-ordered
+    st_x, st_y = (sys2.margin, sys1.margin) if relation == "c_star" else (sys1.margin, sys2.margin)
     entries = {
-        "i": _ratio_condition("i", p, e1, e2, "decr" if relation == "c_star" else "incr", cfg.tol),
+        "i": _combine("i", [_ratio_verdict(p, e1, e2, "decr" if relation == "c_star" else "incr", cfg.tol, "i")]),
         "ii": _elasticity_sign_condition("ii", kind, p, g1, cfg.sign_slack, cfg.tol),
         "iii": _elasticity_sign_condition("iii", kind, p, g2, cfg.sign_slack, cfg.tol),
-        "iv": _margin_condition("iv", sys1, sys2, relation, st_pair, xgrid, cfg.tol),
+        "iv": _combine("iv", [check_order(sys1.margin, sys2.margin, relation, grid=xgrid, tol=cfg.tol),
+                              check_order(st_x, st_y, "st", grid=xgrid, tol=cfg.tol)]),
     }
 
     # the direct check brackets by system-lifetime quantiles on its own;
     # xgrid covers the margin-order conditions only
     direct = system_order_direct(sys1, sys2, relation, grid=None, tol=cfg.tol)
-    conclusion = _conclude(entries)
-    order = ("i", "ii", "iii", "iv")
-    return ConditionReport(relation, tuple(entries[k] for k in order), conclusion, direct)
+    return ConditionReport(relation, tuple(entries.values()), _conclude(entries), direct)
 
 
 def verify_cstar(sys1: SystemModel, sys2: SystemModel, cfg: VerifyConfig | None = None) -> ConditionReport:
     """Certify that system 1 ages faster than system 2 in cumulative hazard."""
-    return _verify(sys1, sys2, "c_star", cfg or VerifyConfig())
+    return _verify(sys1, sys2, "c_star", cfg or DEFAULT_CONFIG)
 
 
 def verify_bstar(sys1: SystemModel, sys2: SystemModel, cfg: VerifyConfig | None = None) -> ConditionReport:
     """Certify that system 1 ages faster than system 2 in cumulative reversed hazard."""
-    return _verify(sys1, sys2, "b_star", cfg or VerifyConfig())
+    return _verify(sys1, sys2, "b_star", cfg or DEFAULT_CONFIG)
 
 
 def corollary_index_check(k: int, n: int, l: int, m: int, relation: str) -> bool:

@@ -91,39 +91,31 @@ def test_criterion_4_kofn_lemma_sweep():
     dists = {(k, n): build_distortion(k_of_n_paths(k, n), Independence(n)) for k, n in pairs}
     failures = []
 
-    for kn, d in dists.items():
-        def g_h(p, d=d):
-            return (1 - p) * np.asarray(d.H_prime(p)) / np.asarray(d.H(p))
-
-        def g_r(p, d=d):
-            return p * np.asarray(d.R_prime(p)) / np.asarray(d.R(p))
-
-        if check_sign(g_h, PGRID, "nonpositive", tol=slack).holds != "yes":
+    # (H, (1-p) H'/H) and (R, p R'/R) per distortion, three evaluations each;
+    # the ratio checks reuse H and R
+    p = PGRID.points
+    profiles = {kn: (d.elasticity_profile(p, "H"), d.elasticity_profile(p, "R")) for kn, d in dists.items()}
+    for kn, ((_, g_h), (_, g_r)) in profiles.items():
+        if check_sign(lambda q: g_h, PGRID, "nonpositive", tol=slack).holds != "yes":
             failures.append(("H-sign", kn))
-        if check_monotone(g_h, PGRID, "decr", tol=slack).holds != "yes":
+        if check_monotone(lambda q: g_h, PGRID, "decr", tol=slack).holds != "yes":
             failures.append(("H-mono", kn))
-        if check_sign(g_r, PGRID, "nonnegative", tol=slack).holds != "yes":
+        if check_sign(lambda q: g_r, PGRID, "nonnegative", tol=slack).holds != "yes":
             failures.append(("R-sign", kn))
-        if check_monotone(g_r, PGRID, "decr", tol=slack).holds != "yes":
+        if check_monotone(lambda q: g_r, PGRID, "decr", tol=slack).holds != "yes":
             failures.append(("R-mono", kn))
 
     ratio_checks = 0
     for k, n in pairs:
         for l, m in pairs:
-            d1, d2 = dists[(k, n)], dists[(l, m)]
+            ((h1, _), (r1, _)), ((h2, _), (r2, _)) = profiles[(k, n)], profiles[(l, m)]
             if k <= l and m - l <= n - k:
                 ratio_checks += 1
-                v = check_monotone(
-                    lambda p: np.asarray(d1.H(p)) / np.asarray(d2.H(p)), PGRID, "decr", tol=slack
-                )
-                if v.holds != "yes":
+                if check_monotone(lambda q: h1 / h2, PGRID, "decr", tol=slack).holds != "yes":
                     failures.append(("H-ratio", (k, n, l, m)))
             if l <= k and n - k <= m - l:
                 ratio_checks += 1
-                v = check_monotone(
-                    lambda p: np.asarray(d1.R(p)) / np.asarray(d2.R(p)), PGRID, "incr", tol=slack
-                )
-                if v.holds != "yes":
+                if check_monotone(lambda q: r1 / r2, PGRID, "incr", tol=slack).holds != "yes":
                     failures.append(("R-ratio", (k, n, l, m)))
 
     elapsed = time.perf_counter() - start

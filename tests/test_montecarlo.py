@@ -42,6 +42,14 @@ class TestSamplers:
                 rho = rank_correlation(u[:, i], u[:, j])
                 assert abs(rho) < 0.01
 
+    @pytest.mark.parametrize(
+        "copula", [GumbelHougaard(1.0, 4), FGM(0.0), FGM(-0.0)], ids=["gumbel-1", "fgm-0", "fgm-neg-0"]
+    )
+    def test_independence_law_draws_as_independence(self, copula):
+        # the same draws, byte for byte, as the Independence sampler
+        cfg = SimConfig(sample_count=10_001, seed=5, stream_count=3)
+        assert np.array_equal(sample_copula(copula, cfg), sample_copula(Independence(copula.dim), cfg))
+
     def test_margins_uniform(self):
         for cop in (FGM(0.8), GumbelHougaard(2.0, 3), ClaytonOakes(1.5, 3)):
             u = sample_copula(cop, SimConfig(sample_count=50_000, seed=7))

@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 from corpus_helpers import random_instance
@@ -6,6 +9,7 @@ from coherent_age.copulas import FGM, GumbelHougaard, Independence
 from coherent_age.distributions import Exponential, LinearFailureRate
 from coherent_age.systems import Distortion, Structure, SystemModel, k_of_n_paths
 from coherent_age.verifier import (
+    DEFAULT_CONFIG,
     VerifyConfig,
     corollary_index_check,
     verify_bstar,
@@ -100,6 +104,78 @@ class TestWorkedSetups:
         )
         assert report.condition("i").status == "fail"
         assert report.conclusion == "not-certified-by-this-route"
+
+
+class TestIndependenceLaw:
+    @pytest.mark.parametrize("a, b", [(2, 5), (3, 6), (4, 8), (5, 8), (3, 5)])
+    def test_gumbel_at_one_verifies_as_independence(self, a, b):
+        # GumbelHougaard(1.0) is the independence law; its signed sum of
+        # c_j K_j cancelled in 1-h near p = 1 and certified none of these
+        reports = [
+            verify_bstar(
+                SystemModel(Structure.parallel(a), copula(a), Exponential(3.0)),
+                SystemModel(Structure.parallel(b), copula(b), Exponential(2.0)),
+            )
+            for copula in (Independence, lambda n: GumbelHougaard(1.0, n))
+        ]
+        assert reports[0].conclusion == "certified"
+        assert repr(reports[1]) == repr(reports[0])
+
+    @pytest.mark.parametrize("verify", [verify_cstar, verify_bstar])
+    def test_fgm_at_zero_verifies_as_independence(self, verify):
+        structure = Structure.from_paths(3, [[1, 2], [1, 3]])
+        reports = [
+            verify(SystemModel(structure, copula, LinearFailureRate(1.0, 1.0)), series3_independent_system(),
+                   FAST_CFG)
+            for copula in (Independence(3), FGM(0.0))
+        ]
+        assert repr(reports[1]) == repr(reports[0])
+
+
+class TestVerifyConfig:
+    # the messages are those the command line prints after "error: "
+    @pytest.mark.parametrize(
+        "settings, message",
+        [
+            *(
+                ({key: value}, f"{key} must be finite and >= 0, got {value!r}")
+                for key in ("tol", "sign_slack")
+                for value in (math.inf, math.nan, -1.0)
+            ),
+            ({"grid_size": 1}, "grid size 1, eps_endpoint 0.001: grid needs at least two points"),
+            ({"grid_size": 2.5}, "grid size must be an integer, got 2.5"),
+            (
+                {"eps_endpoint": 0.6},
+                "grid size 2001, eps_endpoint 0.6: eps_endpoint must satisfy 0 < eps < 0.5, got 0.6",
+            ),
+            (
+                {"eps_endpoint": 0.4999999999999999},
+                "grid size 2001, eps_endpoint 0.4999999999999999: grid points must be strictly increasing",
+            ),
+            ({"grid_policy": "cubic"}, "grid policy must be 'log' or 'linear', got 'cubic'"),
+        ],
+    )
+    def test_refuses_what_the_command_line_refuses(self, settings, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            VerifyConfig(**settings)
+
+    def test_infinite_tolerance_cannot_certify_the_swapped_margins(self):
+        # the swapped-margin pair is not certified at the default tolerance;
+        # tol = inf would have passed every check
+        sys1 = fgm_pair_series_system(margin=LinearFailureRate(2.0, 1.0))
+        sys2 = series3_independent_system(margin=LinearFailureRate(1.0, 1.0))
+        assert verify_cstar(sys1, sys2).conclusion == "not-certified-by-this-route"
+        with pytest.raises(ValueError, match="tol must be finite and >= 0, got inf"):
+            verify_cstar(sys1, sys2, VerifyConfig(tol=math.inf))
+
+    def test_integral_float_grid_size_reads_as_an_integer(self):
+        assert VerifyConfig(grid_size=31.0) == VerifyConfig(grid_size=31)
+        assert type(VerifyConfig(grid_size=31.0).grid_size) is int
+
+    def test_default_config_is_the_default(self):
+        assert DEFAULT_CONFIG == VerifyConfig()
+        s1, s2 = fgm_pair_series_system(), series3_independent_system()
+        assert repr(verify_bstar(s1, s2)) == repr(verify_bstar(s1, s2, VerifyConfig()))
 
 
 class TestCorollaryIndexCheck:
