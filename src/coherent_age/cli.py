@@ -1,7 +1,8 @@
 """Command-line front end for reproducible certification runs.
 
-One JSON spec file drives each run; flags exist only for overrides
-(--grid-size, --tol, --seed, --eps-endpoint).  Numeric output is written with
+One JSON spec file drives each run; flags exist only for overrides, and
+each subcommand takes only the flags it reads (``_FLAGS``), so any other is
+an argparse usage error.  Numeric output is written with
 17 significant digits so golden-file diffs are meaningful, and every CSV/JSON
 artifact records the sha256 of the input spec.
 
@@ -21,7 +22,7 @@ Subcommands and exit codes:
     simulate     empirical vs analytic survival CSV    0 ok / 3 oracle deviation > 4
     corollary    k-out-of-n index predicate            0 true / 2 false
 
-Exit code 1 is reserved for usage and spec-schema errors.
+Exit code 1 is reserved for spec-schema errors; an argparse usage error exits 2.
 """
 
 from __future__ import annotations
@@ -148,7 +149,7 @@ def load_spec(
         "distortion": ({"system1"}, {"grid", "tolerances", "output"}),
         "check-order": ({"system1", "system2", "relation"}, {"grid", "tolerances", "output"}),
         "verify": ({"system1", "system2", "relation"}, {"grid", "tolerances", "output"}),
-        "simulate": ({"system1"}, {"grid", "simulation", "output"}),
+        "simulate": ({"system1"}, {"simulation", "output"}),
         "corollary": ({"k", "n", "l", "m", "relation"}, set()),
     }
     if command not in schemas:
@@ -341,19 +342,27 @@ _COMMANDS = {
 }
 
 
+# the override flags each subcommand reads, as load_spec keywords
+_FLAGS = {
+    "distortion": {"grid_size": int, "eps_endpoint": float},
+    "check-order": {"grid_size": int, "tol": float},
+    "verify": {"grid_size": int, "tol": float, "eps_endpoint": float},
+    "simulate": {"seed": int},
+    "corollary": {},
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="coherent-age",
         description="Grid-certified relative-ageing comparisons of coherent systems.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name, flags in _FLAGS.items():
         p = sub.add_parser(name)
         p.add_argument("spec", help="path to the JSON run spec")
-        p.add_argument("--grid-size", type=int, default=None)
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--eps-endpoint", type=float, default=None)
+        for key, kind in flags.items():
+            p.add_argument("--" + key.replace("_", "-"), type=kind, default=None)
     return parser
 
 
@@ -368,14 +377,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: cannot read spec: {exc}", file=sys.stderr)
         return 1
     try:
-        spec = load_spec(
-            raw,
-            args.command,
-            grid_size=args.grid_size,
-            tol=args.tol,
-            eps_endpoint=args.eps_endpoint,
-            seed=args.seed,
-        )
+        spec = load_spec(raw, args.command, **{key: getattr(args, key) for key in _FLAGS[args.command]})
         return _COMMANDS[args.command](spec)
     except SpecError as exc:
         print(f"error: {exc}", file=sys.stderr)

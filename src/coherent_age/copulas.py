@@ -13,13 +13,22 @@ Each family defines the reductions once, as array cores ``_exch``,
 ``_exch_deriv``, ``_exch_second`` and ``_exch_compl`` on an already validated
 array with ``1 <= j <= dim``.  The public ``exch``, ``exch_deriv`` and
 ``exch_compl`` of the base class validate ``(p, j)`` once, answer ``j = 0``
-and call the core; internal callers (the distortion engine) call the cores
-directly.  ``_exch_second`` feeds only the elasticity derivatives, which
-live on the open interval, and has no public wrapper.
+and call the core.  ``_exch_second`` feeds only the elasticity derivatives,
+which live on the open interval, and has no public wrapper.
+
+The distortion engine has one entry per evaluation, ``_sum(pa, coeffs,
+which)``: the signed sum ``sum_j c_j F_j`` with ``F_j`` one of ``K_j``,
+``1 - K_j``, ``K_j'`` and ``K_j''`` (``which`` 0-3).  The base class adds the
+per-j cores in coefficient order.
 
 Clayton-Oakes uses the standard exchangeable Archimedean form
 ``(sum p_i^-theta - (n-1))^(-1/theta)``; it is an extension family here, kept
-alongside the three others for breadth of the simulation oracle.
+alongside the three others for breadth of the simulation oracle.  Its terms
+share their log-space work: ``ln p``, ``w = -theta ln p``, the mask of points
+before the cutoff and ``expm1(w)`` are computed once per ``_sum`` call, and
+each term then costs its ``ln S_j = log1p(j expm1(w))`` and one ``exp``.  Its
+``_sum`` holds the only copy of each formula, and its per-j cores are the
+single-term sums.  The values are bit-identical to a loop over per-j cores.
 """
 
 from __future__ import annotations
@@ -67,6 +76,17 @@ class Copula(ABC):
     def _exch_compl(self, pa: np.ndarray, j: int) -> np.ndarray:
         """1 - _exch(pa, j), computed without cancellation near p = 1."""
 
+    def _sum(self, pa: np.ndarray, coeffs, which: int) -> np.ndarray:
+        """sum_j c_j F_j on a validated array, with F_j = K_j, 1 - K_j, K_j'
+        or K_j'' for which = 0, 1, 2, 3: the one entry of the distortion
+        engine.  This default adds the per-j cores in coefficient order; a
+        family whose terms share work overrides it with the same sums."""
+        core = (self._exch, self._exch_compl, self._exch_deriv, self._exch_second)[which]
+        out = np.zeros_like(pa)
+        for j, c in coeffs:
+            out += c * core(pa, j)
+        return out
+
     def exch(self, p, j: int):
         """K with j coordinates at p and n-j at 1; j = 0 gives 1."""
         pa = self._check_exch(p, j)
@@ -109,8 +129,7 @@ class Independence(Copula):
         return j * (j - 1) * pa ** (j - 2) if j > 1 else np.zeros_like(pa)
 
     def _exch_compl(self, pa, j):
-        with np.errstate(divide="ignore"):
-            return np.where(pa > 0.0, -np.expm1(j * np.log(np.maximum(pa, 1e-300))), 1.0)
+        return np.where(pa > 0.0, -np.expm1(j * np.log(np.maximum(pa, 1e-300))), 1.0)
 
 
 @dataclass(frozen=True)
@@ -187,8 +206,7 @@ class GumbelHougaard(Copula):
 
     def _exch_compl(self, pa, j):
         a = self._exponent(j)
-        with np.errstate(divide="ignore"):
-            return np.where(pa > 0.0, -np.expm1(a * np.log(np.maximum(pa, 1e-300))), 1.0)
+        return np.where(pa > 0.0, -np.expm1(a * np.log(np.maximum(pa, 1e-300))), 1.0)
 
 
 @dataclass(frozen=True)
@@ -205,55 +223,61 @@ class ClaytonOakes(Copula):
             raise ValueError("dimension must be at least 1")
 
     def _exch(self, pa, j):
-        out = np.zeros_like(pa)
-        pos = pa > 0.0
-        with np.errstate(divide="ignore"):
-            w = np.where(pos, -self.theta * np.log(np.maximum(pa, 1e-300)), np.inf)
-        direct = w < _CLAYTON_LOG_CUTOFF
-        wd = np.minimum(w, _CLAYTON_LOG_CUTOFF)
-        k_direct = np.exp(-np.log1p(j * np.expm1(wd)) / self.theta)
-        k_limit = pa * j ** (-1.0 / self.theta)
-        out[pos] = np.where(direct, k_direct, k_limit)[pos]
-        return out
+        return self._sum(pa, ((j, 1),), 0)
 
     def _exch_deriv(self, pa, j):
-        out = np.full_like(pa, j ** (-1.0 / self.theta))  # p -> 0 limit
-        pos = pa > 0.0
-        with np.errstate(divide="ignore"):
-            logp = np.log(np.maximum(pa, 1e-300))
-        w = -self.theta * logp
-        direct = pos & (w < _CLAYTON_LOG_CUTOFF)
-        wd = np.minimum(w, _CLAYTON_LOG_CUTOFF)
-        log_kp = math.log(j) - (self.theta + 1.0) * logp - ((self.theta + 1.0) / self.theta) * np.log1p(
-            j * np.expm1(wd)
-        )
-        # the limit points' log_kp can exceed the float range: exponentiate
-        # only the direct ones
-        return np.where(direct, np.exp(np.where(direct, log_kp, 0.0)), out)
+        return self._sum(pa, ((j, 1),), 2)
 
     def _exch_second(self, pa, j):
-        # K'' = K' (theta+1)(j-1) / (p S) with S = 1 + j (p^-theta - 1), in
-        # log space; past the cutoff S = j p^-theta to float precision
-        if j == 1:
-            return np.zeros_like(pa)
-        logp = np.log(pa)
-        w = -self.theta * logp
-        direct = w < _CLAYTON_LOG_CUTOFF
-        log_s = np.where(direct, np.log1p(j * np.expm1(np.minimum(w, _CLAYTON_LOG_CUTOFF))), math.log(j) + w)
-        return np.exp(
-            math.log(j * (j - 1) * (self.theta + 1.0)) - (self.theta + 2.0) * logp - (2.0 + 1.0 / self.theta) * log_s
-        )
+        return self._sum(pa, ((j, 1),), 3)
 
     def _exch_compl(self, pa, j):
-        out = np.ones_like(pa)
-        pos = pa > 0.0
-        with np.errstate(divide="ignore"):
-            w = np.where(pos, -self.theta * np.log(np.maximum(pa, 1e-300)), np.inf)
-        direct = w < _CLAYTON_LOG_CUTOFF
-        wd = np.minimum(w, _CLAYTON_LOG_CUTOFF)
-        c_direct = -np.expm1(-np.log1p(j * np.expm1(wd)) / self.theta)
-        c_limit = 1.0 - pa * j ** (-1.0 / self.theta)
-        out[pos] = np.where(direct, c_direct, c_limit)[pos]
+        return self._sum(pa, ((j, 1),), 1)
+
+    def _sum(self, pa, coeffs, which):
+        # K_j = S_j^(-1/theta) with ln S_j = log1p(j expm1(w)), w = -theta ln p;
+        # at p = 0 and past the cutoff, where p^-theta overflows, the exact
+        # limits are written in, only where the input has such points
+        theta = self.theta
+        # K'' lives on the open interval; elsewhere the floor keeps ln 0 finite
+        logp = np.log(pa if which == 3 else np.maximum(pa, 1e-300))
+        w = -theta * logp
+        direct = (pa > 0.0) & (w < _CLAYTON_LOG_CUTOFF)
+        limit = None if direct.all() else ~direct
+        em = np.expm1(np.minimum(w, _CLAYTON_LOG_CUTOFF))
+        if which == 2:
+            # K_j' = j p^-(theta+1) S_j^-(1+1/theta); zeroed at the limit
+            # points, whose exponent could pass the float range
+            power = (theta + 1.0) * logp
+            if limit is not None:
+                power = np.where(limit, 0.0, power)
+        elif which == 3:
+            # K_j'' = K_j' (theta+1)(j-1) / (p S_j)
+            power = (theta + 2.0) * logp
+        out = np.zeros_like(pa)
+        for j, c in coeffs:
+            if which == 3 and j == 1:
+                continue  # K_1'' = 0 would add nothing
+            log_s = np.log1p(j * em)
+            if which == 3:
+                if limit is not None:
+                    # past the cutoff S_j = j p^-theta to float precision
+                    log_s = np.where(limit, math.log(j) + w, log_s)
+                term = np.exp(math.log(j * (j - 1) * (theta + 1.0)) - power - (2.0 + 1.0 / theta) * log_s)
+            else:
+                if which == 0:
+                    term = np.exp(-log_s / theta)
+                elif which == 1:
+                    term = -np.expm1(-log_s / theta)
+                else:
+                    term = np.exp(math.log(j) - power - ((theta + 1.0) / theta) * log_s)
+                if limit is not None:
+                    # K_j -> p j^(-1/theta) and K_j' -> j^(-1/theta)
+                    edge = j ** (-1.0 / theta)
+                    if which < 2:
+                        edge = pa * edge if which == 0 else 1.0 - pa * edge
+                    term = np.where(limit, edge, term)
+            out += c * term
         return out
 
 

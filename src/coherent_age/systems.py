@@ -161,20 +161,16 @@ class Distortion:
 
     def _evaluate(self, p, which: int) -> np.ndarray:
         """h, 1-h, h' or h'' (which = 0, 1, 2, 3) on a validated argument:
-        Bernstein weights under independence, else sum_j c_j K_j with the
-        copula's core."""
+        Bernstein weights under independence, else the copula's one-call
+        signed sum ``_sum``, sum_j c_j times K_j, 1-K_j, K_j' or K_j''
+        (Clayton-Oakes shares ln p and expm1(-theta ln p) across its terms)."""
         # a 0-d array for scalar input, never a numpy scalar: scalar and
         # array powers can differ in the last ulp, and a scalar call must
         # match the same point of an array call
         pa = as_float_array(p)
         if self._bernstein is not None:
             return _bernstein_sum(pa, self._bernstein[which])
-        copula = self.copula
-        core = (copula._exch, copula._exch_compl, copula._exch_deriv, copula._exch_second)[which]
-        out = np.zeros_like(pa)
-        for j, c in self.coeffs:
-            out += c * core(pa, j)
-        return out
+        return self.copula._sum(pa, self.coeffs, which)
 
     def H(self, p):
         """Hazard-transfer elasticity p h'(p)/h(p), clamped to the open interval.

@@ -31,7 +31,7 @@ order; its hypotheses are strictly stronger and it is not implemented here.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -66,7 +66,8 @@ class VerifyConfig:
     This is the one place the settings are checked, for the library and the
     command line alike: a known grid policy, an integral grid size whose
     p-grid builds, and tolerances finite and >= 0; anything else raises
-    ValueError.
+    ValueError.  The p-grid built by that check is kept, read-only, and
+    every verify under the config reads it.
     """
 
     eps_endpoint: float = 1e-3
@@ -74,22 +75,25 @@ class VerifyConfig:
     tol: float = 1e-9
     sign_slack: float = 1e-8
     grid_policy: str = "log"
+    _p_grid: Grid = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.grid_policy not in ("log", "linear"):
             raise ValueError(f"grid policy must be 'log' or 'linear', got {self.grid_policy!r}")
         object.__setattr__(self, "grid_size", _integer(self.grid_size, "grid size"))
         try:
-            self.p_grid()
+            grid = Grid.probability(self.eps_endpoint, self.grid_size)
         except ValueError as exc:
             raise ValueError(f"grid size {self.grid_size}, eps_endpoint {self.eps_endpoint!r}: {exc}") from exc
+        grid.points.setflags(write=False)
+        object.__setattr__(self, "_p_grid", grid)
         for key in ("tol", "sign_slack"):
             value = getattr(self, key)
             if not (math.isfinite(value) and value >= 0.0):
                 raise ValueError(f"{key} must be finite and >= 0, got {value!r}")
 
     def p_grid(self) -> Grid:
-        return Grid.probability(self.eps_endpoint, self.grid_size)
+        return self._p_grid
 
 
 # the config of a verify called without one: checked once, not per call

@@ -6,6 +6,7 @@ import numpy as np
 from coherent_age.copulas import ClaytonOakes, FGM, GumbelHougaard, Independence
 from coherent_age.distributions import Exponential, LinearFailureRate, Weibull
 from coherent_age.systems import Structure, SystemModel, k_of_n_paths
+from coherent_age.verifier import verify_bstar, verify_cstar
 
 
 def random_structure(rng, n):
@@ -66,6 +67,27 @@ def random_instance(rng, relation):
     sys1 = SystemModel(random_structure(rng, n1), random_copula(rng, n1), mx)
     sys2 = SystemModel(random_structure(rng, n2), random_copula(rng, n2), my)
     return sys1, sys2
+
+
+def clayton_pairs(rng, count):
+    """(verify, system1, system2) for count random Clayton-Oakes pairs with
+    theta log-uniform on [0.05, 8], then parallel(5) under Exp(3) against
+    parallel(8) under Exp(2) at theta 0.05 and at theta 8."""
+    pairs = []
+    for i in range(count):
+        relation = ("c_star", "b_star")[i % 2]
+        mx, my = random_margin_pair(rng, relation)
+        systems = []
+        for margin in (mx, my):
+            n = int(rng.integers(2, 7))
+            theta = float(np.exp(rng.uniform(np.log(0.05), np.log(8.0))))
+            systems.append(SystemModel(random_structure(rng, n), ClaytonOakes(theta, n), margin))
+        pairs.append((verify_cstar if relation == "c_star" else verify_bstar, *systems))
+    for theta in (0.05, 8.0):
+        sys1 = SystemModel(Structure.parallel(5), ClaytonOakes(theta, 5), Exponential(3.0))
+        sys2 = SystemModel(Structure.parallel(8), ClaytonOakes(theta, 8), Exponential(2.0))
+        pairs.append((verify_bstar, sys1, sys2))
+    return pairs
 
 
 def golden_corpus():

@@ -209,7 +209,7 @@ class TestSimulate:
         }
         assert run(tmp_path, "simulate", payload) == 0
         first = out.read_bytes()
-        assert run(tmp_path, "simulate", payload, "--grid-size", "2001") == 0
+        assert run(tmp_path, "simulate", payload) == 0
         assert out.read_bytes() == first
         meta, header, rows = parse_table(first.decode())
         assert meta["seed"] == "42"
@@ -224,6 +224,47 @@ class TestSimulate:
         assert run(tmp_path, "simulate", payload, "--seed", "77") == 0
         meta, _, _ = parse_table(capsys.readouterr().out)
         assert meta["seed"] == "77"
+
+
+class TestUnreadFlags:
+    # each subcommand takes only the flags it reads; any other is a usage
+    # error, not an override dropped without a word
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            ("distortion", "--tol"),
+            ("distortion", "--seed"),
+            ("check-order", "--eps-endpoint"),
+            ("check-order", "--seed"),
+            ("verify", "--seed"),
+            ("simulate", "--grid-size"),
+            ("simulate", "--tol"),
+            ("simulate", "--eps-endpoint"),
+            ("corollary", "--grid-size"),
+            ("corollary", "--tol"),
+            ("corollary", "--eps-endpoint"),
+            ("corollary", "--seed"),
+        ],
+    )
+    def test_flag_the_command_does_not_read_is_a_usage_error(self, tmp_path, capsys, command, flag):
+        payload = {
+            "distortion": {"system1": FGM_SYSTEM},
+            "check-order": VERIFY_SPEC,
+            "verify": VERIFY_SPEC,
+            "simulate": {"system1": SERIES3_SYSTEM},
+            "corollary": {"k": 1, "n": 3, "l": 2, "m": 3, "relation": "c_star"},
+        }[command]
+        with pytest.raises(SystemExit) as exc:
+            run(tmp_path, command, payload, flag, "7")
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"error: unrecognized arguments: {flag} 7\n")
+
+    def test_grid_block_on_simulate_is_refused(self, tmp_path, capsys):
+        payload = {"system1": SERIES3_SYSTEM, "grid": {"size": 3, "policy": "linear"}}
+        assert run(tmp_path, "simulate", payload) == 1
+        assert capsys.readouterr().err == "error: unknown fields in spec: ['grid']\n"
 
 
 class TestCorollary:

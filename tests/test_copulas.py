@@ -3,11 +3,12 @@ import warnings
 
 import numpy as np
 import pytest
-from corpus_helpers import copula_eval
+from corpus_helpers import clayton_pairs, copula_eval
 from hypothesis import given, strategies as st
 from mpmath import mp, mpf
 
 from coherent_age.copulas import (
+    _CLAYTON_LOG_CUTOFF,
     ClaytonOakes,
     FGM,
     GumbelHougaard,
@@ -207,6 +208,104 @@ class TestSecondDerivative:
             for j in range(2, cop.dim + 1):
                 want = [float(mp.diff(lambda t: exact_exch(cop, t, j), mpf(x), 2)) for x in p]
                 np.testing.assert_allclose(cop._exch_second(p, j), want, rtol=1e-12, atol=0.0)
+
+
+# The per-j Clayton cores that ClaytonOakes._sum replaced, kept unchanged as
+# the reference its one-pass sums must equal bit for bit, the role that
+# sequential_bracketed plays for Grid._bracketed.
+def reference_exch(self, pa, j):
+    out = np.zeros_like(pa)
+    pos = pa > 0.0
+    with np.errstate(divide="ignore"):
+        w = np.where(pos, -self.theta * np.log(np.maximum(pa, 1e-300)), np.inf)
+    direct = w < _CLAYTON_LOG_CUTOFF
+    wd = np.minimum(w, _CLAYTON_LOG_CUTOFF)
+    k_direct = np.exp(-np.log1p(j * np.expm1(wd)) / self.theta)
+    k_limit = pa * j ** (-1.0 / self.theta)
+    out[pos] = np.where(direct, k_direct, k_limit)[pos]
+    return out
+
+
+def reference_exch_deriv(self, pa, j):
+    out = np.full_like(pa, j ** (-1.0 / self.theta))  # p -> 0 limit
+    pos = pa > 0.0
+    with np.errstate(divide="ignore"):
+        logp = np.log(np.maximum(pa, 1e-300))
+    w = -self.theta * logp
+    direct = pos & (w < _CLAYTON_LOG_CUTOFF)
+    wd = np.minimum(w, _CLAYTON_LOG_CUTOFF)
+    log_kp = math.log(j) - (self.theta + 1.0) * logp - ((self.theta + 1.0) / self.theta) * np.log1p(
+        j * np.expm1(wd)
+    )
+    # the limit points' log_kp can exceed the float range: exponentiate
+    # only the direct ones
+    return np.where(direct, np.exp(np.where(direct, log_kp, 0.0)), out)
+
+
+def reference_exch_second(self, pa, j):
+    # K'' = K' (theta+1)(j-1) / (p S) with S = 1 + j (p^-theta - 1), in
+    # log space; past the cutoff S = j p^-theta to float precision
+    if j == 1:
+        return np.zeros_like(pa)
+    logp = np.log(pa)
+    w = -self.theta * logp
+    direct = w < _CLAYTON_LOG_CUTOFF
+    log_s = np.where(direct, np.log1p(j * np.expm1(np.minimum(w, _CLAYTON_LOG_CUTOFF))), math.log(j) + w)
+    return np.exp(
+        math.log(j * (j - 1) * (self.theta + 1.0)) - (self.theta + 2.0) * logp - (2.0 + 1.0 / self.theta) * log_s
+    )
+
+
+def reference_exch_compl(self, pa, j):
+    out = np.ones_like(pa)
+    pos = pa > 0.0
+    with np.errstate(divide="ignore"):
+        w = np.where(pos, -self.theta * np.log(np.maximum(pa, 1e-300)), np.inf)
+    direct = w < _CLAYTON_LOG_CUTOFF
+    wd = np.minimum(w, _CLAYTON_LOG_CUTOFF)
+    c_direct = -np.expm1(-np.log1p(j * np.expm1(wd)) / self.theta)
+    c_limit = 1.0 - pa * j ** (-1.0 / self.theta)
+    out[pos] = np.where(direct, c_direct, c_limit)[pos]
+    return out
+
+
+def reference_sum(self, pa, coeffs, which):
+    """The distortion engine's former per-j loop over the reference cores."""
+    core = (reference_exch, reference_exch_compl, reference_exch_deriv, reference_exch_second)[which]
+    out = np.zeros_like(pa)
+    for j, c in coeffs:
+        out += c * core(self, pa, j)
+    return out
+
+
+CLAYTON_THETAS = [0.05, 0.3, 1.0, 2.7, 8.0, 40.0]
+CLAYTON_COEFFS = [((1, 1),), ((1, 2), (2, -1)), ((2, 3), (3, -3), (4, 1)), ((1, 1), (3, 1), (4, -1)), ((6, 1),)]
+CLAYTON_POINTS = np.concatenate([[0.0, 1e-300, 1e-200, 1e-30], np.linspace(0.0, 1.0, 3001), [1.0 - 1e-16]])
+
+
+class TestClaytonSum:
+    @pytest.mark.parametrize("theta", CLAYTON_THETAS)
+    @pytest.mark.parametrize("which", range(4), ids=["K", "1-K", "K'", "K''"])
+    @pytest.mark.parametrize("coeffs", CLAYTON_COEFFS, ids=str)
+    def test_equals_the_per_j_loop(self, theta, which, coeffs):
+        cop = ClaytonOakes(theta, 6)
+        p = CLAYTON_POINTS
+        if which == 3:
+            p = p[(p > 0.0) & (p < 1.0)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = cop._sum(p, coeffs, which)
+            assert np.array_equal(got, reference_sum(cop, p, coeffs, which))
+            # a scalar call is a 0-d array, as the distortion engine passes it
+            for x in map(np.asarray, p[[0, 1, 2, p.size // 2, -1]]):
+                assert np.array_equal(cop._sum(x, coeffs, which), reference_sum(cop, x, coeffs, which))
+
+    def test_verify_reports_equal_those_of_the_per_j_loop(self, monkeypatch):
+        pairs = clayton_pairs(np.random.default_rng(14), 18)
+        assert len(pairs) == 20
+        reports = [verify(sys1, sys2) for verify, sys1, sys2 in pairs]
+        monkeypatch.setattr(ClaytonOakes, "_sum", reference_sum)
+        assert [repr(r) for r in reports] == [repr(verify(sys1, sys2)) for verify, sys1, sys2 in pairs]
 
 
 class TestValidation:

@@ -177,6 +177,23 @@ class TestVerifyConfig:
         s1, s2 = fgm_pair_series_system(), series3_independent_system()
         assert repr(verify_bstar(s1, s2)) == repr(verify_bstar(s1, s2, VerifyConfig()))
 
+    def test_keeps_its_p_grid_read_only(self):
+        cfg = VerifyConfig(eps_endpoint=0.01, grid_size=31)
+        grid = cfg.p_grid()
+        assert cfg.p_grid() is grid
+        assert np.array_equal(grid.points, np.linspace(0.01, 0.99, 31))
+        with pytest.raises(ValueError, match="read-only"):
+            grid.points[0] = 0.5
+
+    def test_kept_grid_leaves_equality_hash_and_repr_alone(self):
+        cfg = VerifyConfig(grid_size=31.0)
+        assert cfg == VerifyConfig(grid_size=31)
+        assert hash(cfg) == hash(VerifyConfig(grid_size=31))
+        assert cfg != VerifyConfig(grid_size=32)
+        assert repr(cfg) == (
+            "VerifyConfig(eps_endpoint=0.001, grid_size=31, tol=1e-09, sign_slack=1e-08, grid_policy='log')"
+        )
+
 
 class TestCorollaryIndexCheck:
     def test_examples(self):
