@@ -1,8 +1,9 @@
 """Command-line front end for reproducible certification runs.
 
 One JSON spec file drives each run; flags exist only for overrides, and
-each subcommand takes only the flags it reads (``_FLAGS``), so any other is
-an argparse usage error.  Numeric output is written with
+each subcommand takes only the flags (``_FLAGS``) and the grid and tolerance
+keys (``_SETTINGS``) it reads, so any other flag is a usage error and any
+other key a spec error.  Numeric output is written with
 17 significant digits so golden-file diffs are meaningful, and every CSV/JSON
 artifact records the sha256 of the input spec.
 
@@ -22,7 +23,8 @@ Subcommands and exit codes:
     simulate     empirical vs analytic survival CSV    0 ok / 3 oracle deviation > 4
     corollary    k-out-of-n index predicate            0 true / 2 false
 
-Exit code 1 is reserved for spec-schema errors; an argparse usage error exits 2.
+Exit code 1 is reserved for input errors: a spec-schema error or a
+command-line usage error, which prints the usage and one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -104,8 +106,12 @@ def _load_system(d: dict, where: str) -> SystemBlock:
     return SystemBlock(margin=margin, structure=structure, copula=copula)
 
 
-_TOL_KEYS = {"tol", "sign_slack", "eps_endpoint"}
-_GRID_KEYS = {"policy", "size"}
+# the grid and tolerance keys each command reads
+_SETTINGS = {
+    "distortion": ({"size"}, {"eps_endpoint"}),
+    "check-order": ({"size", "policy"}, {"tol"}),
+    "verify": ({"size", "policy"}, {"tol", "sign_slack", "eps_endpoint"}),
+}
 _SIM_DEFAULTS = {"sample_count": 100_000, "seed": 0, "stream_count": 4}
 _OUTPUT_KEYS = {"csv", "json"}
 
@@ -176,13 +182,14 @@ def load_spec(
             raise SpecError(f"relation must be one of {allowed}, got {spec.relation!r}")
 
     # VerifyConfig field names: grid.policy and grid.size gain a grid_ prefix
+    # only the commands in _SETTINGS have a grid or tolerances block
     settings = {}
     if "grid" in raw:
-        _require(raw["grid"], set(), _GRID_KEYS, "grid")
+        _require(raw["grid"], set(), _SETTINGS[command][0], "grid")
         settings.update((f"grid_{key}", value) for key, value in raw["grid"].items())
 
     if "tolerances" in raw:
-        _require(raw["tolerances"], set(), _TOL_KEYS, "tolerances")
+        _require(raw["tolerances"], set(), _SETTINGS[command][1], "tolerances")
         settings.update((key, _real(value, f"tolerances.{key}")) for key, value in raw["tolerances"].items())
 
     flags = {"grid_size": grid_size, "tol": tol, "eps_endpoint": eps_endpoint}
@@ -352,8 +359,17 @@ _FLAGS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse whose usage errors exit 1, the code of every input error,
+    so that a mistyped flag never reads as a verdict."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="coherent-age",
         description="Grid-certified relative-ageing comparisons of coherent systems.",
     )

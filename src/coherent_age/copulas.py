@@ -239,8 +239,9 @@ class ClaytonOakes(Copula):
         # at p = 0 and past the cutoff, where p^-theta overflows, the exact
         # limits are written in, only where the input has such points
         theta = self.theta
-        # K'' lives on the open interval; elsewhere the floor keeps ln 0 finite
-        logp = np.log(pa if which == 3 else np.maximum(pa, 1e-300))
+        # ln 0 = -inf only reaches the p = 0 points, which take the limits
+        with np.errstate(divide="ignore"):
+            logp = np.log(pa)
         w = -theta * logp
         direct = (pa > 0.0) & (w < _CLAYTON_LOG_CUTOFF)
         limit = None if direct.all() else ~direct

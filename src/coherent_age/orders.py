@@ -53,8 +53,8 @@ GL_NODES = 16
 GL_PANELS = (32, 64)
 # grid points per integrand call: bounds each (points x nodes) temporary to 1.5 MB
 GL_BLOCK = 128
-# halvings of each bracketed grid's quantile search
-BISECT_STEPS = 80
+# the most doublings (halvings) that widen a system grid's bracket ends
+WIDEN_STEPS = 200
 
 
 @dataclass(frozen=True)
@@ -112,8 +112,7 @@ class Grid:
             xa = as_float_array(x)
             return 0.5 * (-np.expm1(-dist_x._chz(xa)) + -np.expm1(-dist_y._chz(xa)))
 
-        lo = min(dist_x.quantile(q_lo), dist_y.quantile(q_lo))
-        hi = max(dist_x.quantile(q_hi), dist_y.quantile(q_hi))
+        lo, hi = _quantile_bracket(dist_x, dist_y, q_lo, q_hi)
         return cls._bracketed(mix_cdf, lo, hi, size, q_lo, q_hi, policy)
 
     @classmethod
@@ -130,7 +129,16 @@ class Grid:
         the two SYSTEM lifetimes.  System lifetimes can live far from their
         component margins (a parallel system dies long after its first
         component), and ratios of system cumulative hazards are indeterminate
-        outside this range, so the margins' bracket is widened first."""
+        outside this range, so the margins' bracket is widened first.
+
+        The widening takes the first lo * 2**-k, k < 200, at which the
+        mixture is <= q_lo or that lies below 1e-280 (lo * 2**-200 when none
+        does), and likewise the first hi * 2**k with the mixture >= q_hi or
+        above 1e280.  Scaling by a power of two is exact there, so these are
+        the floats of repeated halving and doubling; one mixture call tries
+        k = 0..7 at both ends, and the next eight follow only for an end
+        where none qualified (candidates past 1e-280 or 1e280 end the list).
+        """
 
         # SystemModel.survival on the cores: the points are nonnegative, so
         # every margin survival lies in [0, 1]
@@ -139,35 +147,58 @@ class Grid:
             sf1, sf2 = (s.distortion._evaluate(np.exp(-s.margin._chz(xa)), 0) for s in (sys1, sys2))
             return 1.0 - 0.5 * (sf1 + sf2)
 
-        lo = min(sys1.margin.quantile(q_lo), sys2.margin.quantile(q_lo))
-        for _ in range(200):
-            if mix_cdf(lo) <= q_lo or lo < 1e-280:
+        lo, hi = _quantile_bracket(sys1.margin, sys2.margin, q_lo, q_hi)
+        # per end: the direction of k, the level, the float-range stop and
+        # the start; the sign turns "F <= q_lo or x < 1e-280" at the lower end
+        # into the ">= ... or >" of the upper end
+        ends = [(-1, q_lo, 1e-280, lo), (1, q_hi, 1e280, hi)]
+        found = {}
+        for k0 in range(0, WIDEN_STEPS, 8):
+            tries = {}
+            for i, (sign, _, stop, start) in enumerate(ends):
+                if i in found:
+                    continue
+                xs = tries[i] = []
+                for k in range(k0, min(k0 + 8, WIDEN_STEPS)):
+                    xs.append(math.ldexp(start, sign * k))
+                    if sign * xs[-1] > sign * stop:
+                        break
+            values = iter(as_float_array(mix_cdf(np.array([x for xs in tries.values() for x in xs]))).tolist())
+            for i, xs in tries.items():
+                sign, level, stop, _ = ends[i]
+                hits = [x for x, f in zip(xs, values) if sign * f >= sign * level or sign * x > sign * stop]
+                if hits:
+                    found[i] = hits[0]
+            if len(found) == 2:
                 break
-            lo *= 0.5
-        hi = max(sys1.margin.quantile(q_hi), sys2.margin.quantile(q_hi))
-        for _ in range(200):
-            if mix_cdf(hi) >= q_hi or hi > 1e280:
-                break
-            hi *= 2.0
+        lo, hi = (found.get(i, math.ldexp(start, sign * WIDEN_STEPS)) for i, (sign, _, _, start) in enumerate(ends))
         return cls._bracketed(mix_cdf, lo, hi, size, q_lo, q_hi, policy)
 
     @classmethod
     def _bracketed(cls, mix_cdf, lo: float, hi: float, size: int, q_lo: float, q_hi: float,
                    policy: str) -> "Grid":
         """Grid between the q_lo and q_hi quantiles of mix_cdf, both found as
-        the floats that BISECT_STEPS halvings of [lo, hi] reach.
+        the floats that halving [lo, hi] reaches when it runs until the
+        midpoint equals an end of its bracket.  A finite bracket gets there
+        within 2098 halvings, and every later bracket has that midpoint.
 
         Each target keeps its bracket [a, b] and F there (the first call
         evaluates lo and hi).  Each later call guesses the target by the
-        secant through (a, F(a)) and (b, F(b)), or the midpoint where that
-        is not finite or leaves [a, b], walks the halvings m = 0.5 * (a + b)
-        towards the guess, and evaluates every m of both walks at once.  The
-        halvings are taken while `F(m) < target` agrees with the guessed
-        side, and so is the first that disagrees, whose value is known: each
-        call takes at least one, and no grid depends on the guess.  A target
-        is done when its midpoint equals an end of its bracket (every later
-        bracket has that midpoint) or after BISECT_STEPS halvings, so the
-        grid is the same floats as from one call per halving.
+        secant in complementary log-log coordinates (ln x against
+        ln(-ln(1 - F)), where exponential, Weibull and LFR mixtures and
+        power-law distortion tails are nearly straight), else by the secant
+        through (a, F(a)) and (b, F(b)), else by the midpoint.  A secant that
+        is not defined does not count, and one past an end of [a, b] is that
+        end: the target then lies beyond it, and the halvings converge to it.
+        The call walks the halvings m = 0.5 * (a + b) towards the guess and
+        evaluates every m of both walks at once.  When both secants exist,
+        their distance estimates the guess's error, and a walk stops once its
+        bracket is narrower than 2**-10 of it; both lie in [a, b], so each
+        walk has at least one point.  The halvings are taken while
+        `F(m) < target` agrees with the guessed side, and so is the first
+        that disagrees, whose value is known: each call takes at least one,
+        and no grid depends on the guess or the walk length, so the grid is
+        the same floats as from one call per halving.
         """
         build = cls.log_spaced if policy == "log" else cls.linear
         if hi <= lo:
@@ -177,22 +208,31 @@ class Grid:
             raise ValueError(f"the quantile bracket [{lo!r}, {hi!r}] is not finite")
         f_lo, f_hi = as_float_array(mix_cdf(np.array([lo, hi]))).tolist()
         targets = (q_lo, q_hi)
-        # per target: a, b, F(a), F(b) and the halvings taken
-        state = [[lo, hi, f_lo, f_hi, 0], [lo, hi, f_lo, f_hi, 0]]
+        # per target: a, b, F(a), F(b)
+        state = [[lo, hi, f_lo, f_hi], [lo, hi, f_lo, f_hi]]
         while True:
             walks = []
-            for target, (a, b, fa, fb, steps) in zip(targets, state):
-                guess = a + (target - fa) * (b - a) / (fb - fa) if fb != fa else math.nan
-                if not a <= guess <= b:
-                    guess = 0.5 * (a + b)
+            for target, (a, b, fa, fb) in zip(targets, state):
+                linear = _secant(a, b, fa, fb, target)
+                loglog = math.nan
+                if a > 0.0:
+                    # taken relative to b, so exp cannot overflow
+                    ln_b = math.log(b)
+                    ln_x = _secant(math.log(a), ln_b, _cloglog(fa), _cloglog(fb), _cloglog(target))
+                    loglog = b * math.exp(ln_x - ln_b)
+                guess = next((g for g in (loglog, linear) if not math.isnan(g)), 0.5 * (a + b))
+                # nan unless both secants exist: then the walk runs to the end
+                width = 2.0**-10 * abs(loglog - linear)
                 walk = []
-                for _ in range(steps, BISECT_STEPS):
+                while True:
                     m = 0.5 * (a + b)
                     if m == a or m == b:
                         break
                     below = m < guess
                     walk.append((m, below))
                     a, b = (m, b) if below else (a, m)
+                    if b - a < width:
+                        break
                 walks.append(walk)
             points = [m for walk in walks for m, _ in walk]
             if not points:
@@ -206,10 +246,33 @@ class Grid:
                         end[0], end[2] = m, value
                     else:
                         end[1], end[3] = m, value
-                    end[4] += 1
                     if below != guessed:
                         break
         return build(0.5 * (state[0][0] + state[0][1]), 0.5 * (state[1][0] + state[1][1]), size)
+
+
+def _quantile_bracket(dist_x: LifetimeDistribution, dist_y: LifetimeDistribution, q_lo: float,
+                      q_hi: float) -> tuple[float, float]:
+    """The lower of the two q_lo quantiles and the higher of the two q_hi
+    quantiles, from one isf call per margin."""
+    if not 0.0 < q_lo < q_hi < 1.0:
+        raise ValueError(f"quantile levels must satisfy 0 < q_lo < q_hi < 1, got {q_lo!r} and {q_hi!r}")
+    (x_lo, x_hi), (y_lo, y_hi) = (
+        as_float_array(d.isf(np.array([1.0 - q_lo, 1.0 - q_hi]))).tolist() for d in (dist_x, dist_y)
+    )
+    return min(x_lo, y_lo), max(x_hi, y_hi)
+
+
+def _secant(a: float, b: float, fa: float, fb: float, target: float) -> float:
+    """Where the chord through (a, fa) and (b, fb) reaches target, clamped
+    to [a, b]; nan when that is undefined."""
+    guess = a + (target - fa) * (b - a) / (fb - fa) if fb != fa else math.nan
+    return min(max(guess, a), b)
+
+
+def _cloglog(f: float) -> float:
+    """ln(-ln(1 - f)), nan outside 0 < f < 1."""
+    return math.log(-math.log1p(-f)) if 0.0 < f < 1.0 else math.nan
 
 
 @dataclass(frozen=True)

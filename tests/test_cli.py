@@ -256,10 +256,37 @@ class TestUnreadFlags:
         }[command]
         with pytest.raises(SystemExit) as exc:
             run(tmp_path, command, payload, flag, "7")
-        assert exc.value.code == 2
+        # exit 1, the code of an input error: 2 would read as "not certified"
+        assert exc.value.code == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.endswith(f"error: unrecognized arguments: {flag} 7\n")
+        assert captured.err.startswith("usage: coherent-age ")
+        assert captured.err.endswith(f"\nerror: unrecognized arguments: {flag} 7\n")
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: coherent-age verify ")
+
+    # each command takes only the grid and tolerance keys it reads
+    @pytest.mark.parametrize(
+        "command, block, key",
+        [
+            ("distortion", "grid", "policy"),
+            ("distortion", "tolerances", "tol"),
+            ("distortion", "tolerances", "sign_slack"),
+            ("check-order", "tolerances", "eps_endpoint"),
+            ("check-order", "tolerances", "sign_slack"),
+        ],
+    )
+    def test_spec_key_the_command_does_not_read_is_refused(self, tmp_path, capsys, command, block, key):
+        payload = {"system1": FGM_SYSTEM} if command == "distortion" else VERIFY_SPEC
+        value = "linear" if key == "policy" else 0.2
+        assert run(tmp_path, command, {**payload, block: {key: value}}) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: unknown fields in {block}: [{key!r}]\n"
 
     def test_grid_block_on_simulate_is_refused(self, tmp_path, capsys):
         payload = {"system1": SERIES3_SYSTEM, "grid": {"size": 3, "policy": "linear"}}

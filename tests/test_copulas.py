@@ -300,6 +300,21 @@ class TestClaytonSum:
             for x in map(np.asarray, p[[0, 1, 2, p.size // 2, -1]]):
                 assert np.array_equal(cop._sum(x, coeffs, which), reference_sum(cop, x, coeffs, which))
 
+    @pytest.mark.parametrize("theta", [0.05, 0.5])
+    @pytest.mark.parametrize("p", [1e-310, 5e-324])
+    def test_below_1e_300_against_mpmath(self, theta, p):
+        # subnormal p: the direct form needs ln p itself, not a floored one
+        cop = ClaytonOakes(theta, 3)
+        t, th = mpf(p), mpf(theta)
+        with mp.workdps(50):
+            for j in (2, 3):
+                k = exact_exch(cop, t, j)
+                # K_j' = j t^-(theta+1) S^-(1+1/theta), S = j t^-theta - (j-1)
+                k_prime = j * t ** -(th + 1) * (j * t**-th - (j - 1)) ** (-1 - 1 / th)
+                for which, want in ((0, k), (1, 1 - k), (2, k_prime)):
+                    got = cop._sum(np.array([p]), ((j, 1),), which)[0]
+                    assert got == pytest.approx(float(want), rel=1e-12, abs=0.0)
+
     def test_verify_reports_equal_those_of_the_per_j_loop(self, monkeypatch):
         pairs = clayton_pairs(np.random.default_rng(14), 18)
         assert len(pairs) == 20

@@ -9,7 +9,6 @@ import pytest
 from coherent_age.copulas import FGM, GumbelHougaard, Independence
 from coherent_age.distributions import Exponential, LinearFailureRate, Weibull
 from coherent_age.orders import (
-    BISECT_STEPS,
     Grid,
     check_monotone,
     check_order,
@@ -38,21 +37,22 @@ def kofn_system(k, n, margin):
 
 
 def sequential_bracketed(mix_cdf, lo, hi, size, q_lo, q_hi, policy):
-    """Grid._bracketed one halving at a time: 80 array calls of mix_cdf, each
-    on the two current midpoints."""
+    """Grid._bracketed one halving at a time: one array call of mix_cdf on
+    the two current midpoints per halving, until neither midpoint moves."""
     build = Grid.log_spaced if policy == "log" else Grid.linear
     if hi <= lo:
         return build(lo, lo, size)
     targets = np.array([q_lo, q_hi])
     lo_b = np.full(2, float(lo))
     hi_b = np.full(2, float(hi))
-    for _ in range(80):
-        mid = 0.5 * (lo_b + hi_b)
+    mid = 0.5 * (lo_b + hi_b)
+    while True:
         below = np.asarray(mix_cdf(mid), dtype=float) < targets
         lo_b = np.where(below, mid, lo_b)
         hi_b = np.where(below, hi_b, mid)
-    ends = 0.5 * (lo_b + hi_b)
-    return build(float(ends[0]), float(ends[1]), size)
+        moved, mid = mid, 0.5 * (lo_b + hi_b)
+        if np.array_equal(mid, moved):
+            return build(float(mid[0]), float(mid[1]), size)
 
 
 def _lfr_mixture(x):
@@ -135,6 +135,31 @@ class TestGrid:
         np.testing.assert_allclose(spacing, spacing[0], rtol=1e-9)
 
 
+class TestBracketEdges:
+    @pytest.mark.parametrize("shape", [0.01, 0.1, 0.15])
+    def test_margin_grid_reaches_a_lower_quantile_far_below_the_upper(self, shape):
+        # [q(0.001), q(0.999)] spans 384 decades under Weibull(0.01): the
+        # search runs past 80 halvings to reach its lower end
+        d = Weibull(shape)
+        g = Grid.margin_bracketed(d, d, size=11)
+        assert g.points[0] == pytest.approx(d.quantile(0.001), rel=1e-12, abs=0.0)
+
+    def test_system_grid_below_the_widening_floor_builds(self):
+        system = SystemModel(Structure.series(3), Independence(3), Weibull(0.01))
+        g = Grid.system_bracketed(system, system, size=11)
+        assert g.points[0] < 1e-280 < g.points[-1]
+
+    @pytest.mark.parametrize("q_lo, q_hi", [(0.0, 0.5), (0.5, 0.5), (0.6, 0.4), (0.1, 1.0),
+                                            (float("nan"), 0.9)])
+    def test_quantile_levels_outside_the_open_unit_interval_rejected(self, q_lo, q_hi):
+        system = series3_system()
+        message = r"0 < q_lo < q_hi < 1, got .* and .*"
+        with pytest.raises(ValueError, match=message):
+            Grid.margin_bracketed(LFR_X, LFR_Y, size=11, q_lo=q_lo, q_hi=q_hi)
+        with pytest.raises(ValueError, match=message):
+            Grid.system_bracketed(system, system, size=11, q_lo=q_lo, q_hi=q_hi)
+
+
 class TestBatchedBracketing:
     def test_grids_match_one_halving_per_call(self, monkeypatch):
         # every grid both builders make is the sequential reference's, bit for bit
@@ -159,6 +184,12 @@ class TestBatchedBracketing:
             (SystemModel(parallel8, GumbelHougaard(1.5, 8), Weibull(0.6, 1.0)),
              SystemModel(parallel8, Independence(8), Exponential(2.0))),
         ]
+        # series(8) under Weibull(0.1) widens its lower end 31 steps, four
+        # mixture calls of eight candidates; under Weibull(0.01) the margin's
+        # 0.001 quantile already lies below the 1e-280 floor
+        for n, shape in ((8, 0.1), (3, 0.01)):
+            series = SystemModel(Structure.series(n), Independence(n), Weibull(shape))
+            pairs.append((series, series))
         for sys1, sys2 in pairs:
             families |= {type(sys1.copula).__name__, type(sys2.copula).__name__}
             for policy in ("log", "linear"):
@@ -175,8 +206,8 @@ class TestBatchedBracketing:
             return _lfr_mixture(x)
 
         grid = Grid._bracketed(mix_cdf, 1e-4, 10.0, 11, 0.001, 0.999, "log")
-        # the tree this replaced took ceil(80 / 6) = 14 calls
-        assert len(calls) < 14
+        # the linear secant alone took 12 calls on 533 points
+        assert len(calls) <= 9 and sum(calls) <= 300
         ref = sequential_bracketed(mix_cdf, 1e-4, 10.0, 11, 0.001, 0.999, "log")
         assert np.array_equal(grid.points, ref.points)
 
@@ -193,7 +224,7 @@ class TestBatchedBracketing:
         for policy in ("log", "linear"):
             calls.clear()
             grid = Grid._bracketed(counted, lo, hi, 11, 0.001, 0.999, policy)
-            assert len(calls) <= BISECT_STEPS + 1
+            assert len(calls) <= 81
             ref = sequential_bracketed(mix_cdf, lo, hi, 11, 0.001, 0.999, policy)
             assert np.array_equal(grid.points, ref.points)
 
