@@ -5,16 +5,22 @@ Sampling is split across independent substreams spawned from one 64-bit seed
 concatenated in stream order, so output is bit-identical for a fixed
 (seed, stream_count).
 
-Samplers: the independence law (Independence, Gumbel-Hougaard at theta = 1,
-FGM at theta = 0) draws directly; the trivariate FGM uses rejection against
-independence with density bound 1 + |theta|; Gumbel-Hougaard uses the
-positive-stable frailty construction (Chambers-Mallows-Stuck for the stable
-variable); Clayton-Oakes uses a gamma frailty.
+Each sampler draws a latent array and a row map to uniforms whose joint
+distribution function is the survival copula K.  The independence law
+(Independence, Gumbel-Hougaard at theta = 1, FGM at theta = 0) and the
+trivariate FGM (rejection against independence, density bound 1 + |theta|)
+draw the uniforms themselves.  Gumbel-Hougaard (positive-stable frailty V,
+Chambers-Mallows-Stuck) and Clayton-Oakes (gamma frailty V) draw exponentials
+E_i and map them to U_i = phi(E_i / V), with phi decreasing.
 
-Rows are uniforms whose joint distribution function is the survival copula
-K, so component lifetimes are recovered through the survival inverse
-X_i = isf(U_i) and the system survival identity P(tau > x) = h(sf(x)) can be
-validated empirically.
+The system lifetime max_P min_{i in P} isf(U_i) is reduced before any
+per-component transform.  isf is decreasing, so it is isf(min_P max_{i in P}
+U_i) for the uniform families and isf(phi(max_P min_{i in P} E_i / V)) for
+the frailty ones: one map and one isf per row.  This equals inverting every
+component where isf(phi(.)) keeps the order of a row's components in floating
+point, which no theorem gives (LinearFailureRate(1, 1).isf reverses some
+adjacent floats near u = 0.1 by one ulp); the tests pin it on sampled rows.
+The survival identity P(tau > x) = h(sf(x)) is then checked empirically.
 """
 
 from __future__ import annotations
@@ -52,22 +58,26 @@ class SimConfig:
 
 def sample_copula(copula: Copula, cfg: SimConfig) -> np.ndarray:
     """Sample cfg.sample_count rows from the copula, shape (N, dim)."""
+    return np.vstack([u if row_map is None else row_map(u) for u, row_map in _stream_draws(copula, cfg)])
+
+
+def _stream_draws(copula: Copula, cfg: SimConfig):
+    """Each nonempty substream's (latent, row_map) draw, in stream order,
+    drawn as it is consumed."""
     children = np.random.SeedSequence(cfg.seed).spawn(cfg.stream_count)
     base, extra = divmod(cfg.sample_count, cfg.stream_count)
     counts = [base + (1 if i < extra else 0) for i in range(cfg.stream_count)]
-    chunks = [
-        _sample_chunk(copula, count, np.random.default_rng(child))
-        for child, count in zip(children, counts)
-        if count > 0
-    ]
-    return np.vstack(chunks)
+    return (_sample_chunk(copula, count, np.random.default_rng(child))
+            for child, count in zip(children, counts) if count > 0)
 
 
-def _sample_chunk(copula: Copula, count: int, rng: np.random.Generator) -> np.ndarray:
+def _sample_chunk(copula: Copula, count: int, rng: np.random.Generator):
+    """A (count, dim) latent array and the decreasing row map taking it to
+    the copula's uniforms; the map is None where the latent is the uniforms."""
     if _is_independence(copula):
-        return rng.random((count, copula.dim))
+        return rng.random((count, copula.dim)), None
     if isinstance(copula, FGM):
-        return _sample_fgm(copula.theta, count, rng)
+        return _sample_fgm(copula.theta, count, rng), None
     if isinstance(copula, GumbelHougaard):
         return _sample_gumbel(copula.theta, copula.dim, count, rng)
     if isinstance(copula, ClaytonOakes):
@@ -98,13 +108,11 @@ def _sample_fgm(theta: float, count: int, rng: np.random.Generator,
         filled += take.shape[0]
     if filled < count:
         rate = filled / max(proposed, 1)
-        raise RuntimeError(
-            f"FGM rejection sampler hit the round cap with acceptance rate {rate:.3f}"
-        )
+        raise RuntimeError(f"FGM rejection sampler hit the round cap with acceptance rate {rate:.3f}")
     return out
 
 
-def _sample_gumbel(theta: float, dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
+def _sample_gumbel(theta: float, dim: int, count: int, rng: np.random.Generator):
     alpha = 1.0 / theta
     # positive stable frailty with Laplace transform exp(-t^alpha)
     w = rng.uniform(0.0, np.pi, count)
@@ -113,20 +121,22 @@ def _sample_gumbel(theta: float, dim: int, count: int, rng: np.random.Generator)
         np.sin((1.0 - alpha) * w) / e0
     ) ** ((1.0 - alpha) / alpha)
     e = rng.standard_exponential((count, dim))
-    return np.exp(-((e / stable[:, None]) ** alpha))
+    return e, lambda t: np.exp(-((t / stable[:, None]) ** alpha))
 
 
-def _sample_clayton(theta: float, dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
+def _sample_clayton(theta: float, dim: int, count: int, rng: np.random.Generator):
     frailty = rng.gamma(shape=1.0 / theta, scale=1.0, size=count)
     e = rng.standard_exponential((count, dim))
-    return (1.0 + e / frailty[:, None]) ** (-1.0 / theta)
+    return e, lambda t: (1.0 + t / frailty[:, None]) ** (-1.0 / theta)
 
 
-def _system_lifetime(lifetimes: np.ndarray, paths) -> np.ndarray:
-    """Max over paths of the min within each path, elementwise on column views."""
-    columns = lifetimes.T
-    path_mins = (reduce(np.minimum, [columns[i - 1] for i in sorted(path)]) for path in paths)
-    return reduce(np.maximum, path_mins)
+def _system_lifetime(values: np.ndarray, paths, rising: bool = True) -> np.ndarray:
+    """Max over paths of the min within each path, elementwise on column views;
+    min over paths of the max within each when lifetimes fall as values rise."""
+    inner, outer = (np.minimum, np.maximum) if rising else (np.maximum, np.minimum)
+    columns = values.T
+    path_values = (reduce(inner, [columns[i - 1] for i in sorted(path)]) for path in paths)
+    return reduce(outer, path_values)
 
 
 def _count_survivors(tau: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -161,43 +171,32 @@ class SimulationResult:
         return float(np.max(self.standardized_deviations()))
 
 
-def simulate_system(
-    structure: Structure,
-    copula: Copula,
-    margin: LifetimeDistribution,
-    cfg: SimConfig,
-    x_grid: np.ndarray | None = None,
-) -> SimulationResult:
+def simulate_system(structure: Structure, copula: Copula, margin: LifetimeDistribution, cfg: SimConfig,
+                    x_grid: np.ndarray | None = None) -> SimulationResult:
     """Empirical survival of the system lifetime against the analytic h(sf(x)).
 
-    Uniform rows are pushed through the survival inverse to give component
-    lifetimes; the system lifetime is the best path (max over minimal path
-    sets of the min within the path).
+    The system lifetime is the best path (max over minimal path sets of the
+    min within the path), reduced on each row's latent draw before its one
+    row map and one survival inverse.
     """
-    if copula.dim != structure.n:
-        raise ValueError(
-            f"copula dimension {copula.dim} does not match component count {structure.n}"
-        )
+    # refuses a copula whose dimension is not the component count
+    distortion = build_distortion(structure, copula)
     if x_grid is None:
         # component-reliability spread 0.9 -> 0.1 gives an increasing x grid
         # that keeps the empirical curve away from 0 and 1
-        x_grid = np.asarray(margin.isf(np.linspace(0.9, 0.1, 20)), dtype=float)
+        x_grid = margin.isf(np.linspace(0.9, 0.1, 20))
     x_grid = np.asarray(x_grid, dtype=float)
 
-    uniforms = sample_copula(copula, cfg)
-    lifetimes = np.asarray(margin.isf(uniforms), dtype=float)
-    tau = _system_lifetime(lifetimes, structure.paths)
+    # isf falls as u rises, and a frailty row map falls as its latent rises:
+    # reduce each row to the system's one value before mapping and inverting
+    system_u = [
+        _system_lifetime(latent, structure.paths, rising=False) if row_map is None
+        else row_map(_system_lifetime(latent, structure.paths)[:, None])[:, 0]
+        for latent, row_map in _stream_draws(copula, cfg)
+    ]
+    tau = np.asarray(margin.isf(np.concatenate(system_u)), dtype=float)
 
     emp = _count_survivors(tau, x_grid) / tau.size
-    distortion = build_distortion(structure, copula)
     ana = np.asarray(distortion.h(margin.sf(x_grid)), dtype=float)
     se = np.sqrt(emp * (1.0 - emp) / cfg.sample_count)
-    return SimulationResult(
-        x=x_grid,
-        empirical_sf=emp,
-        analytic_sf=ana,
-        std_err=se,
-        sample_count=cfg.sample_count,
-        seed=cfg.seed,
-        stream_count=cfg.stream_count,
-    )
+    return SimulationResult(x_grid, emp, ana, se, cfg.sample_count, cfg.seed, cfg.stream_count)

@@ -293,14 +293,8 @@ MONOTONE_RULES = ("incr", "decr")
 SIGN_RULES = ("nonpositive", "nonnegative")
 
 
-def _verdict(
-    xs: np.ndarray,
-    values: np.ndarray,
-    rule: str,
-    tol: float,
-    relation: str,
-    pre_skipped: int = 0,
-) -> OrderVerdict:
+def _verdict(xs: np.ndarray, values: np.ndarray, rule: str, tol: float, relation: str,
+             pre_skipped: int = 0) -> OrderVerdict:
     """The one grid verdict: values at xs increasing or decreasing (rule in
     MONOTONE_RULES), or <= 0 or >= 0 (SIGN_RULES), within tol.
 
@@ -308,18 +302,25 @@ def _verdict(
     the caller dropped; more than MAX_SKIP_FRACTION of all points skipped,
     or fewer than two kept points for a monotone rule, is inconclusive.
     """
+    xs, kept, skipped = _finite_part(xs, values)
+    return _kept_verdict(xs, kept, rule, tol, relation, pre_skipped + skipped)
+
+
+def _finite_part(xs: np.ndarray, values: np.ndarray):
+    """The points and values where the values are finite, and the count dropped."""
     finite = np.isfinite(values)
-    skipped = pre_skipped + finite.size - int(np.count_nonzero(finite))
-    xs = xs[finite]
     kept = values[finite]
+    return xs[finite], kept, finite.size - kept.size
+
+
+def _kept_verdict(xs, kept, rule: str, tol: float, relation: str, skipped: int) -> OrderVerdict:
+    """_verdict on finite values, `skipped` points having been dropped."""
     if kept.size == 0:
         raise ValueError("empty grid after skipping flagged points")
     monotone = rule in MONOTONE_RULES
-    if skipped > MAX_SKIP_FRACTION * (finite.size + pre_skipped) or (monotone and kept.size < 2):
-        return OrderVerdict(
-            relation, "inconclusive", None, np.nan, tol, skipped, kept.size,
-            note="too many points skipped",
-        )
+    if skipped > MAX_SKIP_FRACTION * (kept.size + skipped) or (monotone and kept.size < 2):
+        return OrderVerdict(relation, "inconclusive", None, np.nan, tol, skipped, kept.size,
+                            note="too many points skipped")
     # a monotone violation is the worst reversal between ANY earlier/later
     # pair (drawdown), not just adjacent points, so a slow cumulative
     # reversal cannot certify; its witness is the later point of the pair

@@ -36,7 +36,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from ._num import _integer
-from .orders import Grid, OrderVerdict, _ratio_verdict, _verdict, check_order, system_order_direct
+from .orders import Grid, OrderVerdict, _finite_part, _kept_verdict, _ratio_verdict, check_order, system_order_direct
 from .systems import SystemModel
 
 __all__ = [
@@ -160,15 +160,15 @@ def _elasticity_sign_condition(name, kind, p, values, sign_slack, tol) -> Condit
     or 'p R'/R positive and decreasing' (kind='R'); `values` are that
     relative slope on the p-grid."""
     sign = "nonpositive" if kind == "H" else "nonnegative"
-    sign_verdict = _verdict(p, values, sign, sign_slack, f"{name}:sign")
-    mono_verdict = _verdict(p, values, "decr", tol, f"{name}:decreasing")
-
-    finite = values[np.isfinite(values)]
+    # one finite mask and one compaction feed both verdicts and the boundary test
+    xs, kept, skipped = _finite_part(p, values)
+    sign_verdict = _kept_verdict(xs, kept, sign, sign_slack, f"{name}:sign", skipped)
+    mono_verdict = _kept_verdict(xs, kept, "decr", tol, f"{name}:decreasing", skipped)
     # boundary: the sign condition holds only by slack (identically-zero case)
     if sign == "nonpositive":
-        boundary = bool(finite.size and np.max(finite) > -sign_slack)
+        boundary = bool(kept.size and np.max(kept) > -sign_slack)
     else:
-        boundary = bool(finite.size and np.min(finite) < sign_slack)
+        boundary = bool(kept.size and np.min(kept) < sign_slack)
     detail = "holds in the zero-within-slack boundary sense" if boundary else ""
     return _combine(name, [sign_verdict, mono_verdict], boundary=boundary, detail=detail)
 

@@ -1,10 +1,12 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from coherent_age import montecarlo
 from coherent_age.copulas import ClaytonOakes, FGM, GumbelHougaard, Independence
-from coherent_age.distributions import Exponential, LinearFailureRate
+from coherent_age.distributions import Exponential, LinearFailureRate, Weibull
 from coherent_age.montecarlo import (
     SimConfig,
     _count_survivors,
@@ -101,6 +103,23 @@ class TestReproducibility:
         a = sample_copula(cop, SimConfig(sample_count=1000, seed=1))
         b = sample_copula(cop, SimConfig(sample_count=1000, seed=2))
         assert a.tobytes() != b.tobytes()
+
+    # sha256 of the sampled bytes, pinned from the sampler that mapped every
+    # component: a change to the draw calls, their order or their shapes fails here
+    @pytest.mark.parametrize(
+        "copula, digest",
+        [
+            (Independence(3), "24523e6bdfe250148a159ef87793db71ff28278037812a247cef20c5f15f837c"),
+            (FGM(-0.7), "5fd5cc80cf8f08abaf3599e2e565f0b6fc305b26c3c6def0325fd636e3c30996"),
+            (GumbelHougaard(2.0, 4), "0701cc820adf3616a4f29dfaf9b3fddd0606a5bc4bae93cc8f0136fee42df79a"),
+            (ClaytonOakes(1.5, 4), "08ee2c9153945b3708c1cd7e9f5da2e7707b595f27295edb02b3aa2fb79940fd"),
+        ],
+        ids=["independence", "fgm", "gumbel", "clayton"],
+    )
+    def test_sampled_bytes_pinned(self, copula, digest):
+        u = sample_copula(copula, SimConfig(sample_count=10_001, seed=5, stream_count=3))
+        assert u.shape == (10_001, copula.dim) and u.dtype == np.float64 and u.flags.c_contiguous
+        assert hashlib.sha256(u.tobytes()).hexdigest() == digest
 
 
 class TestSimulateSystem:
@@ -228,6 +247,75 @@ class TestReferenceFormulations:
         assert np.array_equal(tau, reference, equal_nan=True)
         assert np.isnan(tau[1])
         assert _count_survivors(tau, np.array([0.5])).tolist() == [2]
+
+
+# the reduction only commutes with isf and the frailty row maps where their
+# composition keeps the order of a row's components in floating point, which
+# no theorem gives (LinearFailureRate(1, 1).isf reverses some adjacent floats
+# by one ulp), so equality with the map-every-component pipeline is pinned here
+EXTREME_CASES = [
+    ("clayton-parallel8-0.05", Structure.parallel(8), ClaytonOakes(0.05, 8), Exponential(1.0)),
+    ("clayton-parallel8-30", Structure.parallel(8), ClaytonOakes(30.0, 8), Weibull(2.0, 1.0)),
+    ("gumbel-1-series8", Structure.series(8), GumbelHougaard(1.0, 8), Weibull(0.01)),
+    ("gumbel-10-three-of-six", k_of_n_paths(3, 6), GumbelHougaard(10.0, 6), LinearFailureRate(1e-300, 1.0)),
+]
+PIPELINE_CASES = REFERENCE_CASES + EXTREME_CASES
+# stream counts 1, 3, 4 and 5; every row count but the first leaves a remainder
+PIPELINE_CONFIGS = [
+    SimConfig(sample_count=20_000, seed=41, stream_count=1),
+    SimConfig(sample_count=20_003, seed=7, stream_count=3),
+    SimConfig(sample_count=20_002, seed=123, stream_count=4),
+    SimConfig(sample_count=9_999, seed=2**63 + 5, stream_count=5),
+]
+
+
+def reference_simulation(structure, copula, margin, cfg, x):
+    """Map every component: sample the copula, invert each uniform, reduce."""
+    lifetimes = np.asarray(margin.isf(sample_copula(copula, cfg)), dtype=float)
+    tau = _system_lifetime(lifetimes, structure.paths)
+    return tau, _count_survivors(tau, x) / tau.size
+
+
+class TestReducedPipeline:
+    @pytest.mark.parametrize("cfg", PIPELINE_CONFIGS, ids=lambda c: f"{c.stream_count}x{c.sample_count}")
+    @pytest.mark.parametrize(
+        "structure, copula, margin", [case[1:] for case in PIPELINE_CASES], ids=[case[0] for case in PIPELINE_CASES]
+    )
+    def test_matches_map_every_component(self, structure, copula, margin, cfg, monkeypatch):
+        seen = []
+        count = montecarlo._count_survivors
+
+        def recording(tau, x):
+            seen.append(tau)
+            return count(tau, x)
+
+        monkeypatch.setattr(montecarlo, "_count_survivors", recording)
+        res = simulate_system(structure, copula, margin, cfg)
+        tau, emp = reference_simulation(structure, copula, margin, cfg, res.x)
+        assert len(seen) == 1 and seen[0].dtype == np.float64
+        assert seen[0].tobytes() == tau.tobytes()
+        assert res.empirical_sf.tobytes() == emp.tobytes()
+
+    @pytest.mark.parametrize(
+        "copula",
+        [Independence(4), GumbelHougaard(2.0, 4), ClaytonOakes(1.5, 4), FGM(0.6)],
+        ids=["independence", "gumbel", "clayton", "fgm"],
+    )
+    def test_isf_inverts_one_value_per_row(self, copula, monkeypatch):
+        sizes = []
+        isf = Exponential.isf
+
+        def counting(self, v):
+            sizes.append(np.size(v))
+            return isf(self, v)
+
+        monkeypatch.setattr(Exponential, "isf", counting)
+        structure = k_of_n_paths(2, copula.dim)
+        cfg = SimConfig(sample_count=10_001, seed=3, stream_count=3)
+        simulate_system(structure, copula, Exponential(1.0), cfg)
+        # the default x-grid first, then every call on one value per row
+        assert sizes[0] == 20 and len(sizes) > 1
+        assert all(size == cfg.sample_count for size in sizes[1:])
 
 
 class TestConfigValidation:

@@ -5,12 +5,16 @@ import numpy as np
 import pytest
 from corpus_helpers import random_instance
 
+from coherent_age import verifier
 from coherent_age.copulas import FGM, GumbelHougaard, Independence
 from coherent_age.distributions import Exponential, LinearFailureRate
+from coherent_age.orders import _verdict
 from coherent_age.systems import Distortion, Structure, SystemModel, k_of_n_paths
 from coherent_age.verifier import (
     DEFAULT_CONFIG,
     VerifyConfig,
+    _combine,
+    _elasticity_sign_condition,
     corollary_index_check,
     verify_bstar,
     verify_cstar,
@@ -284,6 +288,69 @@ class TestEvaluateOnce:
         for system in (sys1, sys2):
             made = sorted(which for owner, which in calls if owner == id(system.distortion))
             assert made == [first, 2, 3]
+
+
+def reference_sign_condition(name, kind, p, values, sign_slack, tol):
+    """The sign condition as three separate passes, each filtering the
+    non-finite values on its own."""
+    sign = "nonpositive" if kind == "H" else "nonnegative"
+    sign_verdict = _verdict(p, values, sign, sign_slack, f"{name}:sign")
+    mono_verdict = _verdict(p, values, "decr", tol, f"{name}:decreasing")
+    finite = values[np.isfinite(values)]
+    if sign == "nonpositive":
+        boundary = bool(finite.size and np.max(finite) > -sign_slack)
+    else:
+        boundary = bool(finite.size and np.min(finite) < sign_slack)
+    detail = "holds in the zero-within-slack boundary sense" if boundary else ""
+    return _combine(name, [sign_verdict, mono_verdict], boundary=boundary, detail=detail)
+
+
+def sign_condition_inputs():
+    p = np.linspace(0.001, 0.999, 401)
+    falling = -p - 0.5
+    flagged = falling.copy()
+    flagged[[0, 7, 200]] = [np.nan, np.inf, -np.inf]
+    many = falling.copy()
+    many[::10] = np.nan
+    bump = falling.copy()
+    bump[150] += 0.3
+    lone = np.full_like(p, np.nan)
+    lone[3] = -1.0
+    return p, {
+        "falling": falling, "flagged": flagged, "too-many-skipped": many, "bump": bump,
+        "zero": np.zeros_like(p), "rising": 1.0 + p, "one-finite": lone,
+    }
+
+
+class TestElasticitySignCondition:
+    @pytest.mark.parametrize("kind", ["H", "R"])
+    @pytest.mark.parametrize("case", list(sign_condition_inputs()[1]))
+    def test_fused_matches_three_passes(self, kind, case):
+        p, inputs = sign_condition_inputs()
+        values = inputs[case] if kind == "H" else -inputs[case][::-1]
+        args = ("ii", kind, p, values, 1e-8, 1e-9)
+        assert repr(_elasticity_sign_condition(*args)) == repr(reference_sign_condition(*args))
+
+    def test_no_finite_value_is_refused_like_the_reference(self):
+        p = np.linspace(0.1, 0.9, 5)
+        values = np.full(5, np.nan)
+        with pytest.raises(ValueError, match="empty grid"):
+            reference_sign_condition("ii", "H", p, values, 1e-8, 1e-9)
+        with pytest.raises(ValueError, match="empty grid"):
+            _elasticity_sign_condition("ii", "H", p, values, 1e-8, 1e-9)
+
+    def test_one_finite_filter_per_condition(self, monkeypatch):
+        calls = []
+        finite_part = verifier._finite_part
+
+        def counted(xs, values):
+            calls.append(values.size)
+            return finite_part(xs, values)
+
+        monkeypatch.setattr(verifier, "_finite_part", counted)
+        verify_cstar(fgm_pair_series_system(), series3_independent_system(), FAST_CFG)
+        # conditions (ii) and (iii), one filter each
+        assert calls == [FAST_CFG.grid_size] * 2
 
 
 class TestReportShape:
