@@ -28,7 +28,7 @@ import numpy as np
 
 from ._num import as_float_array
 from .distributions import LifetimeDistribution
-from .systems import SystemModel
+from .systems import EPS_CLAMP, SystemModel, _minus_log
 
 __all__ = [
     "Grid",
@@ -47,12 +47,14 @@ RELATIONS = ("st", "hr", "rh", "c", "b", "c_star", "b_star")
 RATIO_FLOOR = 1e-12
 MAX_SKIP_FRACTION = 0.05
 
-# composite Gauss-Legendre rule of the integral identity check: panels of
-# GL_NODES nodes, at two resolutions whose difference is the error estimate
+# Gauss-Legendre panels of the integral identity check: the graded rule at GL_PANELS[0] and [1],
+# later pieces at one and two; each pair's difference adds to the error estimate
 GL_NODES = 16
 GL_PANELS = (32, 64)
-# grid points per integrand call: bounds each (points x nodes) temporary to 1.5 MB
+# integrand nodes per call, those of GL_BLOCK graded rules: bounds each temporary to 1.5 MB
 GL_BLOCK = 128
+# where the clamp of H(e^-v) and R(1-e^-v) to [EPS_CLAMP, 1-EPS_CLAMP] sets in
+_KINKS = (-math.log1p(-EPS_CLAMP), -math.log(EPS_CLAMP))
 # the most doublings (halvings) that widen a system grid's bracket ends
 WIDEN_STEPS = 200
 
@@ -81,7 +83,11 @@ class Grid:
 
     @classmethod
     def log_spaced(cls, lo: float, hi: float, size: int = 2001) -> "Grid":
-        return cls(np.geomspace(lo, hi, size), policy="log")
+        if not (lo > 0.0 and hi > 0.0):
+            raise ValueError(f"log-spaced grid ends must be positive, got {lo!r} and {hi!r}")
+        points = np.power(10.0, np.linspace(np.log10(lo), np.log10(hi), size))
+        points[:1], points[-1:] = lo, hi
+        return cls(points, policy="log")
 
     @classmethod
     def linear(cls, lo: float, hi: float, size: int = 2001) -> "Grid":
@@ -481,11 +487,11 @@ def integral_identity_check(
         -ln h(sf(x))     = integral_0^{Delta(x)}  H(e^-v) dv
         -ln(1 - h(sf(x))) = integral_0^{Dtilde(x)} R(1-e^-v) dv
 
-    Both integrals are taken for the whole grid at once by a fixed composite
-    Gauss-Legendre rule on the graded map v = upper * s^2, which smooths the
-    algebraic endpoint behaviour of the integrands at v = 0.  The rule runs
-    at GL_PANELS[0] and GL_PANELS[1] panels; where the two differ by more
-    than max(quad_tol, quad_tol * |integral|) a RuntimeError is raised.
+    Each integral is one running sum: a Gauss-Legendre rule on the graded map
+    v = head * s^2 over [0, head] (head the smallest positive limit, or the lower
+    clamp kink of H and R if smaller), pieces cut at head * 2^k and both kinks, and
+    each limit's own piece from the last cut below it.  RuntimeError is raised where
+    the summed rule differences exceed max(quad_tol, quad_tol * |integral|).
     """
     if grid is None:
         grid = Grid.margin_bracketed(sys.margin, sys.margin, size=200)
@@ -499,8 +505,9 @@ def integral_identity_check(
 
     rhs_c = _graded_gauss_legendre(lambda v: dist.H(np.exp(-v)), upper_c, x, quad_tol)
     rhs_b = _graded_gauss_legendre(lambda v: dist.R(-np.expm1(-v)), upper_b, x, quad_tol)
-    err_c = np.abs(as_float_array(sys.cum_hazard(x)) - rhs_c)
-    err_b = np.abs(as_float_array(sys.cum_rev_hazard(x)) - rhs_b)
+    h, omh = sys._h_pair(x)
+    err_c = np.abs(_minus_log(h, omh) - rhs_c)
+    err_b = np.abs(_minus_log(omh, h) - rhs_b)
     # argmax keeps the first maximum as the witness
     ic = int(np.argmax(err_c))
     ib = int(np.argmax(err_b))
@@ -510,32 +517,53 @@ def integral_identity_check(
 
 
 @cache
-def _composite_rule(panels: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes u and weights w with integral_0^1 f(u) du ~ sum w f(u): composite
-    Gauss-Legendre in s over `panels` equal panels of [0, 1], mapped by u = s^2."""
+def _composite_rule(panels: tuple[int, int], graded: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes u and weights w with integral_0^1 f(u) du ~ f(u) @ w[:, i]: composite Gauss-Legendre
+    in s over panels[0] and then panels[1] equal panels of [0, 1], mapped by u = s^2 when graded."""
     t, w = np.polynomial.legendre.leggauss(GL_NODES)
-    s = (np.arange(panels)[:, None] + 0.5 * (t + 1.0)).ravel() / panels
-    return s * s, np.tile(w, panels) * s / panels
+    s = [(np.arange(count)[:, None] + 0.5 * (t + 1.0)).ravel() / count for count in panels]
+    weights = np.zeros((s[0].size + s[1].size, 2))
+    weights[: s[0].size, 0], weights[s[0].size :, 1] = (
+        np.tile(w, count) * (si / count if graded else 0.5 / count) for count, si in zip(panels, s))
+    return np.concatenate(s) ** (2 if graded else 1), weights
 
 
 def _graded_gauss_legendre(integrand, upper: np.ndarray, xs: np.ndarray, quad_tol: float) -> np.ndarray:
-    """integral_0^upper[i] integrand(v) dv for every i; raises where the two
-    resolutions disagree beyond quad_tol."""
-    (u_lo, w_lo), (u_hi, w_hi) = (_composite_rule(panels) for panels in GL_PANELS)
-    nodes = np.concatenate((u_lo, u_hi))
-    lo = np.empty_like(upper)
-    hi = np.empty_like(upper)
-    for start in range(0, upper.size, GL_BLOCK):
-        rows = slice(start, start + GL_BLOCK)
-        values = as_float_array(integrand(upper[rows, None] * nodes))
-        lo[rows] = upper[rows] * (values[:, : u_lo.size] @ w_lo)
-        hi[rows] = upper[rows] * (values[:, u_lo.size :] @ w_hi)
-    bad = ~(np.abs(hi - lo) <= np.maximum(quad_tol, quad_tol * np.abs(hi)))
+    """integral_0^upper[i] integrand(v) dv for every i, one running sum over
+    pieces shared by every limit; raises where the error estimate exceeds quad_tol."""
+    graded_nodes, graded_w = _composite_rule(GL_PANELS, graded=True)
+    piece_nodes, piece_w = _composite_rule((1, 2), graded=False)
+    out, err = np.zeros((2, upper.size))
+    positive = upper > 0.0
+    if np.any(positive):
+        limits = upper[positive]
+        # pieces between the breaks, then each limit's from the last break below it
+        head, top = min(limits.min(), _KINKS[0]), limits.max()
+        doublings = np.ldexp(head, np.arange(int(math.log2(top) - math.log2(head)) + 1))
+        breaks = np.sort(np.concatenate((doublings, [k for k in _KINKS if head < k < top])))
+        below = np.searchsorted(breaks, limits, side="right") - 1
+        starts = np.concatenate((breaks[:-1], breaks[below]))[:, None]
+        widths = np.concatenate((np.diff(breaks), limits - breaks[below]))[:, None]
+        # one integrand call per block of pieces, the graded rule's nodes in the first
+        step = (GL_BLOCK - 1) * graded_nodes.size // piece_nodes.size
+        sums = []
+        # a zero weight meets an infinite value as nan: the estimate is not finite either way
+        with np.errstate(invalid="ignore"):
+            for start in range(0, widths.size, step):
+                rows = slice(start, start + step)
+                nodes = (starts[rows] + widths[rows] * piece_nodes).ravel()
+                values = as_float_array(integrand(np.concatenate((head * graded_nodes, nodes)) if start == 0 else nodes))
+                if start == 0:
+                    lo, hi = head * (values[: graded_nodes.size] @ graded_w)
+                    values = values[graded_nodes.size :]
+                sums.append(values.reshape(-1, piece_nodes.size) @ piece_w)
+            one, two = (widths * np.concatenate(sums)).T
+            # each piece's integral and error estimate, summed from the graded rule's
+            pieces = np.stack((two, np.abs(two - one)), axis=1)
+            running = np.cumsum(np.concatenate(([[hi, abs(hi - lo)]], pieces[: breaks.size - 1])), axis=0)
+            out[positive], err[positive] = (running[below] + pieces[breaks.size - 1 :]).T
+    bad = ~(err <= np.maximum(quad_tol, quad_tol * np.abs(out)))
     if np.any(bad):
         i = int(np.argmax(bad))
-        raise RuntimeError(
-            f"quadrature did not converge: at x={xs[i]:.17g} the {GL_PANELS[0]}- and "
-            f"{GL_PANELS[1]}-panel rules differ by {abs(hi[i] - lo[i]):.3e}"
-        )
-    return hi
-
+        raise RuntimeError(f"quadrature did not converge: at x={xs[i]:.17g} the error estimate is {err[i]:.3e}")
+    return out

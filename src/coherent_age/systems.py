@@ -348,18 +348,20 @@ class SystemModel:
 
     def cum_hazard(self, x):
         """-ln h(sf(x))."""
-        return self._minus_log(x, 0)
+        return match_input(x, _minus_log(*self._h_pair(x)))
 
     def cum_rev_hazard(self, x):
         """-ln(1 - h(sf(x)))."""
-        return self._minus_log(x, 1)
+        return match_input(x, _minus_log(*reversed(self._h_pair(x))))
 
-    def _minus_log(self, x, which: int):
-        # -ln of h (which = 0) or 1-h (which = 1), from that value and its
-        # complement: log of the value directly where it is small, log1p of
-        # the stable complement where it is near 1, accurate in both regimes
+    def _h_pair(self, x):
+        """h(sf(x)) and 1 - h(sf(x)), each in its stable form, from one sf."""
         p = self.margin.sf(x)
-        value, compl = self.distortion._evaluate(p, which), self.distortion._evaluate(p, 1 - which)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.where(value <= 0.5, -np.log(np.maximum(value, 0.0)), -np.log1p(-np.minimum(compl, 1.0)))
-        return match_input(x, out)
+        return self.distortion._evaluate(p, 0), self.distortion._evaluate(p, 1)
+
+
+def _minus_log(value, compl) -> np.ndarray:
+    """-ln value: log of the value where it is small, log1p of its stable
+    complement where it is near 1, accurate in both regimes."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(value <= 0.5, -np.log(np.maximum(value, 0.0)), -np.log1p(-np.minimum(compl, 1.0)))

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from itertools import combinations
 from pathlib import Path
@@ -9,6 +12,8 @@ import pytest
 
 from coherent_age.cli import SpecError, load_spec, main, parse_table
 from coherent_age.distributions import LinearFailureRate, Weibull
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 FGM_SYSTEM = {
     "structure": {"n": 3, "paths": [[1, 2], [1, 3]]},
@@ -44,6 +49,14 @@ def write_spec(tmp_path, payload, name="spec.json"):
 
 def run(tmp_path, command, payload, *extra):
     return main([command, write_spec(tmp_path, payload), *extra])
+
+
+class TestImport:
+    def test_cli_import_loads_no_scipy(self):
+        code = "import sys, coherent_age.cli; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
 
 
 class TestDistortion:
