@@ -57,6 +57,8 @@ GL_BLOCK = 128
 _KINKS = (-math.log1p(-EPS_CLAMP), -math.log(EPS_CLAMP))
 # the most doublings (halvings) that widen a system grid's bracket ends
 WIDEN_STEPS = 200
+# a quantile bracket at most this many floats wide is finished in one mixture call
+FINISH_FLOATS = 64
 
 
 @dataclass(frozen=True)
@@ -137,13 +139,15 @@ class Grid:
         component), and ratios of system cumulative hazards are indeterminate
         outside this range, so the margins' bracket is widened first.
 
-        The widening takes the first lo * 2**-k, k < 200, at which the
+        The widening takes the first lo * 2**-k, k <= 200, at which the
         mixture is <= q_lo or that lies below 1e-280 (lo * 2**-200 when none
         does), and likewise the first hi * 2**k with the mixture >= q_hi or
         above 1e280.  Scaling by a power of two is exact there, so these are
         the floats of repeated halving and doubling; one mixture call tries
         k = 0..7 at both ends, and the next eight follow only for an end
         where none qualified (candidates past 1e-280 or 1e280 end the list).
+        The mixture values at the two ends it takes go on to _bracketed, so
+        its first call already halves.
         """
 
         # SystemModel.survival on the cores: the points are nonnegative, so
@@ -159,52 +163,65 @@ class Grid:
         # into the ">= ... or >" of the upper end
         ends = [(-1, q_lo, 1e-280, lo), (1, q_hi, 1e280, hi)]
         found = {}
-        for k0 in range(0, WIDEN_STEPS, 8):
+        for k0 in range(0, WIDEN_STEPS + 1, 8):
             tries = {}
             for i, (sign, _, stop, start) in enumerate(ends):
                 if i in found:
                     continue
                 xs = tries[i] = []
-                for k in range(k0, min(k0 + 8, WIDEN_STEPS)):
-                    xs.append(math.ldexp(start, sign * k))
-                    if sign * xs[-1] > sign * stop:
+                for k in range(k0, min(k0 + 8, WIDEN_STEPS + 1)):
+                    x = math.ldexp(start, sign * k)
+                    # taken whatever the mixture is there
+                    forced = sign * x > sign * stop or k == WIDEN_STEPS
+                    xs.append((x, forced))
+                    if forced:
                         break
-            values = iter(as_float_array(mix_cdf(np.array([x for xs in tries.values() for x in xs]))).tolist())
+            values = iter(as_float_array(mix_cdf(np.array([x for xs in tries.values() for x, _ in xs]))).tolist())
             for i, xs in tries.items():
-                sign, level, stop, _ = ends[i]
-                hits = [x for x, f in zip(xs, values) if sign * f >= sign * level or sign * x > sign * stop]
+                sign, level = ends[i][:2]
+                hits = [(x, f) for (x, forced), f in zip(xs, values) if forced or sign * f >= sign * level]
                 if hits:
                     found[i] = hits[0]
             if len(found) == 2:
                 break
-        lo, hi = (found.get(i, math.ldexp(start, sign * WIDEN_STEPS)) for i, (sign, _, _, start) in enumerate(ends))
-        return cls._bracketed(mix_cdf, lo, hi, size, q_lo, q_hi, policy)
+        (lo, f_lo), (hi, f_hi) = found[0], found[1]
+        return cls._bracketed(mix_cdf, lo, hi, size, q_lo, q_hi, policy, f_ends=(f_lo, f_hi))
 
     @classmethod
     def _bracketed(cls, mix_cdf, lo: float, hi: float, size: int, q_lo: float, q_hi: float,
-                   policy: str) -> "Grid":
+                   policy: str, f_ends: tuple[float, float] | None = None) -> "Grid":
         """Grid between the q_lo and q_hi quantiles of mix_cdf, both found as
         the floats that halving [lo, hi] reaches when it runs until the
         midpoint equals an end of its bracket.  A finite bracket gets there
         within 2098 halvings, and every later bracket has that midpoint.
 
-        Each target keeps its bracket [a, b] and F there (the first call
-        evaluates lo and hi).  Each later call guesses the target by the
-        secant in complementary log-log coordinates (ln x against
-        ln(-ln(1 - F)), where exponential, Weibull and LFR mixtures and
-        power-law distortion tails are nearly straight), else by the secant
-        through (a, F(a)) and (b, F(b)), else by the midpoint.  A secant that
-        is not defined does not count, and one past an end of [a, b] is that
-        end: the target then lies beyond it, and the halvings converge to it.
-        The call walks the halvings m = 0.5 * (a + b) towards the guess and
-        evaluates every m of both walks at once.  When both secants exist,
-        their distance estimates the guess's error, and a walk stops once its
+        Each target keeps its bracket [a, b] and F there: f_ends, when the
+        caller has F(lo) and F(hi), else a first call on lo and hi.  Each
+        later call guesses the target by the secant in complementary log-log
+        coordinates (ln x against ln(-ln(1 - F)), where exponential, Weibull
+        and LFR mixtures and power-law distortion tails are nearly
+        straight), else by the secant through (a, F(a)) and (b, F(b)), else
+        by the midpoint.  A secant that is not defined does not count, and
+        one past an end of [a, b] is that end: the target then lies beyond
+        it, and the halvings converge to it.  The call walks the halvings
+        m = 0.5 * (a + b) towards the guess.  When both secants exist, their
+        distance estimates the guess's error, and a walk stops once its
         bracket is narrower than 2**-10 of it; both lie in [a, b], so each
-        walk has at least one point.  The halvings are taken while
-        `F(m) < target` agrees with the guessed side, and so is the first
-        that disagrees, whose value is known: each call takes at least one,
-        and no grid depends on the guess or the walk length, so the grid is
-        the same floats as from one call per halving.
+        walk has at least one point.  Within FINISH_FLOATS floats of the
+        crossing a guess is rounding noise, so a bracket that narrow
+        (0 < a, b - a <= FINISH_FLOATS * ulp(a)) instead gets every float
+        strictly inside it, at most 63 (for 64 floats, the halving subtree to
+        depth 6).  They hold every midpoint its search can still reach, so
+        it ends in that call.
+
+        One mixture call evaluates the points of both targets, and each
+        target then takes the halvings whose midpoint is among them,
+        deciding each by `F(m) < target`.  Of a walk, that is its points up
+        to the first whose side disagrees with the guess, as the next
+        midpoint lies on the other side of that one.  Every call takes at
+        least one halving, and no grid depends on the guess, the walk length
+        or the finish, so the grid is the same floats as from one call per
+        halving.
         """
         build = cls.log_spaced if policy == "log" else cls.linear
         if hi <= lo:
@@ -212,48 +229,52 @@ class Grid:
         lo, hi = float(lo), float(hi)
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError(f"the quantile bracket [{lo!r}, {hi!r}] is not finite")
-        f_lo, f_hi = as_float_array(mix_cdf(np.array([lo, hi]))).tolist()
+        f_lo, f_hi = f_ends or as_float_array(mix_cdf(np.array([lo, hi]))).tolist()
         targets = (q_lo, q_hi)
+        loglog_targets = [_cloglog(q) for q in targets]
         # per target: a, b, F(a), F(b)
         state = [[lo, hi, f_lo, f_hi], [lo, hi, f_lo, f_hi]]
         while True:
-            walks = []
-            for target, (a, b, fa, fb) in zip(targets, state):
+            points = []
+            for target, loglog_target, (a, b, fa, fb) in zip(targets, loglog_targets, state):
+                if 0.0 < a and b - a <= FINISH_FLOATS * math.ulp(a):
+                    # positive floats are in the order of their bit patterns
+                    a_bits, b_bits = np.array([a, b]).view(np.int64).tolist()
+                    points += np.arange(a_bits + 1, b_bits, dtype=np.int64).view(np.float64).tolist()
+                    continue
                 linear = _secant(a, b, fa, fb, target)
                 loglog = math.nan
                 if a > 0.0:
                     # taken relative to b, so exp cannot overflow
                     ln_b = math.log(b)
-                    ln_x = _secant(math.log(a), ln_b, _cloglog(fa), _cloglog(fb), _cloglog(target))
+                    ln_x = _secant(math.log(a), ln_b, _cloglog(fa), _cloglog(fb), loglog_target)
                     loglog = b * math.exp(ln_x - ln_b)
                 guess = next((g for g in (loglog, linear) if not math.isnan(g)), 0.5 * (a + b))
                 # nan unless both secants exist: then the walk runs to the end
                 width = 2.0**-10 * abs(loglog - linear)
-                walk = []
                 while True:
                     m = 0.5 * (a + b)
                     if m == a or m == b:
                         break
-                    below = m < guess
-                    walk.append((m, below))
-                    a, b = (m, b) if below else (a, m)
+                    points.append(m)
+                    a, b = (m, b) if m < guess else (a, m)
                     if b - a < width:
                         break
-                walks.append(walk)
-            points = [m for walk in walks for m, _ in walk]
             if not points:
                 break
-            values = as_float_array(mix_cdf(np.array(points))).tolist()
-            for target, end, walk in zip(targets, state, walks):
-                walk_values, values = values[: len(walk)], values[len(walk) :]
-                for (m, guessed), value in zip(walk, walk_values):
-                    below = value < target
-                    if below:
-                        end[0], end[2] = m, value
-                    else:
-                        end[1], end[3] = m, value
-                    if below != guessed:
+            known = dict(zip(points, as_float_array(mix_cdf(np.array(points))).tolist()))
+            for target, end in zip(targets, state):
+                a, b, fa, fb = end
+                while True:
+                    m = 0.5 * (a + b)
+                    value = known.get(m)
+                    if value is None or m == a or m == b:
                         break
+                    if value < target:
+                        a, fa = m, value
+                    else:
+                        b, fb = m, value
+                end[:] = a, b, fa, fb
         return build(0.5 * (state[0][0] + state[0][1]), 0.5 * (state[1][0] + state[1][1]), size)
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from mpmath import mp, mpf
@@ -189,8 +191,8 @@ class TestBatchedBracketing:
         batched = Grid._bracketed.__func__
         compared = []
 
-        def both(cls, mix_cdf, lo, hi, size, q_lo, q_hi, policy):
-            grid = batched(cls, mix_cdf, lo, hi, size, q_lo, q_hi, policy)
+        def both(cls, mix_cdf, lo, hi, size, q_lo, q_hi, policy, **kw):
+            grid = batched(cls, mix_cdf, lo, hi, size, q_lo, q_hi, policy, **kw)
             ref = sequential_bracketed(mix_cdf, lo, hi, size, q_lo, q_hi, policy)
             compared.append(np.array_equal(grid.points, ref.points))
             return grid
@@ -213,6 +215,11 @@ class TestBatchedBracketing:
         for n, shape in ((8, 0.1), (3, 0.01)):
             series = SystemModel(Structure.series(n), Independence(n), Weibull(shape))
             pairs.append((series, series))
+        # all 21 k-of-n systems with n <= 6 on the benchmark's Exp(2)/Exp(3)
+        # margins, each paired with the next
+        kofn = [(k, n) for n in range(1, 7) for k in range(1, n + 1)]
+        pairs += [(kofn_system(k, n, Exponential(2.0)), kofn_system(l, m, Exponential(3.0)))
+                  for (k, n), (l, m) in zip(kofn, kofn[1:] + kofn[:1])]
         for sys1, sys2 in pairs:
             families |= {type(sys1.copula).__name__, type(sys2.copula).__name__}
             for policy in ("log", "linear"):
@@ -229,10 +236,27 @@ class TestBatchedBracketing:
             return _lfr_mixture(x)
 
         grid = Grid._bracketed(mix_cdf, 1e-4, 10.0, 11, 0.001, 0.999, "log")
-        # the linear secant alone took 12 calls on 533 points
-        assert len(calls) <= 9 and sum(calls) <= 300
+        # the linear secant alone took 12 calls on 533 points, the log-log
+        # secant without the subtree finish 9 on 277
+        assert len(calls) <= 7 and sum(calls) <= 300
         ref = sequential_bracketed(mix_cdf, 1e-4, 10.0, 11, 0.001, 0.999, "log")
         assert np.array_equal(grid.points, ref.points)
+
+    def test_system_grid_calls_widening_included(self, monkeypatch):
+        # each mixture call evaluates both margins' cumulative-hazard cores once
+        calls = []
+        for family in (Exponential, LinearFailureRate, Weibull):
+            def counted(self, xa, core=family._chz):
+                calls.append(xa.size)
+                return core(self, xa)
+
+            monkeypatch.setattr(family, "_chz", counted)
+        rng = np.random.default_rng(8080)
+        pairs = [random_instance(rng, ("c_star", "b_star")[i % 2]) for i in range(40)]
+        for sys1, sys2 in pairs:
+            Grid.system_bracketed(sys1, sys2, size=11)
+        # the widening and a first call on its ends took 10.5
+        assert len(calls) / 2 <= 8 * len(pairs)
 
     @pytest.mark.parametrize("name", sorted(ADVERSARIAL_MIXTURES))
     def test_adversarial_mixtures_match_one_halving_per_call(self, name):
@@ -281,6 +305,40 @@ class TestBatchedBracketing:
         assert calls == [2]
         with pytest.raises(ValueError, match="strictly increasing"):
             sequential_bracketed(mix_cdf, lo, hi, 11, 0.001, 0.999, "linear")
+
+
+class TestSubtreeFinish:
+    @pytest.mark.parametrize("name", ["ulp-jitter", "step", "flat"])
+    @pytest.mark.parametrize("lo", [1.0, 1e-300])
+    @pytest.mark.parametrize("span", [2, 40, 64, 65])
+    def test_narrow_bracket_matches_one_halving_per_call(self, name, lo, span):
+        # [lo, lo + span ulps]; at 64 ulps or fewer every halving is in the
+        # one call after the ends, at 65 the secant walk runs first
+        mix_cdf = ADVERSARIAL_MIXTURES[name][0]
+        hi = lo + span * math.ulp(lo)
+        calls = []
+
+        def counted(x):
+            calls.append(x.size)
+            return mix_cdf(x)
+
+        # the default levels, and F at the middle with the next float up,
+        # where the jitter turns the comparison from one point to the next
+        f_mid = float(mix_cdf(np.array([0.5 * (lo + hi)]))[0])
+        for q_lo, q_hi in ((0.001, 0.999), (f_mid, float(np.nextafter(f_mid, 2.0)))):
+            for policy in ("log", "linear"):
+                calls.clear()
+                try:
+                    grid = Grid._bracketed(counted, lo, hi, 11, q_lo, q_hi, policy).points
+                except ValueError as error:
+                    grid = str(error)
+                try:
+                    ref = sequential_bracketed(mix_cdf, lo, hi, 11, q_lo, q_hi, policy).points
+                except ValueError as error:
+                    ref = str(error)
+                assert type(grid) is type(ref) and np.array_equal(grid, ref)
+                if span <= 64:
+                    assert len(calls) == 2 and calls[0] == 2 and calls[1] <= 2 * 63
 
 
 class TestCheckMonotone:
