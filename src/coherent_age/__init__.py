@@ -16,11 +16,10 @@ from .orders import (
     Grid,
     IdentityReport,
     OrderVerdict,
-    check_monotone,
     check_order,
-    check_sign,
     integral_identity_check,
     system_order_direct,
+    verdict,
 )
 from .systems import (
     Distortion,
@@ -62,9 +61,7 @@ __all__ = [
     "VerifyConfig",
     "Weibull",
     "build_distortion",
-    "check_monotone",
     "check_order",
-    "check_sign",
     "copula_from_dict",
     "corollary_index_check",
     "distribution_from_dict",
@@ -73,6 +70,7 @@ __all__ = [
     "sample_copula",
     "simulate_system",
     "system_order_direct",
+    "verdict",
     "verify_bstar",
     "verify_cstar",
     "__version__",

@@ -2,7 +2,7 @@
 a run spec.
 
 Every field of a spec passes through the rule here: a JSON object's field
-names through ``_require``, each number through ``_number`` (a JSON int or
+names through ``_require``, each number through ``_number`` (an int or
 float, never a bool or a string), each real through ``_real`` and each
 integer through ``_integer``.  ``read_fragment`` reads a margin or copula
 fragment under the same rule: its field list and defaults are the family
@@ -43,8 +43,9 @@ def _require(d: dict, required: set[str], optional: set[str], where: str) -> Non
 
 
 def _number(value, what: str) -> int | float:
-    """A spec number: a JSON int or float, not a bool and not a string."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    """A spec number: an int or float (a JSON one, or numpy's), not a bool
+    and not a string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise SpecError(f"{what} must be a number, got {value!r}")
     return value
 
@@ -60,7 +61,7 @@ def _real(value, what: str) -> float:
 def _integer(value, what: str) -> int:
     """A spec integer: a spec number with an integral value (31.0 reads as 31)."""
     value = _number(value, what)
-    if isinstance(value, float) and not value.is_integer():
+    if not isinstance(value, (int, np.integer)) and not float(value).is_integer():
         raise SpecError(f"{what} must be an integer, got {value!r}")
     return int(value)
 

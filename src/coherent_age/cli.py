@@ -45,7 +45,7 @@ from .orders import RELATIONS, Grid, OrderVerdict, check_order
 from .systems import Structure, SystemModel
 from .verifier import DEFAULT_CONFIG, VerifyConfig, corollary_index_check, verify_bstar, verify_cstar
 
-__all__ = ["main", "SpecError", "load_spec", "parse_table", "format_float"]
+__all__ = ["main", "SpecError", "load_spec"]
 
 VERIFY_RELATIONS = ("c_star", "b_star")
 
@@ -220,7 +220,7 @@ def load_spec(
 
 
 # ---------------------------------------------------------------------------
-# emitters and parsers
+# emitters
 
 def emit_table(meta: dict, header: list[str], rows: list[list[float]]) -> str:
     lines = [f"# {k}={v}" for k, v in meta.items()]
@@ -228,27 +228,6 @@ def emit_table(meta: dict, header: list[str], rows: list[list[float]]) -> str:
     for row in rows:
         lines.append(",".join(format_float(v) if isinstance(v, float) else str(v) for v in row))
     return "\n".join(lines) + "\n"
-
-
-def parse_table(text: str) -> tuple[dict, list[str], list[list[str]]]:
-    """Parse CSV emitted by this tool back into (meta, header, rows)."""
-    meta: dict = {}
-    header: list[str] = []
-    rows: list[list[str]] = []
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        if line.startswith("# "):
-            key, _, value = line[2:].partition("=")
-            meta[key] = value
-            continue
-        if not header:
-            header = line.split(",")
-            continue
-        rows.append(line.split(","))
-    if not header:
-        raise ValueError("no header line found")
-    return meta, header, rows
 
 
 def _write(text: str, path: str | None) -> None:
@@ -271,7 +250,7 @@ def _verdict_csv(meta: dict, verdict: OrderVerdict) -> str:
 
 def _cmd_distortion(spec: RunSpec) -> int:
     dist = spec.system1.model("system1").distortion
-    p = spec.cfg.p_grid().points
+    p = spec.cfg.p_grid.points
     columns = [np.asarray(f(p), dtype=float) for f in (dist.h, dist.h_prime, dist.H, dist.R)]
     rows = [[float(v) for v in row] for row in zip(p, *columns)]
     text = emit_table({"spec_sha256": spec.sha256}, ["p", "h", "h_prime", "H", "R"], rows)

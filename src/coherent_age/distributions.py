@@ -1,10 +1,10 @@
 """Parametric lifetime distributions with closed-form reliability functions.
 
-Every family exposes the six functions used throughout the package: survival
-``sf``, distribution ``cdf``, density ``pdf``, hazard rate ``hazard``,
-reversed hazard rate ``rev_hazard``, and the cumulative (reversed) hazards
-``cum_hazard`` / ``cum_rev_hazard``.  All are exact closed forms; there is no
-generic numeric inversion anywhere.  Where a log argument underflows to zero
+Every family exposes the functions used throughout the package: survival
+``sf``, distribution ``cdf``, hazard rate ``hazard``, reversed hazard rate
+``rev_hazard``, the cumulative (reversed) hazards ``cum_hazard`` /
+``cum_rev_hazard``, and the inverse survival function ``isf``.  All are exact
+closed forms; there is no generic numeric inversion anywhere.  Where a log argument underflows to zero
 the affected function returns ``inf`` instead of raising, so grid sweeps can
 skip and count flagged points.
 """
@@ -51,7 +51,7 @@ class LifetimeDistribution(ABC):
 
     @abstractmethod
     def _hz(self, xa: np.ndarray) -> np.ndarray:
-        """Hazard rate pdf/sf on a validated array."""
+        """Hazard rate, density over sf, on a validated array."""
 
     @abstractmethod
     def isf(self, v):
@@ -72,12 +72,6 @@ class LifetimeDistribution(ABC):
         xa = _check_nonneg(x)
         return match_input(x, -np.expm1(-self._chz(xa)))
 
-    def pdf(self, x):
-        xa = _check_nonneg(x)
-        with np.errstate(invalid="ignore"):
-            out = self._hz(xa) * np.exp(-self._chz(xa))
-        return match_input(x, out)
-
     def rev_hazard(self, x):
         xa = _check_nonneg(x)
         delta = self._chz(xa)
@@ -96,12 +90,6 @@ class LifetimeDistribution(ABC):
             large = -np.log1p(-np.exp(-delta))
             out = np.where(delta <= math.log(2.0), small, large)
         return match_input(x, out)
-
-    def quantile(self, u):
-        ua = as_float_array(u)
-        if np.any((ua < 0.0) | (ua > 1.0)):
-            raise ValueError("quantile level must lie in [0, 1]")
-        return match_input(u, as_float_array(self.isf(1.0 - ua)))
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache
-from typing import Callable
 
 import numpy as np
 
@@ -35,8 +34,7 @@ __all__ = [
     "OrderVerdict",
     "IdentityReport",
     "RELATIONS",
-    "check_monotone",
-    "check_sign",
+    "verdict",
     "check_order",
     "system_order_direct",
     "integral_identity_check",
@@ -55,6 +53,8 @@ GL_PANELS = (32, 64)
 GL_BLOCK = 128
 # where the clamp of H(e^-v) and R(1-e^-v) to [EPS_CLAMP, 1-EPS_CLAMP] sets in
 _KINKS = (-math.log1p(-EPS_CLAMP), -math.log(EPS_CLAMP))
+# the quantile levels every bracketed grid spans
+Q_LO, Q_HI = 0.001, 0.999
 # the most doublings (halvings) that widen a system grid's bracket ends
 WIDEN_STEPS = 200
 # a quantile bracket at most this many floats wide is finished in one mixture call
@@ -108,11 +108,9 @@ class Grid:
         dist_x: LifetimeDistribution,
         dist_y: LifetimeDistribution,
         size: int = 2001,
-        q_lo: float = 0.001,
-        q_hi: float = 0.999,
         policy: str = "log",
     ) -> "Grid":
-        """Log-spaced grid spanning the [q_lo, q_hi] quantiles of the equal
+        """Log-spaced grid spanning the [Q_LO, Q_HI] quantiles of the equal
         mixture of the two margins, avoiding both indeterminate tails."""
 
         # the bisection points are nonnegative: straight to the margins' cores
@@ -120,8 +118,8 @@ class Grid:
             xa = as_float_array(x)
             return 0.5 * (-np.expm1(-dist_x._chz(xa)) + -np.expm1(-dist_y._chz(xa)))
 
-        lo, hi = _quantile_bracket(dist_x, dist_y, q_lo, q_hi)
-        return cls._bracketed(mix_cdf, lo, hi, size, q_lo, q_hi, policy)
+        lo, hi = _quantile_bracket(dist_x, dist_y)
+        return cls._bracketed(mix_cdf, lo, hi, size, Q_LO, Q_HI, policy)
 
     @classmethod
     def system_bracketed(
@@ -129,19 +127,17 @@ class Grid:
         sys1,
         sys2,
         size: int = 2001,
-        q_lo: float = 0.001,
-        q_hi: float = 0.999,
         policy: str = "log",
     ) -> "Grid":
-        """Grid spanning the [q_lo, q_hi] quantiles of the equal mixture of
+        """Grid spanning the [Q_LO, Q_HI] quantiles of the equal mixture of
         the two SYSTEM lifetimes.  System lifetimes can live far from their
         component margins (a parallel system dies long after its first
         component), and ratios of system cumulative hazards are indeterminate
         outside this range, so the margins' bracket is widened first.
 
         The widening takes the first lo * 2**-k, k <= 200, at which the
-        mixture is <= q_lo or that lies below 1e-280 (lo * 2**-200 when none
-        does), and likewise the first hi * 2**k with the mixture >= q_hi or
+        mixture is <= Q_LO or that lies below 1e-280 (lo * 2**-200 when none
+        does), and likewise the first hi * 2**k with the mixture >= Q_HI or
         above 1e280.  Scaling by a power of two is exact there, so these are
         the floats of repeated halving and doubling; one mixture call tries
         k = 0..7 at both ends, and the next eight follow only for an end
@@ -157,11 +153,11 @@ class Grid:
             sf1, sf2 = (s.distortion._evaluate(np.exp(-s.margin._chz(xa)), 0) for s in (sys1, sys2))
             return 1.0 - 0.5 * (sf1 + sf2)
 
-        lo, hi = _quantile_bracket(sys1.margin, sys2.margin, q_lo, q_hi)
+        lo, hi = _quantile_bracket(sys1.margin, sys2.margin)
         # per end: the direction of k, the level, the float-range stop and
-        # the start; the sign turns "F <= q_lo or x < 1e-280" at the lower end
+        # the start; the sign turns "F <= Q_LO or x < 1e-280" at the lower end
         # into the ">= ... or >" of the upper end
-        ends = [(-1, q_lo, 1e-280, lo), (1, q_hi, 1e280, hi)]
+        ends = [(-1, Q_LO, 1e-280, lo), (1, Q_HI, 1e280, hi)]
         found = {}
         for k0 in range(0, WIDEN_STEPS + 1, 8):
             tries = {}
@@ -185,7 +181,7 @@ class Grid:
             if len(found) == 2:
                 break
         (lo, f_lo), (hi, f_hi) = found[0], found[1]
-        return cls._bracketed(mix_cdf, lo, hi, size, q_lo, q_hi, policy, f_ends=(f_lo, f_hi))
+        return cls._bracketed(mix_cdf, lo, hi, size, Q_LO, Q_HI, policy, f_ends=(f_lo, f_hi))
 
     @classmethod
     def _bracketed(cls, mix_cdf, lo: float, hi: float, size: int, q_lo: float, q_hi: float,
@@ -278,14 +274,11 @@ class Grid:
         return build(0.5 * (state[0][0] + state[0][1]), 0.5 * (state[1][0] + state[1][1]), size)
 
 
-def _quantile_bracket(dist_x: LifetimeDistribution, dist_y: LifetimeDistribution, q_lo: float,
-                      q_hi: float) -> tuple[float, float]:
-    """The lower of the two q_lo quantiles and the higher of the two q_hi
+def _quantile_bracket(dist_x: LifetimeDistribution, dist_y: LifetimeDistribution) -> tuple[float, float]:
+    """The lower of the two Q_LO quantiles and the higher of the two Q_HI
     quantiles, from one isf call per margin."""
-    if not 0.0 < q_lo < q_hi < 1.0:
-        raise ValueError(f"quantile levels must satisfy 0 < q_lo < q_hi < 1, got {q_lo!r} and {q_hi!r}")
     (x_lo, x_hi), (y_lo, y_hi) = (
-        as_float_array(d.isf(np.array([1.0 - q_lo, 1.0 - q_hi]))).tolist() for d in (dist_x, dist_y)
+        as_float_array(d.isf(np.array([1.0 - Q_LO, 1.0 - Q_HI]))).tolist() for d in (dist_x, dist_y)
     )
     return min(x_lo, y_lo), max(x_hi, y_hi)
 
@@ -317,20 +310,23 @@ class OrderVerdict:
 
 
 MONOTONE_RULES = ("incr", "decr")
-SIGN_RULES = ("nonpositive", "nonnegative")
+RULES = MONOTONE_RULES + ("nonpositive", "nonnegative")
 
 
-def _verdict(xs: np.ndarray, values: np.ndarray, rule: str, tol: float, relation: str,
-             pre_skipped: int = 0) -> OrderVerdict:
-    """The one grid verdict: values at xs increasing or decreasing (rule in
-    MONOTONE_RULES), or <= 0 or >= 0 (SIGN_RULES), within tol.
+def verdict(xs: np.ndarray, values: np.ndarray, rule: str, tol: float, relation: str) -> OrderVerdict:
+    """The one grid verdict: values at xs increasing or decreasing (rule
+    "incr" or "decr"), or <= 0 or >= 0 ("nonpositive" or "nonnegative"),
+    within tol.
 
-    Non-finite values are skipped and counted with the pre_skipped points
-    the caller dropped; more than MAX_SKIP_FRACTION of all points skipped,
-    or fewer than two kept points for a monotone rule, is inconclusive.
+    Non-finite values are skipped and counted; more than MAX_SKIP_FRACTION
+    of the points skipped, or fewer than two kept points for a monotone
+    rule, is inconclusive.  A monotone violation is the worst reversal
+    between any earlier and later kept point.
     """
-    xs, kept, skipped = _finite_part(xs, values)
-    return _kept_verdict(xs, kept, rule, tol, relation, pre_skipped + skipped)
+    xs, values = as_float_array(xs), as_float_array(values)
+    if xs.ndim != 1 or values.shape != xs.shape:
+        raise ValueError(f"values of shape {values.shape} do not match the points' {xs.shape}, a vector")
+    return _kept_verdict(*_finite_part(xs, values), rule, tol, relation)
 
 
 def _finite_part(xs: np.ndarray, values: np.ndarray):
@@ -340,8 +336,10 @@ def _finite_part(xs: np.ndarray, values: np.ndarray):
     return xs[finite], kept, finite.size - kept.size
 
 
-def _kept_verdict(xs, kept, rule: str, tol: float, relation: str, skipped: int) -> OrderVerdict:
-    """_verdict on finite values, `skipped` points having been dropped."""
+def _kept_verdict(xs, kept, skipped: int, rule: str, tol: float, relation: str) -> OrderVerdict:
+    """verdict on finite values, `skipped` points having been dropped."""
+    if rule not in RULES:
+        raise ValueError(f"rule must be one of {RULES}, got {rule!r}")
     if kept.size == 0:
         raise ValueError("empty grid after skipping flagged points")
     monotone = rule in MONOTONE_RULES
@@ -363,42 +361,6 @@ def _kept_verdict(xs, kept, rule: str, tol: float, relation: str, skipped: int) 
     return OrderVerdict(relation, holds, float(xs[idx + monotone]), worst, tol, skipped, kept.size)
 
 
-def _checked(f, grid: Grid, name: str, rule: str, allowed: tuple[str, str], tol: float,
-             relation: str) -> OrderVerdict:
-    if rule not in allowed:
-        raise ValueError(f"{name} must be {allowed[0]!r} or {allowed[1]!r}, got {rule!r}")
-    values = as_float_array(f(grid.points))
-    if values.shape != grid.points.shape:
-        raise ValueError("function must evaluate the whole grid at once")
-    return _verdict(grid.points, values, rule, tol, relation)
-
-
-def check_monotone(
-    f: Callable[[np.ndarray], np.ndarray],
-    grid: Grid,
-    direction: str = "incr",
-    tol: float = 1e-9,
-    relation: str = "monotone",
-) -> OrderVerdict:
-    """Certify that f is monotone in the given direction on the grid.
-
-    Non-finite evaluations are skipped and counted; the violation reported is
-    the worst reversal between any earlier and later kept point.
-    """
-    return _checked(f, grid, "direction", direction, MONOTONE_RULES, tol, relation)
-
-
-def check_sign(
-    f: Callable[[np.ndarray], np.ndarray],
-    grid: Grid,
-    sign: str = "nonpositive",
-    tol: float = 1e-9,
-    relation: str = "sign",
-) -> OrderVerdict:
-    """Certify f <= 0 (or >= 0) on the grid within tol."""
-    return _checked(f, grid, "sign", sign, SIGN_RULES, tol, relation)
-
-
 def _ratio_verdict(xs, num, den, direction, tol, relation) -> OrderVerdict:
     num = as_float_array(num)
     den = as_float_array(den)
@@ -406,8 +368,8 @@ def _ratio_verdict(xs, num, den, direction, tol, relation) -> OrderVerdict:
     pre_skipped = keep.size - int(np.count_nonzero(keep))
     if not np.any(keep):
         raise ValueError("empty grid after skipping flagged points")
-    ratio = num[keep] / den[keep]
-    return _verdict(xs[keep], ratio, direction, tol, relation, pre_skipped=pre_skipped)
+    xs, kept, skipped = _finite_part(xs[keep], num[keep] / den[keep])
+    return _kept_verdict(xs, kept, pre_skipped + skipped, direction, tol, relation)
 
 
 def check_order(
@@ -426,7 +388,7 @@ def check_order(
 
     if relation == "st":
         diff = as_float_array(dist_x.sf(x)) - as_float_array(dist_y.sf(x))
-        return _verdict(x, diff, "nonpositive", tol, relation)
+        return verdict(x, diff, "nonpositive", tol, relation)
 
     table = {
         "hr": (dist_y.sf, dist_x.sf, "incr"),

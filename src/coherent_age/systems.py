@@ -342,10 +342,6 @@ class SystemModel:
     def __post_init__(self):
         self.distortion = build_distortion(self.structure, self.copula)
 
-    # margin.sf is validated and lies in [0, 1]: straight to the evaluator
-    def survival(self, x):
-        return match_input(x, self.distortion._evaluate(self.margin.sf(x), 0))
-
     def cum_hazard(self, x):
         """-ln h(sf(x))."""
         return match_input(x, _minus_log(*self._h_pair(x)))

@@ -75,7 +75,7 @@ class VerifyConfig:
     tol: float = 1e-9
     sign_slack: float = 1e-8
     grid_policy: str = "log"
-    _p_grid: Grid = field(init=False, repr=False, compare=False)
+    p_grid: Grid = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.grid_policy not in ("log", "linear"):
@@ -86,14 +86,11 @@ class VerifyConfig:
         except ValueError as exc:
             raise ValueError(f"grid size {self.grid_size}, eps_endpoint {self.eps_endpoint!r}: {exc}") from exc
         grid.points.setflags(write=False)
-        object.__setattr__(self, "_p_grid", grid)
+        object.__setattr__(self, "p_grid", grid)
         for key in ("tol", "sign_slack"):
             value = getattr(self, key)
             if not (math.isfinite(value) and value >= 0.0):
                 raise ValueError(f"{key} must be finite and >= 0, got {value!r}")
-
-    def p_grid(self) -> Grid:
-        return self._p_grid
 
 
 # the config of a verify called without one: checked once, not per call
@@ -162,8 +159,8 @@ def _elasticity_sign_condition(name, kind, p, values, sign_slack, tol) -> Condit
     sign = "nonpositive" if kind == "H" else "nonnegative"
     # one finite mask and one compaction feed both verdicts and the boundary test
     xs, kept, skipped = _finite_part(p, values)
-    sign_verdict = _kept_verdict(xs, kept, sign, sign_slack, f"{name}:sign", skipped)
-    mono_verdict = _kept_verdict(xs, kept, "decr", tol, f"{name}:decreasing", skipped)
+    sign_verdict = _kept_verdict(xs, kept, skipped, sign, sign_slack, f"{name}:sign")
+    mono_verdict = _kept_verdict(xs, kept, skipped, "decr", tol, f"{name}:decreasing")
     # boundary: the sign condition holds only by slack (identically-zero case)
     if sign == "nonpositive":
         boundary = bool(kept.size and np.max(kept) > -sign_slack)
@@ -184,7 +181,7 @@ def _conclude(cond: dict[str, ConditionEntry]) -> str:
 
 
 def _verify(sys1: SystemModel, sys2: SystemModel, relation: str, cfg: VerifyConfig) -> ConditionReport:
-    p = cfg.p_grid().points
+    p = cfg.p_grid.points
     xgrid = Grid.margin_bracketed(sys1.margin, sys2.margin, size=cfg.grid_size, policy=cfg.grid_policy)
     # H for c_star, R for b_star: each elasticity feeds (i), and its relative
     # slope its own (ii)/(iii); one profile per distortion, three evaluations

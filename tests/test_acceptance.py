@@ -10,7 +10,7 @@ from corpus_helpers import golden_corpus, random_instance
 from coherent_age.copulas import FGM, GumbelHougaard, Independence
 from coherent_age.distributions import Exponential, LinearFailureRate
 from coherent_age.montecarlo import SimConfig, sample_copula, simulate_system
-from coherent_age.orders import Grid, check_monotone, check_sign, integral_identity_check
+from coherent_age.orders import Grid, integral_identity_check, verdict
 from coherent_age.systems import Structure, SystemModel, build_distortion, k_of_n_paths
 from coherent_age.verifier import corollary_index_check, verify_bstar, verify_cstar
 
@@ -47,11 +47,9 @@ def test_criterion_2_elasticity_ratio_reproduction():
         den = 6 - 3 * (1 + theta) * p + 9 * theta * p**2 - 9 * theta * p**3 + 3 * theta * p**4
         worst = max(worst, float(np.max(np.abs(ratio - num / den))))
     d1 = build_distortion(Structure.from_paths(3, [[1, 2], [1, 3]]), FGM(1.0))
-    verdict = check_monotone(
-        lambda q: np.asarray(d1.H(q)) / np.asarray(d2.H(q)), Grid(p), "decr", tol=1e-10
-    )
-    ok = worst <= 1e-10 and verdict.holds == "yes"
-    report(2, "elasticity ratio reproduction", ok, f"max_abs_err={worst:.2e}, decreasing={verdict.holds}")
+    decreasing = verdict(p, np.asarray(d1.H(p)) / np.asarray(d2.H(p)), "decr", 1e-10, "monotone").holds
+    ok = worst <= 1e-10 and decreasing == "yes"
+    report(2, "elasticity ratio reproduction", ok, f"max_abs_err={worst:.2e}, decreasing={decreasing}")
 
 
 def test_criterion_3_gumbel_chain():
@@ -61,18 +59,11 @@ def test_criterion_3_gumbel_chain():
         start = time.perf_counter()
         d1 = build_distortion(Structure.series(m), GumbelHougaard(theta, m))
         d2 = build_distortion(Structure.series(n), GumbelHougaard(theta, n))
-        ratio_ok = (
-            check_monotone(
-                lambda p: np.asarray(d1.R(p)) / np.asarray(d2.R(p)), PGRID, "incr", tol=1e-6
-            ).holds
-            == "yes"
-        )
-
-        def pr_over_r(p):
-            return p * np.asarray(d1.R_prime(p)) / np.asarray(d1.R(p))
-
-        sign_ok = check_sign(pr_over_r, PGRID, "nonnegative", tol=1e-6).holds == "yes"
-        mono_ok = check_monotone(pr_over_r, PGRID, "decr", tol=1e-6).holds == "yes"
+        p = PGRID.points
+        ratio_ok = verdict(p, np.asarray(d1.R(p)) / np.asarray(d2.R(p)), "incr", 1e-6, "monotone").holds == "yes"
+        pr_over_r = p * np.asarray(d1.R_prime(p)) / np.asarray(d1.R(p))
+        sign_ok = verdict(p, pr_over_r, "nonnegative", 1e-6, "sign").holds == "yes"
+        mono_ok = verdict(p, pr_over_r, "decr", 1e-6, "monotone").holds == "yes"
         rep = verify_bstar(
             SystemModel(Structure.series(m), GumbelHougaard(theta, m), Exponential(3.0)),
             SystemModel(Structure.series(n), GumbelHougaard(theta, n), Exponential(2.0)),
@@ -96,13 +87,13 @@ def test_criterion_4_kofn_lemma_sweep():
     p = PGRID.points
     profiles = {kn: (d.elasticity_profile(p, "H"), d.elasticity_profile(p, "R")) for kn, d in dists.items()}
     for kn, ((_, g_h), (_, g_r)) in profiles.items():
-        if check_sign(lambda q: g_h, PGRID, "nonpositive", tol=slack).holds != "yes":
+        if verdict(p, g_h, "nonpositive", slack, "sign").holds != "yes":
             failures.append(("H-sign", kn))
-        if check_monotone(lambda q: g_h, PGRID, "decr", tol=slack).holds != "yes":
+        if verdict(p, g_h, "decr", slack, "monotone").holds != "yes":
             failures.append(("H-mono", kn))
-        if check_sign(lambda q: g_r, PGRID, "nonnegative", tol=slack).holds != "yes":
+        if verdict(p, g_r, "nonnegative", slack, "sign").holds != "yes":
             failures.append(("R-sign", kn))
-        if check_monotone(lambda q: g_r, PGRID, "decr", tol=slack).holds != "yes":
+        if verdict(p, g_r, "decr", slack, "monotone").holds != "yes":
             failures.append(("R-mono", kn))
 
     ratio_checks = 0
@@ -111,11 +102,11 @@ def test_criterion_4_kofn_lemma_sweep():
             ((h1, _), (r1, _)), ((h2, _), (r2, _)) = profiles[(k, n)], profiles[(l, m)]
             if k <= l and m - l <= n - k:
                 ratio_checks += 1
-                if check_monotone(lambda q: h1 / h2, PGRID, "decr", tol=slack).holds != "yes":
+                if verdict(p, h1 / h2, "decr", slack, "monotone").holds != "yes":
                     failures.append(("H-ratio", (k, n, l, m)))
             if l <= k and n - k <= m - l:
                 ratio_checks += 1
-                if check_monotone(lambda q: r1 / r2, PGRID, "incr", tol=slack).holds != "yes":
+                if verdict(p, r1 / r2, "incr", slack, "monotone").holds != "yes":
                     failures.append(("R-ratio", (k, n, l, m)))
 
     elapsed = time.perf_counter() - start

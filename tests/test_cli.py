@@ -10,10 +10,29 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from coherent_age.cli import SpecError, load_spec, main, parse_table
+from coherent_age.cli import SpecError, load_spec, main
 from coherent_age.distributions import LinearFailureRate, Weibull
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def parse_table(text: str) -> tuple[dict, list[str], list[list[str]]]:
+    """The (meta, header, rows) of a CSV the command line emitted."""
+    meta: dict = {}
+    header: list[str] = []
+    rows: list[list[str]] = []
+    for line in text.splitlines():
+        if not line.strip():
+            continue
+        if line.startswith("# "):
+            key, _, value = line[2:].partition("=")
+            meta[key] = value
+        elif not header:
+            header = line.split(",")
+        else:
+            rows.append(line.split(","))
+    assert header, "no header line found"
+    return meta, header, rows
 
 FGM_SYSTEM = {
     "structure": {"n": 3, "paths": [[1, 2], [1, 3]]},

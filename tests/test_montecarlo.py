@@ -79,10 +79,11 @@ class TestSamplers:
             target = float(cop.exch(p, 3))
             assert abs(empirical_joint_cdf(u, p) - target) < three_se(target)
 
-    def test_fgm_round_cap_reports_acceptance_rate(self):
+    def test_fgm_round_cap_reports_acceptance_rate(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_FGM_MAX_ROUNDS", 0)
         rng = np.random.default_rng(0)
         with pytest.raises(RuntimeError, match="acceptance rate"):
-            _sample_fgm(1.0, 1000, rng, max_rounds=0)
+            _sample_fgm(1.0, 1000, rng)
 
 
 class TestReproducibility:
@@ -150,15 +151,6 @@ class TestSimulateSystem:
         with pytest.raises(ValueError):
             simulate_system(Structure.series(3), Independence(2), Exponential(1.0), SimConfig())
 
-    def test_custom_grid(self):
-        x = np.array([0.1, 0.2, 0.4])
-        res = simulate_system(
-            Structure.parallel(2), Independence(2), Exponential(1.0),
-            SimConfig(sample_count=20_000, seed=3), x_grid=x,
-        )
-        assert res.x.shape == (3,)
-        assert np.all(res.std_err > 0.0)
-
 
 # Reference formulations: the fancy-index / column_stack system lifetime, the
 # broadcast empirical survival and the np.prod FGM density. The module's
@@ -223,8 +215,9 @@ class TestReferenceFormulations:
         emp = _count_survivors(tau, x) / tau.size
         assert np.array_equal(emp, reference_empirical_sf(tau, x))
 
-        res = simulate_system(structure, copula, margin, cfg, x_grid=x)
-        assert np.array_equal(res.empirical_sf, reference_empirical_sf(tau, x))
+        # the lifetimes simulate_system reduces before inverting are these
+        res = simulate_system(structure, copula, margin, cfg)
+        assert np.array_equal(res.empirical_sf, reference_empirical_sf(tau, res.x))
 
     @pytest.mark.parametrize("theta", [1.0, 0.35, -0.6, -1.0])
     def test_fgm_sampler_matches_np_prod_density(self, theta):
@@ -326,3 +319,24 @@ class TestConfigValidation:
             SimConfig(stream_count=0)
         with pytest.raises(ValueError):
             SimConfig(seed=-1)
+
+    @pytest.mark.parametrize("field, value", [
+        ("sample_count", 10.5), ("stream_count", 2.5), ("seed", 1.5),
+        ("sample_count", True), ("stream_count", True), ("seed", True), ("seed", False),
+        ("seed", "3"), ("sample_count", None), ("seed", np.bool_(True)), ("stream_count", np.float32(2.5)),
+    ])
+    def test_non_integer_field_rejected_at_construction(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SimConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["sample_count", "seed", "stream_count"])
+    def test_integral_float_field_read_as_int(self, field):
+        # the rule VerifyConfig applies to its grid size: 2.0 reads as 2
+        cfg = SimConfig(**{field: 2.0})
+        assert type(getattr(cfg, field)) is int and getattr(cfg, field) == 2
+        assert sample_copula(Independence(2), cfg).shape[1] == 2
+
+    def test_numpy_integers_accepted(self):
+        cfg = SimConfig(sample_count=np.int64(10), seed=np.uint64(2**64 - 1), stream_count=np.int32(3))
+        assert (cfg.sample_count, cfg.seed, cfg.stream_count) == (10, 2**64 - 1, 3)
+        assert all(type(v) is int for v in (cfg.sample_count, cfg.seed, cfg.stream_count))

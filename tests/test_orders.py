@@ -9,11 +9,10 @@ from coherent_age.copulas import FGM, ClaytonOakes, GumbelHougaard, Independence
 from coherent_age.distributions import Exponential, LinearFailureRate, Weibull
 from coherent_age.orders import (
     Grid,
-    check_monotone,
     check_order,
-    check_sign,
     integral_identity_check,
     system_order_direct,
+    verdict,
 )
 from coherent_age.systems import EPS_CLAMP, Structure, SystemModel, _minus_log, k_of_n_paths
 from corpus_helpers import golden_corpus, random_instance
@@ -134,14 +133,14 @@ class TestGrid:
     def test_margin_bracketed_identical_margins(self):
         d = Exponential(2.0)
         g = Grid.margin_bracketed(d, d, size=11)
-        assert g.points[0] == pytest.approx(d.quantile(0.001), rel=1e-9)
-        assert g.points[-1] == pytest.approx(d.quantile(0.999), rel=1e-9)
+        assert g.points[0] == pytest.approx(d.isf(0.999), rel=1e-9)
+        assert g.points[-1] == pytest.approx(d.isf(0.001), rel=1e-9)
 
     def test_margin_bracketed_mixture_between_components(self):
         dx, dy = Exponential(0.5), Exponential(3.0)
         g = Grid.margin_bracketed(dx, dy, size=11)
-        assert dy.quantile(0.001) <= g.points[0] <= dx.quantile(0.001)
-        assert dy.quantile(0.999) <= g.points[-1] <= dx.quantile(0.999)
+        assert dy.isf(0.999) <= g.points[0] <= dx.isf(0.999)
+        assert dy.isf(0.001) <= g.points[-1] <= dx.isf(0.001)
 
     @pytest.mark.parametrize("policy", ["log", "linear"])
     def test_system_bracketed_widens_past_the_margin(self, policy):
@@ -150,8 +149,8 @@ class TestGrid:
         system = SystemModel(Structure.parallel(8), Independence(8), Exponential(1.0))
         g = Grid.system_bracketed(system, system, size=11, policy=policy)
         assert g.policy == policy
-        assert g.points[-1] > system.margin.quantile(0.999)
-        mix_cdf = 1.0 - np.asarray(system.survival(g.points[[0, -1]]))
+        assert g.points[-1] > system.margin.isf(0.001)
+        mix_cdf = 1.0 - np.asarray(system.distortion.h(system.margin.sf(g.points[[0, -1]])))
         np.testing.assert_allclose(mix_cdf, [0.001, 0.999], rtol=0.0, atol=1e-12)
         # closed form: the system cdf is (1 - e^-x)^8
         exact = -np.log1p(-np.array([0.001, 0.999]) ** (1.0 / 8.0))
@@ -167,22 +166,12 @@ class TestBracketEdges:
         # search runs past 80 halvings to reach its lower end
         d = Weibull(shape)
         g = Grid.margin_bracketed(d, d, size=11)
-        assert g.points[0] == pytest.approx(d.quantile(0.001), rel=1e-12, abs=0.0)
+        assert g.points[0] == pytest.approx(d.isf(0.999), rel=1e-12, abs=0.0)
 
     def test_system_grid_below_the_widening_floor_builds(self):
         system = SystemModel(Structure.series(3), Independence(3), Weibull(0.01))
         g = Grid.system_bracketed(system, system, size=11)
         assert g.points[0] < 1e-280 < g.points[-1]
-
-    @pytest.mark.parametrize("q_lo, q_hi", [(0.0, 0.5), (0.5, 0.5), (0.6, 0.4), (0.1, 1.0),
-                                            (float("nan"), 0.9)])
-    def test_quantile_levels_outside_the_open_unit_interval_rejected(self, q_lo, q_hi):
-        system = series3_system()
-        message = r"0 < q_lo < q_hi < 1, got .* and .*"
-        with pytest.raises(ValueError, match=message):
-            Grid.margin_bracketed(LFR_X, LFR_Y, size=11, q_lo=q_lo, q_hi=q_hi)
-        with pytest.raises(ValueError, match=message):
-            Grid.system_bracketed(system, system, size=11, q_lo=q_lo, q_hi=q_hi)
 
 
 class TestBatchedBracketing:
@@ -341,15 +330,19 @@ class TestSubtreeFinish:
                     assert len(calls) == 2 and calls[0] == 2 and calls[1] <= 2 * 63
 
 
-class TestCheckMonotone:
+def on_grid(f, grid):
+    return grid.points, f(grid.points)
+
+
+class TestMonotoneVerdict:
     def test_identity_increasing(self):
         g = Grid.linear(0.01, 0.99, 101)
-        v = check_monotone(lambda p: p, g, "incr")
+        v = verdict(*on_grid(lambda p: p, g), "incr", 1e-9, "monotone")
         assert v.holds == "yes"
 
     def test_negation_fails_with_witness(self):
         g = Grid.linear(0.01, 0.99, 101)
-        v = check_monotone(lambda p: -p, g, "incr")
+        v = verdict(*on_grid(lambda p: -p, g), "incr", 1e-9, "monotone")
         assert v.holds == "no"
         # worst reversal is the full decline, witnessed at the right end
         assert v.violation == pytest.approx(g.points[-1] - g.points[0], rel=1e-9)
@@ -357,14 +350,14 @@ class TestCheckMonotone:
 
     def test_slow_cumulative_reversal_detected(self):
         g = Grid.linear(0.01, 0.99, 1001)
-        v = check_monotone(lambda p: -1e-6 * p, g, "incr", tol=1e-7)
+        v = verdict(*on_grid(lambda p: -1e-6 * p, g), "incr", 1e-7, "monotone")
         assert v.holds == "no"
 
     def test_fgm_elasticity_ratio_decreasing(self):
         d1 = fgm_system(1.0).distortion
         d2 = series3_system().distortion
         g = Grid.linear(1e-3, 1 - 1e-3, 2001)
-        v = check_monotone(lambda p: np.asarray(d1.H(p)) / np.asarray(d2.H(p)), g, "decr")
+        v = verdict(*on_grid(lambda p: np.asarray(d1.H(p)) / np.asarray(d2.H(p)), g), "decr", 1e-9, "monotone")
         assert v.holds == "yes"
         ratio = d1.H(g.points) / d2.H(g.points)
         assert ratio[0] == pytest.approx(2.0 / 3.0, abs=1e-2)
@@ -378,7 +371,7 @@ class TestCheckMonotone:
             out[:3] = np.nan
             return out
 
-        v = check_monotone(f, g, "incr")
+        v = verdict(*on_grid(f, g), "incr", 1e-9, "monotone")
         assert v.holds == "yes"
         assert v.skipped == 3
 
@@ -390,29 +383,57 @@ class TestCheckMonotone:
             out[::2] = np.inf
             return out
 
-        v = check_monotone(f, g, "incr")
+        v = verdict(*on_grid(f, g), "incr", 1e-9, "monotone")
         assert v.holds == "inconclusive"
 
     def test_all_skipped_raises(self):
         g = Grid.linear(0.01, 0.99, 10)
         with pytest.raises(ValueError, match="empty grid"):
-            check_monotone(lambda p: np.full_like(p, np.nan), g, "incr")
+            verdict(*on_grid(lambda p: np.full_like(p, np.nan), g), "incr", 1e-9, "monotone")
 
-    def test_bad_direction_rejected(self):
+    @pytest.mark.parametrize("rule", ["sideways", "Incr", "", "nonneg"], ids=["sideways", "Incr", "empty", "nonneg"])
+    def test_bad_rule_rejected(self, rule):
+        # every entry point refuses it, the ratio and the verifier's kept-value verdicts too
         g = Grid.linear(0.01, 0.99, 10)
-        with pytest.raises(ValueError):
-            check_monotone(lambda p: p, g, "sideways")
+        with pytest.raises(ValueError, match="rule must be one of"):
+            verdict(g.points, g.points, rule, 1e-9, "monotone")
+        with pytest.raises(ValueError, match="rule must be one of"):
+            orders._ratio_verdict(g.points, g.points, np.ones(10), rule, 1e-9, "ratio")
+        with pytest.raises(ValueError, match="rule must be one of"):
+            orders._kept_verdict(g.points, g.points, 0, rule, 1e-9, "kept")
+
+    @pytest.mark.parametrize("shape", [(9,), (11,), (10, 1), (1, 10), ()], ids=str)
+    def test_values_of_another_shape_rejected(self, shape):
+        g = Grid.linear(0.01, 0.99, 10)
+        with pytest.raises(ValueError, match="do not match the points"):
+            verdict(g.points, np.zeros(shape), "incr", 1e-9, "monotone")
+
+    def test_points_not_a_vector_rejected(self):
+        xs = np.linspace(0.1, 0.9, 8).reshape(2, 4)
+        for points in (xs, 0.5):
+            with pytest.raises(ValueError, match="a vector"):
+                verdict(points, np.zeros(np.shape(points)), "incr", 1e-9, "monotone")
+
+    def test_lists_accepted(self):
+        v = verdict([0.1, 0.2, 0.3], [3.0, 2.0, 1.0], "decr", 0.0, "monotone")
+        assert (v.holds, v.witness_x, v.violation, v.checked) == ("yes", 0.2, 0.0, 3)
 
 
-class TestCheckSign:
+class TestSignVerdict:
     def test_nonpositive(self):
         g = Grid.linear(0.1, 0.9, 9)
-        assert check_sign(lambda p: -p, g, "nonpositive").holds == "yes"
-        assert check_sign(lambda p: p - 0.5, g, "nonpositive").holds == "no"
+        assert verdict(*on_grid(lambda p: -p, g), "nonpositive", 1e-9, "sign").holds == "yes"
+        assert verdict(*on_grid(lambda p: p - 0.5, g), "nonpositive", 1e-9, "sign").holds == "no"
+
+    def test_nonnegative(self):
+        g = Grid.linear(0.1, 0.9, 9)
+        assert verdict(*on_grid(lambda p: p, g), "nonnegative", 1e-9, "sign").holds == "yes"
+        v = verdict(*on_grid(lambda p: p - 0.5, g), "nonnegative", 1e-9, "sign")
+        assert (v.holds, v.witness_x, v.violation) == ("no", 0.1, pytest.approx(0.4))
 
     def test_zero_within_slack(self):
         g = Grid.linear(0.1, 0.9, 9)
-        v = check_sign(lambda p: np.full_like(p, 1e-12), g, "nonpositive", tol=1e-8)
+        v = verdict(*on_grid(lambda p: np.full_like(p, 1e-12), g), "nonpositive", 1e-8, "sign")
         assert v.holds == "yes"
 
 

@@ -1,0 +1,49 @@
+import importlib
+import pkgutil
+import runpy
+import sys
+from pathlib import Path
+
+import pytest
+
+import coherent_age
+
+MODULES = ["coherent_age", *(f"coherent_age.{m.name}" for m in pkgutil.iter_modules(coherent_age.__path__))]
+SWEEP = str(Path(__file__).resolve().parents[1] / "scripts" / "kofn_elasticity_sweep.py")
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_all_entry_resolves(name):
+    module = importlib.import_module(name)
+    exported = getattr(module, "__all__", [])
+    assert len(set(exported)) == len(exported)
+    assert [entry for entry in exported if not hasattr(module, entry)] == []
+    namespace = {}
+    exec(f"from {name} import *", namespace)
+    assert set(exported) <= set(namespace)
+
+
+def run_sweep(monkeypatch, *argv):
+    monkeypatch.setattr(sys, "argv", [SWEEP, *argv])
+    runpy.run_path(SWEEP, run_name="__main__")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--max-n", "7"], "error: 2-of-7: structure has 21 minimal path sets; refusing more than 20"),
+    (["--grid-size", "1"], "error: --grid-size 1: grid needs at least two points"),
+    (["--max-n", "0"], "error: --max-n must be at least 1, got 0"),
+    (["--max-n", "-2"], "error: --max-n must be at least 1, got -2"),
+], ids=["max-n-7", "grid-size-1", "max-n-0", "max-n-negative"])
+def test_sweep_argument_errors_are_one_line(monkeypatch, capsys, argv, message):
+    with pytest.raises(SystemExit) as exit_info:
+        run_sweep(monkeypatch, *argv)
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert [line for line in captured.err.splitlines() if line.startswith("error:")] == [message]
+
+
+def test_sweep_smallest_run(monkeypatch, capsys):
+    run_sweep(monkeypatch, "--max-n", "1", "--grid-size", "2")
+    out = capsys.readouterr().out
+    assert out.startswith("index pairs: 1, ratio checks: 2, slack: 1e-08, grid: 2 pts\n")

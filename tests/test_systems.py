@@ -373,7 +373,9 @@ class TestSystemModel:
     def test_survival_composition(self):
         sysm = SystemModel(Structure.series(3), Independence(3), Exponential(1.0))
         x = np.linspace(0.1, 3.0, 7)
-        np.testing.assert_allclose(sysm.survival(x), np.exp(-3.0 * x), rtol=1e-13)
+        survival = sysm.distortion.h(sysm.margin.sf(x))
+        np.testing.assert_allclose(survival, np.exp(-3.0 * x), rtol=1e-13)
+        np.testing.assert_allclose(sysm.cum_hazard(x), 3.0 * x, rtol=1e-13)
 
     def test_cum_hazard_accurate_deep_in_tail(self):
         sysm = SystemModel(Structure.series(3), Independence(3), LinearFailureRate(2.0, 1.0))
@@ -384,7 +386,7 @@ class TestSystemModel:
     def test_cum_rev_hazard_matches_definition(self):
         sysm = SystemModel(Structure.parallel(2), Independence(2), Exponential(1.0))
         x = np.linspace(0.05, 4.0, 9)
-        target = -np.log1p(-np.asarray(sysm.survival(x)))
+        target = -np.log1p(-np.asarray(sysm.distortion.h(sysm.margin.sf(x))))
         np.testing.assert_allclose(sysm.cum_rev_hazard(x), target, rtol=1e-10)
 
     def test_k_of_n_constructor_uses_binomial_tails(self):

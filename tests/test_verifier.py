@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -8,7 +9,7 @@ from corpus_helpers import random_instance
 from coherent_age import verifier
 from coherent_age.copulas import FGM, GumbelHougaard, Independence
 from coherent_age.distributions import Exponential, LinearFailureRate
-from coherent_age.orders import _verdict
+from coherent_age.orders import Grid, verdict
 from coherent_age.systems import Distortion, Structure, SystemModel, k_of_n_paths
 from coherent_age.verifier import (
     DEFAULT_CONFIG,
@@ -176,6 +177,13 @@ class TestVerifyConfig:
         assert VerifyConfig(grid_size=31.0) == VerifyConfig(grid_size=31)
         assert type(VerifyConfig(grid_size=31.0).grid_size) is int
 
+    def test_numpy_grid_size_reads_as_an_integer(self):
+        assert VerifyConfig(grid_size=np.int64(31)) == VerifyConfig(grid_size=np.float32(31.0)) == VerifyConfig(grid_size=31)
+        with pytest.raises(ValueError, match="grid size must be an integer"):
+            VerifyConfig(grid_size=np.float64(31.5))
+        with pytest.raises(ValueError, match="grid size must be a number"):
+            VerifyConfig(grid_size=np.bool_(True))
+
     def test_default_config_is_the_default(self):
         assert DEFAULT_CONFIG == VerifyConfig()
         s1, s2 = fgm_pair_series_system(), series3_independent_system()
@@ -183,11 +191,15 @@ class TestVerifyConfig:
 
     def test_keeps_its_p_grid_read_only(self):
         cfg = VerifyConfig(eps_endpoint=0.01, grid_size=31)
-        grid = cfg.p_grid()
-        assert cfg.p_grid() is grid
+        grid = cfg.p_grid
+        assert cfg.p_grid is grid
         assert np.array_equal(grid.points, np.linspace(0.01, 0.99, 31))
         with pytest.raises(ValueError, match="read-only"):
             grid.points[0] = 0.5
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.p_grid = Grid.probability(0.01, 31)
+        with pytest.raises(TypeError):
+            VerifyConfig(p_grid=grid)
 
     def test_kept_grid_leaves_equality_hash_and_repr_alone(self):
         cfg = VerifyConfig(grid_size=31.0)
@@ -294,8 +306,8 @@ def reference_sign_condition(name, kind, p, values, sign_slack, tol):
     """The sign condition as three separate passes, each filtering the
     non-finite values on its own."""
     sign = "nonpositive" if kind == "H" else "nonnegative"
-    sign_verdict = _verdict(p, values, sign, sign_slack, f"{name}:sign")
-    mono_verdict = _verdict(p, values, "decr", tol, f"{name}:decreasing")
+    sign_verdict = verdict(p, values, sign, sign_slack, f"{name}:sign")
+    mono_verdict = verdict(p, values, "decr", tol, f"{name}:decreasing")
     finite = values[np.isfinite(values)]
     if sign == "nonpositive":
         boundary = bool(finite.size and np.max(finite) > -sign_slack)
