@@ -52,11 +52,15 @@ def main():
     # (H, (1-p) H'/H) and (R, p R'/R) per distortion, three evaluations each;
     # the checks read these arrays, and the ratio checks reuse H and R
     profiles = {kn: (d.elasticity_profile(p, "H"), d.elasticity_profile(p, "R")) for kn, d in dists.items()}
-    for (_, g_h), (_, g_r) in profiles.values():
-        worst["H-sign"] = max(worst["H-sign"], verdict(p, g_h, "nonpositive", args.slack, "sign").violation)
-        worst["H-mono"] = max(worst["H-mono"], verdict(p, g_h, "decr", args.slack, "monotone").violation)
-        worst["R-sign"] = max(worst["R-sign"], verdict(p, g_r, "nonnegative", args.slack, "sign").violation)
-        worst["R-mono"] = max(worst["R-mono"], verdict(p, g_r, "decr", args.slack, "monotone").violation)
+    # the library's tolerance rule decides the slack, at the first verdict
+    try:
+        for (_, g_h), (_, g_r) in profiles.values():
+            worst["H-sign"] = max(worst["H-sign"], verdict(p, g_h, "nonpositive", args.slack, "sign").violation)
+            worst["H-mono"] = max(worst["H-mono"], verdict(p, g_h, "decr", args.slack, "monotone").violation)
+            worst["R-sign"] = max(worst["R-sign"], verdict(p, g_r, "nonnegative", args.slack, "sign").violation)
+            worst["R-mono"] = max(worst["R-mono"], verdict(p, g_r, "decr", args.slack, "monotone").violation)
+    except ValueError as exc:
+        parser.error(f"--slack {args.slack}: {exc}")
 
     checks = 0
     for k, n in pairs:

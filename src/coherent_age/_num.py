@@ -12,6 +12,7 @@ class's dataclass fields, so no family keeps a key table of its own.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
@@ -29,6 +30,13 @@ def match_input(x, values: np.ndarray):
 
 def as_float_array(x) -> np.ndarray:
     return np.asarray(x, dtype=float)
+
+
+def _tolerance(value: float, what: str) -> None:
+    """The one tolerance rule, of VerifyConfig and orders.verdict alike:
+    finite and >= 0, else ValueError."""
+    if not (math.isfinite(value) and value >= 0.0):
+        raise ValueError(f"{what} must be finite and >= 0, got {value!r}")
 
 
 def _require(d: dict, required: set[str], optional: set[str], where: str) -> None:

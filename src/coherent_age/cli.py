@@ -109,8 +109,8 @@ def _load_system(d: dict, where: str) -> SystemBlock:
 # the grid and tolerance keys each command reads
 _SETTINGS = {
     "distortion": ({"size"}, {"eps_endpoint"}),
-    "check-order": ({"size", "policy"}, {"tol"}),
-    "verify": ({"size", "policy"}, {"tol", "sign_slack", "eps_endpoint"}),
+    "check-order": ({"size"}, {"tol"}),
+    "verify": ({"size"}, {"tol", "sign_slack", "eps_endpoint"}),
 }
 _SIM_DEFAULTS = {"sample_count": 100_000, "seed": 0, "stream_count": 4}
 _OUTPUT_KEYS = {"csv", "json"}
@@ -181,7 +181,7 @@ def load_spec(
         if spec.relation not in allowed:
             raise SpecError(f"relation must be one of {allowed}, got {spec.relation!r}")
 
-    # VerifyConfig field names: grid.policy and grid.size gain a grid_ prefix
+    # VerifyConfig field names: grid.size gains a grid_ prefix
     # only the commands in _SETTINGS have a grid or tolerances block
     settings = {}
     if "grid" in raw:
@@ -262,7 +262,7 @@ def _cmd_distortion(spec: RunSpec) -> int:
 def _cmd_check_order(spec: RunSpec) -> int:
     m1, m2 = spec.system1.margin, spec.system2.margin
     try:
-        grid = Grid.margin_bracketed(m1, m2, size=spec.cfg.grid_size, policy=spec.cfg.grid_policy)
+        grid = Grid.margin_bracketed(m1, m2, size=spec.cfg.grid_size)
     except ValueError as exc:
         raise SpecError(f"cannot grid the two margins: {exc}") from exc
     verdict = check_order(m1, m2, spec.relation, grid=grid, tol=spec.cfg.tol)

@@ -25,7 +25,7 @@ from functools import cache
 
 import numpy as np
 
-from ._num import as_float_array
+from ._num import _tolerance, as_float_array
 from .distributions import LifetimeDistribution
 from .systems import EPS_CLAMP, SystemModel, _minus_log
 
@@ -66,7 +66,6 @@ class Grid:
     """Strictly increasing evaluation grid of positive finite reals."""
 
     points: np.ndarray
-    policy: str = "custom"
 
     def __post_init__(self):
         pts = as_float_array(self.points)
@@ -80,27 +79,20 @@ class Grid:
             raise ValueError("grid points must be strictly increasing")
         object.__setattr__(self, "points", pts)
 
-    def __len__(self) -> int:
-        return self.points.size
-
     @classmethod
     def log_spaced(cls, lo: float, hi: float, size: int = 2001) -> "Grid":
         if not (lo > 0.0 and hi > 0.0):
             raise ValueError(f"log-spaced grid ends must be positive, got {lo!r} and {hi!r}")
         points = np.power(10.0, np.linspace(np.log10(lo), np.log10(hi), size))
         points[:1], points[-1:] = lo, hi
-        return cls(points, policy="log")
-
-    @classmethod
-    def linear(cls, lo: float, hi: float, size: int = 2001) -> "Grid":
-        return cls(np.linspace(lo, hi, size), policy="linear")
+        return cls(points)
 
     @classmethod
     def probability(cls, eps: float = 1e-3, size: int = 2001) -> "Grid":
         """Linear grid on [eps, 1-eps] for functionals of reliability p."""
         if not 0.0 < eps < 0.5:
             raise ValueError(f"eps_endpoint must satisfy 0 < eps < 0.5, got {eps!r}")
-        return cls(np.linspace(eps, 1.0 - eps, size), policy="linear")
+        return cls(np.linspace(eps, 1.0 - eps, size))
 
     @classmethod
     def margin_bracketed(
@@ -108,7 +100,6 @@ class Grid:
         dist_x: LifetimeDistribution,
         dist_y: LifetimeDistribution,
         size: int = 2001,
-        policy: str = "log",
     ) -> "Grid":
         """Log-spaced grid spanning the [Q_LO, Q_HI] quantiles of the equal
         mixture of the two margins, avoiding both indeterminate tails."""
@@ -119,7 +110,7 @@ class Grid:
             return 0.5 * (-np.expm1(-dist_x._chz(xa)) + -np.expm1(-dist_y._chz(xa)))
 
         lo, hi = _quantile_bracket(dist_x, dist_y)
-        return cls._bracketed(mix_cdf, lo, hi, size, Q_LO, Q_HI, policy)
+        return cls._bracketed(mix_cdf, lo, hi, size, Q_LO, Q_HI)
 
     @classmethod
     def system_bracketed(
@@ -127,7 +118,6 @@ class Grid:
         sys1,
         sys2,
         size: int = 2001,
-        policy: str = "log",
     ) -> "Grid":
         """Grid spanning the [Q_LO, Q_HI] quantiles of the equal mixture of
         the two SYSTEM lifetimes.  System lifetimes can live far from their
@@ -181,12 +171,12 @@ class Grid:
             if len(found) == 2:
                 break
         (lo, f_lo), (hi, f_hi) = found[0], found[1]
-        return cls._bracketed(mix_cdf, lo, hi, size, Q_LO, Q_HI, policy, f_ends=(f_lo, f_hi))
+        return cls._bracketed(mix_cdf, lo, hi, size, Q_LO, Q_HI, f_ends=(f_lo, f_hi))
 
     @classmethod
     def _bracketed(cls, mix_cdf, lo: float, hi: float, size: int, q_lo: float, q_hi: float,
-                   policy: str, f_ends: tuple[float, float] | None = None) -> "Grid":
-        """Grid between the q_lo and q_hi quantiles of mix_cdf, both found as
+                   f_ends: tuple[float, float] | None = None) -> "Grid":
+        """Log-spaced grid between the q_lo and q_hi quantiles of mix_cdf, both found as
         the floats that halving [lo, hi] reaches when it runs until the
         midpoint equals an end of its bracket.  A finite bracket gets there
         within 2098 halvings, and every later bracket has that midpoint.
@@ -219,9 +209,8 @@ class Grid:
         or the finish, so the grid is the same floats as from one call per
         halving.
         """
-        build = cls.log_spaced if policy == "log" else cls.linear
         if hi <= lo:
-            return build(lo, lo, size)
+            return cls.log_spaced(lo, lo, size)
         lo, hi = float(lo), float(hi)
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError(f"the quantile bracket [{lo!r}, {hi!r}] is not finite")
@@ -271,7 +260,7 @@ class Grid:
                     else:
                         b, fb = m, value
                 end[:] = a, b, fa, fb
-        return build(0.5 * (state[0][0] + state[0][1]), 0.5 * (state[1][0] + state[1][1]), size)
+        return cls.log_spaced(0.5 * (state[0][0] + state[0][1]), 0.5 * (state[1][0] + state[1][1]), size)
 
 
 def _quantile_bracket(dist_x: LifetimeDistribution, dist_y: LifetimeDistribution) -> tuple[float, float]:
@@ -316,7 +305,7 @@ RULES = MONOTONE_RULES + ("nonpositive", "nonnegative")
 def verdict(xs: np.ndarray, values: np.ndarray, rule: str, tol: float, relation: str) -> OrderVerdict:
     """The one grid verdict: values at xs increasing or decreasing (rule
     "incr" or "decr"), or <= 0 or >= 0 ("nonpositive" or "nonnegative"),
-    within tol.
+    within tol, which must be finite and >= 0.
 
     Non-finite values are skipped and counted; more than MAX_SKIP_FRACTION
     of the points skipped, or fewer than two kept points for a monotone
@@ -326,24 +315,16 @@ def verdict(xs: np.ndarray, values: np.ndarray, rule: str, tol: float, relation:
     xs, values = as_float_array(xs), as_float_array(values)
     if xs.ndim != 1 or values.shape != xs.shape:
         raise ValueError(f"values of shape {values.shape} do not match the points' {xs.shape}, a vector")
-    return _kept_verdict(*_finite_part(xs, values), rule, tol, relation)
-
-
-def _finite_part(xs: np.ndarray, values: np.ndarray):
-    """The points and values where the values are finite, and the count dropped."""
-    finite = np.isfinite(values)
-    kept = values[finite]
-    return xs[finite], kept, finite.size - kept.size
-
-
-def _kept_verdict(xs, kept, skipped: int, rule: str, tol: float, relation: str) -> OrderVerdict:
-    """verdict on finite values, `skipped` points having been dropped."""
     if rule not in RULES:
         raise ValueError(f"rule must be one of {RULES}, got {rule!r}")
+    _tolerance(tol, "tol")
+    finite = np.isfinite(values)
+    xs, kept = xs[finite], values[finite]
+    skipped = finite.size - kept.size
     if kept.size == 0:
         raise ValueError("empty grid after skipping flagged points")
     monotone = rule in MONOTONE_RULES
-    if skipped > MAX_SKIP_FRACTION * (kept.size + skipped) or (monotone and kept.size < 2):
+    if skipped > MAX_SKIP_FRACTION * finite.size or (monotone and kept.size < 2):
         return OrderVerdict(relation, "inconclusive", None, np.nan, tol, skipped, kept.size,
                             note="too many points skipped")
     # a monotone violation is the worst reversal between ANY earlier/later
@@ -361,15 +342,12 @@ def _kept_verdict(xs, kept, skipped: int, rule: str, tol: float, relation: str) 
     return OrderVerdict(relation, holds, float(xs[idx + monotone]), worst, tol, skipped, kept.size)
 
 
-def _ratio_verdict(xs, num, den, direction, tol, relation) -> OrderVerdict:
-    num = as_float_array(num)
-    den = as_float_array(den)
+def _ratio(num, den) -> np.ndarray:
+    """num/den where both are finite and |den| >= RATIO_FLOOR, nan (a skipped
+    point) elsewhere; the skipped points are not divided."""
+    num, den = as_float_array(num), as_float_array(den)
     keep = np.isfinite(num) & np.isfinite(den) & (np.abs(den) >= RATIO_FLOOR)
-    pre_skipped = keep.size - int(np.count_nonzero(keep))
-    if not np.any(keep):
-        raise ValueError("empty grid after skipping flagged points")
-    xs, kept, skipped = _finite_part(xs[keep], num[keep] / den[keep])
-    return _kept_verdict(xs, kept, pre_skipped + skipped, direction, tol, relation)
+    return np.divide(num, den, out=np.full(num.shape, np.nan), where=keep)
 
 
 def check_order(
@@ -413,7 +391,7 @@ def check_order(
         xs = np.concatenate((xs, [np.inf]))
         num = np.concatenate((num, [1.0]))
         den = np.concatenate((den, [1.0]))
-    return _ratio_verdict(xs, num, den, direction, tol, relation)
+    return verdict(xs, _ratio(num, den), direction, tol, relation)
 
 
 def system_order_direct(
@@ -438,7 +416,7 @@ def system_order_direct(
         num, den, direction = sys1.cum_hazard(x), sys2.cum_hazard(x), "incr"
     else:
         num, den, direction = sys1.cum_rev_hazard(x), sys2.cum_rev_hazard(x), "decr"
-    return _ratio_verdict(x, num, den, direction, tol, f"system:{relation}")
+    return verdict(x, _ratio(num, den), direction, tol, f"system:{relation}")
 
 
 @dataclass(frozen=True)
@@ -495,7 +473,7 @@ def integral_identity_check(
     ic = int(np.argmax(err_c))
     ib = int(np.argmax(err_b))
     return IdentityReport(
-        float(err_c[ic]), float(err_b[ib]), float(x[ic]), float(x[ib]), len(grid), quad_tol
+        float(err_c[ic]), float(err_b[ib]), float(x[ic]), float(x[ib]), x.size, quad_tol
     )
 
 

@@ -30,13 +30,12 @@ order; its hypotheses are strictly stronger and it is not implemented here.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from ._num import _integer
-from .orders import Grid, OrderVerdict, _finite_part, _kept_verdict, _ratio_verdict, check_order, system_order_direct
+from ._num import _integer, _tolerance
+from .orders import Grid, OrderVerdict, _ratio, check_order, system_order_direct, verdict
 from .systems import SystemModel
 
 __all__ = [
@@ -60,12 +59,12 @@ class VerifyConfig:
     tol applies to every ratio and monotonicity check, all of them built
     from closed forms; sign_slack classifies identically-zero sign conditions
     as boundary passes.  grid_size is the size of both the p-grid on
-    [eps_endpoint, 1-eps_endpoint] and the x-grid bracketing the two margins,
-    which grid_policy spaces "log" or "linear".
+    [eps_endpoint, 1-eps_endpoint] and the log-spaced x-grid bracketing the
+    two margins.
 
     This is the one place the settings are checked, for the library and the
-    command line alike: a known grid policy, an integral grid size whose
-    p-grid builds, and tolerances finite and >= 0; anything else raises
+    command line alike: an integral grid size whose p-grid builds, and
+    tolerances finite and >= 0; anything else raises
     ValueError.  The p-grid built by that check is kept, read-only, and
     every verify under the config reads it.
     """
@@ -74,12 +73,9 @@ class VerifyConfig:
     grid_size: int = 2001
     tol: float = 1e-9
     sign_slack: float = 1e-8
-    grid_policy: str = "log"
     p_grid: Grid = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.grid_policy not in ("log", "linear"):
-            raise ValueError(f"grid policy must be 'log' or 'linear', got {self.grid_policy!r}")
         object.__setattr__(self, "grid_size", _integer(self.grid_size, "grid size"))
         try:
             grid = Grid.probability(self.eps_endpoint, self.grid_size)
@@ -88,9 +84,7 @@ class VerifyConfig:
         grid.points.setflags(write=False)
         object.__setattr__(self, "p_grid", grid)
         for key in ("tol", "sign_slack"):
-            value = getattr(self, key)
-            if not (math.isfinite(value) and value >= 0.0):
-                raise ValueError(f"{key} must be finite and >= 0, got {value!r}")
+            _tolerance(getattr(self, key), key)
 
 
 # the config of a verify called without one: checked once, not per call
@@ -126,12 +120,6 @@ class ConditionReport:
             return EXIT_INCONCLUSIVE
         return EXIT_NOT_CERTIFIED
 
-    def condition(self, name: str) -> ConditionEntry:
-        for entry in self.conditions:
-            if entry.name == name:
-                return entry
-        raise KeyError(name)
-
     def to_dict(self) -> dict:
         return {
             "relation": self.relation,
@@ -157,11 +145,10 @@ def _elasticity_sign_condition(name, kind, p, values, sign_slack, tol) -> Condit
     or 'p R'/R positive and decreasing' (kind='R'); `values` are that
     relative slope on the p-grid."""
     sign = "nonpositive" if kind == "H" else "nonnegative"
-    # one finite mask and one compaction feed both verdicts and the boundary test
-    xs, kept, skipped = _finite_part(p, values)
-    sign_verdict = _kept_verdict(xs, kept, skipped, sign, sign_slack, f"{name}:sign")
-    mono_verdict = _kept_verdict(xs, kept, skipped, "decr", tol, f"{name}:decreasing")
+    sign_verdict = verdict(p, values, sign, sign_slack, f"{name}:sign")
+    mono_verdict = verdict(p, values, "decr", tol, f"{name}:decreasing")
     # boundary: the sign condition holds only by slack (identically-zero case)
+    kept = values[np.isfinite(values)]
     if sign == "nonpositive":
         boundary = bool(kept.size and np.max(kept) > -sign_slack)
     else:
@@ -182,7 +169,7 @@ def _conclude(cond: dict[str, ConditionEntry]) -> str:
 
 def _verify(sys1: SystemModel, sys2: SystemModel, relation: str, cfg: VerifyConfig) -> ConditionReport:
     p = cfg.p_grid.points
-    xgrid = Grid.margin_bracketed(sys1.margin, sys2.margin, size=cfg.grid_size, policy=cfg.grid_policy)
+    xgrid = Grid.margin_bracketed(sys1.margin, sys2.margin, size=cfg.grid_size)
     # H for c_star, R for b_star: each elasticity feeds (i), and its relative
     # slope its own (ii)/(iii); one profile per distortion, three evaluations
     kind = "H" if relation == "c_star" else "R"
@@ -190,7 +177,7 @@ def _verify(sys1: SystemModel, sys2: SystemModel, relation: str, cfg: VerifyConf
     # (iv): the margins age faster in the same sense, and are st-ordered
     st_x, st_y = (sys2.margin, sys1.margin) if relation == "c_star" else (sys1.margin, sys2.margin)
     entries = {
-        "i": _combine("i", [_ratio_verdict(p, e1, e2, "decr" if relation == "c_star" else "incr", cfg.tol, "i")]),
+        "i": _combine("i", [verdict(p, _ratio(e1, e2), "decr" if relation == "c_star" else "incr", cfg.tol, "i")]),
         "ii": _elasticity_sign_condition("ii", kind, p, g1, cfg.sign_slack, cfg.tol),
         "iii": _elasticity_sign_condition("iii", kind, p, g2, cfg.sign_slack, cfg.tol),
         "iv": _combine("iv", [check_order(sys1.margin, sys2.margin, relation, grid=xgrid, tol=cfg.tol),

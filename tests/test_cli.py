@@ -310,11 +310,14 @@ class TestUnreadFlags:
             ("distortion", "tolerances", "sign_slack"),
             ("check-order", "tolerances", "eps_endpoint"),
             ("check-order", "tolerances", "sign_slack"),
+            # every x-grid is log-spaced; no command reads a grid policy
+            ("check-order", "grid", "policy"),
+            ("verify", "grid", "policy"),
         ],
     )
     def test_spec_key_the_command_does_not_read_is_refused(self, tmp_path, capsys, command, block, key):
         payload = {"system1": FGM_SYSTEM} if command == "distortion" else VERIFY_SPEC
-        value = "linear" if key == "policy" else 0.2
+        value = "log" if key == "policy" else 0.2
         assert run(tmp_path, command, {**payload, block: {key: value}}) == 1
         captured = capsys.readouterr()
         assert captured.out == ""

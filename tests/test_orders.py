@@ -19,6 +19,8 @@ from corpus_helpers import golden_corpus, random_instance
 
 LFR_X = LinearFailureRate(1.0, 1.0)
 LFR_Y = LinearFailureRate(2.0, 1.0)
+# tolerances every verdict refuses: not finite, or negative
+BAD_TOLERANCES = [math.nan, math.inf, -math.inf, -1.0]
 
 
 def fgm_system(theta=1.0, margin=LFR_X):
@@ -41,12 +43,11 @@ def golden_grid(sysm, size=200):
     return Grid.margin_bracketed(sysm.margin, sysm.margin, size=size)
 
 
-def sequential_bracketed(mix_cdf, lo, hi, size, q_lo, q_hi, policy):
+def sequential_bracketed(mix_cdf, lo, hi, size, q_lo, q_hi):
     """Grid._bracketed one halving at a time: one array call of mix_cdf on
     the two current midpoints per halving, until neither midpoint moves."""
-    build = Grid.log_spaced if policy == "log" else Grid.linear
     if hi <= lo:
-        return build(lo, lo, size)
+        return Grid.log_spaced(lo, lo, size)
     targets = np.array([q_lo, q_hi])
     lo_b = np.full(2, float(lo))
     hi_b = np.full(2, float(hi))
@@ -57,7 +58,7 @@ def sequential_bracketed(mix_cdf, lo, hi, size, q_lo, q_hi, policy):
         hi_b = np.where(below, hi_b, mid)
         moved, mid = mid, 0.5 * (lo_b + hi_b)
         if np.array_equal(mid, moved):
-            return build(float(mid[0]), float(mid[1]), size)
+            return Grid.log_spaced(float(mid[0]), float(mid[1]), size)
 
 
 def _lfr_mixture(x):
@@ -86,7 +87,7 @@ class TestGrid:
         g = Grid.log_spaced(0.01, 10.0, 101)
         assert g.points[0] == pytest.approx(0.01)
         assert g.points[-1] == pytest.approx(10.0)
-        assert len(g) == 101
+        assert g.points.size == 101
 
     @pytest.mark.parametrize("size", [2, 3, 200, 2001])
     def test_log_spaced_is_geomspace(self, size):
@@ -142,20 +143,18 @@ class TestGrid:
         assert dy.isf(0.999) <= g.points[0] <= dx.isf(0.999)
         assert dy.isf(0.001) <= g.points[-1] <= dx.isf(0.001)
 
-    @pytest.mark.parametrize("policy", ["log", "linear"])
-    def test_system_bracketed_widens_past_the_margin(self, policy):
+    def test_system_bracketed_widens_past_the_margin(self):
         # a parallel system outlives its components: its 0.999 quantile lies
         # beyond the margin's, so the margin bracket must widen to reach it
         system = SystemModel(Structure.parallel(8), Independence(8), Exponential(1.0))
-        g = Grid.system_bracketed(system, system, size=11, policy=policy)
-        assert g.policy == policy
+        g = Grid.system_bracketed(system, system, size=11)
         assert g.points[-1] > system.margin.isf(0.001)
         mix_cdf = 1.0 - np.asarray(system.distortion.h(system.margin.sf(g.points[[0, -1]])))
         np.testing.assert_allclose(mix_cdf, [0.001, 0.999], rtol=0.0, atol=1e-12)
         # closed form: the system cdf is (1 - e^-x)^8
         exact = -np.log1p(-np.array([0.001, 0.999]) ** (1.0 / 8.0))
         np.testing.assert_allclose(g.points[[0, -1]], exact, rtol=1e-12)
-        spacing = np.diff(g.points) if policy == "linear" else np.diff(np.log(g.points))
+        spacing = np.diff(np.log(g.points))
         np.testing.assert_allclose(spacing, spacing[0], rtol=1e-9)
 
 
@@ -180,9 +179,9 @@ class TestBatchedBracketing:
         batched = Grid._bracketed.__func__
         compared = []
 
-        def both(cls, mix_cdf, lo, hi, size, q_lo, q_hi, policy, **kw):
-            grid = batched(cls, mix_cdf, lo, hi, size, q_lo, q_hi, policy, **kw)
-            ref = sequential_bracketed(mix_cdf, lo, hi, size, q_lo, q_hi, policy)
+        def both(cls, mix_cdf, lo, hi, size, q_lo, q_hi, **kw):
+            grid = batched(cls, mix_cdf, lo, hi, size, q_lo, q_hi, **kw)
+            ref = sequential_bracketed(mix_cdf, lo, hi, size, q_lo, q_hi)
             compared.append(np.array_equal(grid.points, ref.points))
             return grid
 
@@ -211,11 +210,10 @@ class TestBatchedBracketing:
                   for (k, n), (l, m) in zip(kofn, kofn[1:] + kofn[:1])]
         for sys1, sys2 in pairs:
             families |= {type(sys1.copula).__name__, type(sys2.copula).__name__}
-            for policy in ("log", "linear"):
-                Grid.margin_bracketed(sys1.margin, sys2.margin, size=11, policy=policy)
-                Grid.system_bracketed(sys1, sys2, size=11, policy=policy)
+            Grid.margin_bracketed(sys1.margin, sys2.margin, size=11)
+            Grid.system_bracketed(sys1, sys2, size=11)
         assert families == {"Independence", "FGM", "GumbelHougaard", "ClaytonOakes"}
-        assert len(compared) == 4 * len(pairs) and all(compared)
+        assert len(compared) == 2 * len(pairs) and all(compared)
 
     def test_mixture_cdf_calls_per_grid(self):
         calls = []
@@ -224,11 +222,11 @@ class TestBatchedBracketing:
             calls.append(x.size)
             return _lfr_mixture(x)
 
-        grid = Grid._bracketed(mix_cdf, 1e-4, 10.0, 11, 0.001, 0.999, "log")
+        grid = Grid._bracketed(mix_cdf, 1e-4, 10.0, 11, 0.001, 0.999)
         # the linear secant alone took 12 calls on 533 points, the log-log
         # secant without the subtree finish 9 on 277
         assert len(calls) <= 7 and sum(calls) <= 300
-        ref = sequential_bracketed(mix_cdf, 1e-4, 10.0, 11, 0.001, 0.999, "log")
+        ref = sequential_bracketed(mix_cdf, 1e-4, 10.0, 11, 0.001, 0.999)
         assert np.array_equal(grid.points, ref.points)
 
     def test_system_grid_calls_widening_included(self, monkeypatch):
@@ -257,12 +255,10 @@ class TestBatchedBracketing:
             calls.append(x.size)
             return mix_cdf(x)
 
-        for policy in ("log", "linear"):
-            calls.clear()
-            grid = Grid._bracketed(counted, lo, hi, 11, 0.001, 0.999, policy)
-            assert len(calls) <= 81
-            ref = sequential_bracketed(mix_cdf, lo, hi, 11, 0.001, 0.999, policy)
-            assert np.array_equal(grid.points, ref.points)
+        grid = Grid._bracketed(counted, lo, hi, 11, 0.001, 0.999)
+        assert len(calls) <= 81
+        ref = sequential_bracketed(mix_cdf, lo, hi, 11, 0.001, 0.999)
+        assert np.array_equal(grid.points, ref.points)
 
     def test_empty_bracket_raises_like_the_reference(self):
         calls = []
@@ -273,9 +269,9 @@ class TestBatchedBracketing:
 
         for lo, hi in ((1.0, 1.0), (2.0, 1.0)):
             with pytest.raises(ValueError, match="strictly increasing"):
-                sequential_bracketed(mix_cdf, lo, hi, 11, 0.001, 0.999, "linear")
+                sequential_bracketed(mix_cdf, lo, hi, 11, 0.001, 0.999)
             with pytest.raises(ValueError, match="strictly increasing"):
-                Grid._bracketed(mix_cdf, lo, hi, 11, 0.001, 0.999, "linear")
+                Grid._bracketed(mix_cdf, lo, hi, 11, 0.001, 0.999)
         assert calls == []
 
     @pytest.mark.parametrize("lo", [1.0, 1.0 + 2.0**-52])
@@ -290,10 +286,10 @@ class TestBatchedBracketing:
             return np.full_like(x, 0.5)
 
         with pytest.raises(ValueError, match="strictly increasing"):
-            Grid._bracketed(mix_cdf, lo, hi, 11, 0.001, 0.999, "linear")
+            Grid._bracketed(mix_cdf, lo, hi, 11, 0.001, 0.999)
         assert calls == [2]
         with pytest.raises(ValueError, match="strictly increasing"):
-            sequential_bracketed(mix_cdf, lo, hi, 11, 0.001, 0.999, "linear")
+            sequential_bracketed(mix_cdf, lo, hi, 11, 0.001, 0.999)
 
 
 class TestSubtreeFinish:
@@ -315,19 +311,18 @@ class TestSubtreeFinish:
         # where the jitter turns the comparison from one point to the next
         f_mid = float(mix_cdf(np.array([0.5 * (lo + hi)]))[0])
         for q_lo, q_hi in ((0.001, 0.999), (f_mid, float(np.nextafter(f_mid, 2.0)))):
-            for policy in ("log", "linear"):
-                calls.clear()
-                try:
-                    grid = Grid._bracketed(counted, lo, hi, 11, q_lo, q_hi, policy).points
-                except ValueError as error:
-                    grid = str(error)
-                try:
-                    ref = sequential_bracketed(mix_cdf, lo, hi, 11, q_lo, q_hi, policy).points
-                except ValueError as error:
-                    ref = str(error)
-                assert type(grid) is type(ref) and np.array_equal(grid, ref)
-                if span <= 64:
-                    assert len(calls) == 2 and calls[0] == 2 and calls[1] <= 2 * 63
+            calls.clear()
+            try:
+                grid = Grid._bracketed(counted, lo, hi, 11, q_lo, q_hi).points
+            except ValueError as error:
+                grid = str(error)
+            try:
+                ref = sequential_bracketed(mix_cdf, lo, hi, 11, q_lo, q_hi).points
+            except ValueError as error:
+                ref = str(error)
+            assert type(grid) is type(ref) and np.array_equal(grid, ref)
+            if span <= 64:
+                assert len(calls) == 2 and calls[0] == 2 and calls[1] <= 2 * 63
 
 
 def on_grid(f, grid):
@@ -336,12 +331,12 @@ def on_grid(f, grid):
 
 class TestMonotoneVerdict:
     def test_identity_increasing(self):
-        g = Grid.linear(0.01, 0.99, 101)
+        g = Grid(np.linspace(0.01, 0.99, 101))
         v = verdict(*on_grid(lambda p: p, g), "incr", 1e-9, "monotone")
         assert v.holds == "yes"
 
     def test_negation_fails_with_witness(self):
-        g = Grid.linear(0.01, 0.99, 101)
+        g = Grid(np.linspace(0.01, 0.99, 101))
         v = verdict(*on_grid(lambda p: -p, g), "incr", 1e-9, "monotone")
         assert v.holds == "no"
         # worst reversal is the full decline, witnessed at the right end
@@ -349,14 +344,14 @@ class TestMonotoneVerdict:
         assert v.witness_x == pytest.approx(g.points[-1])
 
     def test_slow_cumulative_reversal_detected(self):
-        g = Grid.linear(0.01, 0.99, 1001)
+        g = Grid(np.linspace(0.01, 0.99, 1001))
         v = verdict(*on_grid(lambda p: -1e-6 * p, g), "incr", 1e-7, "monotone")
         assert v.holds == "no"
 
     def test_fgm_elasticity_ratio_decreasing(self):
         d1 = fgm_system(1.0).distortion
         d2 = series3_system().distortion
-        g = Grid.linear(1e-3, 1 - 1e-3, 2001)
+        g = Grid(np.linspace(1e-3, 1 - 1e-3, 2001))
         v = verdict(*on_grid(lambda p: np.asarray(d1.H(p)) / np.asarray(d2.H(p)), g), "decr", 1e-9, "monotone")
         assert v.holds == "yes"
         ratio = d1.H(g.points) / d2.H(g.points)
@@ -364,7 +359,7 @@ class TestMonotoneVerdict:
         assert ratio[-1] == pytest.approx(1.0 / 3.0, abs=1e-2)
 
     def test_skipped_points_counted(self):
-        g = Grid.linear(0.01, 0.99, 100)
+        g = Grid(np.linspace(0.01, 0.99, 100))
 
         def f(p):
             out = np.asarray(p).copy()
@@ -376,7 +371,7 @@ class TestMonotoneVerdict:
         assert v.skipped == 3
 
     def test_too_many_skips_inconclusive(self):
-        g = Grid.linear(0.01, 0.99, 100)
+        g = Grid(np.linspace(0.01, 0.99, 100))
 
         def f(p):
             out = np.asarray(p).copy()
@@ -387,24 +382,27 @@ class TestMonotoneVerdict:
         assert v.holds == "inconclusive"
 
     def test_all_skipped_raises(self):
-        g = Grid.linear(0.01, 0.99, 10)
+        g = Grid(np.linspace(0.01, 0.99, 10))
         with pytest.raises(ValueError, match="empty grid"):
             verdict(*on_grid(lambda p: np.full_like(p, np.nan), g), "incr", 1e-9, "monotone")
 
     @pytest.mark.parametrize("rule", ["sideways", "Incr", "", "nonneg"], ids=["sideways", "Incr", "empty", "nonneg"])
     def test_bad_rule_rejected(self, rule):
-        # every entry point refuses it, the ratio and the verifier's kept-value verdicts too
-        g = Grid.linear(0.01, 0.99, 10)
+        # verdict is the one entry: the ratio checks and the verifier's conditions go through it
+        g = Grid(np.linspace(0.01, 0.99, 10))
         with pytest.raises(ValueError, match="rule must be one of"):
             verdict(g.points, g.points, rule, 1e-9, "monotone")
-        with pytest.raises(ValueError, match="rule must be one of"):
-            orders._ratio_verdict(g.points, g.points, np.ones(10), rule, 1e-9, "ratio")
-        with pytest.raises(ValueError, match="rule must be one of"):
-            orders._kept_verdict(g.points, g.points, 0, rule, 1e-9, "kept")
+
+    @pytest.mark.parametrize("tol", BAD_TOLERANCES, ids=str)
+    def test_tolerance_not_finite_and_nonnegative_rejected(self, tol):
+        # under a nan or negative tol every check read "no", even on rising values
+        g = Grid(np.linspace(0.01, 0.99, 10))
+        with pytest.raises(ValueError, match=f"^tol must be finite and >= 0, got {tol!r}$"):
+            verdict(g.points, g.points, "incr", tol, "monotone")
 
     @pytest.mark.parametrize("shape", [(9,), (11,), (10, 1), (1, 10), ()], ids=str)
     def test_values_of_another_shape_rejected(self, shape):
-        g = Grid.linear(0.01, 0.99, 10)
+        g = Grid(np.linspace(0.01, 0.99, 10))
         with pytest.raises(ValueError, match="do not match the points"):
             verdict(g.points, np.zeros(shape), "incr", 1e-9, "monotone")
 
@@ -421,18 +419,18 @@ class TestMonotoneVerdict:
 
 class TestSignVerdict:
     def test_nonpositive(self):
-        g = Grid.linear(0.1, 0.9, 9)
+        g = Grid(np.linspace(0.1, 0.9, 9))
         assert verdict(*on_grid(lambda p: -p, g), "nonpositive", 1e-9, "sign").holds == "yes"
         assert verdict(*on_grid(lambda p: p - 0.5, g), "nonpositive", 1e-9, "sign").holds == "no"
 
     def test_nonnegative(self):
-        g = Grid.linear(0.1, 0.9, 9)
+        g = Grid(np.linspace(0.1, 0.9, 9))
         assert verdict(*on_grid(lambda p: p, g), "nonnegative", 1e-9, "sign").holds == "yes"
         v = verdict(*on_grid(lambda p: p - 0.5, g), "nonnegative", 1e-9, "sign")
         assert (v.holds, v.witness_x, v.violation) == ("no", 0.1, pytest.approx(0.4))
 
     def test_zero_within_slack(self):
-        g = Grid.linear(0.1, 0.9, 9)
+        g = Grid(np.linspace(0.1, 0.9, 9))
         v = verdict(*on_grid(lambda p: np.full_like(p, 1e-12), g), "nonpositive", 1e-8, "sign")
         assert v.holds == "yes"
 
@@ -463,6 +461,13 @@ class TestCheckOrder:
     def test_unknown_relation(self):
         with pytest.raises(ValueError):
             check_order(LFR_X, LFR_Y, "mrl")
+
+    @pytest.mark.parametrize("tol", BAD_TOLERANCES, ids=str)
+    @pytest.mark.parametrize("relation", ["st", "c_star"])
+    def test_tolerance_not_finite_and_nonnegative_rejected(self, tol, relation):
+        # tol=nan used to answer "no" on an order that holds
+        with pytest.raises(ValueError, match=f"^tol must be finite and >= 0, got {tol!r}$"):
+            check_order(LFR_Y, LFR_X, relation, tol=tol)
 
     def test_implication_chains_on_random_pairs(self):
         # hr => st, c => c_star, b => b_star on a seeded random corpus
@@ -519,6 +524,13 @@ class TestSystemOrderDirect:
     def test_relation_restricted(self):
         with pytest.raises(ValueError):
             system_order_direct(fgm_system(), series3_system(), "st")
+
+    @pytest.mark.parametrize("tol", BAD_TOLERANCES, ids=str)
+    @pytest.mark.parametrize("relation", ["c_star", "b_star"])
+    def test_tolerance_not_finite_and_nonnegative_rejected(self, tol, relation):
+        grid = Grid.log_spaced(0.1, 2.0, 11)
+        with pytest.raises(ValueError, match=f"^tol must be finite and >= 0, got {tol!r}$"):
+            system_order_direct(fgm_system(), series3_system(), relation, grid=grid, tol=tol)
 
     def test_kofn_direct_agrees_with_index_predicate(self):
         # where the index inequalities hold the direct grid check must agree

@@ -33,7 +33,11 @@ def run_sweep(monkeypatch, *argv):
     (["--grid-size", "1"], "error: --grid-size 1: grid needs at least two points"),
     (["--max-n", "0"], "error: --max-n must be at least 1, got 0"),
     (["--max-n", "-2"], "error: --max-n must be at least 1, got -2"),
-], ids=["max-n-7", "grid-size-1", "max-n-0", "max-n-negative"])
+    # the slack is a verdict tolerance, under the library's rule
+    (["--max-n", "2", "--slack", "nan"], "error: --slack nan: tol must be finite and >= 0, got nan"),
+    (["--max-n", "2", "--slack", "-1"], "error: --slack -1.0: tol must be finite and >= 0, got -1.0"),
+    (["--max-n", "2", "--slack", "inf"], "error: --slack inf: tol must be finite and >= 0, got inf"),
+], ids=["max-n-7", "grid-size-1", "max-n-0", "max-n-negative", "slack-nan", "slack-negative", "slack-inf"])
 def test_sweep_argument_errors_are_one_line(monkeypatch, capsys, argv, message):
     with pytest.raises(SystemExit) as exit_info:
         run_sweep(monkeypatch, *argv)
