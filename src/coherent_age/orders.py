@@ -95,30 +95,16 @@ class Grid:
         return cls(np.linspace(eps, 1.0 - eps, size))
 
     @classmethod
-    def margin_bracketed(
-        cls,
-        dist_x: LifetimeDistribution,
-        dist_y: LifetimeDistribution,
-        size: int = 2001,
-    ) -> "Grid":
-        """Log-spaced grid spanning the [Q_LO, Q_HI] quantiles of the equal
-        mixture of the two margins, avoiding both indeterminate tails."""
-
-        # the bisection points are nonnegative: straight to the margins' cores
-        def mix_cdf(x):
-            xa = as_float_array(x)
-            return 0.5 * (-np.expm1(-dist_x._chz(xa)) + -np.expm1(-dist_y._chz(xa)))
-
-        lo, hi = _quantile_bracket(dist_x, dist_y)
-        return cls._bracketed(mix_cdf, lo, hi, size, Q_LO, Q_HI)
+    def margin_bracketed(cls, dist_x: LifetimeDistribution, dist_y: LifetimeDistribution, size: int = 2001) -> "Grid":
+        """Log-spaced grid from the lower of the two margins' Q_LO quantiles
+        to the higher of their Q_HI quantiles, in closed form from one isf
+        call per margin.  That hull contains the [Q_LO, Q_HI] quantiles of
+        the equal mixture of the two margins, and avoids both indeterminate
+        tails."""
+        return cls.log_spaced(*_quantile_bracket(dist_x, dist_y), size)
 
     @classmethod
-    def system_bracketed(
-        cls,
-        sys1,
-        sys2,
-        size: int = 2001,
-    ) -> "Grid":
+    def system_bracketed(cls, sys1, sys2, size: int = 2001) -> "Grid":
         """Grid spanning the [Q_LO, Q_HI] quantiles of the equal mixture of
         the two SYSTEM lifetimes.  System lifetimes can live far from their
         component margins (a parallel system dies long after its first
@@ -176,10 +162,11 @@ class Grid:
     @classmethod
     def _bracketed(cls, mix_cdf, lo: float, hi: float, size: int, q_lo: float, q_hi: float,
                    f_ends: tuple[float, float] | None = None) -> "Grid":
-        """Log-spaced grid between the q_lo and q_hi quantiles of mix_cdf, both found as
-        the floats that halving [lo, hi] reaches when it runs until the
-        midpoint equals an end of its bracket.  A finite bracket gets there
-        within 2098 halvings, and every later bracket has that midpoint.
+        """Log-spaced grid between the q_lo and q_hi quantiles of mix_cdf (of
+        a system grid's two lifetimes), both found as the floats that halving
+        [lo, hi] reaches when it runs until the midpoint equals an end of its
+        bracket.  A finite bracket gets there within 2098 halvings, and every
+        later bracket has that midpoint.
 
         Each target keeps its bracket [a, b] and F there: f_ends, when the
         caller has F(lo) and F(hi), else a first call on lo and hi.  Each
@@ -212,8 +199,6 @@ class Grid:
         if hi <= lo:
             return cls.log_spaced(lo, lo, size)
         lo, hi = float(lo), float(hi)
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise ValueError(f"the quantile bracket [{lo!r}, {hi!r}] is not finite")
         f_lo, f_hi = f_ends or as_float_array(mix_cdf(np.array([lo, hi]))).tolist()
         targets = (q_lo, q_hi)
         loglog_targets = [_cloglog(q) for q in targets]
@@ -265,11 +250,15 @@ class Grid:
 
 def _quantile_bracket(dist_x: LifetimeDistribution, dist_y: LifetimeDistribution) -> tuple[float, float]:
     """The lower of the two Q_LO quantiles and the higher of the two Q_HI
-    quantiles, from one isf call per margin."""
+    quantiles, from one isf call per margin; a hull that is not finite is
+    refused."""
     (x_lo, x_hi), (y_lo, y_hi) = (
         as_float_array(d.isf(np.array([1.0 - Q_LO, 1.0 - Q_HI]))).tolist() for d in (dist_x, dist_y)
     )
-    return min(x_lo, y_lo), max(x_hi, y_hi)
+    lo, hi = min(x_lo, y_lo), max(x_hi, y_hi)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"the quantile bracket [{lo!r}, {hi!r}] is not finite")
+    return lo, hi
 
 
 def _secant(a: float, b: float, fa: float, fb: float, target: float) -> float:
@@ -357,7 +346,9 @@ def check_order(
     grid: Grid | None = None,
     tol: float = 1e-9,
 ) -> OrderVerdict:
-    """Grid-certify a stochastic order or ageing-faster relation X vs Y."""
+    """Grid-certify a stochastic order or ageing-faster relation X vs Y,
+    by default on Grid.margin_bracketed(dist_x, dist_y): 2001 log-spaced
+    points over the hull of the two margins' Q_LO and Q_HI quantiles."""
     if relation not in RELATIONS:
         raise ValueError(f"unknown relation {relation!r}; expected one of {RELATIONS}")
     if grid is None:

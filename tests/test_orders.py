@@ -125,6 +125,9 @@ class TestGrid:
         # the 0.999 quantile of Weibull(0.002) is 6.9^500, past the float range
         with pytest.raises(ValueError, match=r"quantile bracket \[0.0, inf\] is not finite"):
             Grid.margin_bracketed(Weibull(0.002, 1.0), Exponential(1.0), size=5)
+        system = series3_system(Weibull(0.002, 1.0))
+        with pytest.raises(ValueError, match=r"quantile bracket \[0.0, inf\] is not finite"):
+            Grid.system_bracketed(system, system, size=5)
 
     @pytest.mark.parametrize("eps", [0.0, 0.5, 0.6, -0.1, float("nan")])
     def test_probability_rejects_eps_outside_open_half(self, eps):
@@ -137,11 +140,13 @@ class TestGrid:
         assert g.points[0] == pytest.approx(d.isf(0.999), rel=1e-9)
         assert g.points[-1] == pytest.approx(d.isf(0.001), rel=1e-9)
 
-    def test_margin_bracketed_mixture_between_components(self):
+    def test_margin_bracketed_spans_both_margins_quantiles(self):
+        # Exp(3)'s 0.001 quantile is the lower, Exp(0.5)'s 0.999 quantile the
+        # higher; each is isf at the survival level 1 - q
         dx, dy = Exponential(0.5), Exponential(3.0)
         g = Grid.margin_bracketed(dx, dy, size=11)
-        assert dy.isf(0.999) <= g.points[0] <= dx.isf(0.999)
-        assert dy.isf(0.001) <= g.points[-1] <= dx.isf(0.001)
+        assert g.points[0] == dy.isf(1.0 - 0.001)
+        assert g.points[-1] == dx.isf(1.0 - 0.999)
 
     def test_system_bracketed_widens_past_the_margin(self):
         # a parallel system outlives its components: its 0.999 quantile lies
@@ -162,7 +167,7 @@ class TestBracketEdges:
     @pytest.mark.parametrize("shape", [0.01, 0.1, 0.15])
     def test_margin_grid_reaches_a_lower_quantile_far_below_the_upper(self, shape):
         # [q(0.001), q(0.999)] spans 384 decades under Weibull(0.01): the
-        # search runs past 80 halvings to reach its lower end
+        # grid still starts at the closed-form lower quantile
         d = Weibull(shape)
         g = Grid.margin_bracketed(d, d, size=11)
         assert g.points[0] == pytest.approx(d.isf(0.999), rel=1e-12, abs=0.0)
@@ -173,9 +178,71 @@ class TestBracketEdges:
         assert g.points[0] < 1e-280 < g.points[-1]
 
 
+def bracketing_pairs():
+    """Seeded random pairs over every copula family, and the regimes where
+    bracketing is hardest: parallel(8), Weibull shape < 1 and the benchmark's
+    k-of-n systems."""
+    rng = np.random.default_rng(8080)
+    pairs = [random_instance(rng, ("c_star", "b_star")[i % 2]) for i in range(40)]
+    # parallel(8) widens the system bracket far past the margins'; Weibull
+    # shape < 1 puts the lower quantiles many decades below the upper
+    parallel8 = k_of_n_paths(1, 8)
+    pairs += [
+        (kofn_system(1, 8, Weibull(0.4, 1.3)), kofn_system(2, 3, Weibull(0.7, 2.0))),
+        (SystemModel(parallel8, GumbelHougaard(1.5, 8), Weibull(0.6, 1.0)),
+         SystemModel(parallel8, Independence(8), Exponential(2.0))),
+    ]
+    # series(8) under Weibull(0.1) widens its lower end 31 steps, four
+    # mixture calls of eight candidates; under Weibull(0.01) the margin's
+    # 0.001 quantile already lies below the 1e-280 floor
+    for n, shape in ((8, 0.1), (3, 0.01)):
+        series = SystemModel(Structure.series(n), Independence(n), Weibull(shape))
+        pairs.append((series, series))
+    # all 21 k-of-n systems with n <= 6 on the benchmark's Exp(2)/Exp(3)
+    # margins, each paired with the next
+    kofn = [(k, n) for n in range(1, 7) for k in range(1, n + 1)]
+    pairs += [(kofn_system(k, n, Exponential(2.0)), kofn_system(l, m, Exponential(3.0)))
+              for (k, n), (l, m) in zip(kofn, kofn[1:] + kofn[:1])]
+    return pairs
+
+
+# margin pairs of the bracketing corpus, and Weibull shapes 0.01-0.15 alone and
+# against Exp(1), whose lower quantiles lie hundreds of decades below the upper
+MARGIN_PAIRS = [(s1.margin, s2.margin) for s1, s2 in bracketing_pairs()] + [
+    pair for shape in np.linspace(0.01, 0.15, 15).tolist()
+    for pair in ((Weibull(shape), Weibull(shape)), (Weibull(shape), Exponential(1.0)))
+]
+
+
+class TestMarginGrid:
+    @pytest.mark.parametrize("index", range(len(MARGIN_PAIRS)))
+    def test_ends_are_the_quantile_hull_and_span_the_mixture(self, index):
+        dx, dy = MARGIN_PAIRS[index]
+        g = Grid.margin_bracketed(dx, dy, size=11)
+        assert (g.points[0], g.points[-1]) == orders._quantile_bracket(dx, dy)
+        ends = g.points[[0, -1]]
+        mix_cdf = 0.5 * (np.asarray(dx.cdf(ends)) + np.asarray(dy.cdf(ends)))
+        # up to rounding: with one margin the ends are its own quantiles at the
+        # levels 1 - fl(1 - q), where its cdf reads up to 7 ulps above Q_LO
+        assert mix_cdf[0] <= orders.Q_LO + 16 * math.ulp(orders.Q_LO)
+        assert mix_cdf[1] >= orders.Q_HI - 16 * math.ulp(orders.Q_HI)
+
+    def test_margin_grid_calls_no_cumulative_hazard_core(self, monkeypatch):
+        calls = []
+        for family in (Exponential, LinearFailureRate, Weibull):
+            def counted(self, xa, core=family._chz):
+                calls.append(xa.size)
+                return core(self, xa)
+
+            monkeypatch.setattr(family, "_chz", counted)
+        for dx, dy in MARGIN_PAIRS:
+            Grid.margin_bracketed(dx, dy, size=11)
+        assert calls == []
+
+
 class TestBatchedBracketing:
     def test_grids_match_one_halving_per_call(self, monkeypatch):
-        # every grid both builders make is the sequential reference's, bit for bit
+        # every system grid is the sequential reference's, bit for bit
         batched = Grid._bracketed.__func__
         compared = []
 
@@ -186,34 +253,13 @@ class TestBatchedBracketing:
             return grid
 
         monkeypatch.setattr(Grid, "_bracketed", classmethod(both))
-        rng = np.random.default_rng(8080)
         families = set()
-        pairs = [random_instance(rng, ("c_star", "b_star")[i % 2]) for i in range(40)]
-        # parallel(8) widens the system bracket far past the margins'; Weibull
-        # shape < 1 puts the lower quantiles many decades below the upper
-        parallel8 = k_of_n_paths(1, 8)
-        pairs += [
-            (kofn_system(1, 8, Weibull(0.4, 1.3)), kofn_system(2, 3, Weibull(0.7, 2.0))),
-            (SystemModel(parallel8, GumbelHougaard(1.5, 8), Weibull(0.6, 1.0)),
-             SystemModel(parallel8, Independence(8), Exponential(2.0))),
-        ]
-        # series(8) under Weibull(0.1) widens its lower end 31 steps, four
-        # mixture calls of eight candidates; under Weibull(0.01) the margin's
-        # 0.001 quantile already lies below the 1e-280 floor
-        for n, shape in ((8, 0.1), (3, 0.01)):
-            series = SystemModel(Structure.series(n), Independence(n), Weibull(shape))
-            pairs.append((series, series))
-        # all 21 k-of-n systems with n <= 6 on the benchmark's Exp(2)/Exp(3)
-        # margins, each paired with the next
-        kofn = [(k, n) for n in range(1, 7) for k in range(1, n + 1)]
-        pairs += [(kofn_system(k, n, Exponential(2.0)), kofn_system(l, m, Exponential(3.0)))
-                  for (k, n), (l, m) in zip(kofn, kofn[1:] + kofn[:1])]
+        pairs = bracketing_pairs()
         for sys1, sys2 in pairs:
             families |= {type(sys1.copula).__name__, type(sys2.copula).__name__}
-            Grid.margin_bracketed(sys1.margin, sys2.margin, size=11)
             Grid.system_bracketed(sys1, sys2, size=11)
         assert families == {"Independence", "FGM", "GumbelHougaard", "ClaytonOakes"}
-        assert len(compared) == 2 * len(pairs) and all(compared)
+        assert len(compared) == len(pairs) and all(compared)
 
     def test_mixture_cdf_calls_per_grid(self):
         calls = []
@@ -472,7 +518,7 @@ class TestCheckOrder:
     def test_implication_chains_on_random_pairs(self):
         # hr => st, c => c_star, b => b_star on a seeded random corpus
         rng = np.random.default_rng(881)
-        violations = 0
+        violations = b_pairs = 0
         for _ in range(200):
             kind = rng.integers(0, 3)
             if kind == 0:
@@ -486,11 +532,40 @@ class TestCheckOrder:
                 dx = Weibull(float(rng.uniform(0.6, 3.0)), float(rng.uniform(0.3, 3.0)))
                 dy = Weibull(float(rng.uniform(0.6, 3.0)), float(rng.uniform(0.3, 3.0)))
             grid = Grid.margin_bracketed(dx, dy)
-            for strong, weak in (("hr", "st"), ("c", "c_star"), ("b", "b_star")):
-                if check_order(dx, dy, strong, grid=grid).holds == "yes":
+            # b => b_star needs b out to infinity, and rr_X/rr_Y can turn up
+            # past the grid's end: b's premise must also hold far into the tail
+            far = Grid.log_spaced(grid.points[0], max(float(dx.isf(1e-12)), float(dy.isf(1e-12))))
+            chains = (("hr", "st", [grid]), ("c", "c_star", [grid]), ("b", "b_star", [grid, far]))
+            for strong, weak, premise in chains:
+                if all(check_order(dx, dy, strong, grid=g).holds == "yes" for g in premise):
+                    b_pairs += strong == "b"
                     if check_order(dx, dy, weak, grid=grid).holds != "yes":
                         violations += 1
         assert violations == 0
+        # 50 of the 55 pairs where b holds on the margin grid
+        assert b_pairs == 50
+
+    def test_b_star_fails_on_the_margin_grid_where_b_fails_past_it(self):
+        # draw 19 of the implication corpus: b holds on the margin grid, but
+        # Dtilde_X/Dtilde_Y rises at its last step, and b fails further out
+        dx = Weibull(1.5013463748533598, 0.7328566134662462)
+        dy = Weibull(2.8222242595503078, 2.025595980652181)
+        grid = Grid.margin_bracketed(dx, dy)
+        assert check_order(dx, dy, "b", grid=grid).holds == "yes"
+        far = Grid.log_spaced(grid.points[0], float(dy.isf(1e-12)))
+        assert check_order(dx, dy, "b", grid=far).holds == "no"
+        v = check_order(dx, dy, "b_star", grid=grid)
+        assert v.holds == "no" and v.witness_x == grid.points[-1]
+
+        def ratio(x):
+            crh = [-mp.log(-mp.expm1(-((mpf(x) / mpf(d.scale)) ** mpf(d.shape)))) for d in (dx, dy)]
+            return crh[0] / crh[1]
+
+        # at 50 digits the ratio rises from x = 3.9923 to the grid's end, 4.0175,
+        # by the reported violation: the grid's "no" is true
+        with mp.workdps(50):
+            rise = ratio(grid.points[-1]) - ratio(grid.points[-3])
+        assert float(rise) == pytest.approx(v.violation, rel=1e-9)
 
     def test_antisymmetry_of_st(self):
         d1 = Exponential(2.0)
