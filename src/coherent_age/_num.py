@@ -1,35 +1,24 @@
-"""Small numeric helpers shared across modules, and the one rule that reads
-a run spec.
+"""The one rule that reads a run spec, and the one tolerance rule.
 
 Every field of a spec passes through the rule here: a JSON object's field
 names through ``_require``, each number through ``_number`` (an int or
 float, never a bool or a string), each real through ``_real`` and each
 integer through ``_integer``.  ``read_fragment`` reads a margin or copula
 fragment under the same rule: its field list and defaults are the family
-class's dataclass fields, so no family keeps a key table of its own.
+class's dataclass fields, so no family keeps a key table of its own.  The
+module imports no numpy, so the ``corollary`` command reads its spec
+without it.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-
-import numpy as np
+import sys
 
 
 class SpecError(ValueError):
     """Raised for any schema violation in a run spec; maps to exit code 1."""
-
-
-def match_input(x, values: np.ndarray):
-    """Return a Python float for scalar input, the array otherwise."""
-    if np.ndim(x) == 0:
-        return float(values)
-    return values
-
-
-def as_float_array(x) -> np.ndarray:
-    return np.asarray(x, dtype=float)
 
 
 def _tolerance(value: float, what: str) -> None:
@@ -52,8 +41,11 @@ def _require(d: dict, required: set[str], optional: set[str], where: str) -> Non
 
 def _number(value, what: str) -> int | float:
     """A spec number: an int or float (a JSON one, or numpy's), not a bool
-    and not a string."""
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+    and not a string.  No numpy scalar exists before numpy is loaded, so the
+    rule looks numpy up instead of importing it."""
+    np = sys.modules.get("numpy")
+    kinds = (int, float) if np is None else (int, float, np.integer, np.floating)
+    if isinstance(value, bool) or not isinstance(value, kinds):
         raise SpecError(f"{what} must be a number, got {value!r}")
     return value
 
@@ -69,7 +61,8 @@ def _real(value, what: str) -> float:
 def _integer(value, what: str) -> int:
     """A spec integer: a spec number with an integral value (31.0 reads as 31)."""
     value = _number(value, what)
-    if not isinstance(value, (int, np.integer)) and not float(value).is_integer():
+    # a numpy integer always fits a float; a Python int may not
+    if not isinstance(value, int) and not float(value).is_integer():
         raise SpecError(f"{what} must be an integer, got {value!r}")
     return int(value)
 

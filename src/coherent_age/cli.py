@@ -15,6 +15,10 @@ from the spec and the flags, are checked once by the ``VerifyConfig`` built
 from them, under the rule the library applies.  Any breach raises
 ``SpecError``.
 
+The module loads only the spec rule and the corollary predicate; each
+subcommand imports the numeric modules it runs, so ``corollary`` starts
+without numpy and ``simulate`` without the order checks and verifier.
+
 Subcommands and exit codes:
 
     distortion   table of p, h, h_prime, H, R          0 ok / 3 numeric flags
@@ -30,20 +34,21 @@ command-line usage error, which prints the usage and one ``error:`` line.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from ._num import SpecError, _integer, _real, _require
-from .copulas import Copula, copula_from_dict
-from .distributions import LifetimeDistribution, distribution_from_dict
-from .montecarlo import SimConfig, simulate_system
-from .orders import RELATIONS, Grid, OrderVerdict, check_order
-from .systems import Structure, SystemModel
-from .verifier import DEFAULT_CONFIG, VerifyConfig, corollary_index_check, verify_bstar, verify_cstar
+from .corollary import corollary_index_check
+
+if TYPE_CHECKING:
+    from .copulas import Copula
+    from .distributions import LifetimeDistribution
+    from .montecarlo import SimConfig
+    from .orders import OrderVerdict
+    from .systems import Structure, SystemModel
+    from .verifier import VerifyConfig
 
 __all__ = ["main", "SpecError", "load_spec"]
 
@@ -55,6 +60,8 @@ def format_float(v: float) -> str:
 
 
 def spec_hash(raw: dict) -> str:
+    import hashlib
+
     canonical = json.dumps(raw, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
@@ -63,6 +70,8 @@ def spec_hash(raw: dict) -> str:
 # schema validation
 
 def _load_structure(d: dict, where: str) -> Structure:
+    from .systems import Structure
+
     block = f"{where}.structure"
     _require(d, {"n", "paths"}, set(), block)
     n = _integer(d["n"], f"{block}.n")
@@ -83,6 +92,8 @@ class SystemBlock:
     copula: Copula | None = None
 
     def model(self, where: str) -> SystemModel:
+        from .systems import SystemModel
+
         if self.structure is None or self.copula is None:
             raise SpecError(f"{where} needs both 'structure' and 'copula' for this command")
         try:
@@ -93,6 +104,9 @@ class SystemBlock:
 
 
 def _load_system(d: dict, where: str) -> SystemBlock:
+    from .copulas import copula_from_dict
+    from .distributions import distribution_from_dict
+
     _require(d, {"margin"}, {"structure", "copula"}, where)
     margin = distribution_from_dict(d["margin"], f"{where}.margin")
     structure = _load_structure(d["structure"], where) if "structure" in d else None
@@ -125,7 +139,7 @@ class RunSpec:
     system1: SystemBlock | None = None
     system2: SystemBlock | None = None
     relation: str | None = None
-    cfg: VerifyConfig = DEFAULT_CONFIG
+    cfg: VerifyConfig | None = None
     sim: SimConfig | None = None
     out_csv: str | None = None
     out_json: str | None = None
@@ -176,30 +190,36 @@ def load_spec(
         spec.system2 = _load_system(raw["system2"], "system2")
 
     if "relation" in raw:
+        from .orders import RELATIONS
+
         allowed = VERIFY_RELATIONS if command == "verify" else RELATIONS
         spec.relation = raw["relation"]
         if spec.relation not in allowed:
             raise SpecError(f"relation must be one of {allowed}, got {spec.relation!r}")
 
-    # VerifyConfig field names: grid.size gains a grid_ prefix
-    # only the commands in _SETTINGS have a grid or tolerances block
-    settings = {}
-    if "grid" in raw:
-        _require(raw["grid"], set(), _SETTINGS[command][0], "grid")
-        settings.update((f"grid_{key}", value) for key, value in raw["grid"].items())
+    if command in _SETTINGS:
+        from .verifier import VerifyConfig
 
-    if "tolerances" in raw:
-        _require(raw["tolerances"], set(), _SETTINGS[command][1], "tolerances")
-        settings.update((key, _real(value, f"tolerances.{key}")) for key, value in raw["tolerances"].items())
+        # VerifyConfig field names: grid.size gains a grid_ prefix
+        settings = {}
+        if "grid" in raw:
+            _require(raw["grid"], set(), _SETTINGS[command][0], "grid")
+            settings.update((f"grid_{key}", value) for key, value in raw["grid"].items())
 
-    flags = {"grid_size": grid_size, "tol": tol, "eps_endpoint": eps_endpoint}
-    settings.update((key, value) for key, value in flags.items() if value is not None)
-    try:
-        spec.cfg = VerifyConfig(**settings)
-    except ValueError as exc:
-        raise SpecError(str(exc)) from exc
+        if "tolerances" in raw:
+            _require(raw["tolerances"], set(), _SETTINGS[command][1], "tolerances")
+            settings.update((key, _real(value, f"tolerances.{key}")) for key, value in raw["tolerances"].items())
+
+        flags = {"grid_size": grid_size, "tol": tol, "eps_endpoint": eps_endpoint}
+        settings.update((key, value) for key, value in flags.items() if value is not None)
+        try:
+            spec.cfg = VerifyConfig(**settings)
+        except ValueError as exc:
+            raise SpecError(str(exc)) from exc
 
     if command == "simulate":
+        from .montecarlo import SimConfig
+
         block = raw.get("simulation", {})
         _require(block, set(), set(_SIM_DEFAULTS), "simulation")
         if seed is not None:
@@ -249,6 +269,8 @@ def _verdict_csv(meta: dict, verdict: OrderVerdict) -> str:
 # commands
 
 def _cmd_distortion(spec: RunSpec) -> int:
+    import numpy as np
+
     dist = spec.system1.model("system1").distortion
     p = spec.cfg.p_grid.points
     columns = [np.asarray(f(p), dtype=float) for f in (dist.h, dist.h_prime, dist.H, dist.R)]
@@ -260,6 +282,8 @@ def _cmd_distortion(spec: RunSpec) -> int:
 
 
 def _cmd_check_order(spec: RunSpec) -> int:
+    from .orders import Grid, check_order
+
     m1, m2 = spec.system1.margin, spec.system2.margin
     try:
         grid = Grid.margin_bracketed(m1, m2, size=spec.cfg.grid_size)
@@ -272,6 +296,8 @@ def _cmd_check_order(spec: RunSpec) -> int:
 
 
 def _cmd_verify(spec: RunSpec) -> int:
+    from .verifier import verify_bstar, verify_cstar
+
     sys1 = spec.system1.model("system1")
     sys2 = spec.system2.model("system2")
     verify = verify_cstar if spec.relation == "c_star" else verify_bstar
@@ -285,6 +311,8 @@ def _cmd_verify(spec: RunSpec) -> int:
 
 
 def _cmd_simulate(spec: RunSpec) -> int:
+    from .montecarlo import simulate_system
+
     block = spec.system1
     model = block.model("system1")
     result = simulate_system(model.structure, model.copula, model.margin, spec.sim)

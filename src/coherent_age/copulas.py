@@ -39,7 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._num import as_float_array, match_input, read_fragment
+from ._num import read_fragment
+from .distributions import as_float_array, match_input
 
 __all__ = [
     "Copula",

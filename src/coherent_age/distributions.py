@@ -6,7 +6,8 @@ Every family exposes the functions used throughout the package: survival
 ``cum_rev_hazard``, and the inverse survival function ``isf``.  All are exact
 closed forms; there is no generic numeric inversion anywhere.  Where a log argument underflows to zero
 the affected function returns ``inf`` instead of raising, so grid sweeps can
-skip and count flagged points.
+skip and count flagged points.  ``match_input`` and ``as_float_array``, the
+scalar-or-array input helpers of every numeric module, live here.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._num import as_float_array, match_input, read_fragment
+from ._num import read_fragment
 
 __all__ = [
     "LifetimeDistribution",
@@ -26,6 +27,17 @@ __all__ = [
     "Weibull",
     "distribution_from_dict",
 ]
+
+
+def match_input(x, values: np.ndarray):
+    """Return a Python float for scalar input, the array otherwise."""
+    if np.ndim(x) == 0:
+        return float(values)
+    return values
+
+
+def as_float_array(x) -> np.ndarray:
+    return np.asarray(x, dtype=float)
 
 
 def _check_nonneg(x) -> np.ndarray:

@@ -25,8 +25,8 @@ from functools import cache
 
 import numpy as np
 
-from ._num import _tolerance, as_float_array
-from .distributions import LifetimeDistribution
+from ._num import _tolerance
+from .distributions import LifetimeDistribution, as_float_array
 from .systems import EPS_CLAMP, SystemModel, _minus_log
 
 __all__ = [

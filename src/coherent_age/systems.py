@@ -40,9 +40,8 @@ from math import comb
 
 import numpy as np
 
-from ._num import as_float_array, match_input
 from .copulas import Copula, _is_independence
-from .distributions import LifetimeDistribution
+from .distributions import LifetimeDistribution, as_float_array, match_input
 
 __all__ = [
     "Structure",

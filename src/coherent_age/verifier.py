@@ -35,6 +35,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from ._num import _integer, _tolerance
+from .corollary import corollary_index_check
 from .orders import Grid, OrderVerdict, _ratio, check_order, system_order_direct, verdict
 from .systems import SystemModel
 
@@ -198,18 +199,3 @@ def verify_cstar(sys1: SystemModel, sys2: SystemModel, cfg: VerifyConfig | None 
 def verify_bstar(sys1: SystemModel, sys2: SystemModel, cfg: VerifyConfig | None = None) -> ConditionReport:
     """Certify that system 1 ages faster than system 2 in cumulative reversed hazard."""
     return _verify(sys1, sys2, "b_star", cfg or DEFAULT_CONFIG)
-
-
-def corollary_index_check(k: int, n: int, l: int, m: int, relation: str) -> bool:
-    """Index predicate under which the k-out-of-n conclusions hold.
-
-    c_star: k-out-of-n ages faster than l-out-of-m when k <= l and
-    m - l <= n - k.  b_star: when l <= k and n - k <= m - l.
-    """
-    if not (1 <= k <= n and 1 <= l <= m):
-        raise ValueError(f"need 1 <= k <= n and 1 <= l <= m, got k={k}, n={n}, l={l}, m={m}")
-    if relation == "c_star":
-        return k <= l and m - l <= n - k
-    if relation == "b_star":
-        return l <= k and n - k <= m - l
-    raise ValueError(f"relation must be 'c_star' or 'b_star', got {relation!r}")

@@ -13,7 +13,8 @@ import pytest
 from coherent_age.cli import SpecError, load_spec, main
 from coherent_age.distributions import LinearFailureRate, Weibull
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
+ROOT = Path(__file__).resolve().parents[1]
+SRC = str(ROOT / "src")
 
 
 def parse_table(text: str) -> tuple[dict, list[str], list[list[str]]]:
@@ -70,12 +71,53 @@ def run(tmp_path, command, payload, *extra):
     return main([command, write_spec(tmp_path, payload), *extra])
 
 
+def fresh_python(code: str, *argv: str) -> str:
+    """The stdout of `code` run in a fresh interpreter that imports from src."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)}
+    out = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, check=True)
+    return out.stdout
+
+
+# prints the package modules loaded so far, and numpy if it is loaded
+LOADED = "print(json.dumps(sorted(m for m in sys.modules if m == 'numpy' or m.startswith('coherent_age'))))"
+RUN_MAIN = ("import contextlib, io, json, sys\n"
+            "from coherent_age.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    main(sys.argv[1:])\n" + LOADED)
+# the modules each subcommand loads, beyond the package: the command line
+# itself loads only the spec rule and the corollary predicate
+FRONT = {"cli", "_num", "corollary"}
+MARGINS_AND_SYSTEMS = FRONT | {"copulas", "distributions", "systems", "numpy"}
+COMMAND_MODULES = {
+    "distortion": ("fgm_distortion_table.json", MARGINS_AND_SYSTEMS | {"orders", "verifier"}),
+    "check-order": ("margins_check_order.json", MARGINS_AND_SYSTEMS | {"orders", "verifier"}),
+    "verify": ("fgm_lfr_verify.json", MARGINS_AND_SYSTEMS | {"orders", "verifier"}),
+    "simulate": ("series3_simulate.json", MARGINS_AND_SYSTEMS | {"montecarlo"}),
+    "corollary": ("corollary_indices.json", FRONT),
+}
+
+
 class TestImport:
     def test_cli_import_loads_no_scipy(self):
         code = "import sys, coherent_age.cli; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)}
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "False"
+        assert fresh_python(code).strip() == "False"
+
+    def test_package_import_loads_no_submodule(self):
+        assert json.loads(fresh_python("import json, sys, coherent_age; " + LOADED)) == ["coherent_age"]
+
+    @pytest.mark.parametrize("command", COMMAND_MODULES)
+    def test_command_loads_its_modules(self, command):
+        spec, modules = COMMAND_MODULES[command]
+        loaded = json.loads(fresh_python(RUN_MAIN, command, str(ROOT / "specs" / spec)))
+        want = {"coherent_age", *(m if m == "numpy" else f"coherent_age.{m}" for m in modules)}
+        assert set(loaded) == want
+
+    def test_corollary_runs_where_numpy_cannot_load(self):
+        # a None entry in sys.modules makes every import of numpy fail; a
+        # nonzero exit fails fresh_python
+        code = "import sys\nsys.modules['numpy'] = None\nfrom coherent_age.cli import main\nsys.exit(main(sys.argv[1:]))"
+        out = fresh_python(code, "corollary", str(ROOT / "specs" / "corollary_indices.json"))
+        assert out == (ROOT / "tests" / "golden" / "corollary_indices.out").read_text()
 
 
 class TestDistortion:
@@ -682,7 +724,6 @@ class TestRoundTrip:
             assert float(row[1]) == float(d.h(p))
 
 
-ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
 GOLDEN_RUNS = json.loads((GOLDEN / "runs.json").read_text())
 

@@ -2,11 +2,15 @@ import importlib
 import pkgutil
 import runpy
 import sys
+import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import coherent_age
+from coherent_age._num import SpecError, _integer, _number
+from coherent_age.verifier import corollary_index_check
 
 MODULES = ["coherent_age", *(f"coherent_age.{m.name}" for m in pkgutil.iter_modules(coherent_age.__path__))]
 SWEEP = str(Path(__file__).resolve().parents[1] / "scripts" / "kofn_elasticity_sweep.py")
@@ -21,6 +25,45 @@ def test_every_all_entry_resolves(name):
     namespace = {}
     exec(f"from {name} import *", namespace)
     assert set(exported) <= set(namespace)
+
+
+@pytest.mark.parametrize("name", [name for name in coherent_age.__all__ if name != "__version__"])
+def test_package_name_is_its_home_modules_object(name):
+    home = importlib.import_module(f"coherent_age.{coherent_age._HOME[name]}")
+    assert name in home.__all__
+    assert getattr(coherent_age, name) is getattr(home, name)
+    # resolved once: later lookups find it in the package namespace
+    assert vars(coherent_age)[name] is getattr(home, name)
+
+
+def test_corollary_predicate_is_one_object():
+    assert coherent_age.corollary_index_check is corollary_index_check
+
+
+def test_dir_lists_every_public_name():
+    assert set(coherent_age.__all__) <= set(dir(coherent_age))
+
+
+def test_unknown_attribute_raises_the_standard_error():
+    with pytest.raises(AttributeError) as plain:
+        types.ModuleType("coherent_age").no_such_name
+    with pytest.raises(AttributeError) as lazy:
+        coherent_age.no_such_name
+    assert str(lazy.value) == str(plain.value) == "module 'coherent_age' has no attribute 'no_such_name'"
+
+
+# the spec rule looks numpy up once numpy is loaded, as it is here
+@pytest.mark.parametrize("value", [np.int64(3), np.float64(3.0)], ids=["int64", "float64"])
+def test_spec_rule_reads_numpy_numbers(value):
+    assert _number(value, "x") is value
+    assert _integer(value, "x") == 3 and type(_integer(value, "x")) is int
+
+
+@pytest.mark.parametrize("value", [True, np.bool_(True), "3"], ids=["bool", "numpy-bool", "str"])
+@pytest.mark.parametrize("rule", [_number, _integer])
+def test_spec_rule_refuses_non_numbers(rule, value):
+    with pytest.raises(SpecError, match="x must be a number"):
+        rule(value, "x")
 
 
 def run_sweep(monkeypatch, *argv):
