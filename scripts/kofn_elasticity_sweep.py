@@ -32,7 +32,7 @@ def main():
     if args.max_n < 1:
         parser.error(f"--max-n must be at least 1, got {args.max_n}")
 
-    # the library's own limits (grid size, path sets per structure) decide
+    # the library's own limits (grid size, components per structure) decide
     try:
         grid = Grid.probability(1e-3, args.grid_size)
     except ValueError as exc:

@@ -15,10 +15,10 @@ _HOMES = {
     "corollary": ["corollary_index_check"],
     "distributions": ["Exponential", "LifetimeDistribution", "LinearFailureRate", "Weibull", "distribution_from_dict"],
     "montecarlo": ["SimConfig", "SimulationResult", "sample_copula", "simulate_system"],
-    "orders": ["Grid", "IdentityReport", "OrderVerdict", "check_order", "integral_identity_check",
+    "orders": ["Grid", "IdentityReport", "OrderVerdict", "VerifyConfig", "check_order", "integral_identity_check",
                "system_order_direct", "verdict"],
     "systems": ["Distortion", "Structure", "SystemModel", "build_distortion", "k_of_n_paths"],
-    "verifier": ["ConditionEntry", "ConditionReport", "VerifyConfig", "verify_bstar", "verify_cstar"],
+    "verifier": ["ConditionEntry", "ConditionReport", "verify_bstar", "verify_cstar"],
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}
 

@@ -46,9 +46,8 @@ if TYPE_CHECKING:
     from .copulas import Copula
     from .distributions import LifetimeDistribution
     from .montecarlo import SimConfig
-    from .orders import OrderVerdict
+    from .orders import OrderVerdict, VerifyConfig
     from .systems import Structure, SystemModel
-    from .verifier import VerifyConfig
 
 __all__ = ["main", "SpecError", "load_spec"]
 
@@ -96,15 +95,12 @@ class SystemBlock:
 
         if self.structure is None or self.copula is None:
             raise SpecError(f"{where} needs both 'structure' and 'copula' for this command")
-        try:
-            return SystemModel(self.structure, self.copula, self.margin)
-        except ValueError as exc:
-            # build_distortion refuses structures with too many path sets
-            raise SpecError(f"{where}: {exc}") from exc
+        # the structure refuses what it cannot build when it is read, and the
+        # copula takes its dimension from it, so the build cannot fail here
+        return SystemModel(self.structure, self.copula, self.margin)
 
 
 def _load_system(d: dict, where: str) -> SystemBlock:
-    from .copulas import copula_from_dict
     from .distributions import distribution_from_dict
 
     _require(d, {"margin"}, {"structure", "copula"}, where)
@@ -114,6 +110,8 @@ def _load_system(d: dict, where: str) -> SystemBlock:
     if "copula" in d:
         if structure is None:
             raise SpecError(f"{where}: 'copula' requires 'structure' for its dimension")
+        from .copulas import copula_from_dict
+
         copula = copula_from_dict(d["copula"], structure.n, f"{where}.copula")
     elif structure is not None:
         raise SpecError(f"{where}: 'structure' requires 'copula'")
@@ -198,7 +196,7 @@ def load_spec(
             raise SpecError(f"relation must be one of {allowed}, got {spec.relation!r}")
 
     if command in _SETTINGS:
-        from .verifier import VerifyConfig
+        from .orders import VerifyConfig
 
         # VerifyConfig field names: grid.size gains a grid_ prefix
         settings = {}

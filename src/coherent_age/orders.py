@@ -20,17 +20,21 @@ Supported relations between margins X and Y:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ._num import _tolerance
+from ._num import _integer, _tolerance
 from .distributions import LifetimeDistribution, as_float_array
-from .systems import EPS_CLAMP, SystemModel, _minus_log
+
+if TYPE_CHECKING:
+    from .systems import SystemModel
 
 __all__ = [
     "Grid",
+    "VerifyConfig",
     "OrderVerdict",
     "IdentityReport",
     "RELATIONS",
@@ -51,8 +55,6 @@ GL_NODES = 16
 GL_PANELS = (32, 64)
 # integrand nodes per call, those of GL_BLOCK graded rules: bounds each temporary to 1.5 MB
 GL_BLOCK = 128
-# where the clamp of H(e^-v) and R(1-e^-v) to [EPS_CLAMP, 1-EPS_CLAMP] sets in
-_KINKS = (-math.log1p(-EPS_CLAMP), -math.log(EPS_CLAMP))
 # the quantile levels every bracketed grid spans
 Q_LO, Q_HI = 0.001, 0.999
 # the most doublings (halvings) that widen a system grid's bracket ends
@@ -246,6 +248,41 @@ class Grid:
                         b, fb = m, value
                 end[:] = a, b, fa, fb
         return cls.log_spaced(0.5 * (state[0][0] + state[0][1]), 0.5 * (state[1][0] + state[1][1]), size)
+
+
+@dataclass(frozen=True)
+class VerifyConfig:
+    """Tolerances and grids for one certification run.
+
+    tol applies to every ratio and monotonicity check, all of them built
+    from closed forms; sign_slack classifies identically-zero sign conditions
+    as boundary passes.  grid_size is the size of both the p-grid on
+    [eps_endpoint, 1-eps_endpoint] and the log-spaced x-grid bracketing the
+    two margins.
+
+    This is the one place the settings are checked, for the library and the
+    command line alike: an integral grid size whose p-grid builds, and
+    tolerances finite and >= 0; anything else raises
+    ValueError.  The p-grid built by that check is kept, read-only, and
+    every verify under the config reads it.
+    """
+
+    eps_endpoint: float = 1e-3
+    grid_size: int = 2001
+    tol: float = 1e-9
+    sign_slack: float = 1e-8
+    p_grid: Grid = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "grid_size", _integer(self.grid_size, "grid size"))
+        try:
+            grid = Grid.probability(self.eps_endpoint, self.grid_size)
+        except ValueError as exc:
+            raise ValueError(f"grid size {self.grid_size}, eps_endpoint {self.eps_endpoint!r}: {exc}") from exc
+        grid.points.setflags(write=False)
+        object.__setattr__(self, "p_grid", grid)
+        for key in ("tol", "sign_slack"):
+            _tolerance(getattr(self, key), key)
 
 
 def _quantile_bracket(dist_x: LifetimeDistribution, dist_y: LifetimeDistribution) -> tuple[float, float]:
@@ -445,6 +482,8 @@ def integral_identity_check(
     each limit's own piece from the last cut below it.  RuntimeError is raised where
     the summed rule differences exceed max(quad_tol, quad_tol * |integral|).
     """
+    from .systems import EPS_CLAMP, _minus_log
+
     if grid is None:
         grid = Grid.margin_bracketed(sys.margin, sys.margin, size=200)
     dist = sys.distortion
@@ -455,8 +494,10 @@ def integral_identity_check(
     if not (np.all(np.isfinite(upper_c)) and np.all(np.isfinite(upper_b))):
         raise ValueError("integration limit is not finite; shrink the grid range")
 
-    rhs_c = _graded_gauss_legendre(lambda v: dist.H(np.exp(-v)), upper_c, x, quad_tol)
-    rhs_b = _graded_gauss_legendre(lambda v: dist.R(-np.expm1(-v)), upper_b, x, quad_tol)
+    # where the clamp of H(e^-v) and R(1-e^-v) to [EPS_CLAMP, 1-EPS_CLAMP] sets in
+    kinks = (-math.log1p(-EPS_CLAMP), -math.log(EPS_CLAMP))
+    rhs_c = _graded_gauss_legendre(lambda v: dist.H(np.exp(-v)), upper_c, x, quad_tol, kinks)
+    rhs_b = _graded_gauss_legendre(lambda v: dist.R(-np.expm1(-v)), upper_b, x, quad_tol, kinks)
     h, omh = sys._h_pair(x)
     err_c = np.abs(_minus_log(h, omh) - rhs_c)
     err_b = np.abs(_minus_log(omh, h) - rhs_b)
@@ -480,9 +521,10 @@ def _composite_rule(panels: tuple[int, int], graded: bool) -> tuple[np.ndarray, 
     return np.concatenate(s) ** (2 if graded else 1), weights
 
 
-def _graded_gauss_legendre(integrand, upper: np.ndarray, xs: np.ndarray, quad_tol: float) -> np.ndarray:
+def _graded_gauss_legendre(integrand, upper: np.ndarray, xs: np.ndarray, quad_tol: float, kinks) -> np.ndarray:
     """integral_0^upper[i] integrand(v) dv for every i, one running sum over
-    pieces shared by every limit; raises where the error estimate exceeds quad_tol."""
+    pieces shared by every limit, cut at the kinks too; raises where the
+    error estimate exceeds quad_tol."""
     graded_nodes, graded_w = _composite_rule(GL_PANELS, graded=True)
     piece_nodes, piece_w = _composite_rule((1, 2), graded=False)
     out, err = np.zeros((2, upper.size))
@@ -490,9 +532,9 @@ def _graded_gauss_legendre(integrand, upper: np.ndarray, xs: np.ndarray, quad_to
     if np.any(positive):
         limits = upper[positive]
         # pieces between the breaks, then each limit's from the last break below it
-        head, top = min(limits.min(), _KINKS[0]), limits.max()
+        head, top = min(limits.min(), kinks[0]), limits.max()
         doublings = np.ldexp(head, np.arange(int(math.log2(top) - math.log2(head)) + 1))
-        breaks = np.sort(np.concatenate((doublings, [k for k in _KINKS if head < k < top])))
+        breaks = np.sort(np.concatenate((doublings, [k for k in kinks if head < k < top])))
         below = np.searchsorted(breaks, limits, side="right") - 1
         starts = np.concatenate((breaks[:-1], breaks[below]))[:, None]
         widths = np.concatenate((np.diff(breaks), limits - breaks[below]))[:, None]

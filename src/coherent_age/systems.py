@@ -4,13 +4,13 @@ A coherent structure is given by its component count and minimal path sets.
 Combined with an exchangeable survival copula it induces the dual distortion
 h: [0,1] -> [0,1] mapping common component reliability p to system
 reliability, with h(0) = 0, h(1) = 1 and h nondecreasing.  The distortion is
-assembled by inclusion-exclusion over unions of path-set subfamilies, which
-for an exchangeable copula reduces h to a signed combination of the
-functions K_j(p) = K(p, ..., p, 1, ..., 1) with j coordinates at p.  The
-integer coefficients c_j are summed grouped by union, adding one path set at
-a time, so the cost is one step per distinct union per path set: small for
-k-out-of-n structures, whose unions repeat, and still 2^r when every union
-of the r path sets is distinct, as in parallel(r).
+assembled from the structure function: a table over the subsets of the m
+components outside the common part of every path set counts the path sets
+each subset contains (the superset zeta transform; Bjorklund et al. 2007).
+It checks minimality and gives N_k, the number of k-subsets of components
+that contain a path set (the signature counts; Samaniego 2007), and so the
+integer coefficients c_j of h = sum_j c_j K_j under an exchangeable copula,
+K_j(p) = K(p, ..., p, 1, ..., 1) with j coordinates at p.
 
 On top of h the module provides its derivative h', the elasticity
 functionals
@@ -35,6 +35,7 @@ parallel-heavy structures.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import combinations
 from math import comb
 
@@ -53,9 +54,9 @@ __all__ = [
 
 # endpoint clamp for the elasticity functionals, defined on the open interval
 EPS_CLAMP = 1e-9
-# inclusion-exclusion grouped by union is exact, but holds up to 2^r - 1
-# unions when they are all distinct (parallel(r)); refuse beyond
-MAX_PATH_SETS = 20
+# the counted table holds 2^m entries for the m components outside the
+# common part of every path set; refuse beyond
+MAX_COMPONENTS = 20
 
 
 @dataclass(frozen=True)
@@ -63,36 +64,55 @@ class Structure:
     """Coherent structure: component count n and minimal path sets.
 
     Path sets must be mutually non-nested (minimality) and jointly cover all
-    components (every component relevant).
+    components (every component relevant).  counts[k] is N_k, the number of
+    k-subsets of components that contain a path set, for k = 0..n.
     """
 
     n: int
     paths: tuple[frozenset[int], ...]
+    counts: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("component count must be at least 1")
         if not self.paths:
             raise ValueError("structure needs at least one path set")
+        components = frozenset(range(1, self.n + 1))
         seen = set()
         for path in self.paths:
             if not path:
                 raise ValueError("path sets must be nonempty")
-            if not path <= set(range(1, self.n + 1)):
+            if not path <= components:
                 raise ValueError(f"path {sorted(path)} uses components outside 1..{self.n}")
             if path in seen:
                 raise ValueError(f"duplicate path set {sorted(path)}")
             seen.add(path)
-        for a in self.paths:
-            for b in self.paths:
-                if a != b and a <= b:
-                    raise ValueError(
-                        f"path {sorted(a)} is contained in {sorted(b)}; path sets must be minimal"
-                    )
-        covered = set().union(*self.paths)
-        if covered != set(range(1, self.n + 1)):
-            missing = sorted(set(range(1, self.n + 1)) - covered)
-            raise ValueError(f"components {missing} appear in no path set (not coherent)")
+        missing = components.difference(*self.paths)
+        if missing:
+            raise ValueError(f"components {sorted(missing)} appear in no path set (not coherent)")
+        common = frozenset.intersection(*self.paths)
+        free = sorted(components - common)
+        if len(free) > MAX_COMPONENTS:
+            raise ValueError(f"structure has {len(free)} components outside the common part "
+                             f"of its path sets; refusing more than {MAX_COMPONENTS}")
+        # table[s]: how many path sets (at most all of them) lie in the common
+        # part plus the subset s of the free components; pass i adds each set
+        # without free component i into the same set with it
+        weight = dict.fromkeys(common, 0) | {c: 1 << i for i, c in enumerate(free)}
+        masks = np.array([sum(map(weight.__getitem__, path)) for path in self.paths])
+        table = np.zeros(1 << len(free), dtype=np.min_scalar_type(len(self.paths)))
+        table[masks] = 1
+        for i in range(len(free)):
+            halves = table.reshape(-1, 2, 1 << i)
+            halves[:, 1] += halves[:, 0]
+        # a minimal path set contains no path set but itself
+        within = table[masks]
+        if within.max() > 1:
+            b = self.paths[int(np.argmax(within))]
+            a = next(a for a in self.paths if a < b)
+            raise ValueError(f"path {sorted(a)} is contained in {sorted(b)}; path sets must be minimal")
+        working = np.bincount(_popcounts(len(free))[table > 0], minlength=len(free) + 1)
+        object.__setattr__(self, "counts", (0,) * len(common) + tuple(working.tolist()))
 
     @classmethod
     def from_paths(cls, n: int, paths) -> "Structure":
@@ -112,7 +132,18 @@ def k_of_n_paths(k: int, n: int) -> Structure:
     """Structure whose minimal path sets are all k-subsets of {1..n}."""
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    return Structure.from_paths(n, combinations(range(1, n + 1), k))
+    # combinations come in from_paths order
+    return Structure(n, tuple(map(frozenset, combinations(range(1, n + 1), k))))
+
+
+@cache
+def _popcounts(m: int) -> np.ndarray:
+    """Bit counts of 0 .. 2^m - 1 (np.bitwise_count needs numpy 2)."""
+    pop = np.zeros(1, dtype=np.uint8)
+    for _ in range(m):
+        pop = np.concatenate((pop, pop + 1))
+    pop.setflags(write=False)  # one cached array serves every caller
+    return pop
 
 
 @dataclass(frozen=True)
@@ -120,31 +151,34 @@ class Distortion:
     """h(p) = sum_j c_j K_j(p) with signed integer coefficients over one copula,
     with its derivatives and elasticity functionals.
 
-    Coefficients must sum to 1 (h(1) = 1) and carry j >= 1 only (h(0) = 0).
-    Under the independence law (Independence, GumbelHougaard at theta = 1,
-    FGM at theta = 0) h, 1-h, h' and h'' are evaluated in Bernstein form
-    instead, from weights derived once from the exact coefficients.
+    counts are a structure's N_k, k = 0..n, with N_0 = 0 (h(0) = 0) and
+    N_n = 1 (h(1) = 1).  With independent components
+    h = sum_k N_k p^k (1-p)^(n-k), so expanding (1-p)^(n-k) gives
+    c_j = sum_k (-1)^(j-k) C(n-k, j-k) N_k, summed over the nonzero N_k
+    only (series(n) has one).  Under the independence law (Independence,
+    GumbelHougaard at theta = 1, FGM at theta = 0) h, 1-h, h' and h'' are
+    evaluated in Bernstein form instead, from weights derived once from the
+    counts.
     """
 
     copula: Copula
-    coeffs: tuple[tuple[int, int], ...]
+    counts: tuple[int, ...]
+    coeffs: tuple[tuple[int, int], ...] = field(init=False, compare=False)
     # (h, 1-h, h', h'') Bernstein weights under the independence law, None otherwise
     _bernstein: tuple | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.coeffs:
-            raise ValueError("distortion needs at least one coefficient")
-        total = 0
-        for j, c in self.coeffs:
-            if j < 1 or j > self.copula.dim:
-                raise ValueError(f"coefficient index {j} outside 1..{self.copula.dim}")
-            if c == 0:
-                raise ValueError("zero coefficients must be dropped")
-            total += c
-        if total != 1:
-            raise ValueError(f"coefficients must sum to 1, got {total}")
+        n = len(self.counts) - 1
+        if n != self.copula.dim or self.counts[0] != 0 or self.counts[n] != 1:
+            raise ValueError(f"counts must run from N_0 = 0 to N_{self.copula.dim} = 1")
+        sums = [0] * (n + 1)
+        for k, count in enumerate(self.counts):
+            if count:
+                for j in range(k, n + 1):
+                    sums[j] += (-1) ** (j - k) * comb(n - k, j - k) * count
+        object.__setattr__(self, "coeffs", tuple((j, c) for j, c in enumerate(sums) if c))
         if _is_independence(self.copula):
-            object.__setattr__(self, "_bernstein", _bernstein_weights(self.copula.dim, self.coeffs))
+            object.__setattr__(self, "_bernstein", _bernstein_weights(self.counts))
 
     # each public function validates its argument once; _evaluate and _elasticity never do
     def h(self, p):
@@ -242,17 +276,17 @@ class Distortion:
         return pa
 
 
-def _bernstein_weights(n: int, coeffs) -> tuple[tuple[float, ...], ...]:
-    """Bernstein weights of h, 1-h, h' and h'' for h = sum_j c_j p^j.
+def _bernstein_weights(counts) -> tuple[tuple[float, ...], ...]:
+    """Bernstein weights of h, 1-h, h' and h'' under independence.
 
-    p^j = sum_k C(n-j, k-j) p^k (1-p)^(n-k), so h has the degree-n weights
-    N_k = sum_j c_j C(n-j, k-j), the number of k-subsets of components that
-    contain a path set; 1-h has C(n,k) - N_k; h' has the degree-(n-1)
-    weights D_k = (k+1) N_(k+1) - (n-k) N_k, and h'' the degree-(n-2)
-    weights (k+1) D_(k+1) - (n-1-k) D_k.  The first three are nonnegative
-    for a coherent structure; h'' changes sign where h' turns.
+    h = sum_k N_k p^k (1-p)^(n-k) has the degree-n weights N_k, the number
+    of k-subsets of components that contain a path set; 1-h has
+    C(n,k) - N_k; h' has the degree-(n-1) weights
+    D_k = (k+1) N_(k+1) - (n-k) N_k, and h'' the degree-(n-2) weights
+    (k+1) D_(k+1) - (n-1-k) D_k.  The first three are nonnegative for a
+    coherent structure; h'' changes sign where h' turns.
     """
-    counts = [sum(c * comb(n - j, k - j) for j, c in coeffs if j <= k) for k in range(n + 1)]
+    n = len(counts) - 1
     compl = [comb(n, k) - counts[k] for k in range(n + 1)]
     deriv = [(k + 1) * counts[k + 1] - (n - k) * counts[k] for k in range(n)]
     second = [(k + 1) * deriv[k + 1] - (n - 1 - k) * deriv[k] for k in range(n - 1)]
@@ -283,50 +317,10 @@ def _flagged_ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
 
 
 def build_distortion(structure: Structure, copula: Copula) -> Distortion:
-    """Assemble the dual distortion of a structure under a survival copula.
-
-    Inclusion-exclusion over nonempty subfamilies of minimal path sets: a
-    subfamily S contributes (-1)^(|S|+1) to the coefficient of
-    j = |union of S|.  The sum is grouped by union: path sets are added one
-    at a time to a map from union bitmask to the signed count of subfamilies
-    with that union, and c_j is the total count over unions of size j.  Each
-    path set costs one step per distinct union so far, so k-out-of-n
-    structures build in well under a millisecond, but the map still holds
-    2^r - 1 unions when every union is distinct, as in parallel(r).  Exact
-    for up to MAX_PATH_SETS path sets.
-    """
+    """The dual distortion of a structure under a survival copula, from its counts N_k."""
     if copula.dim != structure.n:
-        raise ValueError(
-            f"copula dimension {copula.dim} does not match component count {structure.n}"
-        )
-    r = len(structure.paths)
-    if r > MAX_PATH_SETS:
-        raise ValueError(f"structure has {r} minimal path sets; refusing more than {MAX_PATH_SETS}")
-
-    counts: dict[int, int] = {}
-    for path in structure.paths:
-        m = 0
-        for i in path:
-            m |= 1 << (i - 1)
-        # adding m to a subfamily with union u flips its sign and moves it to
-        # u | m; unions that collide may cancel, and are dropped at zero.  The
-        # snapshot is two lists rather than a list of pairs, which keeps the
-        # tracemalloc peak of parallel(20) at 94 MB instead of 119 MB
-        for u, c in zip(list(counts), list(counts.values())):
-            v = u | m
-            total = counts.get(v, 0) - c
-            if total:
-                counts[v] = total
-            else:
-                del counts[v]
-        # minimality: no union of other path sets equals m
-        counts[m] = 1
-
-    sums = [0] * (structure.n + 1)
-    for u, c in counts.items():
-        sums[u.bit_count()] += c
-    pairs = tuple((j, c) for j, c in enumerate(sums) if c != 0)
-    return Distortion(copula=copula, coeffs=pairs)
+        raise ValueError(f"copula dimension {copula.dim} does not match component count {structure.n}")
+    return Distortion(copula, structure.counts)
 
 
 @dataclass

@@ -30,13 +30,12 @@ order; its hypotheses are strictly stronger and it is not implemented here.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ._num import _integer, _tolerance
 from .corollary import corollary_index_check
-from .orders import Grid, OrderVerdict, _ratio, check_order, system_order_direct, verdict
+from .orders import Grid, OrderVerdict, VerifyConfig, _ratio, check_order, system_order_direct, verdict
 from .systems import SystemModel
 
 __all__ = [
@@ -51,41 +50,6 @@ __all__ = [
 EXIT_CERTIFIED = 0
 EXIT_NOT_CERTIFIED = 2
 EXIT_INCONCLUSIVE = 3
-
-
-@dataclass(frozen=True)
-class VerifyConfig:
-    """Tolerances and grids for one certification run.
-
-    tol applies to every ratio and monotonicity check, all of them built
-    from closed forms; sign_slack classifies identically-zero sign conditions
-    as boundary passes.  grid_size is the size of both the p-grid on
-    [eps_endpoint, 1-eps_endpoint] and the log-spaced x-grid bracketing the
-    two margins.
-
-    This is the one place the settings are checked, for the library and the
-    command line alike: an integral grid size whose p-grid builds, and
-    tolerances finite and >= 0; anything else raises
-    ValueError.  The p-grid built by that check is kept, read-only, and
-    every verify under the config reads it.
-    """
-
-    eps_endpoint: float = 1e-3
-    grid_size: int = 2001
-    tol: float = 1e-9
-    sign_slack: float = 1e-8
-    p_grid: Grid = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "grid_size", _integer(self.grid_size, "grid size"))
-        try:
-            grid = Grid.probability(self.eps_endpoint, self.grid_size)
-        except ValueError as exc:
-            raise ValueError(f"grid size {self.grid_size}, eps_endpoint {self.eps_endpoint!r}: {exc}") from exc
-        grid.points.setflags(write=False)
-        object.__setattr__(self, "p_grid", grid)
-        for key in ("tol", "sign_slack"):
-            _tolerance(getattr(self, key), key)
 
 
 # the config of a verify called without one: checked once, not per call

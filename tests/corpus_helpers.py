@@ -1,7 +1,9 @@
-"""Shared randomized-instance generators, the golden triple corpus, and the
-full copula K(p_1, ..., p_n) that the exchangeable reductions are tested against."""
+"""Shared randomized-instance generators, the golden triple corpus, the
+full copula K(p_1, ..., p_n) that the exchangeable reductions are tested
+against, and their 50-digit closed forms K_j and K_j'."""
 
 import numpy as np
+from mpmath import mpf
 
 from coherent_age.copulas import ClaytonOakes, FGM, GumbelHougaard, Independence
 from coherent_age.distributions import Exponential, LinearFailureRate, Weibull
@@ -164,3 +166,18 @@ def copula_eval(cop, p):
         raise ValueError("copula arguments must lie in [0, 1]")
     out = _COPULA_K[type(cop)](cop, np.atleast_2d(pa))
     return float(out[0]) if pa.ndim == 1 else out
+
+
+def exact_exch(cop, t, j):
+    """K_j and K_j' at an mpmath point t, from each family's closed form."""
+    if isinstance(cop, ClaytonOakes):
+        theta = mpf(cop.theta)
+        base = j * t**-theta - (j - 1)
+        return base ** (-1 / theta), j * t ** (-theta - 1) * base ** (-1 / theta - 1)
+    if isinstance(cop, FGM) and j == 3:
+        theta = mpf(cop.theta)
+        tail = 1 + theta * (1 - t) ** 3
+        return t**3 * tail, 3 * t**2 * tail - 3 * theta * t**3 * (1 - t) ** 2
+    # independence, FGM below j = 3, and Gumbel-Hougaard: K_j = t^power
+    power = mpf(j) ** (1 / mpf(cop.theta)) if isinstance(cop, GumbelHougaard) else j
+    return t**power, power * t ** (power - 1)

@@ -4,7 +4,6 @@ import os
 import subprocess
 import sys
 import warnings
-from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -89,8 +88,8 @@ RUN_MAIN = ("import contextlib, io, json, sys\n"
 FRONT = {"cli", "_num", "corollary"}
 MARGINS_AND_SYSTEMS = FRONT | {"copulas", "distributions", "systems", "numpy"}
 COMMAND_MODULES = {
-    "distortion": ("fgm_distortion_table.json", MARGINS_AND_SYSTEMS | {"orders", "verifier"}),
-    "check-order": ("margins_check_order.json", MARGINS_AND_SYSTEMS | {"orders", "verifier"}),
+    "distortion": ("fgm_distortion_table.json", MARGINS_AND_SYSTEMS | {"orders"}),
+    "check-order": ("margins_check_order.json", FRONT | {"distributions", "orders", "numpy"}),
     "verify": ("fgm_lfr_verify.json", MARGINS_AND_SYSTEMS | {"orders", "verifier"}),
     "simulate": ("series3_simulate.json", MARGINS_AND_SYSTEMS | {"montecarlo"}),
     "corollary": ("corollary_indices.json", FRONT),
@@ -418,15 +417,17 @@ class TestSchemaValidation:
         )
 
     def test_too_many_path_sets_is_a_spec_error(self, tmp_path, capsys):
-        three_of_seven = {
-            "structure": {"n": 7, "paths": [list(c) for c in combinations(range(1, 8), 3)]},
+        # parallel(21): 21 components outside the (empty) common part of its path sets
+        parallel21 = {
+            "structure": {"n": 21, "paths": [[i] for i in range(1, 22)]},
             "copula": {"copula": "independence"},
             "margin": {"family": "exp", "rate": 1.0},
         }
-        spec = {"system1": three_of_seven, "system2": SERIES3_SYSTEM, "relation": "c_star"}
+        spec = {"system1": parallel21, "system2": SERIES3_SYSTEM, "relation": "c_star"}
         assert run(tmp_path, "verify", spec) == 1
         err = capsys.readouterr().err
-        assert err == "error: system1: structure has 35 minimal path sets; refusing more than 20\n"
+        assert err == ("error: invalid structure in system1: structure has 21 components outside the common part "
+                       "of its path sets; refusing more than 20\n")
 
     @pytest.mark.parametrize("value", ["abc", "1e-9", True], ids=["word", "numeric-string", "bool"])
     def test_non_numeric_tolerance_is_a_spec_error(self, tmp_path, capsys, value):

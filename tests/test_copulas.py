@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from corpus_helpers import clayton_pairs, copula_eval
+from corpus_helpers import clayton_pairs, copula_eval, exact_exch
 from hypothesis import given, strategies as st
 from mpmath import mp, mpf
 
@@ -175,18 +175,6 @@ class TestExchangeableReduction:
                 assert cop.exch(lo, j) <= cop.exch(hi, j) + 1e-15
 
 
-def exact_exch(cop, t, j):
-    """K_j at an mpmath point from each family's closed form."""
-    if isinstance(cop, Independence):
-        return t**j
-    if isinstance(cop, FGM):
-        return t**j if j < 3 else t**3 * (1 + cop.theta * (1 - t) ** 3)
-    if isinstance(cop, GumbelHougaard):
-        return t ** (j ** (1 / mpf(cop.theta)))
-    theta = mpf(cop.theta)
-    return (j * t**-theta - (j - 1)) ** (-1 / theta)
-
-
 SECOND_DERIVATIVE_EDGES = [
     ClaytonOakes(0.05, 4),
     ClaytonOakes(8.0, 4),
@@ -206,7 +194,7 @@ class TestSecondDerivative:
         np.testing.assert_array_equal(cop._exch_second(p, 1), 0.0)  # K_1 = p
         with mp.workdps(50):
             for j in range(2, cop.dim + 1):
-                want = [float(mp.diff(lambda t: exact_exch(cop, t, j), mpf(x), 2)) for x in p]
+                want = [float(mp.diff(lambda t: exact_exch(cop, t, j)[0], mpf(x), 2)) for x in p]
                 np.testing.assert_allclose(cop._exch_second(p, j), want, rtol=1e-12, atol=0.0)
 
 
@@ -308,7 +296,7 @@ class TestClaytonSum:
         t, th = mpf(p), mpf(theta)
         with mp.workdps(50):
             for j in (2, 3):
-                k = exact_exch(cop, t, j)
+                k = exact_exch(cop, t, j)[0]
                 # K_j' = j t^-(theta+1) S^-(1+1/theta), S = j t^-theta - (j-1)
                 k_prime = j * t ** -(th + 1) * (j * t**-th - (j - 1)) ** (-1 - 1 / th)
                 for which, want in ((0, k), (1, 1 - k), (2, k_prime)):

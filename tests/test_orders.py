@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from mpmath import mp, mpf
 
-from coherent_age import orders
-from coherent_age.copulas import FGM, ClaytonOakes, GumbelHougaard, Independence
+from coherent_age import orders, systems
+from coherent_age.copulas import FGM, GumbelHougaard, Independence
 from coherent_age.distributions import Exponential, LinearFailureRate, Weibull
 from coherent_age.orders import (
     Grid,
@@ -15,7 +15,7 @@ from coherent_age.orders import (
     verdict,
 )
 from coherent_age.systems import EPS_CLAMP, Structure, SystemModel, _minus_log, k_of_n_paths
-from corpus_helpers import golden_corpus, random_instance
+from corpus_helpers import exact_exch, golden_corpus, random_instance
 
 LFR_X = LinearFailureRate(1.0, 1.0)
 LFR_Y = LinearFailureRate(2.0, 1.0)
@@ -634,27 +634,16 @@ def identity_integrals(monkeypatch):
     integrals, calls = [], []
     rule = orders._graded_gauss_legendre
 
-    def recording(integrand, upper, xs, quad_tol):
+    def recording(integrand, *args):
         def counted(v):
             calls.append(v.size)
             return integrand(v)
 
-        integrals.append(rule(counted, upper, xs, quad_tol))
+        integrals.append(rule(counted, *args))
         return integrals[-1]
 
     monkeypatch.setattr(orders, "_graded_gauss_legendre", recording)
     return integrals, calls
-
-
-def exact_exch_pair(cop, t, j):
-    """K_j and K_j' at an mpmath point, from the closed forms of the
-    independence, Gumbel-Hougaard and Clayton-Oakes families."""
-    if isinstance(cop, ClaytonOakes):
-        theta = mpf(cop.theta)
-        base = j * t**-theta - (j - 1)
-        return base ** (-1 / theta), j * t ** (-theta - 1) * base ** (-1 / theta - 1)
-    power = mpf(j) ** (1 / mpf(getattr(cop, "theta", 1)))
-    return t**power, power * t ** (power - 1)
 
 
 def exact_integrands(dist):
@@ -664,7 +653,7 @@ def exact_integrands(dist):
 
     def terms(p):
         p = min(max(p, lo), hi)
-        pairs = [exact_exch_pair(dist.copula, p, j) for j, _ in dist.coeffs]
+        pairs = [exact_exch(dist.copula, p, j) for j, _ in dist.coeffs]
         h, dh = (sum(c * pair[k] for (_, c), pair in zip(dist.coeffs, pairs)) for k in (0, 1))
         return p, h, dh
 
@@ -765,7 +754,8 @@ class TestIntegralIdentity:
             sides.append(_minus_log(value, compl))
             return sides[-1]
 
-        monkeypatch.setattr(orders, "_minus_log", recording)
+        # the identity check imports _minus_log from systems when it runs
+        monkeypatch.setattr(systems, "_minus_log", recording)
         sysm = golden_system(name)
         x = golden_grid(sysm).points
         integral_identity_check(sysm, Grid(x))

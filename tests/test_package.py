@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import coherent_age
+from coherent_age import systems
 from coherent_age._num import SpecError, _integer, _number
 from coherent_age.verifier import corollary_index_check
 
@@ -72,7 +73,8 @@ def run_sweep(monkeypatch, *argv):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["--max-n", "7"], "error: 2-of-7: structure has 21 minimal path sets; refusing more than 20"),
+    (["--max-n", "7"], "error: 1-of-7: structure has 7 components outside the common part of its path sets; "
+                       "refusing more than 6"),
     (["--grid-size", "1"], "error: --grid-size 1: grid needs at least two points"),
     (["--max-n", "0"], "error: --max-n must be at least 1, got 0"),
     (["--max-n", "-2"], "error: --max-n must be at least 1, got -2"),
@@ -82,6 +84,8 @@ def run_sweep(monkeypatch, *argv):
     (["--max-n", "2", "--slack", "inf"], "error: --slack inf: tol must be finite and >= 0, got inf"),
 ], ids=["max-n-7", "grid-size-1", "max-n-0", "max-n-negative", "slack-nan", "slack-negative", "slack-inf"])
 def test_sweep_argument_errors_are_one_line(monkeypatch, capsys, argv, message):
+    # a cap of 6 makes --max-n 7 a refusal without building a 2^20 table
+    monkeypatch.setattr(systems, "MAX_COMPONENTS", 6)
     with pytest.raises(SystemExit) as exit_info:
         run_sweep(monkeypatch, *argv)
     assert exit_info.value.code == 2

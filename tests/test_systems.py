@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -8,7 +9,7 @@ from mpmath import mp, mpf
 
 from coherent_age.copulas import ClaytonOakes, FGM, GumbelHougaard, Independence
 from coherent_age.distributions import Exponential, LinearFailureRate
-from coherent_age.systems import Structure, SystemModel, build_distortion, k_of_n_paths
+from coherent_age.systems import Distortion, Structure, SystemModel, build_distortion, k_of_n_paths
 
 GRID = np.linspace(0.0, 1.0, 1001)
 OPEN_GRID = np.linspace(1e-3, 1.0 - 1e-3, 1001)
@@ -96,6 +97,16 @@ class TestStructure:
         with pytest.raises(ValueError, match="minimal"):
             Structure.from_paths(2, [[1], [1, 2]])
 
+    def test_non_minimal_with_common_part_rejected(self):
+        # {1, 2} is the common part, so the smaller path set is the table's empty set
+        with pytest.raises(ValueError, match="minimal"):
+            Structure.from_paths(3, [[1, 2], [1, 2, 3]])
+
+    def test_series_keeps_its_counts(self):
+        # one path set: every component is common, and the table has one entry
+        assert Structure.series(400).counts == (0,) * 400 + (1,)
+        assert build_distortion(Structure.series(400), Independence(400)).coeffs == ((400, 1),)
+
     def test_uncovered_component_rejected(self):
         with pytest.raises(ValueError, match="no path set"):
             Structure.from_paths(3, [[1, 2]])
@@ -158,9 +169,35 @@ class TestBuildDistortion:
         with pytest.raises(ValueError, match="dimension"):
             build_distortion(Structure.series(3), Independence(4))
 
+    @pytest.mark.parametrize("counts", [(0, 2), (1, 2, 1), (0, 2, 2), ()], ids=["short", "n0", "nn", "empty"])
+    def test_counts_need_the_copula_dimension_and_both_ends(self, counts):
+        with pytest.raises(ValueError, match="counts must run from N_0 = 0 to N_2 = 1"):
+            Distortion(Independence(2), counts)
+        # parallel(2): h = 2p - p^2
+        assert Distortion(Independence(2), (0, 2, 1)).coeffs == ((1, 2), (2, -1))
+
     def test_too_many_path_sets_refused(self):
-        with pytest.raises(ValueError, match="path sets"):
+        with pytest.raises(ValueError, match="21 components outside the common part"):
             build_distortion(Structure.parallel(21), Independence(21))
+
+    def test_parallel20_builds_in_small_memory(self):
+        tracemalloc.start()
+        try:
+            d = build_distortion(Structure.parallel(20), Independence(20))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+        assert d.coeffs == tuple((j, (-1) ** (j - 1) * math.comb(20, j)) for j in range(1, 21))
+
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_k_of_n_closed_form(self, n):
+        # N_j = C(n, j) for j >= k gives c_j = (-1)^(j-k) C(j-1, k-1) C(n, j)
+        for k in range(1, n + 1):
+            structure = k_of_n_paths(k, n)
+            assert structure.counts == tuple(math.comb(n, j) if j >= k else 0 for j in range(n + 1))
+            want = tuple((j, (-1) ** (j - k) * math.comb(j - 1, k - 1) * math.comb(n, j)) for j in range(k, n + 1))
+            assert build_distortion(structure, Independence(n)).coeffs == want, (k, n)
 
 
 class TestCoefficientReference:
