@@ -92,16 +92,16 @@ class LifetimeDistribution(ABC):
         return match_input(x, out)
 
     def cum_rev_hazard(self, x):
-        # -ln F(x); the expm1 form is exact for small cumulative hazard and
-        # the log1p form for large, so branch at F = 1/2.  +inf at x = 0,
-        # exact 0 deep in the right tail once exp underflows.
-        xa = _check_nonneg(x)
-        delta = self._chz(xa)
-        with np.errstate(divide="ignore"):
-            small = -np.log(-np.expm1(-delta))
-            large = -np.log1p(-np.exp(-delta))
-            out = np.where(delta <= math.log(2.0), small, large)
-        return match_input(x, out)
+        return match_input(x, _minus_log_cdf(self._chz(_check_nonneg(x))))
+
+
+def _minus_log_cdf(delta: np.ndarray) -> np.ndarray:
+    """-ln F from delta = -ln sf: the expm1 form is exact for small delta and the log1p form
+    for large, so branch at F = 1/2 (+inf at delta = 0, exact 0 once exp(-delta) underflows)."""
+    with np.errstate(divide="ignore"):
+        small = -np.log(-np.expm1(-delta))
+        large = -np.log1p(-np.exp(-delta))
+        return np.where(delta <= math.log(2.0), small, large)
 
 
 @dataclass(frozen=True)

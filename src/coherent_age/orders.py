@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ._num import _integer, _tolerance
-from .distributions import LifetimeDistribution, as_float_array
+from .distributions import LifetimeDistribution, _minus_log_cdf, as_float_array
 
 if TYPE_CHECKING:
     from .systems import SystemModel
@@ -49,12 +49,11 @@ RELATIONS = ("st", "hr", "rh", "c", "b", "c_star", "b_star")
 RATIO_FLOOR = 1e-12
 MAX_SKIP_FRACTION = 0.05
 
-# Gauss-Legendre panels of the integral identity check: the graded rule at GL_PANELS[0] and [1],
-# later pieces at one and two; each pair's difference adds to the error estimate
+# Gauss-Legendre nodes per panel of the integral identity check: every piece runs
+# at one and two panels, and the difference adds to the error estimate
 GL_NODES = 16
-GL_PANELS = (32, 64)
-# integrand nodes per call, those of GL_BLOCK graded rules: bounds each temporary to 1.5 MB
-GL_BLOCK = 128
+# integrand nodes per call: bounds each temporary to 1.5 MB
+GL_BLOCK = 196_608
 # the quantile levels every bracketed grid spans
 Q_LO, Q_HI = 0.001, 0.999
 # the most doublings (halvings) that widen a system grid's bracket ends
@@ -476,11 +475,12 @@ def integral_identity_check(
         -ln h(sf(x))     = integral_0^{Delta(x)}  H(e^-v) dv
         -ln(1 - h(sf(x))) = integral_0^{Dtilde(x)} R(1-e^-v) dv
 
-    Each integral is one running sum: a Gauss-Legendre rule on the graded map
-    v = head * s^2 over [0, head] (head the smallest positive limit, or the lower
-    clamp kink of H and R if smaller), pieces cut at head * 2^k and both kinks, and
-    each limit's own piece from the last cut below it.  RuntimeError is raised where
-    the summed rule differences exceed max(quad_tol, quad_tol * |integral|).
+    One margin pass gives Delta, Dtilde, sf and the h, 1-h pair.  Both integrals are
+    running sums over shared pieces: on [0, head] (head the smallest positive limit,
+    or the lower clamp kink of H and R if smaller) the clamp holds each integrand at
+    its v = 0 value, so that piece is exact; above it Gauss-Legendre pieces are cut at
+    head * 2^k and both kinks, and each limit adds its own from the last cut below it.
+    RuntimeError is raised where the summed rule differences exceed max(quad_tol, quad_tol * |integral|).
     """
     from .systems import EPS_CLAMP, _minus_log
 
@@ -488,76 +488,75 @@ def integral_identity_check(
         grid = Grid.margin_bracketed(sys.margin, sys.margin, size=200)
     dist = sys.distortion
     x = grid.points
-
-    upper_c = as_float_array(sys.margin.cum_hazard(x))
-    upper_b = as_float_array(sys.margin.cum_rev_hazard(x))
-    if not (np.all(np.isfinite(upper_c)) and np.all(np.isfinite(upper_b))):
+    delta = sys.margin._chz(x)
+    upper = np.stack((delta, _minus_log_cdf(delta)))
+    if not np.all(np.isfinite(upper)):
         raise ValueError("integration limit is not finite; shrink the grid range")
-
     # where the clamp of H(e^-v) and R(1-e^-v) to [EPS_CLAMP, 1-EPS_CLAMP] sets in
     kinks = (-math.log1p(-EPS_CLAMP), -math.log(EPS_CLAMP))
-    rhs_c = _graded_gauss_legendre(lambda v: dist.H(np.exp(-v)), upper_c, x, quad_tol, kinks)
-    rhs_b = _graded_gauss_legendre(lambda v: dist.R(-np.expm1(-v)), upper_b, x, quad_tol, kinks)
-    h, omh = sys._h_pair(x)
-    err_c = np.abs(_minus_log(h, omh) - rhs_c)
-    err_b = np.abs(_minus_log(omh, h) - rhs_b)
+    rhs = _identity_integrals(
+        [lambda v: dist._elasticity(np.clip(np.exp(-v), EPS_CLAMP, 1.0 - EPS_CLAMP), "H", slope=False),
+         lambda v: dist._elasticity(np.clip(-np.expm1(-v), EPS_CLAMP, 1.0 - EPS_CLAMP), "R", slope=False)],
+        upper, x, quad_tol, kinks)
+    p = np.exp(-delta)
+    h, omh = dist._evaluate(p, 0), dist._evaluate(p, 1)
+    err = np.abs(np.stack((_minus_log(h, omh), _minus_log(omh, h))) - rhs)
     # argmax keeps the first maximum as the witness
-    ic = int(np.argmax(err_c))
-    ib = int(np.argmax(err_b))
-    return IdentityReport(
-        float(err_c[ic]), float(err_b[ib]), float(x[ic]), float(x[ib]), x.size, quad_tol
-    )
+    ic, ib = np.argmax(err, axis=1)
+    return IdentityReport(float(err[0, ic]), float(err[1, ib]), float(x[ic]), float(x[ib]), x.size, quad_tol)
 
 
 @cache
-def _composite_rule(panels: tuple[int, int], graded: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes u and weights w with integral_0^1 f(u) du ~ f(u) @ w[:, i]: composite Gauss-Legendre
-    in s over panels[0] and then panels[1] equal panels of [0, 1], mapped by u = s^2 when graded."""
+def _piece_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes u and weights w with integral_0^1 f(u) du ~ f(u) @ w[:, i]: composite
+    Gauss-Legendre on one panel (i = 0) and on two (i = 1)."""
     t, w = np.polynomial.legendre.leggauss(GL_NODES)
-    s = [(np.arange(count)[:, None] + 0.5 * (t + 1.0)).ravel() / count for count in panels]
-    weights = np.zeros((s[0].size + s[1].size, 2))
-    weights[: s[0].size, 0], weights[s[0].size :, 1] = (
-        np.tile(w, count) * (si / count if graded else 0.5 / count) for count, si in zip(panels, s))
-    return np.concatenate(s) ** (2 if graded else 1), weights
+    u, weights = 0.5 * (t + 1.0), np.zeros((3 * GL_NODES, 2))
+    weights[:GL_NODES, 0], weights[GL_NODES:, 1] = 0.5 * w, 0.25 * np.tile(w, 2)
+    return np.concatenate((u, 0.5 * u, 0.5 + 0.5 * u)), weights
 
 
-def _graded_gauss_legendre(integrand, upper: np.ndarray, xs: np.ndarray, quad_tol: float, kinks) -> np.ndarray:
-    """integral_0^upper[i] integrand(v) dv for every i, one running sum over
-    pieces shared by every limit, cut at the kinks too; raises where the
-    error estimate exceeds quad_tol."""
-    graded_nodes, graded_w = _composite_rule(GL_PANELS, graded=True)
-    piece_nodes, piece_w = _composite_rule((1, 2), graded=False)
-    out, err = np.zeros((2, upper.size))
+def _identity_integrals(integrands, upper: np.ndarray, xs: np.ndarray, quad_tol: float, kinks) -> np.ndarray:
+    """integral_0^upper[k, i] integrands[k](v) dv for both k and every i, each
+    integrand constant on [0, head]; raises where the error estimate exceeds quad_tol."""
+    nodes, weights = _piece_rule()
+    out, err = np.zeros((2, *upper.shape))
     positive = upper > 0.0
     if np.any(positive):
-        limits = upper[positive]
-        # pieces between the breaks, then each limit's from the last break below it
-        head, top = min(limits.min(), kinks[0]), limits.max()
+        # the breaks both integrals share, and the last one at or below each limit
+        head, top = min(upper[positive].min(), kinks[0]), upper.max()
         doublings = np.ldexp(head, np.arange(int(math.log2(top) - math.log2(head)) + 1))
         breaks = np.sort(np.concatenate((doublings, [k for k in kinks if head < k < top])))
-        below = np.searchsorted(breaks, limits, side="right") - 1
-        starts = np.concatenate((breaks[:-1], breaks[below]))[:, None]
-        widths = np.concatenate((np.diff(breaks), limits - breaks[below]))[:, None]
-        # one integrand call per block of pieces, the graded rule's nodes in the first
-        step = (GL_BLOCK - 1) * graded_nodes.size // piece_nodes.size
-        sums = []
+        below = np.searchsorted(breaks, upper, side="right") - 1
+        # each limit's own piece runs from the last break below it over the rest of the way
+        cut = breaks[below]
+        rest, gaps = upper - cut, np.diff(breaks)
+        step = (GL_BLOCK - 1) // nodes.size
         # a zero weight meets an infinite value as nan: the estimate is not finite either way
         with np.errstate(invalid="ignore"):
-            for start in range(0, widths.size, step):
-                rows = slice(start, start + step)
-                nodes = (starts[rows] + widths[rows] * piece_nodes).ravel()
-                values = as_float_array(integrand(np.concatenate((head * graded_nodes, nodes)) if start == 0 else nodes))
-                if start == 0:
-                    lo, hi = head * (values[: graded_nodes.size] @ graded_w)
-                    values = values[graded_nodes.size :]
-                sums.append(values.reshape(-1, piece_nodes.size) @ piece_w)
-            one, two = (widths * np.concatenate(sums)).T
-            # each piece's integral and error estimate, summed from the graded rule's
-            pieces = np.stack((two, np.abs(two - one)), axis=1)
-            running = np.cumsum(np.concatenate(([[hi, abs(hi - lo)]], pieces[: breaks.size - 1])), axis=0)
-            out[positive], err[positive] = (running[below] + pieces[breaks.size - 1 :]).T
+            for k in np.flatnonzero(positive.any(axis=1)):
+                # the shared pieces up to this integral's last break, then each limit's own
+                own, last = positive[k], below[k, positive[k]]
+                shared = last.max()
+                lo = np.concatenate((breaks[:shared], cut[k, own]))[:, None]
+                width = np.concatenate((gaps[:shared], rest[k, own]))[:, None]
+                # the head piece, then each piece at one and two panels, from one
+                # integrand call per block of pieces, the first led by v = 0
+                rows = np.empty((1 + width.size, 2))
+                for i in range(0, width.size, step):
+                    v = (lo[i : i + step] + width[i : i + step] * nodes).ravel()
+                    values = integrands[k](v if i else np.concatenate(([0.0], v)))
+                    if not i:
+                        constant, values = values[0], values[1:]
+                    np.matmul(values.reshape(-1, nodes.size), weights, out=rows[1 + i : 1 + i + step])
+                rows[1:] *= width
+                # each piece's error estimate and integral; the exact head's estimate is 0 (nan if not finite)
+                rows[0] = 0.0 * constant, head * constant
+                rows[1:, 0] = np.abs(rows[1:, 1] - rows[1:, 0])
+                running = np.cumsum(rows[: shared + 1], axis=0)
+                err[k, own], out[k, own] = (running[last] + rows[shared + 1 :]).T
     bad = ~(err <= np.maximum(quad_tol, quad_tol * np.abs(out)))
     if np.any(bad):
-        i = int(np.argmax(bad))
-        raise RuntimeError(f"quadrature did not converge: at x={xs[i]:.17g} the error estimate is {err[i]:.3e}")
+        k, i = np.unravel_index(np.argmax(bad), bad.shape)
+        raise RuntimeError(f"quadrature did not converge: at x={xs[i]:.17g} the error estimate is {err[k, i]:.3e}")
     return out
