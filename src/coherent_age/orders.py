@@ -54,12 +54,9 @@ MAX_SKIP_FRACTION = 0.05
 GL_NODES = 16
 # integrand nodes per call: bounds each temporary to 1.5 MB
 GL_BLOCK = 196_608
-# the quantile levels every bracketed grid spans
+# the quantile levels every bracketed grid spans, and a margin's survival there
 Q_LO, Q_HI = 0.001, 0.999
-# the most doublings (halvings) that widen a system grid's bracket ends
-WIDEN_STEPS = 200
-# a quantile bracket at most this many floats wide is finished in one mixture call
-FINISH_FLOATS = 64
+MARGIN_LEVELS = (1.0 - Q_LO, 1.0 - Q_HI)
 
 
 @dataclass(frozen=True)
@@ -102,151 +99,18 @@ class Grid:
         call per margin.  That hull contains the [Q_LO, Q_HI] quantiles of
         the equal mixture of the two margins, and avoids both indeterminate
         tails."""
-        return cls.log_spaced(*_quantile_bracket(dist_x, dist_y), size)
+        return cls.log_spaced(*_quantile_bracket((dist_x, MARGIN_LEVELS), (dist_y, MARGIN_LEVELS)), size)
 
     @classmethod
-    def system_bracketed(cls, sys1, sys2, size: int = 2001) -> "Grid":
-        """Grid spanning the [Q_LO, Q_HI] quantiles of the equal mixture of
-        the two SYSTEM lifetimes.  System lifetimes can live far from their
+    def system_bracketed(cls, sys1: SystemModel, sys2: SystemModel, size: int = 2001) -> "Grid":
+        """The margin grid's rule for the two SYSTEM lifetimes: a system's
+        q-quantile is its margin's isf at h^-1(1-q), the reliability from
+        Distortion._levels.  System lifetimes can live far from their
         component margins (a parallel system dies long after its first
-        component), and ratios of system cumulative hazards are indeterminate
-        outside this range, so the margins' bracket is widened first.
-
-        The widening takes the first lo * 2**-k, k <= 200, at which the
-        mixture is <= Q_LO or that lies below 1e-280 (lo * 2**-200 when none
-        does), and likewise the first hi * 2**k with the mixture >= Q_HI or
-        above 1e280.  Scaling by a power of two is exact there, so these are
-        the floats of repeated halving and doubling; one mixture call tries
-        k = 0..7 at both ends, and the next eight follow only for an end
-        where none qualified (candidates past 1e-280 or 1e280 end the list).
-        The mixture values at the two ends it takes go on to _bracketed, so
-        its first call already halves.
-        """
-
-        # SystemModel.survival on the cores: the points are nonnegative, so
-        # every margin survival lies in [0, 1]
-        def mix_cdf(x):
-            xa = as_float_array(x)
-            sf1, sf2 = (s.distortion._evaluate(np.exp(-s.margin._chz(xa)), 0) for s in (sys1, sys2))
-            return 1.0 - 0.5 * (sf1 + sf2)
-
-        lo, hi = _quantile_bracket(sys1.margin, sys2.margin)
-        # per end: the direction of k, the level, the float-range stop and
-        # the start; the sign turns "F <= Q_LO or x < 1e-280" at the lower end
-        # into the ">= ... or >" of the upper end
-        ends = [(-1, Q_LO, 1e-280, lo), (1, Q_HI, 1e280, hi)]
-        found = {}
-        for k0 in range(0, WIDEN_STEPS + 1, 8):
-            tries = {}
-            for i, (sign, _, stop, start) in enumerate(ends):
-                if i in found:
-                    continue
-                xs = tries[i] = []
-                for k in range(k0, min(k0 + 8, WIDEN_STEPS + 1)):
-                    x = math.ldexp(start, sign * k)
-                    # taken whatever the mixture is there
-                    forced = sign * x > sign * stop or k == WIDEN_STEPS
-                    xs.append((x, forced))
-                    if forced:
-                        break
-            values = iter(as_float_array(mix_cdf(np.array([x for xs in tries.values() for x, _ in xs]))).tolist())
-            for i, xs in tries.items():
-                sign, level = ends[i][:2]
-                hits = [(x, f) for (x, forced), f in zip(xs, values) if forced or sign * f >= sign * level]
-                if hits:
-                    found[i] = hits[0]
-            if len(found) == 2:
-                break
-        (lo, f_lo), (hi, f_hi) = found[0], found[1]
-        return cls._bracketed(mix_cdf, lo, hi, size, Q_LO, Q_HI, f_ends=(f_lo, f_hi))
-
-    @classmethod
-    def _bracketed(cls, mix_cdf, lo: float, hi: float, size: int, q_lo: float, q_hi: float,
-                   f_ends: tuple[float, float] | None = None) -> "Grid":
-        """Log-spaced grid between the q_lo and q_hi quantiles of mix_cdf (of
-        a system grid's two lifetimes), both found as the floats that halving
-        [lo, hi] reaches when it runs until the midpoint equals an end of its
-        bracket.  A finite bracket gets there within 2098 halvings, and every
-        later bracket has that midpoint.
-
-        Each target keeps its bracket [a, b] and F there: f_ends, when the
-        caller has F(lo) and F(hi), else a first call on lo and hi.  Each
-        later call guesses the target by the secant in complementary log-log
-        coordinates (ln x against ln(-ln(1 - F)), where exponential, Weibull
-        and LFR mixtures and power-law distortion tails are nearly
-        straight), else by the secant through (a, F(a)) and (b, F(b)), else
-        by the midpoint.  A secant that is not defined does not count, and
-        one past an end of [a, b] is that end: the target then lies beyond
-        it, and the halvings converge to it.  The call walks the halvings
-        m = 0.5 * (a + b) towards the guess.  When both secants exist, their
-        distance estimates the guess's error, and a walk stops once its
-        bracket is narrower than 2**-10 of it; both lie in [a, b], so each
-        walk has at least one point.  Within FINISH_FLOATS floats of the
-        crossing a guess is rounding noise, so a bracket that narrow
-        (0 < a, b - a <= FINISH_FLOATS * ulp(a)) instead gets every float
-        strictly inside it, at most 63 (for 64 floats, the halving subtree to
-        depth 6).  They hold every midpoint its search can still reach, so
-        it ends in that call.
-
-        One mixture call evaluates the points of both targets, and each
-        target then takes the halvings whose midpoint is among them,
-        deciding each by `F(m) < target`.  Of a walk, that is its points up
-        to the first whose side disagrees with the guess, as the next
-        midpoint lies on the other side of that one.  Every call takes at
-        least one halving, and no grid depends on the guess, the walk length
-        or the finish, so the grid is the same floats as from one call per
-        halving.
-        """
-        if hi <= lo:
-            return cls.log_spaced(lo, lo, size)
-        lo, hi = float(lo), float(hi)
-        f_lo, f_hi = f_ends or as_float_array(mix_cdf(np.array([lo, hi]))).tolist()
-        targets = (q_lo, q_hi)
-        loglog_targets = [_cloglog(q) for q in targets]
-        # per target: a, b, F(a), F(b)
-        state = [[lo, hi, f_lo, f_hi], [lo, hi, f_lo, f_hi]]
-        while True:
-            points = []
-            for target, loglog_target, (a, b, fa, fb) in zip(targets, loglog_targets, state):
-                if 0.0 < a and b - a <= FINISH_FLOATS * math.ulp(a):
-                    # positive floats are in the order of their bit patterns
-                    a_bits, b_bits = np.array([a, b]).view(np.int64).tolist()
-                    points += np.arange(a_bits + 1, b_bits, dtype=np.int64).view(np.float64).tolist()
-                    continue
-                linear = _secant(a, b, fa, fb, target)
-                loglog = math.nan
-                if a > 0.0:
-                    # taken relative to b, so exp cannot overflow
-                    ln_b = math.log(b)
-                    ln_x = _secant(math.log(a), ln_b, _cloglog(fa), _cloglog(fb), loglog_target)
-                    loglog = b * math.exp(ln_x - ln_b)
-                guess = next((g for g in (loglog, linear) if not math.isnan(g)), 0.5 * (a + b))
-                # nan unless both secants exist: then the walk runs to the end
-                width = 2.0**-10 * abs(loglog - linear)
-                while True:
-                    m = 0.5 * (a + b)
-                    if m == a or m == b:
-                        break
-                    points.append(m)
-                    a, b = (m, b) if m < guess else (a, m)
-                    if b - a < width:
-                        break
-            if not points:
-                break
-            known = dict(zip(points, as_float_array(mix_cdf(np.array(points))).tolist()))
-            for target, end in zip(targets, state):
-                a, b, fa, fb = end
-                while True:
-                    m = 0.5 * (a + b)
-                    value = known.get(m)
-                    if value is None or m == a or m == b:
-                        break
-                    if value < target:
-                        a, fa = m, value
-                    else:
-                        b, fb = m, value
-                end[:] = a, b, fa, fb
-        return cls.log_spaced(0.5 * (state[0][0] + state[0][1]), 0.5 * (state[1][0] + state[1][1]), size)
+        component), and ratios of system cumulative hazards are
+        indeterminate outside this range."""
+        lifetimes = ((s.margin, s.distortion._levels(Q_LO, Q_HI)) for s in (sys1, sys2))
+        return cls.log_spaced(*_quantile_bracket(*lifetimes), size)
 
 
 @dataclass(frozen=True)
@@ -284,29 +148,15 @@ class VerifyConfig:
             _tolerance(getattr(self, key), key)
 
 
-def _quantile_bracket(dist_x: LifetimeDistribution, dist_y: LifetimeDistribution) -> tuple[float, float]:
-    """The lower of the two Q_LO quantiles and the higher of the two Q_HI
-    quantiles, from one isf call per margin; a hull that is not finite is
-    refused."""
-    (x_lo, x_hi), (y_lo, y_hi) = (
-        as_float_array(d.isf(np.array([1.0 - Q_LO, 1.0 - Q_HI]))).tolist() for d in (dist_x, dist_y)
-    )
+def _quantile_bracket(*lifetimes: tuple[LifetimeDistribution, tuple[float, float]]) -> tuple[float, float]:
+    """The lower of the lifetimes' Q_LO quantiles and the higher of their
+    Q_HI quantiles, from one isf call per lifetime, a margin and its survival
+    levels at those two quantiles; a hull that is not finite is refused."""
+    (x_lo, x_hi), (y_lo, y_hi) = (as_float_array(d.isf(np.array(levels))).tolist() for d, levels in lifetimes)
     lo, hi = min(x_lo, y_lo), max(x_hi, y_hi)
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"the quantile bracket [{lo!r}, {hi!r}] is not finite")
     return lo, hi
-
-
-def _secant(a: float, b: float, fa: float, fb: float, target: float) -> float:
-    """Where the chord through (a, fa) and (b, fb) reaches target, clamped
-    to [a, b]; nan when that is undefined."""
-    guess = a + (target - fa) * (b - a) / (fb - fa) if fb != fa else math.nan
-    return min(max(guess, a), b)
-
-
-def _cloglog(f: float) -> float:
-    """ln(-ln(1 - f)), nan outside 0 < f < 1."""
-    return math.log(-math.log1p(-f)) if 0.0 < f < 1.0 else math.nan
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,7 @@ parallel-heavy structures.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import combinations
@@ -256,6 +257,43 @@ class Distortion:
         if kind == "H":
             return value, 1.0 / pa + curvature - _flagged_ratio(d1, hv)
         return value, -1.0 / (1.0 - pa) + curvature + _flagged_ratio(d1, omh)
+
+    def _levels(self, q_lo: float, q_hi: float) -> tuple[float, float]:
+        """The reliabilities p with 1 - h(p) = q_lo and with h(p) = 1 - q_hi,
+        at which a margin's isf gives the system's q_lo and q_hi quantiles.
+
+        Each is a safeguarded Newton iteration on x = 1-p (the first) or
+        x = p (the second) in the coordinate ln x, where ln(1-h) and ln h
+        have the slopes R(p) and H(p), so a power-law tail takes one step.
+        The brackets, x in [2^-53, 1] and [2^-1074, 1], span the floats p in
+        (0, 1), and 1-h <= n(1-p) and h <= n p put the level inside.  A step
+        that leaves its bracket bisects it in ln x instead.  The iteration
+        stops once a Newton step is below 2^-26 of ln x, taking that step,
+        or once the bisection finds no float p strictly inside the bracket.
+        """
+        out = []
+        for level, upper in ((q_lo, True), (1.0 - q_hi, False)):
+            def evaluable(v):
+                # the x of the float p that 1 - v, or v, rounds to
+                return 1.0 - (1.0 - v) if upper else v
+
+            lo, hi, x = (2.0**-53 if upper else math.ulp(0.0)), 1.0, 0.5
+            while True:
+                pa = np.array(1.0 - x if upper else x)
+                value, d1 = (float(self._evaluate(pa, which)) for which in (int(upper), 2))
+                lo, hi = (x, hi) if value < level else (lo, x)
+                # over the slope x h'/(1-h) = R or x h'/h = H; a step that is not finite bisects
+                step = math.log(level / value) * value / (x * d1) if value > 0.0 and x * d1 > 0.0 else math.inf
+                if abs(step) <= 2.0**-26 * abs(math.log(x)):
+                    x *= math.exp(step)
+                    break
+                # ln x spans less than 745 in either bracket
+                newton = evaluable(x * math.exp(step)) if abs(step) < 745.0 else math.nan
+                x = newton if lo < newton < hi else evaluable(math.sqrt(lo) * math.sqrt(hi))
+                if not lo < x < hi:
+                    break
+            out.append(1.0 - x if upper else x)
+        return out[0], out[1]
 
     def _clamped(self, p) -> np.ndarray:
         # h's [0, 1] rule, then the clamp to the open interval

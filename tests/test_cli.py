@@ -416,6 +416,16 @@ class TestSchemaValidation:
             "error: cannot verify the two systems: the quantile bracket [0.0, inf] is not finite\n"
         )
 
+    def test_system_quantile_below_the_float_range_is_a_spec_error(self, tmp_path, capsys):
+        # the margins grid from 1.05e-300, but series(3)'s 0.001 quantile is about 1e-348
+        system = {**SERIES3_SYSTEM, "margin": {"family": "weibull", "shape": 0.01, "scale": 1.0}}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(tmp_path, "verify", {"system1": system, "system2": system, "relation": "c_star"}) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot verify the two systems: log-spaced grid ends must be positive, got 0.0 and ")
+        assert err.count("\n") == 1
+
     def test_too_many_path_sets_is_a_spec_error(self, tmp_path, capsys):
         # parallel(21): 21 components outside the (empty) common part of its path sets
         parallel21 = {

@@ -199,8 +199,7 @@ class TestSecondDerivative:
 
 
 # The per-j Clayton cores that ClaytonOakes._sum replaced, kept unchanged as
-# the reference its one-pass sums must equal bit for bit, the role that
-# sequential_bracketed plays for Grid._bracketed.
+# the reference its one-pass sums must equal bit for bit.
 def reference_exch(self, pa, j):
     out = np.zeros_like(pa)
     pos = pa > 0.0

@@ -43,45 +43,6 @@ def golden_grid(sysm, size=200):
     return Grid.margin_bracketed(sysm.margin, sysm.margin, size=size)
 
 
-def sequential_bracketed(mix_cdf, lo, hi, size, q_lo, q_hi):
-    """Grid._bracketed one halving at a time: one array call of mix_cdf on
-    the two current midpoints per halving, until neither midpoint moves."""
-    if hi <= lo:
-        return Grid.log_spaced(lo, lo, size)
-    targets = np.array([q_lo, q_hi])
-    lo_b = np.full(2, float(lo))
-    hi_b = np.full(2, float(hi))
-    mid = 0.5 * (lo_b + hi_b)
-    while True:
-        below = np.asarray(mix_cdf(mid), dtype=float) < targets
-        lo_b = np.where(below, mid, lo_b)
-        hi_b = np.where(below, hi_b, mid)
-        moved, mid = mid, 0.5 * (lo_b + hi_b)
-        if np.array_equal(mid, moved):
-            return Grid.log_spaced(float(mid[0]), float(mid[1]), size)
-
-
-def _lfr_mixture(x):
-    return 0.5 * (LFR_X.cdf(x) + LFR_Y.cdf(x))
-
-
-def _ulp_jitter(x):
-    # one ulp up or down by the parity of x's last mantissa bit: not monotone
-    v = _lfr_mixture(x)
-    odd = (np.asarray(x, dtype=float).view(np.uint64) & 1) == 1
-    return np.where(odd, np.nextafter(v, 2.0), np.nextafter(v, -1.0))
-
-
-# (mixture, lo, hi) on which a secant guess is wrong, undefined or not finite
-ADVERSARIAL_MIXTURES = {
-    "step": (lambda x: np.where(x < 2.0, 0.0, np.where(x < 5.0, 0.5, 1.0)), 1e-4, 10.0),
-    "flat": (lambda x: np.full_like(x, 0.5), 1e-4, 10.0),
-    "nan-above-1": (lambda x: np.where(x > 1.0, np.nan, _lfr_mixture(x)), 1e-4, 10.0),
-    "ulp-jitter": (_ulp_jitter, 1e-4, 10.0),
-    "ends-1e-300-1e300": (lambda x: np.minimum(x / 1e300, 1.0), 1e-300, 1e300),
-}
-
-
 class TestGrid:
     def test_log_spacing(self):
         g = Grid.log_spaced(0.01, 10.0, 101)
@@ -125,7 +86,9 @@ class TestGrid:
         # the 0.999 quantile of Weibull(0.002) is 6.9^500, past the float range
         with pytest.raises(ValueError, match=r"quantile bracket \[0.0, inf\] is not finite"):
             Grid.margin_bracketed(Weibull(0.002, 1.0), Exponential(1.0), size=5)
-        system = series3_system(Weibull(0.002, 1.0))
+        # parallel(3) keeps that upper end past the range, and its 0.001
+        # quantile, 0.105^500, underflows too
+        system = SystemModel(Structure.parallel(3), Independence(3), Weibull(0.002, 1.0))
         with pytest.raises(ValueError, match=r"quantile bracket \[0.0, inf\] is not finite"):
             Grid.system_bracketed(system, system, size=5)
 
@@ -150,7 +113,7 @@ class TestGrid:
 
     def test_system_bracketed_widens_past_the_margin(self):
         # a parallel system outlives its components: its 0.999 quantile lies
-        # beyond the margin's, so the margin bracket must widen to reach it
+        # beyond the margin's, and the grid ends there
         system = SystemModel(Structure.parallel(8), Independence(8), Exponential(1.0))
         g = Grid.system_bracketed(system, system, size=11)
         assert g.points[-1] > system.margin.isf(0.001)
@@ -172,10 +135,13 @@ class TestBracketEdges:
         g = Grid.margin_bracketed(d, d, size=11)
         assert g.points[0] == pytest.approx(d.isf(0.999), rel=1e-12, abs=0.0)
 
-    def test_system_grid_below_the_widening_floor_builds(self):
+    def test_system_quantile_below_the_float_range_rejected(self):
+        # the margin's 0.001 quantile is 1.05e-300, the series(3) system's
+        # about 1e-348: the system hull's lower end is 0, refused as a margin's is
         system = SystemModel(Structure.series(3), Independence(3), Weibull(0.01))
-        g = Grid.system_bracketed(system, system, size=11)
-        assert g.points[0] < 1e-280 < g.points[-1]
+        assert Grid.margin_bracketed(system.margin, system.margin, size=11).points[0] > 0.0
+        with pytest.raises(ValueError, match="log-spaced grid ends must be positive, got 0.0 and"):
+            Grid.system_bracketed(system, system, size=11)
 
 
 def bracketing_pairs():
@@ -184,7 +150,7 @@ def bracketing_pairs():
     k-of-n systems."""
     rng = np.random.default_rng(8080)
     pairs = [random_instance(rng, ("c_star", "b_star")[i % 2]) for i in range(40)]
-    # parallel(8) widens the system bracket far past the margins'; Weibull
+    # parallel(8) puts the system quantiles far past the margins'; Weibull
     # shape < 1 puts the lower quantiles many decades below the upper
     parallel8 = k_of_n_paths(1, 8)
     pairs += [
@@ -192,12 +158,10 @@ def bracketing_pairs():
         (SystemModel(parallel8, GumbelHougaard(1.5, 8), Weibull(0.6, 1.0)),
          SystemModel(parallel8, Independence(8), Exponential(2.0))),
     ]
-    # series(8) under Weibull(0.1) widens its lower end 31 steps, four
-    # mixture calls of eight candidates; under Weibull(0.01) the margin's
-    # 0.001 quantile already lies below the 1e-280 floor
-    for n, shape in ((8, 0.1), (3, 0.01)):
-        series = SystemModel(Structure.series(n), Independence(n), Weibull(shape))
-        pairs.append((series, series))
+    # series(8) under Weibull(0.1): the system's 0.001 quantile, 9e-40, lies
+    # 31 halvings below the margin's
+    series = SystemModel(Structure.series(8), Independence(8), Weibull(0.1))
+    pairs.append((series, series))
     # all 21 k-of-n systems with n <= 6 on the benchmark's Exp(2)/Exp(3)
     # margins, each paired with the next
     kofn = [(k, n) for n in range(1, 7) for k in range(1, n + 1)]
@@ -214,12 +178,26 @@ MARGIN_PAIRS = [(s1.margin, s2.margin) for s1, s2 in bracketing_pairs()] + [
 ]
 
 
+@pytest.fixture
+def chz_calls(monkeypatch):
+    """The argument sizes of every later margin cumulative-hazard core call."""
+    calls = []
+    for family in (Exponential, LinearFailureRate, Weibull):
+        def counted(self, xa, core=family._chz):
+            calls.append(xa.size)
+            return core(self, xa)
+
+        monkeypatch.setattr(family, "_chz", counted)
+    return calls
+
+
 class TestMarginGrid:
     @pytest.mark.parametrize("index", range(len(MARGIN_PAIRS)))
     def test_ends_are_the_quantile_hull_and_span_the_mixture(self, index):
         dx, dy = MARGIN_PAIRS[index]
         g = Grid.margin_bracketed(dx, dy, size=11)
-        assert (g.points[0], g.points[-1]) == orders._quantile_bracket(dx, dy)
+        assert (g.points[0], g.points[-1]) == orders._quantile_bracket((dx, orders.MARGIN_LEVELS),
+                                                                       (dy, orders.MARGIN_LEVELS))
         ends = g.points[[0, -1]]
         mix_cdf = 0.5 * (np.asarray(dx.cdf(ends)) + np.asarray(dy.cdf(ends)))
         # up to rounding: with one margin the ends are its own quantiles at the
@@ -227,148 +205,42 @@ class TestMarginGrid:
         assert mix_cdf[0] <= orders.Q_LO + 16 * math.ulp(orders.Q_LO)
         assert mix_cdf[1] >= orders.Q_HI - 16 * math.ulp(orders.Q_HI)
 
-    def test_margin_grid_calls_no_cumulative_hazard_core(self, monkeypatch):
-        calls = []
-        for family in (Exponential, LinearFailureRate, Weibull):
-            def counted(self, xa, core=family._chz):
-                calls.append(xa.size)
-                return core(self, xa)
-
-            monkeypatch.setattr(family, "_chz", counted)
+    def test_margin_grid_calls_no_cumulative_hazard_core(self, chz_calls):
         for dx, dy in MARGIN_PAIRS:
             Grid.margin_bracketed(dx, dy, size=11)
-        assert calls == []
+        assert chz_calls == []
 
 
-class TestBatchedBracketing:
-    def test_grids_match_one_halving_per_call(self, monkeypatch):
-        # every system grid is the sequential reference's, bit for bit
-        batched = Grid._bracketed.__func__
-        compared = []
+def nudged(p, floats):
+    """p moved by the given number of floats, up (positive) or down, within [0, 1]."""
+    return np.clip((np.asarray(p, dtype=float).view(np.int64) + floats).view(np.float64), 0.0, 1.0)
 
-        def both(cls, mix_cdf, lo, hi, size, q_lo, q_hi, **kw):
-            grid = batched(cls, mix_cdf, lo, hi, size, q_lo, q_hi, **kw)
-            ref = sequential_bracketed(mix_cdf, lo, hi, size, q_lo, q_hi)
-            compared.append(np.array_equal(grid.points, ref.points))
-            return grid
 
-        monkeypatch.setattr(Grid, "_bracketed", classmethod(both))
-        families = set()
-        pairs = bracketing_pairs()
-        for sys1, sys2 in pairs:
-            families |= {type(sys1.copula).__name__, type(sys2.copula).__name__}
+SYSTEM_PAIRS = bracketing_pairs()
+
+
+class TestSystemGrid:
+    @pytest.mark.parametrize("index", range(len(SYSTEM_PAIRS)))
+    def test_ends_are_the_quantile_hull_and_span_the_mixture(self, index):
+        sys1, sys2 = SYSTEM_PAIRS[index]
+        g = Grid.system_bracketed(sys1, sys2, size=11)
+        # each system's q-quantile is its margin's isf at h^-1(1 - q)
+        ends = [[s.margin.isf(p) for p in s.distortion._levels(orders.Q_LO, orders.Q_HI)] for s in (sys1, sys2)]
+        assert (g.points[0], g.points[-1]) == (min(ends[0][0], ends[1][0]), max(ends[0][1], ends[1][1]))
+
+        def mix_cdf(x, floats):
+            return 0.5 * sum(np.asarray(s.distortion.one_minus_h(nudged(s.margin.sf(x), floats))) for s in (sys1, sys2))
+
+        # up to rounding of the reliability: near p = 1 one float of a margin's
+        # survival moves 1 - h by up to 2000 ulps of Q_LO (series(8) under
+        # Weibull(0.1)), so the survivals move 2 floats towards each end's side
+        assert mix_cdf(g.points[0], 2) <= orders.Q_LO + 16 * math.ulp(orders.Q_LO)
+        assert mix_cdf(g.points[-1], -2) >= orders.Q_HI - 16 * math.ulp(orders.Q_HI)
+
+    def test_system_grid_calls_no_cumulative_hazard_core(self, chz_calls):
+        for sys1, sys2 in SYSTEM_PAIRS:
             Grid.system_bracketed(sys1, sys2, size=11)
-        assert families == {"Independence", "FGM", "GumbelHougaard", "ClaytonOakes"}
-        assert len(compared) == len(pairs) and all(compared)
-
-    def test_mixture_cdf_calls_per_grid(self):
-        calls = []
-
-        def mix_cdf(x):
-            calls.append(x.size)
-            return _lfr_mixture(x)
-
-        grid = Grid._bracketed(mix_cdf, 1e-4, 10.0, 11, 0.001, 0.999)
-        # the linear secant alone took 12 calls on 533 points, the log-log
-        # secant without the subtree finish 9 on 277
-        assert len(calls) <= 7 and sum(calls) <= 300
-        ref = sequential_bracketed(mix_cdf, 1e-4, 10.0, 11, 0.001, 0.999)
-        assert np.array_equal(grid.points, ref.points)
-
-    def test_system_grid_calls_widening_included(self, monkeypatch):
-        # each mixture call evaluates both margins' cumulative-hazard cores once
-        calls = []
-        for family in (Exponential, LinearFailureRate, Weibull):
-            def counted(self, xa, core=family._chz):
-                calls.append(xa.size)
-                return core(self, xa)
-
-            monkeypatch.setattr(family, "_chz", counted)
-        rng = np.random.default_rng(8080)
-        pairs = [random_instance(rng, ("c_star", "b_star")[i % 2]) for i in range(40)]
-        for sys1, sys2 in pairs:
-            Grid.system_bracketed(sys1, sys2, size=11)
-        # the widening and a first call on its ends took 10.5
-        assert len(calls) / 2 <= 8 * len(pairs)
-
-    @pytest.mark.parametrize("name", sorted(ADVERSARIAL_MIXTURES))
-    def test_adversarial_mixtures_match_one_halving_per_call(self, name):
-        # no secant guess can be trusted here; the grid must not depend on it
-        mix_cdf, lo, hi = ADVERSARIAL_MIXTURES[name]
-        calls = []
-
-        def counted(x):
-            calls.append(x.size)
-            return mix_cdf(x)
-
-        grid = Grid._bracketed(counted, lo, hi, 11, 0.001, 0.999)
-        assert len(calls) <= 81
-        ref = sequential_bracketed(mix_cdf, lo, hi, 11, 0.001, 0.999)
-        assert np.array_equal(grid.points, ref.points)
-
-    def test_empty_bracket_raises_like_the_reference(self):
-        calls = []
-
-        def mix_cdf(x):
-            calls.append(x.size)
-            return _lfr_mixture(x)
-
-        for lo, hi in ((1.0, 1.0), (2.0, 1.0)):
-            with pytest.raises(ValueError, match="strictly increasing"):
-                sequential_bracketed(mix_cdf, lo, hi, 11, 0.001, 0.999)
-            with pytest.raises(ValueError, match="strictly increasing"):
-                Grid._bracketed(mix_cdf, lo, hi, 11, 0.001, 0.999)
-        assert calls == []
-
-    @pytest.mark.parametrize("lo", [1.0, 1.0 + 2.0**-52])
-    def test_stalled_bracket_takes_no_halving(self, lo):
-        # [lo, next float]: the midpoint rounds to lo (even) or to the upper
-        # end (odd lo), so every halving would keep it; only the ends are evaluated
-        hi = float(np.nextafter(lo, 2.0))
-        calls = []
-
-        def mix_cdf(x):
-            calls.append(x.size)
-            return np.full_like(x, 0.5)
-
-        with pytest.raises(ValueError, match="strictly increasing"):
-            Grid._bracketed(mix_cdf, lo, hi, 11, 0.001, 0.999)
-        assert calls == [2]
-        with pytest.raises(ValueError, match="strictly increasing"):
-            sequential_bracketed(mix_cdf, lo, hi, 11, 0.001, 0.999)
-
-
-class TestSubtreeFinish:
-    @pytest.mark.parametrize("name", ["ulp-jitter", "step", "flat"])
-    @pytest.mark.parametrize("lo", [1.0, 1e-300])
-    @pytest.mark.parametrize("span", [2, 40, 64, 65])
-    def test_narrow_bracket_matches_one_halving_per_call(self, name, lo, span):
-        # [lo, lo + span ulps]; at 64 ulps or fewer every halving is in the
-        # one call after the ends, at 65 the secant walk runs first
-        mix_cdf = ADVERSARIAL_MIXTURES[name][0]
-        hi = lo + span * math.ulp(lo)
-        calls = []
-
-        def counted(x):
-            calls.append(x.size)
-            return mix_cdf(x)
-
-        # the default levels, and F at the middle with the next float up,
-        # where the jitter turns the comparison from one point to the next
-        f_mid = float(mix_cdf(np.array([0.5 * (lo + hi)]))[0])
-        for q_lo, q_hi in ((0.001, 0.999), (f_mid, float(np.nextafter(f_mid, 2.0)))):
-            calls.clear()
-            try:
-                grid = Grid._bracketed(counted, lo, hi, 11, q_lo, q_hi).points
-            except ValueError as error:
-                grid = str(error)
-            try:
-                ref = sequential_bracketed(mix_cdf, lo, hi, 11, q_lo, q_hi).points
-            except ValueError as error:
-                ref = str(error)
-            assert type(grid) is type(ref) and np.array_equal(grid, ref)
-            if span <= 64:
-                assert len(calls) == 2 and calls[0] == 2 and calls[1] <= 2 * 63
+        assert chz_calls == []
 
 
 def on_grid(f, grid):

@@ -10,6 +10,7 @@ from mpmath import mp, mpf
 from coherent_age.copulas import ClaytonOakes, FGM, GumbelHougaard, Independence
 from coherent_age.distributions import Exponential, LinearFailureRate
 from coherent_age.systems import Distortion, Structure, SystemModel, build_distortion, k_of_n_paths
+from corpus_helpers import exact_exch
 
 GRID = np.linspace(0.0, 1.0, 1001)
 OPEN_GRID = np.linspace(1e-3, 1.0 - 1e-3, 1001)
@@ -404,6 +405,114 @@ class TestElasticities:
         d = build_distortion(Structure.parallel(3), Independence(3))
         assert d.H(0.0) == d.H(1e-9) and d.H(1.0) == d.H(1.0 - 1e-9)
         assert d.R(0.0) == d.R(1e-9) and d.R(1.0) == d.R(1.0 - 1e-9)
+
+
+# the levels a system grid solves for: 1 - h(p) = Q_LO and h(p) = 1 - Q_HI
+LEVELS = (0.001, 0.999)
+
+
+def level_errors(d, want):
+    """|p - want| of both reliabilities from d._levels, in units of 2^-52
+    times want at the p -> 0 end and times max(want, 1 - want) at the
+    p -> 1 end, where p = 1 - (1-p) cannot be nearer than half an ulp of p."""
+    got = d._levels(*LEVELS)
+    scales = (max(want[0], 1 - want[0]), want[1])
+    return [float(abs(mpf(g) - w) / (2.0**-52 * scale)) for g, w, scale in zip(got, want, scales)]
+
+
+def exact_levels(d, guess):
+    """The 50-digit roots of 1 - h(p) = Q_LO and h(p) = 1 - Q_HI near guess,
+    h = sum_j c_j K_j from each family's closed form."""
+    def h(p):
+        return sum(c * exact_exch(d.copula, p, j)[0] for j, c in d.coeffs)
+
+    q_lo, level = mpf(LEVELS[0]), mpf(1.0 - LEVELS[1])
+    with mp.workdps(50):
+        # the first solved for 1-p, which keeps its digits near p = 1
+        tail = mp.findroot(lambda t: 1 - h(1 - t) - q_lo, mpf(1.0 - guess[0]))
+        return 1 - tail, mp.findroot(lambda p: h(p) - level, mpf(guess[1]))
+
+
+class TestLevels:
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_series_and_parallel_match_closed_forms(self, n):
+        # series: h = p^n (p^(n^(1/2.5)) under Gumbel-Hougaard 2.5);
+        # parallel: 1 - h = (1-p)^n
+        q_lo, level = mpf(LEVELS[0]), mpf(1.0 - LEVELS[1])
+        with mp.workdps(50):
+            cases = [(Structure.parallel(n), Independence(n), None)] + [
+                (Structure.series(n), copula, power) for copula, power in
+                ((Independence(n), mpf(n)), (GumbelHougaard(2.5, n), mpf(n) ** (1 / mpf(2.5))))]
+            for structure, copula, power in cases:
+                if power is None:
+                    want = 1 - q_lo ** (1 / mpf(n)), 1 - (1 - level) ** (1 / mpf(n))
+                else:
+                    want = (1 - q_lo) ** (1 / power), level ** (1 / power)
+                # within 8 units: parallel(19)'s Bernstein h at p = 5e-5 reads
+                # q = fl(1-p), whose rounding q^18 amplifies to 6 units
+                assert max(level_errors(build_distortion(structure, copula), want)) <= 8
+
+    @pytest.mark.parametrize("theta", [1.0, -1.0])
+    @pytest.mark.parametrize("structure", [Structure.series(3), Structure.from_paths(3, [[1, 2], [1, 3]]),
+                                           k_of_n_paths(2, 3), Structure.parallel(3)],
+                             ids=["series", "pair-series", "2of3", "parallel"])
+    def test_fgm_at_both_ends_of_theta(self, structure, theta):
+        # the signed FGM sum for parallel(3) at theta = 1 cancels in 1 - h
+        # near p = 0.86, where p is off by 7.6e-15 relative
+        d = build_distortion(structure, FGM(theta))
+        got = d._levels(*LEVELS)
+        for g, w in zip(got, exact_levels(d, got)):
+            assert abs(mpf(g) - w) <= 5e-14 * w
+
+    def test_clayton_parallel8_near_independence(self):
+        # theta = 0.05: the signed sum of eight Clayton terms cancels in
+        # 1 - h, and p with 1 - h(p) = 0.001 reads 1.1e-14 relative off
+        d = build_distortion(Structure.parallel(8), ClaytonOakes(0.05, 8))
+        got = d._levels(*LEVELS)
+        for g, w in zip(got, exact_levels(d, got)):
+            assert abs(mpf(g) - w) <= 5e-14 * w
+
+    def test_rounds_per_distortion(self, monkeypatch):
+        # a round evaluates 1-h or h, and h'; Newton in the tail-log coordinates
+        # takes 2 rounds per end for n = 1 and at most 3 on this battery
+        evaluations = []
+        evaluate = Distortion._evaluate
+
+        def counted(self, p, which):
+            evaluations.append(which)
+            return evaluate(self, p, which)
+
+        monkeypatch.setattr(Distortion, "_evaluate", counted)
+        for n in range(1, 21):
+            for structure in (Structure.series(n), Structure.parallel(n)):
+                evaluations.clear()
+                build_distortion(structure, Independence(n))._levels(*LEVELS)
+                rounds = evaluations.count(2)
+                assert len(evaluations) == 2 * rounds and rounds <= 6
+
+    @pytest.mark.parametrize("structure", [Structure.series(1), Structure.series(3), Structure.parallel(20),
+                                           k_of_n_paths(2, 3)], ids=["single", "series3", "parallel20", "2of3"])
+    def test_bisection_finishes_when_every_newton_step_leaves_its_bracket(self, structure, monkeypatch):
+        # h' scaled by 2^-1000 makes every slope tiny, so every Newton step
+        # leaves its bracket; halving ln x from widths 37 and 744 until no
+        # float p lies strictly inside takes 98-116 rounds for both ends here
+        d = build_distortion(structure, Independence(structure.n))
+        evaluate = Distortion._evaluate
+        rounds = []
+
+        def flat(self, p, which):
+            rounds.append(which)
+            return evaluate(self, p, which) * (2.0**-1000 if which == 2 else 1.0)
+
+        monkeypatch.setattr(Distortion, "_evaluate", flat)
+        p_lo, p_hi = d._levels(*LEVELS)
+        assert 80 <= rounds.count(2) <= 128
+        monkeypatch.undo()
+        # each level lies within 2 floats of its reliability
+        (lo_down, lo_up), (hi_down, hi_up) = (
+            (np.array([p, p]).view(np.int64) + [-2, 2]).view(np.float64) for p in (p_lo, p_hi))
+        assert d.one_minus_h(lo_up) <= LEVELS[0] <= d.one_minus_h(lo_down)
+        assert d.h(hi_down) <= 1.0 - LEVELS[1] <= d.h(hi_up)
 
 
 class TestSystemModel:
