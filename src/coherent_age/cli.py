@@ -311,8 +311,7 @@ def _cmd_verify(spec: RunSpec) -> int:
 def _cmd_simulate(spec: RunSpec) -> int:
     from .montecarlo import simulate_system
 
-    block = spec.system1
-    model = block.model("system1")
+    model = spec.system1.model("system1")
     result = simulate_system(model.structure, model.copula, model.margin, spec.sim)
     meta = {
         "spec_sha256": spec.sha256,

@@ -33,7 +33,7 @@ import numpy as np
 from ._num import _integer
 from .copulas import ClaytonOakes, Copula, FGM, GumbelHougaard, _is_independence
 from .distributions import LifetimeDistribution
-from .systems import Structure, build_distortion
+from .systems import Structure, _members, build_distortion
 
 __all__ = ["SimConfig", "sample_copula", "simulate_system", "SimulationResult"]
 
@@ -141,7 +141,7 @@ def _system_lifetime(values: np.ndarray, paths, rising: bool = True) -> np.ndarr
     min over paths of the max within each when lifetimes fall as values rise."""
     inner, outer = (np.minimum, np.maximum) if rising else (np.maximum, np.minimum)
     columns = values.T
-    path_values = (reduce(inner, [columns[i - 1] for i in sorted(path)]) for path in paths)
+    path_values = (reduce(inner, [columns[i - 1] for i in _members(path)]) for path in paths)
     return reduce(outer, path_values)
 
 

@@ -36,9 +36,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache
-from itertools import combinations
+from functools import cache, reduce
 from math import comb
+from operator import and_, or_
 
 import numpy as np
 
@@ -64,13 +64,14 @@ MAX_COMPONENTS = 20
 class Structure:
     """Coherent structure: component count n and minimal path sets.
 
-    Path sets must be mutually non-nested (minimality) and jointly cover all
-    components (every component relevant).  counts[k] is N_k, the number of
-    k-subsets of components that contain a path set, for k = 0..n.
+    paths holds the path sets as integer masks, bit i-1 for component i, in
+    increasing order.  They must be mutually non-nested (minimality) and
+    jointly cover all components (every component relevant).  counts[k] is
+    N_k, the number of k-subsets of components that contain a path set.
     """
 
     n: int
-    paths: tuple[frozenset[int], ...]
+    paths: tuple[int, ...]
     counts: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -78,63 +79,69 @@ class Structure:
             raise ValueError("component count must be at least 1")
         if not self.paths:
             raise ValueError("structure needs at least one path set")
-        components = frozenset(range(1, self.n + 1))
-        seen = set()
-        for path in self.paths:
-            if not path:
-                raise ValueError("path sets must be nonempty")
-            if not path <= components:
-                raise ValueError(f"path {sorted(path)} uses components outside 1..{self.n}")
-            if path in seen:
-                raise ValueError(f"duplicate path set {sorted(path)}")
-            seen.add(path)
-        missing = components.difference(*self.paths)
+        object.__setattr__(self, "paths", tuple(sorted(self.paths)))
+        if self.paths[0] <= 0:
+            raise ValueError("path sets must be nonempty")
+        if self.paths[-1] >> self.n:
+            raise ValueError(f"path {_members(self.paths[-1])} uses components outside 1..{self.n}")
+        missing = ((1 << self.n) - 1) & ~reduce(or_, self.paths)
         if missing:
-            raise ValueError(f"components {sorted(missing)} appear in no path set (not coherent)")
-        common = frozenset.intersection(*self.paths)
-        free = sorted(components - common)
+            raise ValueError(f"components {_members(missing)} appear in no path set (not coherent)")
+        common = reduce(and_, self.paths)
+        free = [i for i in range(self.n) if not common >> i & 1]
         if len(free) > MAX_COMPONENTS:
             raise ValueError(f"structure has {len(free)} components outside the common part "
                              f"of its path sets; refusing more than {MAX_COMPONENTS}")
-        # table[s]: how many path sets (at most all of them) lie in the common
-        # part plus the subset s of the free components; pass i adds each set
-        # without free component i into the same set with it
-        weight = dict.fromkeys(common, 0) | {c: 1 << i for i, c in enumerate(free)}
-        masks = np.array([sum(map(weight.__getitem__, path)) for path in self.paths])
-        table = np.zeros(1 << len(free), dtype=np.min_scalar_type(len(self.paths)))
-        table[masks] = 1
+        # table[s]: how many path sets (at most all) lie in the common part plus
+        # the subset s of the free components, the common bits squeezed out of
+        # s; pass i adds each set without free component i into the same set with it
+        index = np.array([sum(1 << j for j, i in enumerate(free) if path >> i & 1) for path in self.paths]
+                         if common else self.paths)
+        table = np.bincount(index, minlength=1 << len(free)).astype(np.min_scalar_type(len(self.paths)))
         for i in range(len(free)):
             halves = table.reshape(-1, 2, 1 << i)
             halves[:, 1] += halves[:, 0]
-        # a minimal path set contains no path set but itself
-        within = table[masks]
+        # minimal: no path set lies in another or repeats; the first inside b is b for a repeat
+        within = table[index]
         if within.max() > 1:
             b = self.paths[int(np.argmax(within))]
-            a = next(a for a in self.paths if a < b)
-            raise ValueError(f"path {sorted(a)} is contained in {sorted(b)}; path sets must be minimal")
+            a = next(a for a in self.paths if (a & ~b) == 0)
+            raise ValueError(f"duplicate path set {_members(b)}" if a == b else
+                             f"path {_members(a)} is contained in {_members(b)}; path sets must be minimal")
         working = np.bincount(_popcounts(len(free))[table > 0], minlength=len(free) + 1)
-        object.__setattr__(self, "counts", (0,) * len(common) + tuple(working.tolist()))
+        object.__setattr__(self, "counts", (0,) * (self.n - len(free)) + tuple(working.tolist()))
 
     @classmethod
     def from_paths(cls, n: int, paths) -> "Structure":
-        norm = tuple(sorted((frozenset(int(i) for i in p) for p in paths), key=lambda s: (len(s), sorted(s))))
-        return cls(n=n, paths=norm)
+        members = [sorted({int(i) for i in path}) for path in paths]
+        for path in members:
+            if path and not 1 <= path[0] <= path[-1] <= n:
+                raise ValueError(f"path {path} uses components outside 1..{n}")
+        return cls(n, tuple(sum(1 << (i - 1) for i in path) for path in members))
 
     @classmethod
     def series(cls, n: int) -> "Structure":
-        return cls.from_paths(n, [range(1, n + 1)])
+        return cls(n, ((1 << n) - 1,))
 
     @classmethod
     def parallel(cls, n: int) -> "Structure":
-        return cls.from_paths(n, [[i] for i in range(1, n + 1)])
+        return cls(n, tuple(1 << i for i in range(n)))
+
+
+def _members(mask: int) -> list[int]:
+    """The components of a path-set mask, in increasing order."""
+    return [i + 1 for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 def k_of_n_paths(k: int, n: int) -> Structure:
-    """Structure whose minimal path sets are all k-subsets of {1..n}."""
+    """Structure whose minimal path sets are all k-subsets of {1..n}, as masks in increasing order."""
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    # combinations come in from_paths order
-    return Structure(n, tuple(map(frozenset, combinations(range(1, n + 1), k))))
+    if k < n and n > MAX_COMPONENTS:
+        # k < n leaves all n components free, and parallel(n) refuses as many
+        Structure.parallel(n)
+    masks = np.flatnonzero(_popcounts(n) == k).tolist() if k < n else [(1 << n) - 1]
+    return Structure(n, tuple(masks))
 
 
 @cache

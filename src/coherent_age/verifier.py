@@ -79,11 +79,8 @@ class ConditionReport:
 
     @property
     def exit_code(self) -> int:
-        if self.conclusion == "certified":
-            return EXIT_CERTIFIED
-        if self.conclusion == "inconclusive":
-            return EXIT_INCONCLUSIVE
-        return EXIT_NOT_CERTIFIED
+        codes = {"certified": EXIT_CERTIFIED, "inconclusive": EXIT_INCONCLUSIVE}
+        return codes.get(self.conclusion, EXIT_NOT_CERTIFIED)
 
     def to_dict(self) -> dict:
         return {
@@ -112,12 +109,9 @@ def _elasticity_sign_condition(name, kind, p, values, sign_slack, tol) -> Condit
     sign = "nonpositive" if kind == "H" else "nonnegative"
     sign_verdict = verdict(p, values, sign, sign_slack, f"{name}:sign")
     mono_verdict = verdict(p, values, "decr", tol, f"{name}:decreasing")
-    # boundary: the sign condition holds only by slack (identically-zero case)
-    kept = values[np.isfinite(values)]
-    if sign == "nonpositive":
-        boundary = bool(kept.size and np.max(kept) > -sign_slack)
-    else:
-        boundary = bool(kept.size and np.min(kept) < sign_slack)
+    # boundary: the sign holds only by slack (identically-zero case); "nonnegative" values are negated
+    kept = values[np.isfinite(values)] * (1.0 if sign == "nonpositive" else -1.0)
+    boundary = bool(kept.size and np.max(kept) > -sign_slack)
     detail = "holds in the zero-within-slack boundary sense" if boundary else ""
     return _combine(name, [sign_verdict, mono_verdict], boundary=boundary, detail=detail)
 

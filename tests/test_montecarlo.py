@@ -157,7 +157,9 @@ class TestSimulateSystem:
 # column-view, sort-and-count and explicit-product forms must give the same bits.
 
 def reference_system_lifetime(lifetimes, paths):
-    path_mins = [np.min(lifetimes[:, [i - 1 for i in sorted(path)]], axis=1) for path in paths]
+    # a path set is a mask with bit i-1 for component i
+    columns = range(lifetimes.shape[1])
+    path_mins = [np.min(lifetimes[:, [i for i in columns if path >> i & 1]], axis=1) for path in paths]
     return np.max(np.column_stack(path_mins), axis=1)
 
 

@@ -9,7 +9,8 @@ from mpmath import mp, mpf
 
 from coherent_age.copulas import ClaytonOakes, FGM, GumbelHougaard, Independence
 from coherent_age.distributions import Exponential, LinearFailureRate
-from coherent_age.systems import Distortion, Structure, SystemModel, build_distortion, k_of_n_paths
+from coherent_age import systems
+from coherent_age.systems import MAX_COMPONENTS, Distortion, Structure, SystemModel, build_distortion, k_of_n_paths
 from corpus_helpers import exact_exch
 
 GRID = np.linspace(0.0, 1.0, 1001)
@@ -29,7 +30,8 @@ def exact_reference(structure, p):
     """h, 1-h and h' at p with independent components, in exact rationals.
 
     Enumerates all 2^n component states, so it shares nothing with the
-    engine's coefficients or weights.
+    engine's coefficients or weights.  A state works when it holds a path
+    set, a mask with bit i-1 for component i.
     """
     n = structure.n
     p = Fraction(p)
@@ -39,7 +41,8 @@ def exact_reference(structure, p):
         term = p**size * q ** (n - size)
         dterm = size * p ** (size - 1) * q ** (n - size) - (n - size) * p**size * q ** (n - size - 1)
         for state in combinations(range(1, n + 1), size):
-            if any(path <= set(state) for path in structure.paths):
+            up = sum(1 << (i - 1) for i in state)
+            if any(path & ~up == 0 for path in structure.paths):
                 h += term
                 dh += dterm
             else:
@@ -59,7 +62,7 @@ REFERENCE_STRUCTURES = {
 def subfamily_coefficients(structure):
     """Inclusion-exclusion coefficients by walking all 2^r - 1 nonempty
     subfamilies of path sets: subfamily S adds (-1)^(|S|+1) at |union S|."""
-    masks = [sum(1 << (i - 1) for i in path) for path in structure.paths]
+    masks = structure.paths
     r = len(masks)
     unions = [0] * (1 << r)
     coeffs = {}
@@ -91,8 +94,9 @@ def coefficient_copulas(n):
 
 class TestStructure:
     def test_series_and_parallel(self):
-        assert Structure.series(3).paths == (frozenset({1, 2, 3}),)
-        assert len(Structure.parallel(4).paths) == 4
+        # bit i-1 stands for component i
+        assert Structure.series(3).paths == (0b111,)
+        assert Structure.parallel(4).paths == (0b0001, 0b0010, 0b0100, 0b1000)
 
     def test_non_minimal_rejected(self):
         with pytest.raises(ValueError, match="minimal"):
@@ -122,7 +126,49 @@ class TestStructure:
 
     def test_duplicate_path_rejected(self):
         with pytest.raises(ValueError):
-            Structure(2, (frozenset({1, 2}), frozenset({1, 2})))
+            Structure(2, (0b11, 0b11))
+
+    @pytest.mark.parametrize("n, paths, message", [
+        (2, [[3, 1], [2]], "path [1, 3] uses components outside 1..2"),
+        (2, [[2], [1, 0]], "path [0, 1] uses components outside 1..2"),
+        (3, [[2, 1], [3], [1, 2]], "duplicate path set [1, 2]"),
+        (4, [[3, 2, 1], [4, 3], [2, 1]], "path [1, 2] is contained in [1, 2, 3]; path sets must be minimal"),
+        (5, [[2, 1], [3, 2]], "components [4, 5] appear in no path set (not coherent)"),
+    ], ids=["above-n", "component-0", "duplicate", "nested", "uncovered"])
+    def test_errors_name_path_sets_as_sorted_components(self, n, paths, message):
+        with pytest.raises(ValueError) as info:
+            Structure.from_paths(n, paths)
+        assert str(info.value) == message
+
+    def test_repeated_component_counts_once(self):
+        once = Structure.from_paths(3, [[1, 2], [3]])
+        assert Structure.from_paths(3, [[1, 1, 2], [3]]) == once
+        assert Structure.from_paths(3, [[1, 1, 2], [3]]).counts == once.counts
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_one_canonical_path_order(self, n):
+        # a lexicographic walk of the k-subsets is not increasing as masks
+        # (2-of-4 gives 3, 5, 9, 6), so every constructor sorts the same way
+        for k in range(1, n + 1):
+            subsets = list(combinations(range(1, n + 1), k))
+            assert Structure.from_paths(n, subsets) == k_of_n_paths(k, n)
+            assert Structure.from_paths(n, subsets[::-1]) == k_of_n_paths(k, n)
+        assert Structure.from_paths(n, [range(1, n + 1)]) == Structure.series(n) == k_of_n_paths(n, n)
+        assert Structure.from_paths(n, [[i] for i in range(n, 0, -1)]) == Structure.parallel(n) == k_of_n_paths(1, n)
+
+    @pytest.mark.parametrize("k, n", [(1, 21), (2, 64)])
+    def test_k_of_n_past_max_components_refused(self, monkeypatch, k, n):
+        widths = []
+        popcounts = systems._popcounts
+        monkeypatch.setattr(systems, "_popcounts", lambda m: widths.append(m) or popcounts(m))
+        with pytest.raises(ValueError) as info:
+            k_of_n_paths(k, n)
+        assert str(info.value) == (f"structure has {n} components outside the common part "
+                                   f"of its path sets; refusing more than {MAX_COMPONENTS}")
+        assert all(m <= MAX_COMPONENTS for m in widths)
+
+    def test_k_of_n_with_k_equal_n_is_series_at_large_n(self):
+        assert k_of_n_paths(400, 400) == Structure.series(400)
 
 
 class TestBuildDistortion:
