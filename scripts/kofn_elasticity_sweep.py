@@ -7,6 +7,8 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 try:
     import coherent_age  # noqa: F401
 except ImportError:
@@ -62,16 +64,19 @@ def main():
     except ValueError as exc:
         parser.error(f"--slack {args.slack}: {exc}")
 
+    # the ratio checks compare logs, as the library's condition (i) does:
+    # H1/H2 is monotone exactly when ln H1 - ln H2 is
+    logs = {kn: (np.log(h), np.log(r)) for kn, ((h, _), (r, _)) in profiles.items()}
     checks = 0
     for k, n in pairs:
         for l, m in pairs:
-            ((h1, _), (r1, _)), ((h2, _), (r2, _)) = profiles[(k, n)], profiles[(l, m)]
+            (log_h1, log_r1), (log_h2, log_r2) = logs[(k, n)], logs[(l, m)]
             if k <= l and m - l <= n - k:
-                v = verdict(p, h1 / h2, "decr", args.slack, "monotone")
+                v = verdict(p, log_h1 - log_h2, "decr", args.slack, "monotone")
                 worst["H-ratio"] = max(worst["H-ratio"], v.violation)
                 checks += 1
             if l <= k and n - k <= m - l:
-                v = verdict(p, r1 / r2, "incr", args.slack, "monotone")
+                v = verdict(p, log_r1 - log_r2, "incr", args.slack, "monotone")
                 worst["R-ratio"] = max(worst["R-ratio"], v.violation)
                 checks += 1
 

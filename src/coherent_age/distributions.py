@@ -1,11 +1,11 @@
 """Parametric lifetime distributions with closed-form reliability functions.
 
 Every family exposes the functions used throughout the package: survival
-``sf``, distribution ``cdf``, hazard rate ``hazard``, reversed hazard rate
-``rev_hazard``, the cumulative (reversed) hazards ``cum_hazard`` /
-``cum_rev_hazard``, and the inverse survival function ``isf``.  All are exact
-closed forms; there is no generic numeric inversion anywhere.  Where a log argument underflows to zero
-the affected function returns ``inf`` instead of raising, so grid sweeps can
+``sf``, distribution ``cdf``, hazard rate ``hazard``, the cumulative
+(reversed) hazards ``cum_hazard`` / ``cum_rev_hazard``, and the inverse
+survival function ``isf``.  All are exact closed forms; there is no generic
+numeric inversion anywhere.  Where a log argument underflows to zero the
+affected function returns ``inf`` instead of raising, so grid sweeps can
 skip and count flagged points.  ``match_input`` and ``as_float_array``, the
 scalar-or-array input helpers of every numeric module, live here.
 """
@@ -83,13 +83,6 @@ class LifetimeDistribution(ABC):
     def cdf(self, x):
         xa = _check_nonneg(x)
         return match_input(x, -np.expm1(-self._chz(xa)))
-
-    def rev_hazard(self, x):
-        xa = _check_nonneg(x)
-        delta = self._chz(xa)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = self._hz(xa) * np.exp(-delta) / (-np.expm1(-delta))
-        return match_input(x, out)
 
     def cum_rev_hazard(self, x):
         return match_input(x, _minus_log_cdf(self._chz(_check_nonneg(x))))

@@ -2,9 +2,11 @@
 
 A verdict here is a numerical certificate on a grid at a stated tolerance,
 not a symbolic proof: "yes" means no violation beyond the tolerance at any
-grid point.  Ratio checks follow the convention a/0 = inf by skipping grid
-points whose denominator is below 1e-12 (or not finite); the skip count is
-reported and more than 5% skipped makes the verdict inconclusive.
+grid point.  A ratio of positive values is monotone exactly when the
+difference of the logs is, so the ratio checks compare logs and their
+tolerance is relative (st compares survival functions within an absolute
+one).  A point whose log difference is not finite (0/0, inf/inf) is skipped
+and counted; more than 5% skipped makes the verdict inconclusive.
 
 Supported relations between margins X and Y:
 
@@ -46,7 +48,6 @@ __all__ = [
 
 RELATIONS = ("st", "hr", "rh", "c", "b", "c_star", "b_star")
 
-RATIO_FLOOR = 1e-12
 MAX_SKIP_FRACTION = 0.05
 
 # Gauss-Legendre nodes per panel of the integral identity check: every piece runs
@@ -118,10 +119,11 @@ class VerifyConfig:
     """Tolerances and grids for one certification run.
 
     tol applies to every ratio and monotonicity check, all of them built
-    from closed forms; sign_slack classifies identically-zero sign conditions
-    as boundary passes.  grid_size is the size of both the p-grid on
-    [eps_endpoint, 1-eps_endpoint] and the log-spaced x-grid bracketing the
-    two margins.
+    from closed forms.  The ratio checks compare logs, so there it is
+    relative; for st and the slope conditions it is absolute.  sign_slack
+    classifies identically-zero sign conditions as boundary passes.
+    grid_size is the size of both the p-grid on [eps_endpoint,
+    1-eps_endpoint] and the log-spaced x-grid bracketing the two margins.
 
     This is the one place the settings are checked, for the library and the
     command line alike: an integral grid size whose p-grid builds, and
@@ -217,12 +219,31 @@ def verdict(xs: np.ndarray, values: np.ndarray, rule: str, tol: float, relation:
     return OrderVerdict(relation, holds, float(xs[idx + monotone]), worst, tol, skipped, kept.size)
 
 
-def _ratio(num, den) -> np.ndarray:
-    """num/den where both are finite and |den| >= RATIO_FLOOR, nan (a skipped
-    point) elsewhere; the skipped points are not divided."""
-    num, den = as_float_array(num), as_float_array(den)
-    keep = np.isfinite(num) & np.isfinite(den) & (np.abs(den) >= RATIO_FLOOR)
-    return np.divide(num, den, out=np.full(num.shape, np.nan), where=keep)
+def _log_ratio(num, den) -> np.ndarray:
+    """ln num - ln den, the log of a ratio of positive values; where that is
+    not finite (a zero or infinite operand) the point is skipped."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.log(num) - np.log(den)
+
+
+def _log_functional(dist: LifetimeDistribution, relation: str, xs: np.ndarray) -> np.ndarray:
+    """The log of the quantity `relation` divides, from at most one _chz call:
+    ln hz for c, -Delta (ln sf) for hr, -Dtilde (ln cdf) for rh, ln hz -
+    Delta + Dtilde (ln rev_hazard) for b, ln Delta for c_star and ln Dtilde
+    for b_star, which is -Delta to the last bit where Dtilde underflows to 0."""
+    if relation == "c":
+        return np.log(dist._hz(xs))
+    delta = dist._chz(xs)
+    if relation == "hr":
+        return -delta
+    if relation == "c_star":
+        return np.log(delta)
+    dtilde = _minus_log_cdf(delta)
+    if relation == "rh":
+        return -dtilde
+    if relation == "b_star":
+        return np.where(dtilde > 0.0, np.log(dtilde), -delta)
+    return np.log(dist._hz(xs)) - delta + dtilde
 
 
 def check_order(
@@ -245,30 +266,18 @@ def check_order(
         diff = as_float_array(dist_x.sf(x)) - as_float_array(dist_y.sf(x))
         return verdict(x, diff, "nonpositive", tol, relation)
 
-    table = {
-        "hr": (dist_y.sf, dist_x.sf, "incr"),
-        "rh": (dist_y.cdf, dist_x.cdf, "incr"),
-        "c": (dist_x.hazard, dist_y.hazard, "incr"),
-        "b": (dist_x.rev_hazard, dist_y.rev_hazard, "decr"),
-        "c_star": (dist_x.cum_hazard, dist_y.cum_hazard, "incr"),
-        "b_star": (dist_x.cum_rev_hazard, dist_y.cum_rev_hazard, "decr"),
-    }
-    num_fn, den_fn, direction = table[relation]
-    num = np.asarray(num_fn(x), dtype=float)
-    den = np.asarray(den_fn(x), dtype=float)
     # the relations are defined on intervals whose boundary values are known:
     # every ratio is anchored at x = 0, and the cdf ratio also at the right
-    # tail where both cdfs reach 1.  Indeterminate anchors (0/0, inf/inf)
-    # fall to the ordinary skip rule; determinate ones catch reversals that
+    # tail where both cdfs reach 1, a log ratio of 0.  Indeterminate anchors
+    # (0/0, inf/inf) are skipped; determinate ones catch reversals that
     # happen before the first (or after the last) interior grid point.
     xs = np.concatenate(([0.0], x))
-    num = np.concatenate(([float(num_fn(0.0))], num))
-    den = np.concatenate(([float(den_fn(0.0))], den))
+    num, den = (dist_y, dist_x) if relation in ("hr", "rh") else (dist_x, dist_y)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        values = _log_functional(num, relation, xs) - _log_functional(den, relation, xs)
     if relation == "rh":
-        xs = np.concatenate((xs, [np.inf]))
-        num = np.concatenate((num, [1.0]))
-        den = np.concatenate((den, [1.0]))
-    return verdict(xs, _ratio(num, den), direction, tol, relation)
+        xs, values = np.append(xs, np.inf), np.append(values, 0.0)
+    return verdict(xs, values, "decr" if relation in ("b", "b_star") else "incr", tol, relation)
 
 
 def system_order_direct(
@@ -282,18 +291,15 @@ def system_order_direct(
 
     For c_star the ratio of system cumulative hazards -ln h(sf(x)) must be
     increasing; for b_star the ratio of system cumulative reversed hazards
-    must be decreasing.
+    must be decreasing.  Both are checked as the difference of the logs.
     """
     if relation not in ("c_star", "b_star"):
         raise ValueError("direct system comparison supports only 'c_star' and 'b_star'")
     if grid is None:
         grid = Grid.system_bracketed(sys1, sys2)
     x = grid.points
-    if relation == "c_star":
-        num, den, direction = sys1.cum_hazard(x), sys2.cum_hazard(x), "incr"
-    else:
-        num, den, direction = sys1.cum_rev_hazard(x), sys2.cum_rev_hazard(x), "decr"
-    return verdict(x, _ratio(num, den), direction, tol, f"system:{relation}")
+    num, den = (s.cum_hazard(x) if relation == "c_star" else s.cum_rev_hazard(x) for s in (sys1, sys2))
+    return verdict(x, _log_ratio(num, den), "incr" if relation == "c_star" else "decr", tol, f"system:{relation}")
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .corollary import corollary_index_check
-from .orders import Grid, OrderVerdict, VerifyConfig, _ratio, check_order, system_order_direct, verdict
+from .orders import Grid, OrderVerdict, VerifyConfig, _log_ratio, check_order, system_order_direct, verdict
 from .systems import SystemModel
 
 __all__ = [
@@ -136,7 +136,7 @@ def _verify(sys1: SystemModel, sys2: SystemModel, relation: str, cfg: VerifyConf
     # (iv): the margins age faster in the same sense, and are st-ordered
     st_x, st_y = (sys2.margin, sys1.margin) if relation == "c_star" else (sys1.margin, sys2.margin)
     entries = {
-        "i": _combine("i", [verdict(p, _ratio(e1, e2), "decr" if relation == "c_star" else "incr", cfg.tol, "i")]),
+        "i": _combine("i", [verdict(p, _log_ratio(e1, e2), "decr" if relation == "c_star" else "incr", cfg.tol, "i")]),
         "ii": _elasticity_sign_condition("ii", kind, p, g1, cfg.sign_slack, cfg.tol),
         "iii": _elasticity_sign_condition("iii", kind, p, g2, cfg.sign_slack, cfg.tol),
         "iv": _combine("iv", [check_order(sys1.margin, sys2.margin, relation, grid=xgrid, tol=cfg.tol),

@@ -11,8 +11,9 @@ from coherent_age.distributions import (
     Weibull,
     distribution_from_dict,
 )
+from coherent_age.orders import _log_functional
 
-ALL_FUNCS = ("sf", "cdf", "hazard", "rev_hazard", "cum_hazard", "cum_rev_hazard")
+ALL_FUNCS = ("sf", "cdf", "hazard", "cum_hazard", "cum_rev_hazard")
 
 
 def random_distribution(rng):
@@ -102,11 +103,12 @@ class TestInvariants:
         x=st.floats(min_value=1e-3, max_value=20.0),
     )
     def test_density_factorisations(self, rate, x):
-        # f = r * sf = rev_r * cdf wherever defined
+        # f = r * sf, and ln(f / cdf) is the log reversed hazard that check_order's b reads
         d = Exponential(rate)
         f = rate * math.exp(-rate * x)
         assert f == pytest.approx(d.hazard(x) * d.sf(x), rel=1e-12)
-        assert f == pytest.approx(d.rev_hazard(x) * d.cdf(x), rel=1e-10)
+        log_rev_hazard = _log_functional(d, "b", np.array([x]))[0]
+        assert log_rev_hazard == pytest.approx(math.log(d.hazard(x) * d.sf(x) / d.cdf(x)), rel=1e-10, abs=1e-12)
 
     @given(
         alpha=st.floats(min_value=0.1, max_value=4.0),

@@ -5,8 +5,8 @@ import pytest
 from mpmath import mp, mpf
 
 from coherent_age import orders, systems
-from coherent_age.copulas import FGM, GumbelHougaard, Independence
-from coherent_age.distributions import Exponential, LinearFailureRate, Weibull
+from coherent_age.copulas import FGM, GumbelHougaard, Independence, copula_from_dict
+from coherent_age.distributions import Exponential, LinearFailureRate, Weibull, distribution_from_dict
 from coherent_age.orders import (
     Grid,
     check_order,
@@ -387,6 +387,13 @@ class TestCheckOrder:
         with pytest.raises(ValueError, match=f"^tol must be finite and >= 0, got {tol!r}$"):
             check_order(LFR_Y, LFR_X, relation, tol=tol)
 
+    @pytest.mark.parametrize("relation", ["hr", "rh", "c", "b", "c_star", "b_star"])
+    def test_one_cumulative_hazard_call_per_margin(self, relation, chz_calls):
+        # each margin's log functional comes from one array call on [0, *grid],
+        # the x = 0 anchor included; c reads the hazard alone
+        check_order(LFR_X, Weibull(2.0), relation, grid=Grid.log_spaced(0.1, 2.0, 11))
+        assert chz_calls == ([] if relation == "c" else [12, 12])
+
     def test_implication_chains_on_random_pairs(self):
         # hr => st, c => c_star, b => b_star on a seeded random corpus
         rng = np.random.default_rng(881)
@@ -414,8 +421,8 @@ class TestCheckOrder:
                     if check_order(dx, dy, weak, grid=grid).holds != "yes":
                         violations += 1
         assert violations == 0
-        # 50 of the 55 pairs where b holds on the margin grid
-        assert b_pairs == 50
+        # 49 of the 55 pairs where b holds on the margin grid: draw 69 fails on the far grid
+        assert b_pairs == 49
 
     def test_b_star_fails_on_the_margin_grid_where_b_fails_past_it(self):
         # draw 19 of the implication corpus: b holds on the margin grid, but
@@ -429,15 +436,55 @@ class TestCheckOrder:
         v = check_order(dx, dy, "b_star", grid=grid)
         assert v.holds == "no" and v.witness_x == grid.points[-1]
 
-        def ratio(x):
+        def log_ratio(x):
             crh = [-mp.log(-mp.expm1(-((mpf(x) / mpf(d.scale)) ** mpf(d.shape)))) for d in (dx, dy)]
-            return crh[0] / crh[1]
+            return mp.log(crh[0]) - mp.log(crh[1])
 
-        # at 50 digits the ratio rises from x = 3.9923 to the grid's end, 4.0175,
-        # by the reported violation: the grid's "no" is true
+        # at 50 digits the log ratio rises from x = 3.9923 to the grid's end,
+        # 4.0175, by the reported violation: the grid's "no" is true
         with mp.workdps(50):
-            rise = ratio(grid.points[-1]) - ratio(grid.points[-3])
+            rise = log_ratio(grid.points[-1]) - log_ratio(grid.points[-3])
         assert float(rise) == pytest.approx(v.violation, rel=1e-9)
+
+    def test_b_fails_far_out_where_the_ratio_is_below_tol(self):
+        # draw 69 of the implication corpus: on the far grid rr_X/rr_Y is about
+        # 5e-10 where it turns up, so its absolute rise, 2.6e-11, is within
+        # tol; the rise of the log ratio, 0.058, is not
+        dx = Weibull(1.4532718210764628, 0.3205456075791819)
+        dy = Weibull(2.7518812798931656, 1.398166897050347)
+        grid = Grid.margin_bracketed(dx, dy)
+        far = Grid.log_spaced(grid.points[0], max(float(dx.isf(1e-12)), float(dy.isf(1e-12))))
+        v = check_order(dx, dy, "b", grid=far)
+        assert v.holds == "no" and v.witness_x == far.points[-1]
+
+        def log_rev_hazard(x, d):
+            x, shape, scale = mpf(x), mpf(d.shape), mpf(d.scale)
+            delta = (x / scale) ** shape
+            return mp.log(shape / scale * (x / scale) ** (shape - 1)) - delta - mp.log(-mp.expm1(-delta))
+
+        # at 50 digits the log ratio rises from its lowest point, x = 4.5167,
+        # to the far grid's end, 4.6703, by the reported violation
+        with mp.workdps(50):
+            lo, hi = ((log_rev_hazard(x, dx) - log_rev_hazard(x, dy)) for x in far.points[[-10, -1]])
+        assert float(hi - lo) == pytest.approx(v.violation, rel=1e-9)
+
+    def test_b_star_reads_minus_delta_where_dtilde_underflows(self):
+        # draw 186 of the implication corpus: Dtilde_X underflows to 0 at 121
+        # grid points, where ln Dtilde_X is -Delta_X to the last bit; read as
+        # a log the verdict keeps those points
+        dx = Weibull(2.7905578213185076, 0.4654131794562685)
+        dy = Weibull(1.8018805736913266, 2.321303910948859)
+        grid = Grid.margin_bracketed(dx, dy)
+        under = grid.points[np.asarray(dx.cum_rev_hazard(grid.points)) == 0.0]
+        assert under.size == 121
+        v = check_order(dx, dy, "b_star", grid=grid)
+        assert v.holds == "yes" and v.skipped <= 1
+        with mp.workdps(50):
+            exact = [float(mp.log(-mp.log1p(-mp.exp(-((mpf(x) / mpf(dx.scale)) ** mpf(dx.shape)))))) for x in under]
+        # the log of 0 is taken and discarded for the other branch
+        with np.errstate(divide="ignore"):
+            logs = orders._log_functional(dx, "b_star", under)
+        np.testing.assert_allclose(logs, exact, rtol=1e-14)
 
     def test_antisymmetry_of_st(self):
         d1 = Exponential(2.0)
@@ -471,6 +518,22 @@ class TestSystemOrderDirect:
     def test_relation_restricted(self):
         with pytest.raises(ValueError):
             system_order_direct(fgm_system(), series3_system(), "st")
+
+    def test_tiny_cumulative_reversed_hazards_decided(self):
+        # seed 5, item 101 of the benchmark's verify-audit corpus: Dtilde2
+        # falls to 4.7e-32 and the ratio reaches 2.1e28, each point finite in
+        # log form, so none is skipped and the check is decided
+        spec1 = {"structure": {"n": 4, "paths": [[1, 3, 4], [2, 3, 4]]},
+                 "copula": {"copula": "clayton", "theta": 1.5258824852887196},
+                 "margin": {"family": "exp", "rate": 1.9402172055361018}}
+        spec2 = {"structure": {"n": 4, "paths": [[1, 2, 4], [2, 3, 4]]},
+                 "copula": {"copula": "independence"},
+                 "margin": {"family": "lfr", "alpha": 2.3872432580511336, "beta": 0.644692054784469}}
+        s1, s2 = (SystemModel(Structure.from_paths(s["structure"]["n"], s["structure"]["paths"]),
+                              copula_from_dict(s["copula"], s["structure"]["n"]), distribution_from_dict(s["margin"]))
+                  for s in (spec1, spec2))
+        v = system_order_direct(s1, s2, "b_star")
+        assert v.holds == "no" and v.skipped == 0
 
     @pytest.mark.parametrize("tol", BAD_TOLERANCES, ids=str)
     @pytest.mark.parametrize("relation", ["c_star", "b_star"])
