@@ -33,6 +33,7 @@ CORPUS = [
     ("clayton-series3", Structure.series(3), ClaytonOakes(1.0, 3), Exponential(2.0)),
     ("clayton-parallel3", Structure.parallel(3), ClaytonOakes(2.0, 3), Weibull(0.8, 2.0)),
     ("gumbel-two-of-four", k_of_n_paths(2, 4), GumbelHougaard(2.0, 4), Exponential(2.0)),
+    ("fgm-neg1-two-of-three", k_of_n_paths(2, 3), FGM(-1.0), LinearFailureRate(1.0, 0.5)),
 ]
 
 

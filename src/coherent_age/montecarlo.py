@@ -8,8 +8,11 @@ concatenated in stream order, so output is bit-identical for a fixed
 Each sampler draws a latent array and a row map to uniforms whose joint
 distribution function is the survival copula K.  The independence law
 (Independence, Gumbel-Hougaard at theta = 1, FGM at theta = 0) and the
-trivariate FGM (rejection against independence, density bound 1 + |theta|)
-draw the uniforms themselves.  Gumbel-Hougaard (positive-stable frailty V,
+trivariate FGM draw the uniforms themselves.  FGM takes three uniforms per
+row by conditional inversion (Nelsen 2006, section 2.9): its pairwise margins
+are independent, so U1 and U2 are drawn as they are, and U3 is the root of
+its conditional cdf given them, a quadratic taken in its cancellation-free
+form; there is no rejection loop.  Gumbel-Hougaard (positive-stable frailty V,
 Chambers-Mallows-Stuck) and Clayton-Oakes (gamma frailty V) draw exponentials
 E_i and map them to U_i = phi(E_i / V), with phi decreasing.
 
@@ -36,8 +39,6 @@ from .distributions import LifetimeDistribution
 from .systems import Structure, _members, build_distortion
 
 __all__ = ["SimConfig", "sample_copula", "simulate_system", "SimulationResult"]
-
-_FGM_MAX_ROUNDS = 256
 
 
 @dataclass(frozen=True)
@@ -93,29 +94,21 @@ def _sample_chunk(copula: Copula, count: int, rng: np.random.Generator):
 
 
 def _sample_fgm(theta: float, count: int, rng: np.random.Generator) -> np.ndarray:
-    bound = 1.0 + abs(theta)
-    out = np.empty((count, 3))
-    filled = 0
-    proposed = 0
-    for _ in range(_FGM_MAX_ROUNDS):
-        if filled == count:
-            break
-        need = count - filled
-        batch = max(1024, int(1.5 * need * bound))
-        u = rng.random((batch, 3))
-        # three column temporaries cost less than one (batch, 3) array;
-        # the product order, and so every bit, is that of np.prod(axis=1)
-        v0, v1, v2 = (1.0 - 2.0 * u[:, i] for i in range(3))
-        density = 1.0 + theta * (v0 * v1 * v2)
-        accept = rng.random(batch) * bound < density
-        proposed += batch
-        take = u[np.flatnonzero(accept)[:need]]
-        out[filled : filled + take.shape[0]] = take
-        filled += take.shape[0]
-    if filled < count:
-        rate = filled / max(proposed, 1)
-        raise RuntimeError(f"FGM rejection sampler hit the round cap with acceptance rate {rate:.3f}")
-    return out
+    u = rng.random((count, 3))
+    # columns 0 and 1 are independent (K(p1, p2, 1) = p1 p2); column 2 is w,
+    # mapped in place to the root of u (1 + b (1 - u)) = w, the conditional
+    # cdf of U3 given U1, U2, with b = theta (1 - 2 u1)(1 - 2 u2) in [-1, 1],
+    # taken as 4 theta (1/2 - u1)(1/2 - u2)
+    w = u[:, 2]
+    b = (4.0 * theta) * (0.5 - u[:, 0]) * (0.5 - u[:, 1])
+    a = np.abs(b)
+    # the discriminant (1 + b)^2 - 4 b w as a sum of nonnegative terms:
+    # (1 - b)^2 + 4 b (1 - w) for b >= 0, (1 + b)^2 - 4 b w for b < 0;
+    # |w - 1| is 1 - w and |w - 0| is w, both exact
+    d = (1.0 - a) ** 2 + 4.0 * a * np.abs(w - (b >= 0.0))
+    # w = 0 keeps its root 0, and with it the one 0/0 point, b = -1
+    np.divide(2.0 * w, (1.0 + b) + np.sqrt(d), out=w, where=w > 0.0)
+    return u
 
 
 def _sample_gumbel(theta: float, dim: int, count: int, rng: np.random.Generator):

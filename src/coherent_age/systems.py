@@ -95,8 +95,14 @@ class Structure:
         # table[s]: how many path sets (at most all) lie in the common part plus
         # the subset s of the free components, the common bits squeezed out of
         # s; pass i adds each set without free component i into the same set with it
-        index = np.array([sum(1 << j for j, i in enumerate(free) if path >> i & 1) for path in self.paths]
-                         if common else self.paths)
+        if common:
+            # each mask's little-endian bytes, unpacked to bits, at any width
+            width = (self.n + 7) // 8
+            raw = np.frombuffer(b"".join(path.to_bytes(width, "little") for path in self.paths), np.uint8)
+            bits = np.unpackbits(raw.reshape(-1, width), axis=1, count=self.n, bitorder="little")
+            index = bits[:, free].astype(np.int64) @ (1 << np.arange(len(free)))
+        else:
+            index = np.array(self.paths)
         table = np.bincount(index, minlength=1 << len(free)).astype(np.min_scalar_type(len(self.paths)))
         for i in range(len(free)):
             halves = table.reshape(-1, 2, 1 << i)

@@ -1,5 +1,7 @@
 import hashlib
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -79,11 +81,41 @@ class TestSamplers:
             target = float(cop.exch(p, 3))
             assert abs(empirical_joint_cdf(u, p) - target) < three_se(target)
 
-    def test_fgm_round_cap_reports_acceptance_rate(self, monkeypatch):
-        monkeypatch.setattr(montecarlo, "_FGM_MAX_ROUNDS", 0)
-        rng = np.random.default_rng(0)
-        with pytest.raises(RuntimeError, match="acceptance rate"):
-            _sample_fgm(1.0, 1000, rng)
+    @pytest.mark.parametrize("theta", [1.0, -1.0])
+    def test_fgm_joint_cdf_matches_k_on_grid(self, theta):
+        u = sample_copula(FGM(theta), SimConfig(seed=37))
+        for p in itertools.product((0.2, 0.5, 0.8), repeat=3):
+            target = math.prod(p) * (1.0 + theta * math.prod(1.0 - q for q in p))
+            se = math.sqrt(target * (1.0 - target) / N)
+            assert abs(float(np.mean(np.all(u <= p, axis=1))) - target) < 4.0 * se, p
+
+    @pytest.mark.parametrize("theta", [1.0, 0.35, -0.6, -1.0])
+    def test_fgm_keeps_the_raw_pair_and_inverts_the_conditional_cdf(self, theta):
+        raw = np.random.default_rng(19).random((30_001, 3))
+        u = _sample_fgm(theta, 30_001, np.random.default_rng(19))
+        assert np.array_equal(u[:, :2], raw[:, :2])
+        w, u3 = raw[:, 2], u[:, 2]
+        b = theta * (1.0 - 2.0 * raw[:, 0]) * (1.0 - 2.0 * raw[:, 1])
+        # evaluating the cdf rounds to about eps * u3 where b near -1 makes
+        # 1 + b (1 - u3) small, and u3 <= w for b >= 0, u3 >= w for b < 0
+        assert np.all(np.abs(u3 * (1.0 + b * (1.0 - u3)) - w) <= 4.0 * np.spacing(np.maximum(w, u3)))
+
+    def test_fgm_edge_rows_without_warning(self):
+        class Rows:
+            def random(self, shape):
+                return np.array(rows)
+
+        # b = -1 with w = 0 (the one 0/0 point) and w > 0, b = 1, b = 0, and w = 0 at b = 1
+        rows = [[0.0, 0.0, 0.0], [0.0, 0.0, 0.25], [0.0, 0.0, 0.5], [0.5, 0.3, 0.7], [0.0, 0.0, 0.0]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            low = _sample_fgm(-1.0, 5, Rows())[:, 2]
+            high = _sample_fgm(1.0, 5, Rows())[:, 2]
+        # at b = -1 the cdf is u^2, at b = 1 it is u (2 - u), at b = 0 it is u
+        eps = np.finfo(float).eps
+        np.testing.assert_allclose(low, [0.0, 0.5, math.sqrt(0.5), 0.7, 0.0], rtol=2.0 * eps, atol=0.0)
+        np.testing.assert_allclose(high, [0.0, 1.0 - math.sqrt(0.75), 1.0 - math.sqrt(0.5), 0.7, 0.0],
+                                   rtol=2.0 * eps, atol=0.0)
 
 
 class TestReproducibility:
@@ -105,13 +137,15 @@ class TestReproducibility:
         b = sample_copula(cop, SimConfig(sample_count=1000, seed=2))
         assert a.tobytes() != b.tobytes()
 
-    # sha256 of the sampled bytes, pinned from the sampler that mapped every
-    # component: a change to the draw calls, their order or their shapes fails here
+    # sha256 of the sampled bytes: a change to the draw calls, their order or
+    # their shapes fails here. The independence, Gumbel and Clayton digests are
+    # those of the sampler that mapped every component; the FGM digest is that
+    # of conditional inversion
     @pytest.mark.parametrize(
         "copula, digest",
         [
             (Independence(3), "24523e6bdfe250148a159ef87793db71ff28278037812a247cef20c5f15f837c"),
-            (FGM(-0.7), "5fd5cc80cf8f08abaf3599e2e565f0b6fc305b26c3c6def0325fd636e3c30996"),
+            (FGM(-0.7), "dfe3e1ae1b800faef2494931a5920f5d5094da3e2919fbbd5c6eb28bb416e694"),
             (GumbelHougaard(2.0, 4), "0701cc820adf3616a4f29dfaf9b3fddd0606a5bc4bae93cc8f0136fee42df79a"),
             (ClaytonOakes(1.5, 4), "08ee2c9153945b3708c1cd7e9f5da2e7707b595f27295edb02b3aa2fb79940fd"),
         ],
@@ -152,9 +186,10 @@ class TestSimulateSystem:
             simulate_system(Structure.series(3), Independence(2), Exponential(1.0), SimConfig())
 
 
-# Reference formulations: the fancy-index / column_stack system lifetime, the
-# broadcast empirical survival and the np.prod FGM density. The module's
-# column-view, sort-and-count and explicit-product forms must give the same bits.
+# Reference formulations: the fancy-index / column_stack system lifetime and
+# the broadcast empirical survival, which the module's column-view and
+# sort-and-count forms must match bit for bit, and the FGM conditional
+# inverse by the other root formula, which the sampler must match closely.
 
 def reference_system_lifetime(lifetimes, paths):
     # a path set is a mask with bit i-1 for component i
@@ -167,22 +202,15 @@ def reference_empirical_sf(tau, x):
     return np.mean(tau[:, None] > x[None, :], axis=0)
 
 
-def reference_sample_fgm(theta, count, rng, max_rounds=256):
-    bound = 1.0 + abs(theta)
-    out = np.empty((count, 3))
-    filled = 0
-    for _ in range(max_rounds):
-        if filled == count:
-            break
-        need = count - filled
-        batch = max(1024, int(1.5 * need * bound))
-        u = rng.random((batch, 3))
-        density = 1.0 + theta * np.prod(1.0 - 2.0 * u, axis=1)
-        accept = rng.random(batch) * bound < density
-        take = u[accept][:need]
-        out[filled : filled + take.shape[0]] = take
-        filled += take.shape[0]
-    return out
+def reference_sample_fgm(theta, count, rng):
+    # ((1 + b) - sqrt(D)) / (2 b), which cancels where b is small; b = 0 is w
+    u = rng.random((count, 3))
+    w = u[:, 2]
+    b = theta * np.prod(1.0 - 2.0 * u[:, :2], axis=1)
+    d = (1.0 + b) ** 2 - 4.0 * b * w
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u[:, 2] = np.where(b == 0.0, w, ((1.0 + b) - np.sqrt(d)) / (2.0 * b))
+    return u
 
 
 BRIDGE = Structure.from_paths(5, [[1, 4], [2, 5], [1, 3, 5], [2, 3, 4]])
@@ -222,11 +250,11 @@ class TestReferenceFormulations:
         assert np.array_equal(res.empirical_sf, reference_empirical_sf(tau, res.x))
 
     @pytest.mark.parametrize("theta", [1.0, 0.35, -0.6, -1.0])
-    def test_fgm_sampler_matches_np_prod_density(self, theta):
+    def test_fgm_sampler_matches_other_root(self, theta):
         for seed in (0, 9):
             a = _sample_fgm(theta, 30_001, np.random.default_rng(seed))
             b = reference_sample_fgm(theta, 30_001, np.random.default_rng(seed))
-            assert np.array_equal(a, b)
+            assert np.allclose(a, b)
 
     def test_nan_lifetime_counts_as_not_surviving(self):
         tau = np.array([0.5, np.nan, 2.0, 0.5, np.nan, 1.0, 3.0])

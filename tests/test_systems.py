@@ -10,7 +10,9 @@ from mpmath import mp, mpf
 from coherent_age.copulas import ClaytonOakes, FGM, GumbelHougaard, Independence
 from coherent_age.distributions import Exponential, LinearFailureRate
 from coherent_age import systems
-from coherent_age.systems import MAX_COMPONENTS, Distortion, Structure, SystemModel, build_distortion, k_of_n_paths
+from coherent_age.systems import (
+    MAX_COMPONENTS, Distortion, Structure, SystemModel, _members, build_distortion, k_of_n_paths,
+)
 from corpus_helpers import exact_exch
 
 GRID = np.linspace(0.0, 1.0, 1001)
@@ -106,6 +108,23 @@ class TestStructure:
         # {1, 2} is the common part, so the smaller path set is the table's empty set
         with pytest.raises(ValueError, match="minimal"):
             Structure.from_paths(3, [[1, 2], [1, 2, 3]])
+
+    @pytest.mark.parametrize("n, free", [
+        (6, [1, 2, 3, 4, 5]),
+        (6, [0, 1, 2, 3, 4]),
+        (70, [3, 40, 63, 64, 69]),
+    ], ids=["common-low-bit", "common-high-bit", "wider-than-64-bits"])
+    def test_common_part_keeps_the_free_structure_counts(self, n, free):
+        # the bridge on the free components, every other component common to all paths
+        bridge = Structure.from_paths(5, [[1, 4], [2, 5], [1, 3, 5], [2, 3, 4]])
+        common = sum(1 << i for i in range(n) if i not in free)
+        paths = [common | sum(1 << c for j, c in enumerate(free) if path >> j & 1) for path in bridge.paths]
+        assert Structure(n, tuple(paths)).counts == (0,) * (n - 5) + bridge.counts
+        nested = _members(paths[0] | 1 << free[2])
+        with pytest.raises(ValueError) as info:
+            Structure(n, tuple(paths) + (paths[0] | 1 << free[2],))
+        assert str(info.value) == (f"path {_members(paths[0])} is contained in {nested}; "
+                                   f"path sets must be minimal")
 
     def test_series_keeps_its_counts(self):
         # one path set: every component is common, and the table has one entry
