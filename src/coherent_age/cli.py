@@ -1,11 +1,12 @@
 """Command-line front end for reproducible certification runs.
 
-One JSON spec file drives each run; flags exist only for overrides, and
-each subcommand takes only the flags (``_FLAGS``) and the grid and tolerance
-keys (``_SETTINGS``) it reads, so any other flag is a usage error and any
-other key a spec error.  Numeric output is written with
-17 significant digits so golden-file diffs are meaningful, and every CSV/JSON
-artifact records the sha256 of the input spec.
+One JSON spec file drives each run; flags exist only for overrides.  One
+table (``_COMMANDS``) says what each subcommand reads and runs: its
+top-level fields and blocks, its grid and tolerance settings, its flags and
+its output key.  ``load_spec``, the parser and the dispatch all read it, so
+any other flag is a usage error and any other key a spec error.  Numeric
+output is written with 17 significant digits so golden-file diffs are
+meaningful, and every CSV/JSON artifact records the sha256 of the input spec.
 
 Every spec field is read under the one rule in ``_num``: objects through
 ``_require``, numbers through ``_number``, ``_real`` and ``_integer``, and the
@@ -27,8 +28,9 @@ Subcommands and exit codes:
     simulate     empirical vs analytic survival CSV    0 ok / 3 oracle deviation > 4
     corollary    k-out-of-n index predicate            0 true / 2 false
 
-Exit code 1 is reserved for input errors: a spec-schema error or a
-command-line usage error, which prints the usage and one ``error:`` line.
+Exit code 1 is reserved for input errors: a spec-schema error, an output
+path that cannot be written, or a command-line usage error, which prints
+the usage and one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -36,14 +38,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from dataclasses import dataclass, fields
+from typing import TYPE_CHECKING, Callable
 
 from ._num import SpecError, _integer, _real, _require
 from .corollary import corollary_index_check
 
 if TYPE_CHECKING:
-    from .copulas import Copula
     from .distributions import LifetimeDistribution
     from .montecarlo import SimConfig
     from .orders import OrderVerdict, VerifyConfig
@@ -84,48 +85,30 @@ def _load_structure(d: dict, where: str) -> Structure:
         raise SpecError(f"invalid structure in {where}: {exc}") from exc
 
 
-@dataclass
-class SystemBlock:
-    margin: LifetimeDistribution
-    structure: Structure | None = None
-    copula: Copula | None = None
+def _load_system(d: dict, where: str, model: bool) -> SystemModel | LifetimeDistribution:
+    """The system at ``where``: its SystemModel when ``model``, else its margin.
 
-    def model(self, where: str) -> SystemModel:
-        from .systems import SystemModel
-
-        if self.structure is None or self.copula is None:
-            raise SpecError(f"{where} needs both 'structure' and 'copula' for this command")
-        # the structure refuses what it cannot build when it is read, and the
-        # copula takes its dimension from it, so the build cannot fail here
-        return SystemModel(self.structure, self.copula, self.margin)
-
-
-def _load_system(d: dict, where: str) -> SystemBlock:
+    A structure and a copula come together (the copula takes its dimension
+    from the structure); a command that reads only the margin still
+    validates them when given.
+    """
     from .distributions import distribution_from_dict
 
-    _require(d, {"margin"}, {"structure", "copula"}, where)
+    pair = {"structure", "copula"}
+    _require(d, {"margin"}, pair, where)
+    if model or pair & set(d):
+        _require(d, {"margin"} | pair, set(), where)
     margin = distribution_from_dict(d["margin"], f"{where}.margin")
-    structure = _load_structure(d["structure"], where) if "structure" in d else None
-    copula = None
-    if "copula" in d:
-        if structure is None:
-            raise SpecError(f"{where}: 'copula' requires 'structure' for its dimension")
-        from .copulas import copula_from_dict
+    if "structure" not in d:
+        return margin
+    from .copulas import copula_from_dict
+    from .systems import SystemModel
 
-        copula = copula_from_dict(d["copula"], structure.n, f"{where}.copula")
-    elif structure is not None:
-        raise SpecError(f"{where}: 'structure' requires 'copula'")
-    return SystemBlock(margin=margin, structure=structure, copula=copula)
-
-
-# the grid and tolerance keys each command reads
-_SETTINGS = {
-    "distortion": ({"size"}, {"eps_endpoint"}),
-    "check-order": ({"size"}, {"tol"}),
-    "verify": ({"size"}, {"tol", "sign_slack", "eps_endpoint"}),
-}
-_SIM_DEFAULTS = {"sample_count": 100_000, "seed": 0, "stream_count": 4}
-_OUTPUT_KEYS = {"csv", "json"}
+    structure = _load_structure(d["structure"], where)
+    copula = copula_from_dict(d["copula"], structure.n, f"{where}.copula")
+    # the structure refuses what it cannot build when it is read, and the
+    # copula takes its dimension from it, so the build cannot fail here
+    return SystemModel(structure, copula, margin) if model else margin
 
 
 @dataclass
@@ -134,13 +117,12 @@ class RunSpec:
 
     raw: dict
     command: str
-    system1: SystemBlock | None = None
-    system2: SystemBlock | None = None
+    system1: SystemModel | LifetimeDistribution | None = None
+    system2: SystemModel | LifetimeDistribution | None = None
     relation: str | None = None
     cfg: VerifyConfig | None = None
     sim: SimConfig | None = None
-    out_csv: str | None = None
-    out_json: str | None = None
+    output: str | None = None
     indices: tuple[int, int, int, int] | None = None
 
     @property
@@ -148,70 +130,54 @@ class RunSpec:
         return spec_hash(self.raw)
 
 
-def load_spec(
-    raw: dict,
-    command: str,
-    *,
-    grid_size: int | None = None,
-    tol: float | None = None,
-    eps_endpoint: float | None = None,
-    seed: int | None = None,
-) -> RunSpec:
+def load_spec(raw: dict, command: str, **flags) -> RunSpec:
     """Validate a raw spec dict for one subcommand; unknown fields are rejected.
 
-    Keywords that are not None override the spec's values (the command-line
-    flags); the final grid and tolerance settings are checked by the
-    VerifyConfig built from them, whose ValueError becomes a SpecError.
+    ``flags`` are the command's override flags by name (its row's
+    ``flags``); those not None override the spec's values, and any other
+    raises TypeError.  The final grid and tolerance settings are checked by
+    the VerifyConfig built from them, whose ValueError becomes a SpecError.
     """
-    schemas = {
-        "distortion": ({"system1"}, {"grid", "tolerances", "output"}),
-        "check-order": ({"system1", "system2", "relation"}, {"grid", "tolerances", "output"}),
-        "verify": ({"system1", "system2", "relation"}, {"grid", "tolerances", "output"}),
-        "simulate": ({"system1"}, {"simulation", "output"}),
-        "corollary": ({"k", "n", "l", "m", "relation"}, set()),
-    }
-    if command not in schemas:
+    if command not in _COMMANDS:
         raise SpecError(f"unknown command {command!r}")
-    required, optional = schemas[command]
-    _require(raw, required, optional, "spec")
+    row = _COMMANDS[command]
+    _require(raw, row.required, row.optional, "spec")
     spec = RunSpec(raw=raw, command=command)
+    given = {key: value for key, value in flags.items() if value is not None}
+    if not set(given) <= set(row.flags):
+        raise TypeError(f"{command} takes only the flags {sorted(row.flags)}, got {sorted(given)}")
 
     if command == "corollary":
         spec.indices = tuple(_integer(raw[key], key) for key in ("k", "n", "l", "m"))
-        spec.relation = raw["relation"]
-        if spec.relation not in VERIFY_RELATIONS:
-            raise SpecError(f"relation must be one of {VERIFY_RELATIONS}, got {spec.relation!r}")
-        return spec
-
-    spec.system1 = _load_system(raw["system1"], "system1")
-    if "system2" in raw:
-        spec.system2 = _load_system(raw["system2"], "system2")
+    for key in ("system1", "system2"):
+        if key in raw:
+            setattr(spec, key, _load_system(raw[key], key, row.models))
 
     if "relation" in raw:
-        from .orders import RELATIONS
-
-        allowed = VERIFY_RELATIONS if command == "verify" else RELATIONS
+        allowed = VERIFY_RELATIONS
+        if command == "check-order":
+            from .orders import RELATIONS as allowed
         spec.relation = raw["relation"]
         if spec.relation not in allowed:
             raise SpecError(f"relation must be one of {allowed}, got {spec.relation!r}")
 
-    if command in _SETTINGS:
+    if row.settings:
         from .orders import VerifyConfig
 
         # VerifyConfig field names: grid.size gains a grid_ prefix
         settings = {}
         if "grid" in raw:
-            _require(raw["grid"], set(), _SETTINGS[command][0], "grid")
+            keys = {key.removeprefix("grid_") for key in row.settings if key.startswith("grid_")}
+            _require(raw["grid"], set(), keys, "grid")
             settings.update((f"grid_{key}", value) for key, value in raw["grid"].items())
 
         if "tolerances" in raw:
-            _require(raw["tolerances"], set(), _SETTINGS[command][1], "tolerances")
+            keys = {key for key in row.settings if not key.startswith("grid_")}
+            _require(raw["tolerances"], set(), keys, "tolerances")
             settings.update((key, _real(value, f"tolerances.{key}")) for key, value in raw["tolerances"].items())
 
-        flags = {"grid_size": grid_size, "tol": tol, "eps_endpoint": eps_endpoint}
-        settings.update((key, value) for key, value in flags.items() if value is not None)
         try:
-            spec.cfg = VerifyConfig(**settings)
+            spec.cfg = VerifyConfig(**{**settings, **given})
         except ValueError as exc:
             raise SpecError(str(exc)) from exc
 
@@ -219,20 +185,19 @@ def load_spec(
         from .montecarlo import SimConfig
 
         block = raw.get("simulation", {})
-        _require(block, set(), set(_SIM_DEFAULTS), "simulation")
-        if seed is not None:
-            block = {**block, "seed": seed}
-        fields = {key: _integer(block.get(key, default), f"simulation.{key}")
-                  for key, default in _SIM_DEFAULTS.items()}
+        _require(block, set(), {f.name for f in fields(SimConfig)}, "simulation")
+        values = {key: _integer(value, f"simulation.{key}") for key, value in block.items()}
         try:
-            spec.sim = SimConfig(**fields)
+            spec.sim = SimConfig(**{**values, **given})
         except ValueError as exc:
             raise SpecError(f"invalid simulation block: {exc}") from exc
 
     if "output" in raw:
-        _require(raw["output"], set(), _OUTPUT_KEYS, "output")
-        spec.out_csv = raw["output"].get("csv")
-        spec.out_json = raw["output"].get("json")
+        _require(raw["output"], set(), {row.output}, "output")
+        if row.output in raw["output"]:
+            spec.output = raw["output"][row.output]
+            if not isinstance(spec.output, str):
+                raise SpecError(f"output.{row.output} must be a path string, got {spec.output!r}")
 
     return spec
 
@@ -251,9 +216,12 @@ def emit_table(meta: dict, header: list[str], rows: list[list[float]]) -> str:
 def _write(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise SpecError(f"cannot write output: {exc}") from exc
 
 
 def _verdict_csv(meta: dict, verdict: OrderVerdict) -> str:
@@ -264,54 +232,48 @@ def _verdict_csv(meta: dict, verdict: OrderVerdict) -> str:
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each returns its output text and its exit code
 
-def _cmd_distortion(spec: RunSpec) -> int:
+def _cmd_distortion(spec: RunSpec) -> tuple[str, int]:
     import numpy as np
 
-    dist = spec.system1.model("system1").distortion
+    dist = spec.system1.distortion
     p = spec.cfg.p_grid.points
     columns = [np.asarray(f(p), dtype=float) for f in (dist.h, dist.h_prime, dist.H, dist.R)]
     rows = [[float(v) for v in row] for row in zip(p, *columns)]
     text = emit_table({"spec_sha256": spec.sha256}, ["p", "h", "h_prime", "H", "R"], rows)
-    _write(text, spec.out_csv)
     # numeric flags: a non-finite value anywhere in the table
-    return 0 if np.all(np.isfinite(columns)) else 3
+    return text, 0 if np.all(np.isfinite(columns)) else 3
 
 
-def _cmd_check_order(spec: RunSpec) -> int:
+def _cmd_check_order(spec: RunSpec) -> tuple[str, int]:
     from .orders import Grid, check_order
 
-    m1, m2 = spec.system1.margin, spec.system2.margin
     try:
-        grid = Grid.margin_bracketed(m1, m2, size=spec.cfg.grid_size)
+        grid = Grid.margin_bracketed(spec.system1, spec.system2, size=spec.cfg.grid_size)
     except ValueError as exc:
         raise SpecError(f"cannot grid the two margins: {exc}") from exc
-    verdict = check_order(m1, m2, spec.relation, grid=grid, tol=spec.cfg.tol)
+    verdict = check_order(spec.system1, spec.system2, spec.relation, grid=grid, tol=spec.cfg.tol)
     text = _verdict_csv({"spec_sha256": spec.sha256}, verdict)
-    _write(text, spec.out_csv)
-    return {"yes": 0, "no": 2, "inconclusive": 3}[verdict.holds]
+    return text, {"yes": 0, "no": 2, "inconclusive": 3}[verdict.holds]
 
 
-def _cmd_verify(spec: RunSpec) -> int:
+def _cmd_verify(spec: RunSpec) -> tuple[str, int]:
     from .verifier import verify_bstar, verify_cstar
 
-    sys1 = spec.system1.model("system1")
-    sys2 = spec.system2.model("system2")
     verify = verify_cstar if spec.relation == "c_star" else verify_bstar
     try:
-        report = verify(sys1, sys2, spec.cfg)
+        report = verify(spec.system1, spec.system2, spec.cfg)
     except ValueError as exc:
         raise SpecError(f"cannot verify the two systems: {exc}") from exc
     payload = {"spec_sha256": spec.sha256, **report.to_dict(), "exit_code": report.exit_code}
-    _write(json.dumps(payload, sort_keys=True, indent=2) + "\n", spec.out_json)
-    return report.exit_code
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n", report.exit_code
 
 
-def _cmd_simulate(spec: RunSpec) -> int:
+def _cmd_simulate(spec: RunSpec) -> tuple[str, int]:
     from .montecarlo import simulate_system
 
-    model = spec.system1.model("system1")
+    model = spec.system1
     result = simulate_system(model.structure, model.copula, model.margin, spec.sim)
     meta = {
         "spec_sha256": spec.sha256,
@@ -324,11 +286,10 @@ def _cmd_simulate(spec: RunSpec) -> int:
         for a, b, c, d in zip(result.x, result.empirical_sf, result.analytic_sf, result.std_err)
     ]
     text = emit_table(meta, ["x", "empirical_sf", "analytic_sf", "std_err"], rows)
-    _write(text, spec.out_csv)
-    return 3 if result.max_standardized_deviation > 4.0 else 0
+    return text, 3 if result.max_standardized_deviation > 4.0 else 0
 
 
-def _cmd_corollary(spec: RunSpec) -> int:
+def _cmd_corollary(spec: RunSpec) -> tuple[str, int]:
     k, n, l, m = spec.indices
     try:
         holds = corollary_index_check(k, n, l, m, spec.relation)
@@ -340,26 +301,40 @@ def _cmd_corollary(spec: RunSpec) -> int:
         "relation": spec.relation,
         "holds": holds,
     }
-    sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    return 0 if holds else 2
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n", 0 if holds else 2
+
+
+@dataclass(frozen=True)
+class _Command:
+    """What one subcommand reads and runs.
+
+    ``required`` and ``optional`` are its top-level spec fields; ``settings``
+    the VerifyConfig fields it reads (``grid_size`` from ``grid.size``, the
+    rest from ``tolerances``); ``flags`` its override flags, as load_spec
+    keywords, with their types; ``output`` the one key of the ``output``
+    block it writes to (stdout without it); ``models`` whether its systems
+    must be whole models, else a system is read as its margin.
+    """
+
+    required: set[str]
+    optional: set[str]
+    settings: set[str]
+    flags: dict[str, type]
+    output: str | None
+    models: bool
+    run: Callable[[RunSpec], tuple[str, int]]
 
 
 _COMMANDS = {
-    "distortion": _cmd_distortion,
-    "check-order": _cmd_check_order,
-    "verify": _cmd_verify,
-    "simulate": _cmd_simulate,
-    "corollary": _cmd_corollary,
-}
-
-
-# the override flags each subcommand reads, as load_spec keywords
-_FLAGS = {
-    "distortion": {"grid_size": int, "eps_endpoint": float},
-    "check-order": {"grid_size": int, "tol": float},
-    "verify": {"grid_size": int, "tol": float, "eps_endpoint": float},
-    "simulate": {"seed": int},
-    "corollary": {},
+    "distortion": _Command({"system1"}, {"grid", "tolerances", "output"}, {"grid_size", "eps_endpoint"},
+                           {"grid_size": int, "eps_endpoint": float}, "csv", True, _cmd_distortion),
+    "check-order": _Command({"system1", "system2", "relation"}, {"grid", "tolerances", "output"},
+                            {"grid_size", "tol"}, {"grid_size": int, "tol": float}, "csv", False, _cmd_check_order),
+    "verify": _Command({"system1", "system2", "relation"}, {"grid", "tolerances", "output"},
+                       {"grid_size", "tol", "sign_slack", "eps_endpoint"},
+                       {"grid_size": int, "tol": float, "eps_endpoint": float}, "json", True, _cmd_verify),
+    "simulate": _Command({"system1"}, {"simulation", "output"}, set(), {"seed": int}, "csv", True, _cmd_simulate),
+    "corollary": _Command({"k", "n", "l", "m", "relation"}, set(), set(), {}, None, False, _cmd_corollary),
 }
 
 
@@ -378,10 +353,10 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Grid-certified relative-ageing comparisons of coherent systems.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, flags in _FLAGS.items():
+    for name, row in _COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("spec", help="path to the JSON run spec")
-        for key, kind in flags.items():
+        for key, kind in row.flags.items():
             p.add_argument("--" + key.replace("_", "-"), type=kind, default=None)
     return parser
 
@@ -396,9 +371,12 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: cannot read spec: {exc}", file=sys.stderr)
         return 1
+    row = _COMMANDS[args.command]
     try:
-        spec = load_spec(raw, args.command, **{key: getattr(args, key) for key in _FLAGS[args.command]})
-        return _COMMANDS[args.command](spec)
+        spec = load_spec(raw, args.command, **{key: getattr(args, key) for key in row.flags})
+        text, code = row.run(spec)
+        _write(text, spec.output)
+        return code
     except SpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -336,6 +336,10 @@ class TestUnreadFlags:
         assert captured.err.startswith("usage: coherent-age ")
         assert captured.err.endswith(f"\nerror: unrecognized arguments: {flag} 7\n")
 
+    def test_load_spec_refuses_a_flag_the_command_does_not_read(self):
+        with pytest.raises(TypeError, match=r"distortion takes only the flags \['eps_endpoint', 'grid_size'\]"):
+            load_spec({"system1": FGM_SYSTEM}, "distortion", tol=0.5)
+
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--help"])
@@ -368,6 +372,50 @@ class TestUnreadFlags:
         payload = {"system1": SERIES3_SYSTEM, "grid": {"size": 3, "policy": "linear"}}
         assert run(tmp_path, "simulate", payload) == 1
         assert capsys.readouterr().err == "error: unknown fields in spec: ['grid']\n"
+
+
+class TestOutput:
+    # each command writes one output key: csv, or json for verify
+    PAYLOADS = {
+        "distortion": ({"system1": FGM_SYSTEM, "grid": {"size": 11}}, "csv"),
+        "check-order": ({**VERIFY_SPEC, "relation": "st"}, "csv"),
+        "verify": (VERIFY_SPEC, "json"),
+        "simulate": ({"system1": SERIES3_SYSTEM, "simulation": {"sample_count": 1000}}, "csv"),
+    }
+
+    @pytest.mark.parametrize("command", PAYLOADS)
+    def test_output_key_the_command_does_not_write_is_refused(self, tmp_path, capsys, command):
+        payload, key = self.PAYLOADS[command]
+        other = "csv" if key == "json" else "json"
+        assert run(tmp_path, command, {**payload, "output": {other: str(tmp_path / "out")}}) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: unknown fields in output: [{other!r}]\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("path", [True, 5, ["a"], None, {"file": "a"}], ids=["bool", "int", "list", "null", "object"])
+    @pytest.mark.parametrize("command", PAYLOADS)
+    def test_output_path_that_is_not_a_string_is_refused(self, tmp_path, capsys, command, path):
+        # true would otherwise open file descriptor 1, and 5 another descriptor
+        payload, key = self.PAYLOADS[command]
+        assert run(tmp_path, command, {**payload, "output": {key: path}}) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: output.{key} must be a path string, got {path!r}\n"
+
+    @pytest.mark.parametrize("command", PAYLOADS)
+    def test_unwritable_output_path_is_one_error_line(self, tmp_path, capsys, command):
+        payload, key = self.PAYLOADS[command]
+        path = str(tmp_path / "missing" / "out")
+        assert run(tmp_path, command, {**payload, "output": {key: path}}) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot write output: [Errno 2] No such file or directory: {path!r}\n"
+
+    def test_output_block_on_corollary_is_refused(self, tmp_path, capsys):
+        payload = {"k": 1, "n": 3, "l": 2, "m": 3, "relation": "c_star", "output": {"json": "out.json"}}
+        assert run(tmp_path, "corollary", payload) == 1
+        assert capsys.readouterr().err == "error: unknown fields in spec: ['output']\n"
 
 
 class TestCorollary:
@@ -406,6 +454,48 @@ class TestSchemaValidation:
             "relation": "c_star",
         }
         assert run(tmp_path, "verify", bad) == 1
+
+    @pytest.mark.parametrize("command", ["distortion", "verify", "simulate"])
+    def test_margin_only_system_is_refused_where_a_model_is_run(self, tmp_path, capsys, command):
+        margin_only = {"margin": SERIES3_SYSTEM["margin"]}
+        payload = {**VERIFY_SPEC, "system1": margin_only} if command == "verify" else {"system1": margin_only}
+        assert run(tmp_path, command, payload) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: missing fields in system1: ['copula', 'structure']\n"
+
+    @pytest.mark.parametrize("command", ["verify", "check-order"])
+    @pytest.mark.parametrize("given, missing", [("structure", "copula"), ("copula", "structure")])
+    def test_structure_and_copula_come_together(self, tmp_path, capsys, command, given, missing):
+        # a copula takes its dimension from the structure, and a structure
+        # without a copula has no distortion; check-order refuses the half
+        # pair too, though it reads only the margins
+        system2 = {"margin": SERIES3_SYSTEM["margin"], given: SERIES3_SYSTEM[given]}
+        assert run(tmp_path, command, {**VERIFY_SPEC, "system2": system2}) == 1
+        assert capsys.readouterr().err == f"error: missing fields in system2: [{missing!r}]\n"
+
+    def test_check_order_reads_the_margins_of_whole_systems(self, tmp_path, capsys):
+        margins = {key: {"margin": VERIFY_SPEC[key]["margin"]} for key in ("system1", "system2")}
+        outputs = []
+        for payload in ({**VERIFY_SPEC, **margins}, VERIFY_SPEC):
+            assert run(tmp_path, "check-order", payload) == 0
+            # past the spec hashes, which differ with the systems
+            outputs.append(capsys.readouterr().out.splitlines()[1:])
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize(
+        "block, fragment, message",
+        [
+            ("structure", {"n": 3, "paths": [[1, 4]]},
+             "invalid structure in system1: path [1, 4] uses components outside 1..3"),
+            ("copula", {"copula": "fgm", "theta": 2}, "invalid system1.copula: FGM theta must lie in [-1, 1], got 2.0"),
+        ],
+        ids=["structure", "copula"],
+    )
+    def test_check_order_validates_a_structure_and_copula(self, tmp_path, capsys, block, fragment, message):
+        system1 = {**FGM_SYSTEM, block: fragment}
+        assert run(tmp_path, "check-order", {**VERIFY_SPEC, "system1": system1}) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_quantile_past_the_float_range_is_a_spec_error(self, tmp_path, capsys):
         system1 = {**SERIES3_SYSTEM, "margin": {"family": "weibull", "shape": 0.002, "scale": 1.0}}
@@ -573,7 +663,7 @@ class TestSchemaValidation:
     def test_optional_family_parameters_take_their_defaults(self, margin, expected):
         raw = {"system1": {"margin": margin}, "system2": {"margin": margin}, "relation": "st"}
         spec = load_spec(raw, "check-order")
-        assert spec.system1.margin == expected
+        assert spec.system1 == expected
 
     @NON_INTEGERS
     @pytest.mark.parametrize("field", ["k", "n", "l", "m"])
