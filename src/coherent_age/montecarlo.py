@@ -1,9 +1,12 @@
 """Copula-sampling oracle validating distortions and system survival curves.
 
 Sampling is split across independent substreams spawned from one 64-bit seed
-(numpy SeedSequence); the substreams run in order and their blocks are
-concatenated in stream order, so output is bit-identical for a fixed
-(seed, stream_count).
+(numpy SeedSequence), each with its own generator.  The substreams run
+concurrently, dealt round-robin to one thread per CPU this process may run on
+(numpy releases the GIL in its generators, ufuncs and sorts), and their
+results are joined in stream order, so output is bit-identical for a fixed
+(seed, stream_count) whatever the CPU count.  A simulation counts each
+stream's survivors and sums the integer counts, which is exact.
 
 Each sampler draws a latent array and a row map to uniforms whose joint
 distribution function is the survival copula K.  The independence law
@@ -28,6 +31,9 @@ The survival identity P(tau > x) = h(sf(x)) is then checked empirically.
 
 from __future__ import annotations
 
+import contextvars
+import os
+import threading
 from dataclasses import dataclass
 from functools import reduce
 
@@ -66,17 +72,62 @@ class SimConfig:
 
 def sample_copula(copula: Copula, cfg: SimConfig) -> np.ndarray:
     """Sample cfg.sample_count rows from the copula, shape (N, dim)."""
-    return np.vstack([u if row_map is None else row_map(u) for u, row_map in _stream_draws(copula, cfg)])
+    u = np.empty((cfg.sample_count, copula.dim))
+
+    # each stream writes its rows in place: no stream's block outlives it
+    def fill(rows, latent, row_map):
+        u[rows] = latent if row_map is None else row_map(latent)
+
+    _per_stream(copula, cfg, fill)
+    return u
 
 
-def _stream_draws(copula: Copula, cfg: SimConfig):
-    """Each nonempty substream's (latent, row_map) draw, in stream order,
-    drawn as it is consumed."""
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity is not None else os.cpu_count() or 1
+
+
+def _per_stream(copula: Copula, cfg: SimConfig, finish) -> list:
+    """finish(rows, latent, row_map) of each nonempty substream's draw, in
+    stream order, with rows the slice of the whole sample the stream holds.
+
+    The streams are dealt round-robin to one worker per CPU, at most one per
+    stream; the calling thread is the first worker, so on one CPU no thread
+    starts.  Each worker runs in a copy of the caller's context, so an
+    np.errstate set by the caller holds on every stream.  Once every worker
+    has stopped, a failure is raised in the caller: that of the
+    lowest-numbered failing stream.  A worker skips the streams it holds
+    after its first failure, which are all higher-numbered.
+    """
     children = np.random.SeedSequence(cfg.seed).spawn(cfg.stream_count)
     base, extra = divmod(cfg.sample_count, cfg.stream_count)
-    counts = [base + (1 if i < extra else 0) for i in range(cfg.stream_count)]
-    return (_sample_chunk(copula, count, np.random.default_rng(child))
-            for child, count in zip(children, counts) if count > 0)
+    starts = [i * base + min(i, extra) for i in range(cfg.stream_count + 1)]
+    streams = [(child, slice(a, b)) for child, a, b in zip(children, starts, starts[1:]) if b > a]
+    results = [None] * len(streams)
+    errors = [None] * len(streams)
+    workers = min(len(streams), _cpu_count())
+
+    def work(first: int) -> None:
+        for i in range(first, len(streams), workers):
+            child, rows = streams[i]
+            try:
+                draw = _sample_chunk(copula, rows.stop - rows.start, np.random.default_rng(child))
+                results[i] = finish(rows, *draw)
+            except BaseException as exc:  # re-raised in the caller below
+                errors[i] = exc
+                return
+
+    threads = [threading.Thread(target=contextvars.copy_context().run, args=(work, k)) for k in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    work(0)
+    for thread in threads:
+        thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return results
 
 
 def _sample_chunk(copula: Copula, count: int, rng: np.random.Generator):
@@ -186,14 +237,15 @@ def simulate_system(structure: Structure, copula: Copula, margin: LifetimeDistri
 
     # isf falls as u rises, and a frailty row map falls as its latent rises:
     # reduce each row to the system's one value before mapping and inverting
-    system_u = [
-        _system_lifetime(latent, structure.paths, rising=False) if row_map is None
-        else row_map(_system_lifetime(latent, structure.paths)[:, None])[:, 0]
-        for latent, row_map in _stream_draws(copula, cfg)
-    ]
-    tau = np.asarray(margin.isf(np.concatenate(system_u)), dtype=float)
+    def survivors(rows, latent, row_map):
+        if row_map is None:
+            system_u = _system_lifetime(latent, structure.paths, rising=False)
+        else:
+            system_u = row_map(_system_lifetime(latent, structure.paths)[:, None])[:, 0]
+        return _count_survivors(np.asarray(margin.isf(system_u), dtype=float), x)
 
-    emp = _count_survivors(tau, x) / tau.size
+    # integer counts: their sum is exact, whatever the split
+    emp = sum(_per_stream(copula, cfg, survivors)) / cfg.sample_count
     ana = np.asarray(distortion.h(margin.sf(x)), dtype=float)
     se = np.sqrt(emp * (1.0 - emp) / cfg.sample_count)
     return SimulationResult(x, emp, ana, se, cfg.sample_count, cfg.seed, cfg.stream_count)

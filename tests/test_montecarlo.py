@@ -1,6 +1,9 @@
+import dataclasses
 import hashlib
 import itertools
 import math
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -312,11 +315,13 @@ class TestReducedPipeline:
             seen.append(tau)
             return count(tau, x)
 
+        # one worker counts the streams in order, so their lifetimes join as the reference's
+        monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 1)
         monkeypatch.setattr(montecarlo, "_count_survivors", recording)
         res = simulate_system(structure, copula, margin, cfg)
         tau, emp = reference_simulation(structure, copula, margin, cfg, res.x)
-        assert len(seen) == 1 and seen[0].dtype == np.float64
-        assert seen[0].tobytes() == tau.tobytes()
+        assert len(seen) == cfg.stream_count and all(t.dtype == np.float64 for t in seen)
+        assert np.concatenate(seen).tobytes() == tau.tobytes()
         assert res.empirical_sf.tobytes() == emp.tobytes()
 
     @pytest.mark.parametrize(
@@ -336,9 +341,109 @@ class TestReducedPipeline:
         structure = k_of_n_paths(2, copula.dim)
         cfg = SimConfig(sample_count=10_001, seed=3, stream_count=3)
         simulate_system(structure, copula, Exponential(1.0), cfg)
-        # the default x-grid first, then every call on one value per row
-        assert sizes[0] == 20 and len(sizes) > 1
-        assert all(size == cfg.sample_count for size in sizes[1:])
+        # the default x-grid first, then one call per stream on one value per
+        # row, in whatever order the streams finish
+        assert sizes[0] == 20
+        assert sorted(sizes[1:]) == [3333, 3334, 3334] and sum(sizes[1:]) == cfg.sample_count
+
+
+def simulation_bytes(res):
+    values = (getattr(res, f.name) for f in dataclasses.fields(res))
+    return [v.tobytes() for v in values if isinstance(v, np.ndarray)]
+
+
+class TestConcurrentStreams:
+    @pytest.mark.parametrize("cfg", PIPELINE_CONFIGS + [SimConfig(sample_count=3, seed=8, stream_count=5)],
+                             ids=lambda c: f"{c.stream_count}x{c.sample_count}")
+    @pytest.mark.parametrize(
+        "structure, copula, margin", [case[1:] for case in PIPELINE_CASES], ids=[case[0] for case in PIPELINE_CASES]
+    )
+    def test_bytes_do_not_depend_on_cpu_count(self, structure, copula, margin, cfg, monkeypatch):
+        outputs = []
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(montecarlo, "_cpu_count", lambda: cpus)
+            u = sample_copula(copula, cfg)
+            res = simulate_system(structure, copula, margin, cfg)
+            assert u.shape == (cfg.sample_count, copula.dim) and u.flags.c_contiguous
+            outputs.append([u.tobytes()] + simulation_bytes(res))
+        assert len(outputs[0]) == 5
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_no_more_threads_than_cpus(self, monkeypatch):
+        started = []
+
+        class Counting(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        def run():
+            u = sample_copula(copula, cfg)
+            return [u.tobytes()] + simulation_bytes(simulate_system(Structure.series(3), copula, Exponential(1.0), cfg))
+
+        copula = ClaytonOakes(1.5, 3)
+        cfg = SimConfig(sample_count=1000, seed=4, stream_count=1000)
+        monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 3)
+        monkeypatch.setattr(threading, "Thread", Counting)
+        # more workers than this machine may have CPUs, switching threads often
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = run()
+        finally:
+            sys.setswitchinterval(interval)
+        # the calling thread is the third worker of each call
+        assert len(started) == 4 and not any(t.is_alive() for t in started)
+        monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 1)
+        assert run() == threaded and len(started) == 4
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("failing", [{1}, {1, 2}, {2, 3}, {0, 3}], ids=str)
+    def test_lowest_failing_stream_is_raised(self, failing, cpus, monkeypatch):
+        draw = montecarlo._sample_chunk
+
+        def failing_draw(copula, count, rng):
+            stream = rng.bit_generator.seed_seq.spawn_key[-1]
+            if stream in failing:
+                raise LookupError(f"stream {stream}")
+            return draw(copula, count, rng)
+
+        monkeypatch.setattr(montecarlo, "_cpu_count", lambda: cpus)
+        monkeypatch.setattr(montecarlo, "_sample_chunk", failing_draw)
+        cfg = SimConfig(sample_count=400, seed=6, stream_count=4)
+        with pytest.raises(LookupError, match=f"^stream {min(failing)}$"):
+            simulate_system(Structure.series(3), Independence(3), Exponential(1.0), cfg)
+        with pytest.raises(LookupError, match=f"^stream {min(failing)}$"):
+            sample_copula(GumbelHougaard(2.0, 3), cfg)
+
+    def test_isf_failure_on_a_worker_reaches_the_caller(self, monkeypatch):
+        isf = Exponential.isf
+
+        def failing(self, v):
+            if threading.current_thread() is not threading.main_thread():
+                raise FloatingPointError("isf failed off the main thread")
+            return isf(self, v)
+
+        monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(Exponential, "isf", failing)
+        with pytest.raises(FloatingPointError, match="^isf failed off the main thread$"):
+            simulate_system(Structure.series(3), FGM(0.5), Exponential(1.0), SimConfig(sample_count=1000, seed=2))
+
+    def test_callers_errstate_holds_on_every_stream(self, monkeypatch):
+        seen = []
+        isf = Exponential.isf
+
+        def recording(self, v):
+            seen.append((threading.get_ident(), np.geterr()))
+            return isf(self, v)
+
+        monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(Exponential, "isf", recording)
+        with np.errstate(all="raise"):
+            simulate_system(Structure.series(3), Independence(3), Exponential(1.0), SimConfig(sample_count=1000, seed=2))
+        # the x-grid and the two streams the caller runs, and the two its worker runs
+        assert len(seen) == 5 and len({ident for ident, _ in seen}) == 2
+        assert all(state == dict.fromkeys(("divide", "over", "under", "invalid"), "raise") for _, state in seen)
 
 
 class TestConfigValidation:
