@@ -498,6 +498,58 @@ def exact_levels(d, guess):
         return 1 - tail, mp.findroot(lambda p: h(p) - level, mpf(guess[1]))
 
 
+def level_rounds(d, monkeypatch, slope_scale=1.0):
+    """Patch the evaluation d._levels runs, the float Bernstein sum under the
+    independence law and the copula's signed sum otherwise, to record which
+    function each call reads (0 h, 1 1-h, 2 h') and scale h' by slope_scale;
+    the record is returned."""
+    evaluations = []
+    if d._bernstein is not None:
+        evaluate = systems._bernstein_float
+
+        def patched(p, weights):
+            which = next(i for i, w in enumerate(d._bernstein) if w is weights)
+            evaluations.append(which)
+            return evaluate(p, weights) * (slope_scale if which == 2 else 1.0)
+
+        monkeypatch.setattr(systems, "_bernstein_float", patched)
+    else:
+        evaluate = type(d.copula)._sum
+
+        def patched(self, pa, coeffs, which):
+            evaluations.append(which)
+            return evaluate(self, pa, coeffs, which) * (slope_scale if which == 2 else 1.0)
+
+        monkeypatch.setattr(type(d.copula), "_sum", patched)
+    return evaluations
+
+
+def reference_levels(d, q_lo, q_hi):
+    """Distortion._levels as it ran before its rounds took Python floats:
+    each evaluation is the Bernstein sum on a 0-d array, whose 1 - p is a
+    numpy scalar.  The float search must stay within 2 ulps of it."""
+    out = []
+    for level, upper in ((q_lo, True), (1.0 - q_hi, False)):
+        def evaluable(v):
+            return 1.0 - (1.0 - v) if upper else v
+
+        lo, hi, x = (2.0**-53 if upper else math.ulp(0.0)), 1.0, 0.5
+        while True:
+            pa = np.array(1.0 - x if upper else x)
+            value, d1 = (float(systems._bernstein_sum(pa, d._bernstein[which])) for which in (int(upper), 2))
+            lo, hi = (x, hi) if value < level else (lo, x)
+            step = math.log(level / value) * value / (x * d1) if value > 0.0 and x * d1 > 0.0 else math.inf
+            if abs(step) <= 2.0**-26 * abs(math.log(x)):
+                x *= math.exp(step)
+                break
+            newton = evaluable(x * math.exp(step)) if abs(step) < 745.0 else math.nan
+            x = newton if lo < newton < hi else evaluable(math.sqrt(lo) * math.sqrt(hi))
+            if not lo < x < hi:
+                break
+        out.append(1.0 - x if upper else x)
+    return tuple(out)
+
+
 class TestLevels:
     @pytest.mark.parametrize("n", range(1, 21))
     def test_series_and_parallel_match_closed_forms(self, n):
@@ -540,36 +592,27 @@ class TestLevels:
     def test_rounds_per_distortion(self, monkeypatch):
         # a round evaluates 1-h or h, and h'; Newton in the tail-log coordinates
         # takes 2 rounds per end for n = 1 and at most 3 on this battery
-        evaluations = []
-        evaluate = Distortion._evaluate
-
-        def counted(self, p, which):
-            evaluations.append(which)
-            return evaluate(self, p, which)
-
-        monkeypatch.setattr(Distortion, "_evaluate", counted)
+        # (parallel(n) under Gumbel-Hougaard(2) takes up to 9 in all, so only
+        # its series(n) is here)
         for n in range(1, 21):
-            for structure in (Structure.series(n), Structure.parallel(n)):
-                evaluations.clear()
-                build_distortion(structure, Independence(n))._levels(*LEVELS)
+            for structure, copula in ((Structure.series(n), Independence(n)), (Structure.parallel(n), Independence(n)),
+                                      (Structure.series(n), GumbelHougaard(2.0, n))):
+                d = build_distortion(structure, copula)
+                evaluations = level_rounds(d, monkeypatch)
+                d._levels(*LEVELS)
+                monkeypatch.undo()
                 rounds = evaluations.count(2)
-                assert len(evaluations) == 2 * rounds and rounds <= 6
+                assert len(evaluations) == 2 * rounds and 4 <= rounds <= 6
 
-    @pytest.mark.parametrize("structure", [Structure.series(1), Structure.series(3), Structure.parallel(20),
-                                           k_of_n_paths(2, 3)], ids=["single", "series3", "parallel20", "2of3"])
-    def test_bisection_finishes_when_every_newton_step_leaves_its_bracket(self, structure, monkeypatch):
+    @pytest.mark.parametrize("d", [build_distortion(s, Independence(s.n)) for s in (
+        Structure.series(1), Structure.series(3), Structure.parallel(20), k_of_n_paths(2, 3))] + [
+        build_distortion(k_of_n_paths(2, 3), GumbelHougaard(2.0, 3))],
+        ids=["single", "series3", "parallel20", "2of3", "gumbel2-2of3"])
+    def test_bisection_finishes_when_every_newton_step_leaves_its_bracket(self, d, monkeypatch):
         # h' scaled by 2^-1000 makes every slope tiny, so every Newton step
         # leaves its bracket; halving ln x from widths 37 and 744 until no
         # float p lies strictly inside takes 98-116 rounds for both ends here
-        d = build_distortion(structure, Independence(structure.n))
-        evaluate = Distortion._evaluate
-        rounds = []
-
-        def flat(self, p, which):
-            rounds.append(which)
-            return evaluate(self, p, which) * (2.0**-1000 if which == 2 else 1.0)
-
-        monkeypatch.setattr(Distortion, "_evaluate", flat)
+        rounds = level_rounds(d, monkeypatch, slope_scale=2.0**-1000)
         p_lo, p_hi = d._levels(*LEVELS)
         assert 80 <= rounds.count(2) <= 128
         monkeypatch.undo()
@@ -578,6 +621,21 @@ class TestLevels:
             (np.array([p, p]).view(np.int64) + [-2, 2]).view(np.float64) for p in (p_lo, p_hi))
         assert d.one_minus_h(lo_up) <= LEVELS[0] <= d.one_minus_h(lo_down)
         assert d.h(hi_down) <= 1.0 - LEVELS[1] <= d.h(hi_up)
+
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_float_rounds_match_the_zero_d_reference(self, n):
+        # every k-out-of-n, series and parallel among them, under the three
+        # forms of the independence law: 846 levels, of which the float rounds
+        # move the h = 0.001 level of 4-of-16 (1 ulp), 5-of-17 (2) and 6-of-20
+        # (1), where libm's p^k differs from numpy's 0-d power kernel
+        counts = [tuple(math.comb(n, j) if j >= k else 0 for j in range(n + 1)) for k in range(1, n + 1)]
+        copulas = [Independence(n), GumbelHougaard(1.0, n)] + ([FGM(0.0)] if n == 3 else [])
+        for copula in copulas:
+            for kofn_counts in counts:
+                d = Distortion(copula, kofn_counts)
+                assert d._bernstein is not None
+                got, want = np.array(d._levels(*LEVELS)), np.array(reference_levels(d, *LEVELS))
+                assert np.all(np.abs(got.view(np.int64) - want.view(np.int64)) <= 2), (copula, kofn_counts)
 
 
 class TestSystemModel:
@@ -612,3 +670,56 @@ class TestSystemModel:
         # the distortion always comes from the structure and copula
         with pytest.raises(TypeError):
             SystemModel(k_of_n_paths(2, 4), Independence(4), Exponential(2.0), sysm.distortion)
+
+
+# each family, the independence law in its three forms among them
+SCALAR_CASES = {
+    "independence-3of6": (k_of_n_paths(3, 6), Independence(6)),
+    "gumbel1-3of6": (k_of_n_paths(3, 6), GumbelHougaard(1.0, 6)),
+    "fgm0-2of3": (k_of_n_paths(2, 3), FGM(0.0)),
+    "fgm0.5-2of3": (k_of_n_paths(2, 3), FGM(0.5)),
+    "fgm-1-pair-series": (Structure.from_paths(3, [[1, 2], [1, 3]]), FGM(-1.0)),
+    "gumbel2-3of6": (k_of_n_paths(3, 6), GumbelHougaard(2.0, 6)),
+    "clayton-3of6": (k_of_n_paths(3, 6), ClaytonOakes(1.5, 6)),
+}
+
+
+def assert_same_bits(array_values, scalar_values):
+    np.testing.assert_array_equal(np.asarray(array_values).view(np.int64),
+                                  np.array(scalar_values, dtype=float).view(np.int64))
+
+
+class TestScalarMatchesArray:
+    """A scalar call returns the bits of the same point of an array call.
+
+    On a 0-d array 1 - p is a numpy scalar, whose ** is libm's pow, as a
+    Python float's is; an array's ** runs numpy's SIMD kernel, which can
+    differ in the last ulp (with AVX-512, at about 5% of the points for p^3).
+    """
+
+    # random points, and 100 where this machine's array kernel and libm
+    # differ for (1-p)^3, if there are such points
+    POOL = np.random.default_rng(2026).random(20000)
+    P = np.concatenate((POOL[:300], POOL[(1.0 - POOL) ** 3 != [(1.0 - p) ** 3 for p in POOL.tolist()]][:100]))
+    X = np.random.default_rng(2027).exponential(2.0, 300)
+
+    @pytest.mark.parametrize("structure,copula", SCALAR_CASES.values(), ids=SCALAR_CASES.keys())
+    def test_distortion_entries(self, structure, copula):
+        d = build_distortion(structure, copula)
+        for name in ("h", "one_minus_h", "h_prime", "H", "R", "H_prime", "R_prime"):
+            f = getattr(d, name)
+            assert_same_bits(f(self.P), [f(float(p)) for p in self.P])
+        for kind in ("H", "R"):
+            profile = d.elasticity_profile(self.P, kind)
+            scalars = [d.elasticity_profile(float(p), kind) for p in self.P]
+            for i in (0, 1):
+                assert_same_bits(profile[i], [pair[i] for pair in scalars])
+
+    # Weibull is left out: its sf reads (x/scale)^shape, a numpy scalar power
+    # for a scalar x
+    @pytest.mark.parametrize("margin", [Exponential(1.3), LinearFailureRate(0.5, 0.3)], ids=["exp", "lfr"])
+    @pytest.mark.parametrize("structure,copula", SCALAR_CASES.values(), ids=SCALAR_CASES.keys())
+    def test_system_model_entries(self, structure, copula, margin):
+        sysm = SystemModel(structure, copula, margin)
+        for f in (sysm.cum_hazard, sysm.cum_rev_hazard):
+            assert_same_bits(f(self.X), [f(float(x)) for x in self.X])
