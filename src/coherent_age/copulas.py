@@ -13,13 +13,21 @@ Each family defines the reductions once, as array cores ``_exch``,
 ``_exch_deriv``, ``_exch_second`` and ``_exch_compl`` on an already validated
 array with ``1 <= j <= dim``.  The public ``exch``, ``exch_deriv`` and
 ``exch_compl`` of the base class validate ``(p, j)`` once, answer ``j = 0``
-and call the core.  ``_exch_second`` feeds only the elasticity derivatives,
-which live on the open interval, and has no public wrapper.
+and call the core, on a one-point array for a scalar ``p``.
+``_exch_second`` feeds only the elasticity derivatives, which live on the
+open interval, and has no public wrapper.
 
 The distortion engine has one entry per evaluation, ``_sum(pa, coeffs,
 which)``: the signed sum ``sum_j c_j F_j`` with ``F_j`` one of ``K_j``,
 ``1 - K_j``, ``K_j'`` and ``K_j''`` (``which`` 0-3).  The base class adds the
-per-j cores in coefficient order.
+per-j cores in coefficient order.  The second entry, ``_float_sum(p, coeffs,
+which)`` for ``which`` 0-2, is the same sum at one Python float p, for the
+rounds of the distortion inverse; each dependent family defines it in
+``_sum``'s formulas, coefficient order and grouping.  Its arithmetic in p
+runs on Python floats, and each log, exponential and power but a square is
+numpy's ufunc on the float (``_power`` for the powers), which runs the array
+kernel and so returns the array sum's bits.  Python's ``**`` and ``math``,
+and ``**`` on a numpy scalar, call libm, which can differ in the last ulp.
 
 Clayton-Oakes uses the standard exchangeable Archimedean form
 ``(sum p_i^-theta - (n-1))^(-1/theta)``; it is an extension family here, kept
@@ -27,8 +35,9 @@ alongside the three others for breadth of the simulation oracle.  Its terms
 share their log-space work: ``ln p``, ``w = -theta ln p``, the mask of points
 before the cutoff and ``expm1(w)`` are computed once per ``_sum`` call, and
 each term then costs its ``ln S_j = log1p(j expm1(w))`` and one ``exp``.  Its
-``_sum`` holds the only copy of each formula, and its per-j cores are the
-single-term sums.  The values are bit-identical to a loop over per-j cores.
+``_sum`` holds the array copy of each formula and ``_float_sum`` the
+one-point copy, and its per-j cores are the single-term sums.  The values
+are bit-identical to a loop over per-j cores.
 """
 
 from __future__ import annotations
@@ -40,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._num import read_fragment
-from .distributions import as_float_array, match_input
+from .distributions import as_float_array, match_input, on_points
 
 __all__ = [
     "Copula",
@@ -54,6 +63,11 @@ __all__ = [
 # above this value of -theta*ln(p), p^-theta has overflowed and the Clayton
 # forms are replaced by their exact limits
 _CLAYTON_LOG_CUTOFF = 500.0
+
+
+def _power(x: float, e) -> float:
+    """x ** e at a Python float, with the bits of numpy's array power."""
+    return float(np.power(x, e))
 
 
 class Copula(ABC):
@@ -91,17 +105,17 @@ class Copula(ABC):
     def exch(self, p, j: int):
         """K with j coordinates at p and n-j at 1; j = 0 gives 1."""
         pa = self._check_exch(p, j)
-        return match_input(p, self._exch(pa, j) if j else np.ones_like(pa))
+        return match_input(p, on_points(self._exch, pa, j) if j else np.ones_like(pa))
 
     def exch_deriv(self, p, j: int):
         """d/dp of ``exch(p, j)`` in closed form."""
         pa = self._check_exch(p, j)
-        return match_input(p, self._exch_deriv(pa, j) if j else np.zeros_like(pa))
+        return match_input(p, on_points(self._exch_deriv, pa, j) if j else np.zeros_like(pa))
 
     def exch_compl(self, p, j: int):
         """1 - exch(p, j), computed without cancellation near p = 1."""
         pa = self._check_exch(p, j)
-        return match_input(p, self._exch_compl(pa, j) if j else np.zeros_like(pa))
+        return match_input(p, on_points(self._exch_compl, pa, j) if j else np.zeros_like(pa))
 
     def _check_exch(self, p, j: int) -> np.ndarray:
         if not isinstance(j, (int, np.integer)) or j < 0 or j > self.dim:
@@ -175,6 +189,23 @@ class FGM(Copula):
             return q * (1.0 + pa)
         return q * (1.0 + pa + pa**2) - self.theta * pa**3 * q**3
 
+    def _float_sum(self, p, coeffs, which):
+        # the cores at a Python float: an array's squares are products, its cubes numpy's power
+        q, out = 1.0 - p, 0.0
+        for j, c in coeffs:
+            if j == 1:
+                term = (p, q, 1.0)[which]
+            elif j == 2:
+                term = (p * p, q * (1.0 + p), 2 * p)[which]
+            elif which == 0:
+                term = _power(p, 3) * (1.0 + self.theta * _power(q, 3))
+            elif which == 1:
+                term = q * (1.0 + p + p * p) - self.theta * _power(p, 3) * _power(q, 3)
+            else:
+                term = 3.0 * (p * p) + 3.0 * self.theta * (p * p) * (q * q) * (1.0 - 2.0 * p)
+            out += c * term
+        return out
+
 
 @dataclass(frozen=True)
 class GumbelHougaard(Copula):
@@ -208,6 +239,20 @@ class GumbelHougaard(Copula):
     def _exch_compl(self, pa, j):
         a = self._exponent(j)
         return np.where(pa > 0.0, -np.expm1(a * np.log(np.maximum(pa, 1e-300))), 1.0)
+
+    def _float_sum(self, p, coeffs, which):
+        # the cores at a Python float, ln max(p, 1e-300) read once
+        log_p, out = float(np.log(max(p, 1e-300))), 0.0
+        for j, c in coeffs:
+            a = self._exponent(j)
+            if which == 0:
+                term = _power(p, a)
+            elif which == 1:
+                term = -float(np.expm1(a * log_p)) if p > 0.0 else 1.0
+            else:
+                term = a * _power(p, a - 1.0)
+            out += c * term
+        return out
 
 
 @dataclass(frozen=True)
@@ -280,6 +325,30 @@ class ClaytonOakes(Copula):
                         edge = pa * edge if which == 0 else 1.0 - pa * edge
                     term = np.where(limit, edge, term)
             out += c * term
+        return out
+
+    def _float_sum(self, p, coeffs, which):
+        # _sum's forms at a Python float; ln 0 = -inf, as np.log gives it without the warning
+        theta = self.theta
+        logp = float(np.log(p)) if p > 0.0 else -math.inf
+        w = -theta * logp
+        out = 0.0
+        if p > 0.0 and w < _CLAYTON_LOG_CUTOFF:
+            em = float(np.expm1(w))
+            power = (theta + 1.0) * logp
+            for j, c in coeffs:
+                log_s = float(np.log1p(j * em))
+                if which == 0:
+                    term = float(np.exp(-log_s / theta))
+                elif which == 1:
+                    term = -float(np.expm1(-log_s / theta))
+                else:
+                    term = float(np.exp(math.log(j) - power - ((theta + 1.0) / theta) * log_s))
+                out += c * term
+        else:
+            for j, c in coeffs:
+                edge = j ** (-1.0 / theta)
+                out += c * (p * edge, 1.0 - p * edge, edge)[which]
         return out
 
 

@@ -6,8 +6,9 @@ Every family exposes the functions used throughout the package: survival
 survival function ``isf``.  All are exact closed forms; there is no generic
 numeric inversion anywhere.  Where a log argument underflows to zero the
 affected function returns ``inf`` instead of raising, so grid sweeps can
-skip and count flagged points.  ``match_input`` and ``as_float_array``, the
-scalar-or-array input helpers of every numeric module, live here.
+skip and count flagged points.  ``match_input``, ``as_float_array`` and
+``on_points``, the scalar-or-array input helpers of every numeric module,
+live here.
 """
 
 from __future__ import annotations
@@ -40,6 +41,16 @@ def as_float_array(x) -> np.ndarray:
     return np.asarray(x, dtype=float)
 
 
+def on_points(f, xa: np.ndarray, *args) -> np.ndarray:
+    """f(xa, *args) with xa run as a 1-D array and the result in xa's shape.
+
+    A scalar runs as a one-point array, so that it gets an array call's
+    bits: on a 0-d array an operation returns a numpy scalar, whose ** is
+    libm's pow, which can differ from numpy's array kernel in the last ulp.
+    """
+    return f(xa.reshape(-1), *args).reshape(xa.shape)
+
+
 def _check_nonneg(x) -> np.ndarray:
     xa = as_float_array(x)
     if np.any(xa < 0.0):
@@ -69,23 +80,21 @@ class LifetimeDistribution(ABC):
     def isf(self, v):
         """Inverse survival function: x such that sf(x) = v."""
 
-    # every public function validates its argument once, then calls the cores
+    # every public function validates its argument once, then calls the cores on its points
     def cum_hazard(self, x):
-        return match_input(x, self._chz(_check_nonneg(x)))
+        return match_input(x, on_points(self._chz, _check_nonneg(x)))
 
     def hazard(self, x):
-        return match_input(x, self._hz(_check_nonneg(x)))
+        return match_input(x, on_points(self._hz, _check_nonneg(x)))
 
     def sf(self, x):
-        xa = _check_nonneg(x)
-        return match_input(x, np.exp(-self._chz(xa)))
+        return match_input(x, np.exp(-on_points(self._chz, _check_nonneg(x))))
 
     def cdf(self, x):
-        xa = _check_nonneg(x)
-        return match_input(x, -np.expm1(-self._chz(xa)))
+        return match_input(x, -np.expm1(-on_points(self._chz, _check_nonneg(x))))
 
     def cum_rev_hazard(self, x):
-        return match_input(x, _minus_log_cdf(self._chz(_check_nonneg(x))))
+        return match_input(x, _minus_log_cdf(on_points(self._chz, _check_nonneg(x))))
 
 
 def _minus_log_cdf(delta: np.ndarray) -> np.ndarray:
@@ -187,8 +196,7 @@ class Weibull(LifetimeDistribution):
         va = as_float_array(v)
         # a quantile past the float range is +inf, like the one at v = 0
         with np.errstate(divide="ignore", over="ignore"):
-            t = -np.log(va)
-            out = self.scale * t ** (1.0 / self.shape)
+            out = on_points(lambda u: self.scale * (-np.log(u)) ** (1.0 / self.shape), va)
         return match_input(v, out)
 
 

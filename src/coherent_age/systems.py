@@ -43,7 +43,7 @@ from operator import and_, or_
 import numpy as np
 
 from .copulas import Copula, _is_independence
-from .distributions import LifetimeDistribution, as_float_array, match_input
+from .distributions import LifetimeDistribution, as_float_array, match_input, on_points
 
 __all__ = [
     "Structure",
@@ -211,12 +211,11 @@ class Distortion:
         Bernstein weights under independence, else the copula's one-call
         signed sum ``_sum``, sum_j c_j times K_j, 1-K_j, K_j' or K_j''
         (Clayton-Oakes shares ln p and expm1(-theta ln p) across its terms)."""
-        # a scalar runs as a one-point array, to match an array call bit for bit: 1 - p of a
-        # 0-d array is a numpy scalar, whose ** (libm's pow) can differ from numpy's array kernel
+        # a scalar runs as a one-point array, to match an array call bit for bit
         pa = as_float_array(p)
         if self._bernstein is not None:
-            return _bernstein_sum(pa.reshape(-1), self._bernstein[which]).reshape(pa.shape)
-        return self.copula._sum(pa.reshape(-1), self.coeffs, which).reshape(pa.shape)
+            return on_points(_bernstein_sum, pa, self._bernstein[which])
+        return on_points(self.copula._sum, pa, self.coeffs, which)
 
     def H(self, p):
         """Hazard-transfer elasticity p h'(p)/h(p), clamped to the open interval.
@@ -277,8 +276,9 @@ class Distortion:
         Each is a safeguarded Newton iteration on x = 1-p (the first) or
         x = p (the second) in the coordinate ln x, where ln(1-h) and ln h
         have the slopes R(p) and H(p), so a power-law tail takes one step.
-        A round reads 1-h or h, and h', on Python floats from the Bernstein
-        weights under the independence law, else from the copula's sum on a 0-d array.
+        A round reads 1-h or h, and h', on Python floats: from the Bernstein
+        weights under the independence law, else from the copula's
+        ``_float_sum``, which returns the bits of its array ``_sum``.
         The brackets, x in [2^-53, 1] and [2^-1074, 1], span the floats p in
         (0, 1), and 1-h <= n(1-p) and h <= n p put the level inside.  A step
         that leaves its bracket bisects it in ln x instead.  The iteration
@@ -295,7 +295,7 @@ class Distortion:
             while True:
                 p = 1.0 - x if upper else x
                 value, d1 = (_bernstein_float(p, self._bernstein[which]) if self._bernstein is not None else
-                             float(self.copula._sum(np.array(p), self.coeffs, which)) for which in (int(upper), 2))
+                             self.copula._float_sum(p, self.coeffs, which) for which in (int(upper), 2))
                 lo, hi = (x, hi) if value < level else (lo, x)
                 # over the slope x h'/(1-h) = R or x h'/h = H; a step that is not finite bisects
                 step = math.log(level / value) * value / (x * d1) if value > 0.0 and x * d1 > 0.0 else math.inf

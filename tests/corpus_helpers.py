@@ -1,13 +1,17 @@
 """Shared randomized-instance generators, the golden triple corpus, the
-full copula K(p_1, ..., p_n) that the exchangeable reductions are tested
-against, and their 50-digit closed forms K_j and K_j'."""
+benchmark's verify-audit systems, the full copula K(p_1, ..., p_n) that the
+exchangeable reductions are tested against, and their 50-digit closed forms
+K_j and K_j'."""
+
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 from mpmath import mpf
 
-from coherent_age.copulas import ClaytonOakes, FGM, GumbelHougaard, Independence
+from coherent_age.copulas import ClaytonOakes, FGM, GumbelHougaard, Independence, copula_from_dict
 from coherent_age.distributions import Exponential, LinearFailureRate, Weibull
-from coherent_age.systems import Structure, SystemModel, k_of_n_paths
+from coherent_age.systems import Structure, SystemModel, build_distortion, k_of_n_paths
 from coherent_age.verifier import verify_bstar, verify_cstar
 
 
@@ -69,6 +73,22 @@ def random_instance(rng, relation):
     sys1 = SystemModel(random_structure(rng, n1), random_copula(rng, n1), mx)
     sys2 = SystemModel(random_structure(rng, n2), random_copula(rng, n2), my)
     return sys1, sys2
+
+
+def audit_distortions(seed):
+    """The distortions of both systems of each item of the benchmark's
+    verify-audit round at seed, from its inputs module, which imports
+    nothing of the program."""
+    spec = importlib.util.spec_from_file_location("bench_inputs", Path(__file__).parents[1] / "bench" / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    out = []
+    for item in inputs.audit_items(seed):
+        for block in (item["system1"], item["system2"]):
+            n = block["structure"]["n"]
+            structure = Structure.from_paths(n, block["structure"]["paths"])
+            out.append(build_distortion(structure, copula_from_dict(block["copula"], n)))
+    return out
 
 
 def clayton_pairs(rng, count):

@@ -15,6 +15,7 @@ from coherent_age.copulas import (
     Independence,
     copula_from_dict,
 )
+from coherent_age.systems import Structure, build_distortion, k_of_n_paths
 
 
 def all_families(n=3):
@@ -308,6 +309,49 @@ class TestClaytonSum:
         reports = [verify(sys1, sys2) for verify, sys1, sys2 in pairs]
         monkeypatch.setattr(ClaytonOakes, "_sum", reference_sum)
         assert [repr(r) for r in reports] == [repr(verify(sys1, sys2)) for verify, sys1, sys2 in pairs]
+
+
+# each dependent family, with ClaytonOakes(0.05) on parallel(8) the sum that cancels most
+FLOAT_SUM_COPULAS = [FGM(0.5), FGM(-1.0), FGM(1.0), GumbelHougaard(2.0, 6), GumbelHougaard(1.0 + 1e-9, 6),
+                     GumbelHougaard(7.5, 6), ClaytonOakes(1.5, 6), ClaytonOakes(40.0, 6), ClaytonOakes(0.05, 8)]
+
+
+def float_sum_points(cop):
+    """Random p, log-uniform p and q = 1 - p, p = 0, 2^-1074 and 1, q = 2^-k
+    for k up to 53, p about Gumbel's 1e-300 clamp, and p on both sides of
+    Clayton's cutoff exp(-500/theta)."""
+    rng = np.random.default_rng(34)
+    tails = np.exp(-rng.uniform(0.0, 744.0, 300))
+    edges = [0.0, 2.0**-1074, 1.0, 1e-310, 1e-301, 1e-300, 1e-299] + [1.0 - 2.0**-k for k in range(1, 54)]
+    if isinstance(cop, ClaytonOakes):
+        cutoff = math.exp(-_CLAYTON_LOG_CUTOFF / cop.theta)
+        edges += [cutoff * f for f in (0.5, 1.0 - 1e-15, 1.0, 1.0 + 1e-15, 2.0)]
+    return np.concatenate((rng.random(600), tails, 1.0 - tails, edges))
+
+
+class TestFloatSumMatchesArray:
+    """_float_sum, the distortion inverse's one-point sum, returns the bits
+    of the array _sum at the same p, for which 0-2.  Its powers, logs and
+    exponentials are numpy's ufuncs on a Python float, which run the array
+    kernels; libm's (math, Python's **, a numpy scalar's **) can differ in
+    the last ulp."""
+
+    @pytest.mark.parametrize("cop", FLOAT_SUM_COPULAS, ids=repr)
+    def test_bit_for_bit(self, cop):
+        # every k-out-of-n, parallel(n) among them, and under FGM the pair series
+        n = cop.dim
+        structures = [k_of_n_paths(k, n) for k in range(1, n + 1)]
+        if n == 3:
+            structures.append(Structure.from_paths(3, [[1, 2], [1, 3]]))
+        p = float_sum_points(cop)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for structure in structures:
+                coeffs = build_distortion(structure, cop).coeffs
+                for which in range(3):
+                    want = cop._sum(p, coeffs, which)
+                    got = np.array([cop._float_sum(x, coeffs, which) for x in p.tolist()])
+                    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64), err_msg=f"{coeffs} {which}")
 
 
 class TestValidation:
