@@ -3,48 +3,43 @@
 Four families: Independence, the trivariate Farlie-Gumbel-Morgenstern (FGM)
 perturbation of independence, Gumbel-Hougaard, and Clayton-Oakes.  All are
 exchangeable, so evaluating at a point with ``j`` coordinates equal to ``p``
-and the rest equal to 1 depends only on ``(p, j)``; that reduction, its
-first two derivatives and its complement are what the distortion engine
+and the rest equal to 1 depends only on ``(p, j)``; that reduction ``K_j``,
+its first two derivatives and its complement are what the distortion engine
 consumes.
 Evaluations switch to log-space wherever the direct form would overflow or
 underflow.
 
-Each family defines the reductions once, as array cores ``_exch``,
-``_exch_deriv``, ``_exch_second`` and ``_exch_compl`` on an already validated
-array with ``1 <= j <= dim``.  The public ``exch``, ``exch_deriv`` and
-``exch_compl`` of the base class validate ``(p, j)`` once, answer ``j = 0``
-and call the core, on a one-point array for a scalar ``p``.
-``_exch_second`` feeds only the elasticity derivatives, which live on the
-open interval, and has no public wrapper.
-
-The distortion engine has one entry per evaluation, ``_sum(pa, coeffs,
-which)``: the signed sum ``sum_j c_j F_j`` with ``F_j`` one of ``K_j``,
-``1 - K_j``, ``K_j'`` and ``K_j''`` (``which`` 0-3).  The base class adds the
-per-j cores in coefficient order.  The second entry, ``_float_sum(p, coeffs,
-which)`` for ``which`` 0-2, is the same sum at one Python float p, for the
-rounds of the distortion inverse; each dependent family defines it in
-``_sum``'s formulas, coefficient order and grouping.  Its arithmetic in p
-runs on Python floats, and each log, exponential and power but a square is
-numpy's ufunc on the float (``_power`` for the powers), which runs the array
-kernel and so returns the array sum's bits.  Python's ``**`` and ``math``,
-and ``**`` on a numpy scalar, call libm, which can differ in the last ulp.
+Each family writes its formulas once, in one method ``_sum(p, coeffs, which,
+xp)``: the signed sum ``sum_j c_j F_j`` with ``F_j`` one of ``K_j``,
+``1 - K_j``, ``K_j'`` and ``K_j''`` (``which`` 0-3), over the terms in
+coefficient order.  ``xp`` is the namespace its logs, exponentials, powers
+and masks come from.  ``_ARRAYS``, the default, runs them on an array, as
+the grids' distortion engine does.  ``_FLOATS`` runs them on one Python float,
+as the rounds of the distortion inverse do: each log, exponential and power
+is numpy's ufunc on the float, which runs the array kernel and so returns
+the array sum's bits, and the masks are plain Python.  Python's ``**`` and
+``math``, and ``**`` on a numpy scalar, call libm, which can differ in the
+last ulp, so the formulas square by a product and leave every other power
+of p to ``xp.power``.  The public ``exch``, ``exch_deriv`` and ``exch_compl``
+validate ``(p, j)`` once, answer ``j = 0`` and call the one-term sum, on a
+one-point array for a scalar ``p``; ``K_j''`` feeds only the elasticity
+derivatives, which live on the open interval, and has no public wrapper.
 
 Clayton-Oakes uses the standard exchangeable Archimedean form
 ``(sum p_i^-theta - (n-1))^(-1/theta)``; it is an extension family here, kept
 alongside the three others for breadth of the simulation oracle.  Its terms
 share their log-space work: ``ln p``, ``w = -theta ln p``, the mask of points
 before the cutoff and ``expm1(w)`` are computed once per ``_sum`` call, and
-each term then costs its ``ln S_j = log1p(j expm1(w))`` and one ``exp``.  Its
-``_sum`` holds the array copy of each formula and ``_float_sum`` the
-one-point copy, and its per-j cores are the single-term sums.  The values
-are bit-identical to a loop over per-j cores.
+each term then costs its ``ln S_j = log1p(j expm1(w))`` and one ``exp``.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -65,9 +60,32 @@ __all__ = [
 _CLAYTON_LOG_CUTOFF = 500.0
 
 
-def _power(x: float, e) -> float:
-    """x ** e at a Python float, with the bits of numpy's array power."""
-    return float(np.power(x, e))
+def _array_log(x):
+    # ln 0 = -inf, which only Clayton's limit points reach, without the warning
+    with np.errstate(divide="ignore"):
+        return np.log(x)
+
+
+_ARRAYS = SimpleNamespace(
+    log=_array_log, exp=np.exp, expm1=np.expm1, log1p=np.log1p, power=operator.pow, where=np.where,
+    minimum=np.minimum, maximum=np.maximum, all=np.all, logical_not=np.logical_not, zeros_like=np.zeros_like,
+)
+
+# numpy's ufuncs on a Python float run the array kernels; minimum and maximum
+# carry a NaN in their first argument, as numpy's do
+_FLOATS = SimpleNamespace(
+    log=lambda x: -math.inf if x == 0.0 else float(np.log(x)),
+    exp=lambda x: float(np.exp(x)),
+    expm1=lambda x: float(np.expm1(x)),
+    log1p=lambda x: float(np.log1p(x)),
+    power=lambda x, e: float(np.power(x, e)),
+    where=lambda mask, a, b: a if mask else b,
+    minimum=lambda a, b: b if a > b else a,
+    maximum=lambda a, b: b if a < b else a,
+    all=bool,
+    logical_not=operator.not_,
+    zeros_like=lambda p: 0.0,
+)
 
 
 class Copula(ABC):
@@ -76,49 +94,33 @@ class Copula(ABC):
     dim: int
 
     @abstractmethod
-    def _exch(self, pa: np.ndarray, j: int) -> np.ndarray:
-        """K with j coordinates at p and n-j at 1, on a validated array, 1 <= j <= dim."""
-
-    @abstractmethod
-    def _exch_deriv(self, pa: np.ndarray, j: int) -> np.ndarray:
-        """d/dp of ``_exch(pa, j)`` in closed form."""
-
-    @abstractmethod
-    def _exch_second(self, pa: np.ndarray, j: int) -> np.ndarray:
-        """d^2/dp^2 of ``_exch(pa, j)`` in closed form, for 0 < p < 1."""
-
-    @abstractmethod
-    def _exch_compl(self, pa: np.ndarray, j: int) -> np.ndarray:
-        """1 - _exch(pa, j), computed without cancellation near p = 1."""
-
-    def _sum(self, pa: np.ndarray, coeffs, which: int) -> np.ndarray:
-        """sum_j c_j F_j on a validated array, with F_j = K_j, 1 - K_j, K_j'
-        or K_j'' for which = 0, 1, 2, 3: the one entry of the distortion
-        engine.  This default adds the per-j cores in coefficient order; a
-        family whose terms share work overrides it with the same sums."""
-        core = (self._exch, self._exch_compl, self._exch_deriv, self._exch_second)[which]
-        out = np.zeros_like(pa)
-        for j, c in coeffs:
-            out += c * core(pa, j)
-        return out
+    def _sum(self, p, coeffs, which: int, xp=_ARRAYS):
+        """sum_j c_j F_j at a validated p with 1 <= j <= dim, F_j = K_j,
+        1 - K_j, K_j' or K_j'' for which = 0, 1, 2, 3, on an array for
+        xp = _ARRAYS or at a Python float for xp = _FLOATS.  1 - K_j is
+        computed without cancellation near p = 1, and K_j'' only for
+        0 < p < 1."""
 
     def exch(self, p, j: int):
         """K with j coordinates at p and n-j at 1; j = 0 gives 1."""
-        pa = self._check_exch(p, j)
-        return match_input(p, on_points(self._exch, pa, j) if j else np.ones_like(pa))
+        return self._one_term(p, j, 0)
 
     def exch_deriv(self, p, j: int):
         """d/dp of ``exch(p, j)`` in closed form."""
-        pa = self._check_exch(p, j)
-        return match_input(p, on_points(self._exch_deriv, pa, j) if j else np.zeros_like(pa))
+        return self._one_term(p, j, 2)
 
     def exch_compl(self, p, j: int):
         """1 - exch(p, j), computed without cancellation near p = 1."""
+        return self._one_term(p, j, 1)
+
+    def _one_term(self, p, j: int, which: int):
         pa = self._check_exch(p, j)
-        return match_input(p, on_points(self._exch_compl, pa, j) if j else np.zeros_like(pa))
+        if not j:
+            return match_input(p, np.full_like(pa, float(which == 0)))
+        return match_input(p, on_points(self._sum, pa, ((j, 1),), which))
 
     def _check_exch(self, p, j: int) -> np.ndarray:
-        if not isinstance(j, (int, np.integer)) or j < 0 or j > self.dim:
+        if isinstance(j, bool) or not isinstance(j, (int, np.integer)) or j < 0 or j > self.dim:
             raise ValueError(f"j must be an integer in [0, {self.dim}], got {j!r}")
         pa = as_float_array(p)
         if np.any((pa < 0.0) | (pa > 1.0)):
@@ -134,17 +136,21 @@ class Independence(Copula):
         if self.dim < 1:
             raise ValueError("dimension must be at least 1")
 
-    def _exch(self, pa, j):
-        return pa**j
-
-    def _exch_deriv(self, pa, j):
-        return j * pa ** (j - 1)
-
-    def _exch_second(self, pa, j):
-        return j * (j - 1) * pa ** (j - 2) if j > 1 else np.zeros_like(pa)
-
-    def _exch_compl(self, pa, j):
-        return np.where(pa > 0.0, -np.expm1(j * np.log(np.maximum(pa, 1e-300))), 1.0)
+    def _sum(self, p, coeffs, which, xp=_ARRAYS):
+        if which == 1:
+            log_p = xp.log(xp.maximum(p, 1e-300))
+        out = xp.zeros_like(p)
+        for j, c in coeffs:
+            if which == 0:
+                term = xp.power(p, j)
+            elif which == 1:
+                term = xp.where(p > 0.0, -xp.expm1(j * log_p), 1.0)
+            elif which == 2:
+                term = j * xp.power(p, j - 1)
+            else:
+                term = j * (j - 1) * xp.power(p, j - 2) if j > 1 else 0.0
+            out += c * term
+        return out
 
 
 @dataclass(frozen=True)
@@ -164,45 +170,24 @@ class FGM(Copula):
         if self.dim != 3:
             raise ValueError("FGM copula is defined for dimension 3 only")
 
-    def _exch(self, pa, j):
-        if j < 3:
-            return pa**j
-        return pa**3 * (1.0 + self.theta * (1.0 - pa) ** 3)
-
-    def _exch_deriv(self, pa, j):
-        if j < 3:
-            return j * pa ** (j - 1)
-        return 3.0 * pa**2 + 3.0 * self.theta * pa**2 * (1.0 - pa) ** 2 * (1.0 - 2.0 * pa)
-
-    def _exch_second(self, pa, j):
-        if j < 3:
-            return j * (j - 1) * pa ** (j - 2) if j > 1 else np.zeros_like(pa)
-        # 6p (1 + theta (1-p)(1 - 5p + 5p^2)), regrouped so that theta = -1
-        # does not cancel near p = 0; the bracket is positive on [0, 1]
-        return 6.0 * pa * ((1.0 + self.theta) - self.theta * pa * (6.0 - 10.0 * pa + 5.0 * pa**2))
-
-    def _exch_compl(self, pa, j):
-        q = 1.0 - pa
-        if j == 1:
-            return q
-        if j == 2:
-            return q * (1.0 + pa)
-        return q * (1.0 + pa + pa**2) - self.theta * pa**3 * q**3
-
-    def _float_sum(self, p, coeffs, which):
-        # the cores at a Python float: an array's squares are products, its cubes numpy's power
-        q, out = 1.0 - p, 0.0
+    def _sum(self, p, coeffs, which, xp=_ARRAYS):
+        # K_1 = p and K_2 = p^2; the cubes are the terms of K_3
+        theta, q, out = self.theta, 1.0 - p, xp.zeros_like(p)
         for j, c in coeffs:
             if j == 1:
-                term = (p, q, 1.0)[which]
+                term = (p, q, 1.0, 0.0)[which]
             elif j == 2:
-                term = (p * p, q * (1.0 + p), 2 * p)[which]
+                term = p * p if which == 0 else q * (1.0 + p) if which == 1 else 2.0 * p if which == 2 else 2.0
             elif which == 0:
-                term = _power(p, 3) * (1.0 + self.theta * _power(q, 3))
+                term = xp.power(p, 3) * (1.0 + theta * xp.power(q, 3))
             elif which == 1:
-                term = q * (1.0 + p + p * p) - self.theta * _power(p, 3) * _power(q, 3)
+                term = q * (1.0 + p + p * p) - theta * xp.power(p, 3) * xp.power(q, 3)
+            elif which == 2:
+                term = 3.0 * (p * p) + 3.0 * theta * (p * p) * (q * q) * (1.0 - 2.0 * p)
             else:
-                term = 3.0 * (p * p) + 3.0 * self.theta * (p * p) * (q * q) * (1.0 - 2.0 * p)
+                # 6p (1 + theta (1-p)(1 - 5p + 5p^2)), regrouped so that theta = -1
+                # does not cancel near p = 0; the bracket is positive on [0, 1]
+                term = 6.0 * p * ((1.0 + theta) - theta * p * (6.0 - 10.0 * p + 5.0 * (p * p)))
             out += c * term
         return out
 
@@ -223,34 +208,22 @@ class GumbelHougaard(Copula):
     def _exponent(self, j: int) -> float:
         return j ** (1.0 / self.theta)
 
-    def _exch(self, pa, j):
-        return pa ** self._exponent(j)
-
-    def _exch_deriv(self, pa, j):
-        a = self._exponent(j)
-        with np.errstate(divide="ignore"):
-            return a * pa ** (a - 1.0)
-
-    def _exch_second(self, pa, j):
-        # a - 1 = expm1(ln j / theta) keeps its digits as theta grows
-        a = self._exponent(j)
-        return (a * math.expm1(math.log(j) / self.theta)) * pa ** (a - 2.0)
-
-    def _exch_compl(self, pa, j):
-        a = self._exponent(j)
-        return np.where(pa > 0.0, -np.expm1(a * np.log(np.maximum(pa, 1e-300))), 1.0)
-
-    def _float_sum(self, p, coeffs, which):
-        # the cores at a Python float, ln max(p, 1e-300) read once
-        log_p, out = float(np.log(max(p, 1e-300))), 0.0
+    def _sum(self, p, coeffs, which, xp=_ARRAYS):
+        # K_j = p^a with a = j^(1/theta) >= 1
+        if which == 1:
+            log_p = xp.log(xp.maximum(p, 1e-300))
+        out = xp.zeros_like(p)
         for j, c in coeffs:
             a = self._exponent(j)
             if which == 0:
-                term = _power(p, a)
+                term = xp.power(p, a)
             elif which == 1:
-                term = -float(np.expm1(a * log_p)) if p > 0.0 else 1.0
+                term = xp.where(p > 0.0, -xp.expm1(a * log_p), 1.0)
+            elif which == 2:
+                term = a * xp.power(p, a - 1.0)
             else:
-                term = a * _power(p, a - 1.0)
+                # a - 1 = expm1(ln j / theta) keeps its digits as theta grows
+                term = (a * math.expm1(math.log(j) / self.theta)) * xp.power(p, a - 2.0)
             out += c * term
         return out
 
@@ -268,87 +241,49 @@ class ClaytonOakes(Copula):
         if self.dim < 1:
             raise ValueError("dimension must be at least 1")
 
-    def _exch(self, pa, j):
-        return self._sum(pa, ((j, 1),), 0)
-
-    def _exch_deriv(self, pa, j):
-        return self._sum(pa, ((j, 1),), 2)
-
-    def _exch_second(self, pa, j):
-        return self._sum(pa, ((j, 1),), 3)
-
-    def _exch_compl(self, pa, j):
-        return self._sum(pa, ((j, 1),), 1)
-
-    def _sum(self, pa, coeffs, which):
+    def _sum(self, p, coeffs, which, xp=_ARRAYS):
         # K_j = S_j^(-1/theta) with ln S_j = log1p(j expm1(w)), w = -theta ln p;
         # at p = 0 and past the cutoff, where p^-theta overflows, the exact
         # limits are written in, only where the input has such points
         theta = self.theta
-        # ln 0 = -inf only reaches the p = 0 points, which take the limits
-        with np.errstate(divide="ignore"):
-            logp = np.log(pa)
+        logp = xp.log(p)
         w = -theta * logp
-        direct = (pa > 0.0) & (w < _CLAYTON_LOG_CUTOFF)
-        limit = None if direct.all() else ~direct
-        em = np.expm1(np.minimum(w, _CLAYTON_LOG_CUTOFF))
+        direct = (p > 0.0) & (w < _CLAYTON_LOG_CUTOFF)
+        limit = None if xp.all(direct) else xp.logical_not(direct)
+        em = xp.expm1(xp.minimum(w, _CLAYTON_LOG_CUTOFF))
         if which == 2:
             # K_j' = j p^-(theta+1) S_j^-(1+1/theta); zeroed at the limit
             # points, whose exponent could pass the float range
             power = (theta + 1.0) * logp
             if limit is not None:
-                power = np.where(limit, 0.0, power)
+                power = xp.where(limit, 0.0, power)
         elif which == 3:
             # K_j'' = K_j' (theta+1)(j-1) / (p S_j)
             power = (theta + 2.0) * logp
-        out = np.zeros_like(pa)
+        out = xp.zeros_like(p)
         for j, c in coeffs:
             if which == 3 and j == 1:
                 continue  # K_1'' = 0 would add nothing
-            log_s = np.log1p(j * em)
+            log_s = xp.log1p(j * em)
             if which == 3:
                 if limit is not None:
                     # past the cutoff S_j = j p^-theta to float precision
-                    log_s = np.where(limit, math.log(j) + w, log_s)
-                term = np.exp(math.log(j * (j - 1) * (theta + 1.0)) - power - (2.0 + 1.0 / theta) * log_s)
+                    log_s = xp.where(limit, math.log(j) + w, log_s)
+                term = xp.exp(math.log(j * (j - 1) * (theta + 1.0)) - power - (2.0 + 1.0 / theta) * log_s)
             else:
                 if which == 0:
-                    term = np.exp(-log_s / theta)
+                    term = xp.exp(-log_s / theta)
                 elif which == 1:
-                    term = -np.expm1(-log_s / theta)
+                    term = -xp.expm1(-log_s / theta)
                 else:
-                    term = np.exp(math.log(j) - power - ((theta + 1.0) / theta) * log_s)
+                    term = xp.exp(math.log(j) - power - ((theta + 1.0) / theta) * log_s)
                 if limit is not None:
                     # K_j -> p j^(-1/theta) and K_j' -> j^(-1/theta)
                     edge = j ** (-1.0 / theta)
                     if which < 2:
-                        edge = pa * edge if which == 0 else 1.0 - pa * edge
-                    term = np.where(limit, edge, term)
+                        edge = p * edge if which == 0 else 1.0 - p * edge
+                    term = xp.where(limit, edge, term)
             out += c * term
-        return out
-
-    def _float_sum(self, p, coeffs, which):
-        # _sum's forms at a Python float; ln 0 = -inf, as np.log gives it without the warning
-        theta = self.theta
-        logp = float(np.log(p)) if p > 0.0 else -math.inf
-        w = -theta * logp
-        out = 0.0
-        if p > 0.0 and w < _CLAYTON_LOG_CUTOFF:
-            em = float(np.expm1(w))
-            power = (theta + 1.0) * logp
-            for j, c in coeffs:
-                log_s = float(np.log1p(j * em))
-                if which == 0:
-                    term = float(np.exp(-log_s / theta))
-                elif which == 1:
-                    term = -float(np.expm1(-log_s / theta))
-                else:
-                    term = float(np.exp(math.log(j) - power - ((theta + 1.0) / theta) * log_s))
-                out += c * term
-        else:
-            for j, c in coeffs:
-                edge = j ** (-1.0 / theta)
-                out += c * (p * edge, 1.0 - p * edge, edge)[which]
         return out
 
 

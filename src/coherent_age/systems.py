@@ -42,7 +42,7 @@ from operator import and_, or_
 
 import numpy as np
 
-from .copulas import Copula, _is_independence
+from .copulas import _FLOATS, Copula, _is_independence
 from .distributions import LifetimeDistribution, as_float_array, match_input, on_points
 
 __all__ = [
@@ -278,7 +278,8 @@ class Distortion:
         have the slopes R(p) and H(p), so a power-law tail takes one step.
         A round reads 1-h or h, and h', on Python floats: from the Bernstein
         weights under the independence law, else from the copula's
-        ``_float_sum``, which returns the bits of its array ``_sum``.
+        ``_sum`` on the float namespace ``_FLOATS``, whose numpy ufuncs on
+        Python floats return the bits of the same ``_sum`` on an array.
         The brackets, x in [2^-53, 1] and [2^-1074, 1], span the floats p in
         (0, 1), and 1-h <= n(1-p) and h <= n p put the level inside.  A step
         that leaves its bracket bisects it in ln x instead.  The iteration
@@ -295,7 +296,7 @@ class Distortion:
             while True:
                 p = 1.0 - x if upper else x
                 value, d1 = (_bernstein_float(p, self._bernstein[which]) if self._bernstein is not None else
-                             self.copula._float_sum(p, self.coeffs, which) for which in (int(upper), 2))
+                             self.copula._sum(p, self.coeffs, which, _FLOATS) for which in (int(upper), 2))
                 lo, hi = (x, hi) if value < level else (lo, x)
                 # over the slope x h'/(1-h) = R or x h'/h = H; a step that is not finite bisects
                 step = math.log(level / value) * value / (x * d1) if value > 0.0 and x * d1 > 0.0 else math.inf

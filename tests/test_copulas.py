@@ -8,7 +8,9 @@ from hypothesis import given, strategies as st
 from mpmath import mp, mpf
 
 from coherent_age.copulas import (
+    _ARRAYS,
     _CLAYTON_LOG_CUTOFF,
+    _FLOATS,
     ClaytonOakes,
     FGM,
     GumbelHougaard,
@@ -133,6 +135,14 @@ class TestExchangeableReduction:
         assert GumbelHougaard(2.0, 2).exch_compl(p, 2) == pytest.approx(a * eps, rel=1e-3)
         assert ClaytonOakes(1.0, 3).exch_compl(p, 3) == pytest.approx(3.0 * eps, rel=1e-3)
 
+    def test_complement_at_one_is_positive_zero(self):
+        # 1 - K_j(1) is +0.0 in every family, for scalar and array p: the
+        # one-term sum adds its term, -0.0 under Independence and Gumbel, to +0.0
+        for cop in all_families() + all_families(5):
+            for j in range(0, cop.dim + 1):
+                assert math.copysign(1.0, cop.exch_compl(1.0, j)) == 1.0
+                assert not np.signbit(cop.exch_compl(np.array([0.5, 1.0]), j)).any()
+
     def test_derivative_matches_finite_difference(self):
         p = np.linspace(0.05, 0.95, 19)
         h = 1e-7
@@ -163,7 +173,7 @@ class TestExchangeableReduction:
             warnings.simplefilter("error")
             for p in (math.exp(-249.0), math.exp(-251.0)):
                 limit = 3.0 ** (-0.5) * 3.0 * 2.0 / 3.0 * p
-                assert cop._exch_second(np.array(p), 3) == pytest.approx(limit, rel=1e-9)
+                assert cop._sum(np.array(p), ((3, 1),), 3) == pytest.approx(limit, rel=1e-9)
 
     @given(
         p1=st.floats(min_value=0.001, max_value=0.999),
@@ -192,11 +202,11 @@ class TestSecondDerivative:
     def test_matches_50_digit_reference(self, cop):
         # K_j'' against mpmath's numerical derivative of the closed form K_j
         p = np.array([0.001, 0.5, 0.999])
-        np.testing.assert_array_equal(cop._exch_second(p, 1), 0.0)  # K_1 = p
+        np.testing.assert_array_equal(cop._sum(p, ((1, 1),), 3), 0.0)  # K_1 = p
         with mp.workdps(50):
             for j in range(2, cop.dim + 1):
                 want = [float(mp.diff(lambda t: exact_exch(cop, t, j)[0], mpf(x), 2)) for x in p]
-                np.testing.assert_allclose(cop._exch_second(p, j), want, rtol=1e-12, atol=0.0)
+                np.testing.assert_allclose(cop._sum(p, ((j, 1),), 3), want, rtol=1e-12, atol=0.0)
 
 
 # The per-j Clayton cores that ClaytonOakes._sum replaced, kept unchanged as
@@ -257,8 +267,11 @@ def reference_exch_compl(self, pa, j):
     return out
 
 
-def reference_sum(self, pa, coeffs, which):
-    """The distortion engine's former per-j loop over the reference cores."""
+def reference_sum(self, pa, coeffs, which, xp=_ARRAYS):
+    """The distortion engine's former per-j loop over the reference cores,
+    at a Python float (the float namespace) on a one-point array."""
+    if xp is _FLOATS:
+        return float(reference_sum(self, np.array([pa]), coeffs, which)[0])
     core = (reference_exch, reference_exch_compl, reference_exch_deriv, reference_exch_second)[which]
     out = np.zeros_like(pa)
     for j, c in coeffs:
@@ -304,6 +317,7 @@ class TestClaytonSum:
                     assert got == pytest.approx(float(want), rel=1e-12, abs=0.0)
 
     def test_verify_reports_equal_those_of_the_per_j_loop(self, monkeypatch):
+        # the patch replaces both paths, the grids' arrays and the levels' floats
         pairs = clayton_pairs(np.random.default_rng(14), 18)
         assert len(pairs) == 20
         reports = [verify(sys1, sys2) for verify, sys1, sys2 in pairs]
@@ -311,9 +325,10 @@ class TestClaytonSum:
         assert [repr(r) for r in reports] == [repr(verify(sys1, sys2)) for verify, sys1, sys2 in pairs]
 
 
-# each dependent family, with ClaytonOakes(0.05) on parallel(8) the sum that cancels most
-FLOAT_SUM_COPULAS = [FGM(0.5), FGM(-1.0), FGM(1.0), GumbelHougaard(2.0, 6), GumbelHougaard(1.0 + 1e-9, 6),
-                     GumbelHougaard(7.5, 6), ClaytonOakes(1.5, 6), ClaytonOakes(40.0, 6), ClaytonOakes(0.05, 8)]
+# every family, with ClaytonOakes(0.05) on parallel(8) the sum that cancels most
+FLOAT_SUM_COPULAS = [Independence(6), FGM(0.5), FGM(-1.0), FGM(1.0), GumbelHougaard(2.0, 6),
+                     GumbelHougaard(1.0 + 1e-9, 6), GumbelHougaard(7.5, 6), ClaytonOakes(1.5, 6),
+                     ClaytonOakes(40.0, 6), ClaytonOakes(0.05, 8)]
 
 
 def float_sum_points(cop):
@@ -330,11 +345,11 @@ def float_sum_points(cop):
 
 
 class TestFloatSumMatchesArray:
-    """_float_sum, the distortion inverse's one-point sum, returns the bits
-    of the array _sum at the same p, for which 0-2.  Its powers, logs and
-    exponentials are numpy's ufuncs on a Python float, which run the array
-    kernels; libm's (math, Python's **, a numpy scalar's **) can differ in
-    the last ulp."""
+    """_sum on the float namespace, the distortion inverse's one-point sum,
+    returns the bits of _sum on an array at the same p, for which 0-2.  Its
+    powers, logs and exponentials are numpy's ufuncs on a Python float,
+    which run the array kernels; libm's (math, Python's **, a numpy
+    scalar's **) can differ in the last ulp."""
 
     @pytest.mark.parametrize("cop", FLOAT_SUM_COPULAS, ids=repr)
     def test_bit_for_bit(self, cop):
@@ -350,8 +365,25 @@ class TestFloatSumMatchesArray:
                 coeffs = build_distortion(structure, cop).coeffs
                 for which in range(3):
                     want = cop._sum(p, coeffs, which)
-                    got = np.array([cop._float_sum(x, coeffs, which) for x in p.tolist()])
+                    got = np.array([cop._sum(x, coeffs, which, _FLOATS) for x in p.tolist()])
                     np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64), err_msg=f"{coeffs} {which}")
+
+    def test_namespace_edges(self):
+        # each float function against the array one on a one-point array: ln
+        # is -inf only at 0 and carries NaN, minimum and maximum carry a NaN
+        # first argument, and nothing warns
+        points = [0.0, -0.0, 2.0**-1074, 1e-300, 0.5, 1.0, 500.0, math.inf, math.nan]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for x in points:
+                for name in ("log", "exp", "expm1", "log1p"):
+                    want = getattr(_ARRAYS, name)(np.array([x]))
+                    got = getattr(_FLOATS, name)(x)
+                    assert type(got) is float
+                    assert np.array([got]).view(np.int64) == want.view(np.int64), (name, x)
+                for name in ("minimum", "maximum"):
+                    want = getattr(_ARRAYS, name)(np.array([x]), 1e-300)
+                    assert np.array([getattr(_FLOATS, name)(x, 1e-300)]).view(np.int64) == want.view(np.int64)
 
 
 class TestValidation:
@@ -389,8 +421,11 @@ class TestValidation:
             (0.5, -1, "j must be an integer"),
             (0.5, "dim+1", "j must be an integer"),
             (0.5, 1.5, "j must be an integer"),
+            (0.5, True, "j must be an integer"),
+            (0.5, False, "j must be an integer"),
+            (0.5, np.True_, "j must be an integer"),
         ],
-        ids=["p=-0.1", "p=1.1", "j=-1", "j=dim+1", "j=1.5"],
+        ids=["p=-0.1", "p=1.1", "j=-1", "j=dim+1", "j=1.5", "j=True", "j=False", "j=np.True_"],
     )
     @pytest.mark.parametrize("shape", ["scalar", "array"])
     @pytest.mark.parametrize("func", ["exch", "exch_deriv", "exch_compl"])

@@ -500,7 +500,7 @@ def exact_levels(d, guess):
 
 def level_rounds(d, monkeypatch, slope_scale=1.0):
     """Patch the evaluation d._levels runs, the float Bernstein sum under the
-    independence law and the copula's float signed sum otherwise, to record
+    independence law and the copula's signed sum otherwise, to record
     which function each call reads (0 h, 1 1-h, 2 h') and scale h' by
     slope_scale; the record is returned."""
     evaluations = []
@@ -514,13 +514,13 @@ def level_rounds(d, monkeypatch, slope_scale=1.0):
 
         monkeypatch.setattr(systems, "_bernstein_float", patched)
     else:
-        evaluate = type(d.copula)._float_sum
+        evaluate = type(d.copula)._sum
 
-        def patched(self, p, coeffs, which):
+        def patched(self, p, coeffs, which, xp):
             evaluations.append(which)
-            return evaluate(self, p, coeffs, which) * (slope_scale if which == 2 else 1.0)
+            return evaluate(self, p, coeffs, which, xp) * (slope_scale if which == 2 else 1.0)
 
-        monkeypatch.setattr(type(d.copula), "_float_sum", patched)
+        monkeypatch.setattr(type(d.copula), "_sum", patched)
     return evaluations
 
 
