@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -32,7 +32,7 @@ from ._num import _integer, _tolerance
 from .distributions import LifetimeDistribution, _minus_log_cdf, as_float_array
 
 if TYPE_CHECKING:
-    from .systems import SystemModel
+    from .systems import GridBasis, SystemModel
 
 __all__ = [
     "Grid",
@@ -127,9 +127,12 @@ class VerifyConfig:
 
     This is the one place the settings are checked, for the library and the
     command line alike: an integral grid size whose p-grid builds, and
-    tolerances finite and >= 0; anything else raises
-    ValueError.  The p-grid built by that check is kept, read-only, and
-    every verify under the config reads it.
+    tolerances finite and >= 0; anything else raises ValueError.  The
+    p-grid built by that check is kept, read-only, and so is its ``basis``,
+    built on the first verify: the clamped grid, 1-p, 1/p, -1/q and the
+    Bernstein powers p^k and (1-p)^k, these up to a fixed 1 MiB
+    (``systems.POWER_BUDGET``), past which they are made per call.  Every
+    verify under one config, or under the default one, shares them.
     """
 
     eps_endpoint: float = 1e-3
@@ -148,6 +151,12 @@ class VerifyConfig:
         object.__setattr__(self, "p_grid", grid)
         for key in ("tol", "sign_slack"):
             _tolerance(getattr(self, key), key)
+
+    @cached_property
+    def basis(self) -> GridBasis:
+        from .systems import POWER_BUDGET, Distortion, GridBasis
+
+        return GridBasis(Distortion._clamped(self.p_grid.points), POWER_BUDGET)
 
 
 def _quantile_bracket(*lifetimes: tuple[LifetimeDistribution, tuple[float, float]]) -> tuple[float, float]:

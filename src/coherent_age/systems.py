@@ -27,16 +27,19 @@ of the distortion.  Under independent components h is a polynomial and h,
 1-h, h' and h'' are evaluated in Bernstein form, sum_k w_k p^k (1-p)^(deg-k),
 whose weights for h count the component subsets that contain a path set
 (the structure's signature representation): the terms of h, 1-h and h' are
-nonnegative, so nothing cancels near p = 0 or p = 1.  Dependent copulas use
-the signed sum of c_j K_j, which can cancel in 1-h and h' near p = 1 for
-parallel-heavy structures.
+nonnegative, so nothing cancels near p = 0 or p = 1.  The powers p^k and
+(1-p)^k come from a ``GridBasis``: a verify config keeps its p-grid's, so
+verifies under one config, or the default one, share them.  Dependent
+copulas use the signed sum of c_j K_j, which can cancel in 1-h and h' near
+p = 1 for parallel-heavy structures.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
-from functools import cache, reduce
+from functools import cache, cached_property, reduce
 from math import comb
 from operator import and_, or_
 
@@ -55,6 +58,10 @@ __all__ = [
 
 # endpoint clamp for the elasticity functionals, defined on the open interval
 EPS_CLAMP = 1e-9
+# bytes of powers a kept GridBasis holds: a 2001-point grid's p^k and q^k, k <= 20, fit
+POWER_BUDGET = 1 << 20
+# threads verifying under one config share its basis: each power is kept, and counted, once
+_KEEPING = threading.Lock()
 # the counted table holds 2^m entries for the m components outside the
 # common part of every path set; refuse beyond
 MAX_COMPONENTS = 20
@@ -207,15 +214,17 @@ class Distortion:
         return match_input(p, self._evaluate(self._check_open(p), 2))
 
     def _evaluate(self, p, which: int) -> np.ndarray:
-        """h, 1-h, h' or h'' (which = 0, 1, 2, 3) on a validated argument:
-        Bernstein weights under independence, else the copula's one-call
-        signed sum ``_sum``, sum_j c_j times K_j, 1-K_j, K_j' or K_j''
+        """h, 1-h, h' or h'' (which = 0, 1, 2, 3) on a validated argument (or
+        its GridBasis): Bernstein weights under independence, else the copula's
+        one-call signed sum ``_sum``, sum_j c_j times K_j, 1-K_j, K_j' or K_j''
         (Clayton-Oakes shares ln p and expm1(-theta ln p) across its terms)."""
-        # a scalar runs as a one-point array, to match an array call bit for bit
-        pa = as_float_array(p)
+        b = _basis(p)
+        if b.p.ndim != 1:
+            # a scalar runs as a one-point array, to match an array call bit for bit
+            return on_points(self._evaluate, b.p, which)
         if self._bernstein is not None:
-            return on_points(_bernstein_sum, pa, self._bernstein[which])
-        return on_points(self.copula._sum, pa, self.coeffs, which)
+            return _bernstein_sum(b, self._bernstein[which])
+        return self.copula._sum(b.p, self.coeffs, which)
 
     def H(self, p):
         """Hazard-transfer elasticity p h'(p)/h(p), clamped to the open interval.
@@ -244,30 +253,32 @@ class Distortion:
 
         Both come from three evaluations on the clamped argument, h, h' and
         h'' for H and 1-h, h' and h'' for R, with the flag policy of H and R.
-        These are the arrays behind conditions (i)-(iii) of a certificate.
+        These are the arrays behind conditions (i)-(iii) of a certificate;
+        a verify passes its config's kept GridBasis, clamped already.
         """
         if kind not in ("H", "R"):
             raise ValueError(f"kind must be 'H' or 'R', got {kind!r}")
-        pa = self._clamped(p)
-        value, dlog = self._elasticity(pa, kind)
-        return match_input(p, value), match_input(p, (1.0 - pa if kind == "H" else pa) * dlog)
+        b = p if isinstance(p, GridBasis) else GridBasis(self._clamped(p))
+        value, dlog = self._elasticity(b, kind)
+        return match_input(b.p, value), match_input(b.p, (b.q if kind == "H" else b.p) * dlog)
 
-    def _elasticity(self, pa, kind: str, slope: bool = True):
-        """H or R on a validated argument in the open interval, and with
-        slope its logarithmic derivative d ln H/dp or d ln R/dp."""
-        d1 = self._evaluate(pa, 2)
+    def _elasticity(self, p, kind: str, slope: bool = True):
+        """H or R on a validated argument in the open interval (or its
+        GridBasis), and with slope its logarithmic derivative d ln H/dp or d ln R/dp."""
+        b = _basis(p)
+        d1 = self._evaluate(b, 2)
         if kind == "H":
-            hv = self._evaluate(pa, 0)
-            value = _flagged_ratio(pa * d1, hv)
+            hv = self._evaluate(b, 0)
+            value = _flagged_ratio(b.p * d1, hv)
         else:
-            omh = self._evaluate(pa, 1)
-            value = _flagged_ratio((1.0 - pa) * d1, omh)
+            omh = self._evaluate(b, 1)
+            value = _flagged_ratio(b.q * d1, omh)
         if not slope:
             return value
-        curvature = _flagged_ratio(self._evaluate(pa, 3), d1)
+        curvature = _flagged_ratio(self._evaluate(b, 3), d1)
         if kind == "H":
-            return value, 1.0 / pa + curvature - _flagged_ratio(d1, hv)
-        return value, -1.0 / (1.0 - pa) + curvature + _flagged_ratio(d1, omh)
+            return value, b.inv_p + curvature - _flagged_ratio(d1, hv)
+        return value, b.minus_inv_q + curvature + _flagged_ratio(d1, omh)
 
     def _levels(self, q_lo: float, q_hi: float) -> tuple[float, float]:
         """The reliabilities p with 1 - h(p) = q_lo and with h(p) = 1 - q_hi,
@@ -311,9 +322,10 @@ class Distortion:
             out.append(1.0 - x if upper else x)
         return out[0], out[1]
 
-    def _clamped(self, p) -> np.ndarray:
+    @staticmethod
+    def _clamped(p) -> np.ndarray:
         # h's [0, 1] rule, then the clamp to the open interval
-        return np.clip(self._check_unit(p), EPS_CLAMP, 1.0 - EPS_CLAMP)
+        return np.clip(Distortion._check_unit(p), EPS_CLAMP, 1.0 - EPS_CLAMP)
 
     @staticmethod
     def _check_unit(p) -> np.ndarray:
@@ -347,16 +359,50 @@ def _bernstein_weights(counts) -> tuple[tuple[float, ...], ...]:
     return tuple(tuple(float(w) for w in weights) for weights in (counts, compl, deriv, second))
 
 
-def _bernstein_sum(pa: np.ndarray, weights: tuple[float, ...]) -> np.ndarray:
+class GridBasis:
+    """Points p and the terms of the distortion functionals that depend on
+    them alone, q = 1-p, 1/p, -1/q and the Bernstein powers p^k and q^k, each
+    made on first use by the functionals' own numpy operation.  With a budget
+    (a verify config's, POWER_BUDGET) all are read-only, and a power is kept
+    while the kept powers fit the budget's bytes; else it is made per use."""
+
+    q = cached_property(lambda self: 1.0 - self.p)
+    inv_p = cached_property(lambda self: 1.0 / self.p)
+    minus_inv_q = cached_property(lambda self: -1.0 / self.q)
+
+    def __init__(self, p: np.ndarray, budget: int = 0):
+        self.p, self._budget, self._powers = p, budget, {}
+        for term in (p, self.q, self.inv_p, self.minus_inv_q) if budget else ():
+            term.setflags(write=False)
+
+    def power(self, k: int, of_q: bool = False) -> np.ndarray:
+        """p^k, or q^k with of_q."""
+        out = self._powers.get((k, of_q))
+        if out is None:
+            out = (self.q if of_q else self.p) ** k
+            if out.nbytes <= self._budget:
+                with _KEEPING:
+                    if out.nbytes <= self._budget and (k, of_q) not in self._powers:
+                        out.setflags(write=False)
+                        self._powers[k, of_q] = out
+                        self._budget -= out.nbytes
+        return out
+
+
+def _basis(p) -> GridBasis:
+    return p if isinstance(p, GridBasis) else GridBasis(as_float_array(p))
+
+
+def _bernstein_sum(p, weights: tuple[float, ...]) -> np.ndarray:
     """sum_k w_k p^k (1-p)^(deg-k), deg = len(weights) - 1 (zero for no
-    weights); with nonnegative weights every term is nonnegative, so nothing
-    cancels."""
-    q = 1.0 - pa
+    weights), from p's GridBasis; with nonnegative weights every term is
+    nonnegative, so nothing cancels."""
+    b = _basis(p)
     deg = len(weights) - 1
-    out = np.zeros_like(pa)
+    out = np.zeros_like(b.p)
     for k, w in enumerate(weights):
         if w:
-            out += w * pa**k * q ** (deg - k)
+            out += w * b.power(k) * b.power(deg - k, True)
     return out
 
 

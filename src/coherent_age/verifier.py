@@ -131,8 +131,9 @@ def _verify(sys1: SystemModel, sys2: SystemModel, relation: str, cfg: VerifyConf
     xgrid = Grid.margin_bracketed(sys1.margin, sys2.margin, size=cfg.grid_size)
     # H for c_star, R for b_star: each elasticity feeds (i), and its relative
     # slope its own (ii)/(iii); one profile per distortion, three evaluations
+    # on the config's kept basis of the p-grid
     kind = "H" if relation == "c_star" else "R"
-    (e1, g1), (e2, g2) = (d.elasticity_profile(p, kind) for d in (sys1.distortion, sys2.distortion))
+    (e1, g1), (e2, g2) = (d.elasticity_profile(cfg.basis, kind) for d in (sys1.distortion, sys2.distortion))
     # (iv): the margins age faster in the same sense, and are st-ordered
     st_x, st_y = (sys2.margin, sys1.margin) if relation == "c_star" else (sys1.margin, sys2.margin)
     entries = {

@@ -119,6 +119,13 @@ class TestInvariants:
         d = LinearFailureRate(alpha, beta)
         assert d.sf(d.isf(v)) == pytest.approx(v, rel=1e-9)
 
+    @pytest.mark.xfail(strict=True, reason="LinearFailureRate.isf rises by one ulp on 38 of these 4000 steps; "
+                       "a root form monotone in floating point is ROADMAP item 1's satellite")
+    def test_lfr_isf_never_rises_over_consecutive_floats(self):
+        # a survival inverse must not increase: the 4001 floats from u = 0.1 upwards
+        u = (np.array([0.1]).view(np.int64) + np.arange(4001)).view(np.float64)
+        assert np.all(np.diff(LinearFailureRate(1.0, 1.0).isf(u)) <= 0.0)
+
     def test_isf_endpoints(self):
         d = Weibull(2.0, 1.5)
         assert d.isf(1.0) == 0.0

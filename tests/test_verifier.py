@@ -1,15 +1,26 @@
 import dataclasses
+import functools
 import math
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
-from corpus_helpers import random_instance
+from corpus_helpers import golden_corpus, random_instance
 
 from coherent_age.copulas import FGM, GumbelHougaard, Independence
 from coherent_age.distributions import Exponential, LinearFailureRate
 from coherent_age.orders import Grid, verdict
-from coherent_age.systems import Distortion, Structure, SystemModel, k_of_n_paths
+from coherent_age.systems import (
+    POWER_BUDGET,
+    Distortion,
+    GridBasis,
+    Structure,
+    SystemModel,
+    build_distortion,
+    k_of_n_paths,
+)
 from coherent_age.verifier import (
     DEFAULT_CONFIG,
     VerifyConfig,
@@ -297,7 +308,8 @@ class TestEvaluateOnce:
         calls = []
 
         def counted(self, pa, which):
-            if np.size(pa) == FAST_CFG.grid_size:
+            # a verify passes its config's GridBasis, whose points are the p-grid's
+            if np.size(pa.p if isinstance(pa, GridBasis) else pa) == FAST_CFG.grid_size:
                 calls.append((id(self), which))
             return evaluate(self, pa, which)
 
@@ -308,6 +320,135 @@ class TestEvaluateOnce:
         for system in (sys1, sys2):
             made = sorted(which for owner, which in calls if owner == id(system.distortion))
             assert made == [first, 2, 3]
+
+
+# the default config, one whose clamp to [1e-9, 1 - 1e-9] moves its end points,
+# and an odd small grid
+BASIS_CONFIGS = {"default": DEFAULT_CONFIG, "eps-1e-12": VerifyConfig(eps_endpoint=1e-12),
+                 "odd-37": VerifyConfig(grid_size=37)}
+
+
+@functools.cache
+def basis_distortions():
+    """Every k-out-of-n with n <= 20, and the FGM, Gumbel and Clayton systems of the golden corpus."""
+    kofn = [build_distortion(k_of_n_paths(k, n), Independence(n)) for n in range(1, 21) for k in range(1, n + 1)]
+    return tuple(kofn + [build_distortion(s, c) for _, s, c, _ in golden_corpus() if not isinstance(c, Independence)])
+
+
+def assert_same_bits(got, want):
+    np.testing.assert_array_equal(got, want)  # NaN-aware, with a readable report
+    assert got.tobytes() == want.tobytes()  # and +0.0 against -0.0
+
+
+class TestBasisMatchesArray:
+    """A config's kept basis gives the profiles, and the reports, of a plain
+    array and of a fresh config bit for bit."""
+
+    @pytest.mark.parametrize("cfg", BASIS_CONFIGS.values(), ids=BASIS_CONFIGS.keys())
+    def test_profiles_through_the_basis_equal_the_array_call(self, cfg):
+        for d in basis_distortions():
+            for kind in ("H", "R"):
+                plain = d.elasticity_profile(cfg.p_grid.points, kind)
+                for _ in range(2):  # the powers made, then the powers kept
+                    for got, want in zip(d.elasticity_profile(cfg.basis, kind), plain):
+                        assert_same_bits(got, want)
+
+    @pytest.mark.parametrize("grid_size", [2001, 501])
+    def test_reused_config_reports_equal_fresh_ones(self, grid_size):
+        rng = np.random.default_rng(3636 + grid_size)
+        reused = DEFAULT_CONFIG if grid_size == 2001 else VerifyConfig(grid_size=grid_size)
+        for _ in range(15):
+            for relation, verify in (("c_star", verify_cstar), ("b_star", verify_bstar)):
+                sys1, sys2 = random_instance(rng, relation)
+                assert repr(verify(sys1, sys2, reused)) == repr(verify(sys1, sys2, VerifyConfig(grid_size=grid_size)))
+
+
+class TestKeptBasis:
+    def test_two_verifies_share_the_power_arrays(self, monkeypatch):
+        cfg = VerifyConfig(grid_size=501)
+        power, made = GridBasis.power, []
+
+        def recorded(self, k, of_q=False):
+            out = power(self, k, of_q)
+            if self is cfg.basis:
+                made[-1][k, of_q] = out
+            return out
+
+        monkeypatch.setattr(GridBasis, "power", recorded)
+        margins = (LinearFailureRate(2.0, 1.0), LinearFailureRate(1.0, 1.0))
+        for relation, verify in (("c_star", verify_cstar), ("b_star", verify_bstar)):
+            for _ in range(2):
+                made.append({})
+                verify(kofn_system(2, 4, margins[0]), kofn_system(3, 5, margins[1]), cfg)
+            first, second = made[-2:]
+            assert first and first.keys() == second.keys(), relation
+            assert all(second[key] is first[key] for key in first), relation
+
+    def test_kept_arrays_are_read_only(self):
+        cfg = VerifyConfig(grid_size=101)
+        verify_cstar(kofn_system(2, 4, LinearFailureRate(2.0, 1.0)), series3_independent_system(), cfg)
+        b = cfg.basis
+        kept = [b.p, b.q, b.inv_p, b.minus_inv_q, *b._powers.values()]
+        assert len(kept) > 4 and not any(a.flags.writeable for a in kept)
+        with pytest.raises(ValueError, match="read-only"):
+            b.power(2)[0] = 0.5
+
+    def test_threads_keep_and_count_each_power_once(self):
+        # eight threads, more than the cores, start together on a fresh
+        # config's basis with a short switch interval (numpy lets go of the
+        # interpreter lock while it raises 2001 points to a power), in ten
+        # rounds: a lost budget update or a power kept twice breaks the count,
+        # and every profile keeps the plain array's bits
+        dists = basis_distortions()[:15]  # every k-of-n with n <= 5
+        points = DEFAULT_CONFIG.p_grid.points
+        want = {(d, kind): d.elasticity_profile(points, kind) for d in dists for kind in "HR"}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                cfg, start, failures = VerifyConfig(), threading.Barrier(8), []
+
+                def work():
+                    start.wait(timeout=60)
+                    try:
+                        for (d, kind), plain in want.items():
+                            for got, expected in zip(d.elasticity_profile(cfg.basis, kind), plain):
+                                assert got.tobytes() == expected.tobytes(), (d, kind)
+                    except AssertionError as exc:
+                        failures.append(exc)
+
+                threads = [threading.Thread(target=work) for _ in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads) and not failures
+                b = cfg.basis
+                assert sorted(b._powers) == sorted((k, of_q) for k in range(6) for of_q in (False, True))
+                assert sum(a.nbytes for a in b._powers.values()) + b._budget == POWER_BUDGET
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_kept_powers_stay_within_the_budget(self):
+        cfg = VerifyConfig()
+        b = cfg.basis
+        for d in basis_distortions()[:210]:
+            for kind in ("H", "R"):
+                d.elasticity_profile(b, kind)
+        # p^k and q^k for k = 0..20, and the four grid terms, under 1 MB
+        assert sorted(b._powers) == sorted((k, of_q) for k in range(21) for of_q in (False, True))
+        assert sum(a.nbytes for a in (b.p, b.q, b.inv_p, b.minus_inv_q, *b._powers.values())) < 1_000_000
+        # series(60)'s 1-h reads p^k and q^(60-k) for k < 60: past the budget
+        # the same sum makes the powers per use, with the same bits
+        d = build_distortion(Structure.series(60), Independence(60))
+        for kind in ("H", "R"):
+            for got, want in zip(d.elasticity_profile(b, kind), d.elasticity_profile(cfg.p_grid.points, kind)):
+                assert_same_bits(got, want)
+        assert sum(a.nbytes for a in b._powers.values()) <= POWER_BUDGET
+        made = [key for key in ((k, of_q) for k in range(61) for of_q in (False, True)) if key not in b._powers]
+        assert made
+        assert b.power(*made[0]) is not b.power(*made[0])
+        assert_same_bits(b.power(*made[0]), (b.q if made[0][1] else b.p) ** made[0][0])
 
 
 def reference_sign_condition(name, kind, p, values, sign_slack, tol):
