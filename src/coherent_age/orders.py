@@ -129,10 +129,10 @@ class VerifyConfig:
     command line alike: an integral grid size whose p-grid builds, and
     tolerances finite and >= 0; anything else raises ValueError.  The
     p-grid built by that check is kept, read-only, and so is its ``basis``,
-    built on the first verify: the clamped grid, 1-p, 1/p, -1/q and the
-    Bernstein powers p^k and (1-p)^k, these up to a fixed 1 MiB
-    (``systems.POWER_BUDGET``), past which they are made per call.  Every
-    verify under one config, or under the default one, shares them.
+    built on the first verify: the clamped grid, 1-p and the Bernstein
+    powers p^k and (1-p)^k for k < POWER_BUDGET / (2 x bytes of the points)
+    (``systems.POWER_BUDGET``, 1 MiB: k <= 31 on 2001 points).  Every verify
+    under one config, or under the default one, shares them.
     """
 
     eps_endpoint: float = 1e-3
@@ -154,9 +154,11 @@ class VerifyConfig:
 
     @cached_property
     def basis(self) -> GridBasis:
-        from .systems import POWER_BUDGET, Distortion, GridBasis
+        from .systems import Distortion, GridBasis
 
-        return GridBasis(Distortion._clamped(self.p_grid.points), POWER_BUDGET)
+        points = Distortion._clamped(self.p_grid.points)
+        points.setflags(write=False)
+        return GridBasis(points)
 
 
 def _quantile_bracket(*lifetimes: tuple[LifetimeDistribution, tuple[float, float]]) -> tuple[float, float]:
@@ -340,7 +342,7 @@ def integral_identity_check(
         -ln h(sf(x))     = integral_0^{Delta(x)}  H(e^-v) dv
         -ln(1 - h(sf(x))) = integral_0^{Dtilde(x)} R(1-e^-v) dv
 
-    One margin pass gives Delta, Dtilde, sf and the h, 1-h pair.  Both integrals are
+    One margin pass gives Delta and Dtilde, and ``sys._h_pair`` the h, 1-h pair.  Both integrals are
     running sums over shared pieces: on [0, head] (head the smallest positive limit,
     or the lower clamp kink of H and R if smaller) the clamp holds each integrand at
     its v = 0 value, so that piece is exact; above it Gauss-Legendre pieces are cut at
@@ -363,8 +365,7 @@ def integral_identity_check(
         [lambda v: dist._elasticity(np.clip(np.exp(-v), EPS_CLAMP, 1.0 - EPS_CLAMP), "H", slope=False),
          lambda v: dist._elasticity(np.clip(-np.expm1(-v), EPS_CLAMP, 1.0 - EPS_CLAMP), "R", slope=False)],
         upper, x, quad_tol, kinks)
-    p = np.exp(-delta)
-    h, omh = dist._evaluate(p, 0), dist._evaluate(p, 1)
+    h, omh = sys._h_pair(x)
     err = np.abs(np.stack((_minus_log(h, omh), _minus_log(omh, h))) - rhs)
     # argmax keeps the first maximum as the witness
     ic, ib = np.argmax(err, axis=1)

@@ -28,18 +28,18 @@ of the distortion.  Under independent components h is a polynomial and h,
 whose weights for h count the component subsets that contain a path set
 (the structure's signature representation): the terms of h, 1-h and h' are
 nonnegative, so nothing cancels near p = 0 or p = 1.  The powers p^k and
-(1-p)^k come from a ``GridBasis``: a verify config keeps its p-grid's, so
-verifies under one config, or the default one, share them.  Dependent
-copulas use the signed sum of c_j K_j, which can cancel in 1-h and h' near
-p = 1 for parallel-heavy structures.
+(1-p)^k come from a ``GridBasis`` of the points, which keeps them for
+k < POWER_BUDGET / (2 x bytes of the points); a verify config holds its
+p-grid's, so verifies under one config, or the default one, share them.
+Dependent copulas use the signed sum of c_j K_j, which can cancel in 1-h
+and h' near p = 1 for parallel-heavy structures.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
-from functools import cache, cached_property, reduce
+from functools import cache, reduce
 from math import comb
 from operator import and_, or_
 
@@ -58,10 +58,9 @@ __all__ = [
 
 # endpoint clamp for the elasticity functionals, defined on the open interval
 EPS_CLAMP = 1e-9
-# bytes of powers a kept GridBasis holds: a 2001-point grid's p^k and q^k, k <= 20, fit
+# bytes of powers a GridBasis keeps: p^k and q^k for k < POWER_BUDGET / (2 x bytes
+# of the points), so k <= 31 on 2001 points
 POWER_BUDGET = 1 << 20
-# threads verifying under one config share its basis: each power is kept, and counted, once
-_KEEPING = threading.Lock()
 # the counted table holds 2^m entries for the m components outside the
 # common part of every path set; refuse beyond
 MAX_COMPONENTS = 20
@@ -277,8 +276,8 @@ class Distortion:
             return value
         curvature = _flagged_ratio(self._evaluate(b, 3), d1)
         if kind == "H":
-            return value, b.inv_p + curvature - _flagged_ratio(d1, hv)
-        return value, b.minus_inv_q + curvature + _flagged_ratio(d1, omh)
+            return value, 1.0 / b.p + curvature - _flagged_ratio(d1, hv)
+        return value, -1.0 / b.q + curvature + _flagged_ratio(d1, omh)
 
     def _levels(self, q_lo: float, q_hi: float) -> tuple[float, float]:
         """The reliabilities p with 1 - h(p) = q_lo and with h(p) = 1 - q_hi,
@@ -360,32 +359,26 @@ def _bernstein_weights(counts) -> tuple[tuple[float, ...], ...]:
 
 
 class GridBasis:
-    """Points p and the terms of the distortion functionals that depend on
-    them alone, q = 1-p, 1/p, -1/q and the Bernstein powers p^k and q^k, each
-    made on first use by the functionals' own numpy operation.  With a budget
-    (a verify config's, POWER_BUDGET) all are read-only, and a power is kept
-    while the kept powers fit the budget's bytes; else it is made per use."""
+    """Points p, q = 1-p and the Bernstein powers p^k and q^k, each power
+    made on first use by the functionals' own numpy operation.  q, and the
+    powers with k < POWER_BUDGET / (2 x p's bytes), are kept read-only, so
+    the kept powers fit POWER_BUDGET bytes whatever the order of use; a
+    higher power is made per use."""
 
-    q = cached_property(lambda self: 1.0 - self.p)
-    inv_p = cached_property(lambda self: 1.0 / self.p)
-    minus_inv_q = cached_property(lambda self: -1.0 / self.q)
-
-    def __init__(self, p: np.ndarray, budget: int = 0):
-        self.p, self._budget, self._powers = p, budget, {}
-        for term in (p, self.q, self.inv_p, self.minus_inv_q) if budget else ():
-            term.setflags(write=False)
+    def __init__(self, p: np.ndarray):
+        self.p, self.q, self._powers = p, 1.0 - p, {}
+        # setflags(False) is write=False; the keyword form parses twice as slowly
+        self.q.setflags(False)
+        self._kept = POWER_BUDGET // (2 * p.nbytes) if p.nbytes else 0
 
     def power(self, k: int, of_q: bool = False) -> np.ndarray:
-        """p^k, or q^k with of_q."""
+        """p^k, or q^k with of_q; of two threads that make a kept power, both get the first's."""
         out = self._powers.get((k, of_q))
         if out is None:
             out = (self.q if of_q else self.p) ** k
-            if out.nbytes <= self._budget:
-                with _KEEPING:
-                    if out.nbytes <= self._budget and (k, of_q) not in self._powers:
-                        out.setflags(write=False)
-                        self._powers[k, of_q] = out
-                        self._budget -= out.nbytes
+            if k < self._kept:
+                out.setflags(False)
+                out = self._powers.setdefault((k, of_q), out)
         return out
 
 
@@ -453,9 +446,9 @@ class SystemModel:
         return match_input(x, _minus_log(*reversed(self._h_pair(x))))
 
     def _h_pair(self, x):
-        """h(sf(x)) and 1 - h(sf(x)), each in its stable form, from one sf."""
-        p = self.margin.sf(x)
-        return self.distortion._evaluate(p, 0), self.distortion._evaluate(p, 1)
+        """h(sf(x)) and 1 - h(sf(x)), each in its stable form, from one sf and its GridBasis."""
+        b = _basis(self.margin.sf(x))
+        return self.distortion._evaluate(b, 0), self.distortion._evaluate(b, 1)
 
 
 def _minus_log(value, compl) -> np.ndarray:

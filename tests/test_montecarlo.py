@@ -25,6 +25,18 @@ from coherent_age.systems import Structure, k_of_n_paths
 N = 100_000
 
 
+def kernel_level():
+    """numpy's SIMD kernel set in this process, as its x86-64 level: X86_V4
+    where its AVX-512 kernels run (numpy < 2.4 names that group AVX512_SKX),
+    else X86_V3 where its AVX2 ones do, else None."""
+    umath = (getattr(np, "_core", None) or np.core)._multiarray_umath
+    active = {f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)}
+    for level, names in (("X86_V4", {"X86_V4", "AVX512_SKX"}), ("X86_V3", {"X86_V3", "AVX2"})):
+        if active & names:
+            return level
+    return None
+
+
 def empirical_joint_cdf(u, p):
     return float(np.mean(np.all(u <= p, axis=1)))
 
@@ -143,21 +155,32 @@ class TestReproducibility:
     # sha256 of the sampled bytes: a change to the draw calls, their order or
     # their shapes fails here. The independence, Gumbel and Clayton digests are
     # those of the sampler that mapped every component; the FGM digest is that
-    # of conditional inversion
+    # of conditional inversion. The Gumbel and Clayton samples go through
+    # numpy's exp, log and power, whose AVX-512 kernels can differ from the
+    # others in the last ulp, so they hold one digest per kernel_level(); a
+    # kernel set with none recorded fails
     @pytest.mark.parametrize(
         "copula, digest",
         [
             (Independence(3), "24523e6bdfe250148a159ef87793db71ff28278037812a247cef20c5f15f837c"),
             (FGM(-0.7), "dfe3e1ae1b800faef2494931a5920f5d5094da3e2919fbbd5c6eb28bb416e694"),
-            (GumbelHougaard(2.0, 4), "0701cc820adf3616a4f29dfaf9b3fddd0606a5bc4bae93cc8f0136fee42df79a"),
-            (ClaytonOakes(1.5, 4), "08ee2c9153945b3708c1cd7e9f5da2e7707b595f27295edb02b3aa2fb79940fd"),
+            (GumbelHougaard(2.0, 4), {
+                "X86_V4": "0701cc820adf3616a4f29dfaf9b3fddd0606a5bc4bae93cc8f0136fee42df79a",
+                "X86_V3": "4741eecfa4a8b9b386f8d3ac17019d69e6eeed6364edd32b6b6cfc16cc40c3c4",
+            }),
+            (ClaytonOakes(1.5, 4), {
+                "X86_V4": "08ee2c9153945b3708c1cd7e9f5da2e7707b595f27295edb02b3aa2fb79940fd",
+                "X86_V3": "e5d2815b5d632d3d3c75dce34a7a07dc5502d9a07290845460b620e6fe0a7eb6",
+            }),
         ],
         ids=["independence", "fgm", "gumbel", "clayton"],
     )
     def test_sampled_bytes_pinned(self, copula, digest):
         u = sample_copula(copula, SimConfig(sample_count=10_001, seed=5, stream_count=3))
         assert u.shape == (10_001, copula.dim) and u.dtype == np.float64 and u.flags.c_contiguous
-        assert hashlib.sha256(u.tobytes()).hexdigest() == digest
+        want = digest if isinstance(digest, str) else digest.get(kernel_level())
+        assert want is not None, f"no digest recorded for numpy's {kernel_level()} kernels"
+        assert hashlib.sha256(u.tobytes()).hexdigest() == want
 
 
 class TestSimulateSystem:

@@ -10,7 +10,8 @@ import pytest
 from corpus_helpers import golden_corpus, random_instance
 
 from coherent_age.copulas import FGM, GumbelHougaard, Independence
-from coherent_age.distributions import Exponential, LinearFailureRate
+from coherent_age import systems
+from coherent_age.distributions import Exponential, LinearFailureRate, Weibull
 from coherent_age.orders import Grid, verdict
 from coherent_age.systems import (
     POWER_BUDGET,
@@ -329,10 +330,16 @@ BASIS_CONFIGS = {"default": DEFAULT_CONFIG, "eps-1e-12": VerifyConfig(eps_endpoi
 
 
 @functools.cache
+def basis_models():
+    """(structure, copula) of every k-out-of-n with n <= 20, and of the FGM,
+    Gumbel and Clayton systems of the golden corpus."""
+    kofn = [(k_of_n_paths(k, n), Independence(n)) for n in range(1, 21) for k in range(1, n + 1)]
+    return tuple(kofn + [(s, c) for _, s, c, _ in golden_corpus() if not isinstance(c, Independence)])
+
+
+@functools.cache
 def basis_distortions():
-    """Every k-out-of-n with n <= 20, and the FGM, Gumbel and Clayton systems of the golden corpus."""
-    kofn = [build_distortion(k_of_n_paths(k, n), Independence(n)) for n in range(1, 21) for k in range(1, n + 1)]
-    return tuple(kofn + [build_distortion(s, c) for _, s, c, _ in golden_corpus() if not isinstance(c, Independence)])
+    return tuple(build_distortion(s, c) for s, c in basis_models())
 
 
 def assert_same_bits(got, want):
@@ -340,18 +347,58 @@ def assert_same_bits(got, want):
     assert got.tobytes() == want.tobytes()  # and +0.0 against -0.0
 
 
+def inline_bernstein_sum(p, weights):
+    """The Bernstein sum with every power made inline, per use:
+    w * p**k * (1-p)**(deg-k), summed in weight order."""
+    pa = p.p if isinstance(p, GridBasis) else p
+    q = 1.0 - pa
+    deg = len(weights) - 1
+    out = np.zeros_like(pa)
+    for k, w in enumerate(weights):
+        if w:
+            out += w * pa**k * q ** (deg - k)
+    return out
+
+
+def inline(monkeypatch, f, *args):
+    """f(*args) with inline_bernstein_sum in place of the library's Bernstein sum."""
+    with monkeypatch.context() as patched:
+        patched.setattr(systems, "_bernstein_sum", inline_bernstein_sum)
+        return f(*args)
+
+
+def basis_systems():
+    """Every model of basis_models(), under a Weibull margin."""
+    return [SystemModel(s, c, Weibull(1.5, 2.0)) for s, c in basis_models()]
+
+
 class TestBasisMatchesArray:
-    """A config's kept basis gives the profiles, and the reports, of a plain
-    array and of a fresh config bit for bit."""
+    """The kept powers of a basis give the bits of powers made inline, per
+    use, through a config's basis and through a plain array alike."""
 
     @pytest.mark.parametrize("cfg", BASIS_CONFIGS.values(), ids=BASIS_CONFIGS.keys())
-    def test_profiles_through_the_basis_equal_the_array_call(self, cfg):
+    def test_profiles_equal_inline_powers(self, monkeypatch, cfg):
+        points = cfg.p_grid.points
         for d in basis_distortions():
             for kind in ("H", "R"):
-                plain = d.elasticity_profile(cfg.p_grid.points, kind)
+                want = inline(monkeypatch, d.elasticity_profile, points, kind)
                 for _ in range(2):  # the powers made, then the powers kept
-                    for got, want in zip(d.elasticity_profile(cfg.basis, kind), plain):
-                        assert_same_bits(got, want)
+                    for source in (cfg.basis, points):
+                        for got, expected in zip(d.elasticity_profile(source, kind), want):
+                            assert_same_bits(got, expected)
+
+    def test_public_elasticities_equal_inline_powers(self, monkeypatch):
+        points = DEFAULT_CONFIG.p_grid.points
+        for d in basis_distortions():
+            for f in (d.H, d.R, d.h, d.one_minus_h, d.h_prime, d.H_prime, d.R_prime):
+                assert_same_bits(f(points), inline(monkeypatch, f, points))
+
+    def test_system_cumulative_hazards_equal_inline_powers(self, monkeypatch):
+        for system in basis_systems():
+            x = Grid.system_bracketed(system, system).points
+            assert x.size == 2001
+            for f in (system.cum_hazard, system.cum_rev_hazard):
+                assert_same_bits(f(x), inline(monkeypatch, f, x))
 
     @pytest.mark.parametrize("grid_size", [2001, 501])
     def test_reused_config_reports_equal_fresh_ones(self, grid_size):
@@ -363,7 +410,14 @@ class TestBasisMatchesArray:
                 assert repr(verify(sys1, sys2, reused)) == repr(verify(sys1, sys2, VerifyConfig(grid_size=grid_size)))
 
 
+def kept_keys(top):
+    return sorted((k, of_q) for k in range(top + 1) for of_q in (False, True))
+
+
 class TestKeptBasis:
+    """A basis keeps p^k and q^k for k < POWER_BUDGET / (2 x bytes of the
+    points), each once, whatever the order of use."""
+
     def test_two_verifies_share_the_power_arrays(self, monkeypatch):
         cfg = VerifyConfig(grid_size=501)
         power, made = GridBasis.power, []
@@ -388,67 +442,84 @@ class TestKeptBasis:
         cfg = VerifyConfig(grid_size=101)
         verify_cstar(kofn_system(2, 4, LinearFailureRate(2.0, 1.0)), series3_independent_system(), cfg)
         b = cfg.basis
-        kept = [b.p, b.q, b.inv_p, b.minus_inv_q, *b._powers.values()]
-        assert len(kept) > 4 and not any(a.flags.writeable for a in kept)
+        kept = [b.p, b.q, *b._powers.values()]
+        assert len(kept) > 2 and not any(a.flags.writeable for a in kept)
         with pytest.raises(ValueError, match="read-only"):
             b.power(2)[0] = 0.5
+        # the config freezes its own clamped points; a basis never freezes its caller's
+        points = np.linspace(0.1, 0.9, 9)
+        GridBasis(points).power(2)
+        assert points.flags.writeable and cfg.p_grid.points is not b.p
 
-    def test_threads_keep_and_count_each_power_once(self):
+    def test_high_powers_first_leave_the_low_ones_kept(self):
+        # series(60) reads p^k and q^(60-k) for every k <= 60; made first, it
+        # must not crowd out the powers 3-of-6 reads afterwards
+        cfg = VerifyConfig()
+        for n, k in ((60, 60), (6, 3)):
+            d = build_distortion(k_of_n_paths(k, n), Independence(n))
+            for kind in ("H", "R"):
+                d.elasticity_profile(cfg.basis, kind)
+        assert set(kept_keys(6)) <= cfg.basis._powers.keys()
+
+    def test_a_2001_point_basis_keeps_exactly_k_up_to_31(self, monkeypatch):
+        b = VerifyConfig().basis
+        assert b.p.size == 2001
+        series60 = build_distortion(Structure.series(60), Independence(60))
+        for d in (series60, *basis_distortions()[:210]):
+            for kind in ("H", "R"):
+                d.elasticity_profile(b, kind)
+        assert sorted(b._powers) == kept_keys(31)
+        assert sum(a.nbytes for a in b._powers.values()) <= POWER_BUDGET
+        # past k = 31 a power is made per use, with the same bits
+        for kind in ("H", "R"):
+            want = inline(monkeypatch, series60.elasticity_profile, b.p, kind)
+            for got, expected in zip(series60.elasticity_profile(b, kind), want):
+                assert_same_bits(got, expected)
+        assert b.power(32) is not b.power(32)
+        assert_same_bits(b.power(32, True), b.q**32)
+        assert b.power(31) is b.power(31)
+        # no points, no bytes: every power is made per use
+        empty = GridBasis(np.empty(0))
+        assert empty.power(3).shape == (0,) and not empty._powers
+
+    def test_threads_keep_each_power_once_and_share_it(self):
         # eight threads, more than the cores, start together on a fresh
         # config's basis with a short switch interval (numpy lets go of the
         # interpreter lock while it raises 2001 points to a power), in ten
-        # rounds: a lost budget update or a power kept twice breaks the count,
-        # and every profile keeps the plain array's bits
+        # rounds: every thread must get the one kept array of each power,
+        # and every profile the bits of powers made inline
         dists = basis_distortions()[:15]  # every k-of-n with n <= 5
         points = DEFAULT_CONFIG.p_grid.points
         want = {(d, kind): d.elasticity_profile(points, kind) for d in dists for kind in "HR"}
+        keys = kept_keys(5)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(10):
-                cfg, start, failures = VerifyConfig(), threading.Barrier(8), []
+                cfg, start, failures, seen = VerifyConfig(), threading.Barrier(8), [], []
 
-                def work():
+                def work(order):
                     start.wait(timeout=60)
                     try:
+                        seen.append({key: cfg.basis.power(*key) for key in order})
                         for (d, kind), plain in want.items():
                             for got, expected in zip(d.elasticity_profile(cfg.basis, kind), plain):
                                 assert got.tobytes() == expected.tobytes(), (d, kind)
                     except AssertionError as exc:
                         failures.append(exc)
 
-                threads = [threading.Thread(target=work) for _ in range(8)]
+                # each thread asks for the powers in its own order
+                threads = [threading.Thread(target=work, args=(keys[i:] + keys[:i],)) for i in range(8)]
                 for thread in threads:
                     thread.start()
                 for thread in threads:
                     thread.join(timeout=60)
                 assert not any(thread.is_alive() for thread in threads) and not failures
                 b = cfg.basis
-                assert sorted(b._powers) == sorted((k, of_q) for k in range(6) for of_q in (False, True))
-                assert sum(a.nbytes for a in b._powers.values()) + b._budget == POWER_BUDGET
+                assert sorted(b._powers) == keys and len(seen) == 8
+                assert all(got[key] is b._powers[key] for got in seen for key in keys)
         finally:
             sys.setswitchinterval(interval)
-
-    def test_kept_powers_stay_within_the_budget(self):
-        cfg = VerifyConfig()
-        b = cfg.basis
-        for d in basis_distortions()[:210]:
-            for kind in ("H", "R"):
-                d.elasticity_profile(b, kind)
-        # p^k and q^k for k = 0..20, and the four grid terms, under 1 MB
-        assert sorted(b._powers) == sorted((k, of_q) for k in range(21) for of_q in (False, True))
-        assert sum(a.nbytes for a in (b.p, b.q, b.inv_p, b.minus_inv_q, *b._powers.values())) < 1_000_000
-        # series(60)'s 1-h reads p^k and q^(60-k) for k < 60: past the budget
-        # the same sum makes the powers per use, with the same bits
-        d = build_distortion(Structure.series(60), Independence(60))
-        for kind in ("H", "R"):
-            for got, want in zip(d.elasticity_profile(b, kind), d.elasticity_profile(cfg.p_grid.points, kind)):
-                assert_same_bits(got, want)
-        assert sum(a.nbytes for a in b._powers.values()) <= POWER_BUDGET
-        made = [key for key in ((k, of_q) for k in range(61) for of_q in (False, True)) if key not in b._powers]
-        assert made
-        assert b.power(*made[0]) is not b.power(*made[0])
-        assert_same_bits(b.power(*made[0]), (b.q if made[0][1] else b.p) ** made[0][0])
 
 
 def reference_sign_condition(name, kind, p, values, sign_slack, tol):
