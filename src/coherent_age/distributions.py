@@ -53,7 +53,7 @@ def on_points(f, xa: np.ndarray, *args) -> np.ndarray:
 
 def _check_nonneg(x) -> np.ndarray:
     xa = as_float_array(x)
-    if np.any(xa < 0.0):
+    if (xa < 0.0).any():
         raise ValueError("lifetime argument must be nonnegative")
     return xa
 
@@ -98,12 +98,14 @@ class LifetimeDistribution(ABC):
 
 
 def _minus_log_cdf(delta: np.ndarray) -> np.ndarray:
-    """-ln F from delta = -ln sf: the expm1 form is exact for small delta and the log1p form
-    for large, so branch at F = 1/2 (+inf at delta = 0, exact 0 once exp(-delta) underflows)."""
+    """-ln F from delta = -ln sf: the expm1 form is exact for small delta and the log1p form for large, so
+    branch at F = 1/2, each evaluated only on its side (+inf at delta = 0, 0 once exp(-delta) underflows)."""
+    small = delta <= math.log(2.0)
+    large, out = ~small, np.empty_like(delta)
     with np.errstate(divide="ignore"):
-        small = -np.log(-np.expm1(-delta))
-        large = -np.log1p(-np.exp(-delta))
-        return np.where(delta <= math.log(2.0), small, large)
+        out[small] = -np.log(-np.expm1(-delta[small]))
+        out[large] = -np.log1p(-np.exp(-delta[large]))
+    return out
 
 
 @dataclass(frozen=True)

@@ -68,14 +68,17 @@ class Grid:
 
     def __post_init__(self):
         pts = as_float_array(self.points)
-        if pts.ndim != 1 or pts.size < 2:
-            raise ValueError("grid needs at least two points")
-        if not np.all(np.isfinite(pts)):
-            raise ValueError("grid points must be finite")
-        if np.any(pts <= 0.0):
-            raise ValueError("grid points must be positive")
-        if np.any(np.diff(pts) <= 0.0):
-            raise ValueError("grid points must be strictly increasing")
+        # strictly increasing from a positive first point to a finite last one
+        # passes every check below in one pass; anything else meets them in order
+        if not (pts.ndim == 1 and pts.size >= 2 and pts[0] > 0.0 and pts[-1] < math.inf and (pts[1:] > pts[:-1]).all()):
+            if pts.ndim != 1 or pts.size < 2:
+                raise ValueError("grid needs at least two points")
+            if not np.all(np.isfinite(pts)):
+                raise ValueError("grid points must be finite")
+            if np.any(pts <= 0.0):
+                raise ValueError("grid points must be positive")
+            if np.any(np.diff(pts) <= 0.0):
+                raise ValueError("grid points must be strictly increasing")
         object.__setattr__(self, "points", pts)
 
     @classmethod
@@ -207,7 +210,8 @@ def verdict(xs: np.ndarray, values: np.ndarray, rule: str, tol: float, relation:
         raise ValueError(f"rule must be one of {RULES}, got {rule!r}")
     _tolerance(tol, "tol")
     finite = np.isfinite(values)
-    xs, kept = xs[finite], values[finite]
+    # all finite, the usual case: the values themselves, no copies
+    xs, kept = (xs, values) if finite.all() else (xs[finite], values[finite])
     skipped = finite.size - kept.size
     if kept.size == 0:
         raise ValueError("empty grid after skipping flagged points")
@@ -217,8 +221,11 @@ def verdict(xs: np.ndarray, values: np.ndarray, rule: str, tol: float, relation:
                             note="too many points skipped")
     # a monotone violation is the worst reversal between ANY earlier/later
     # pair (drawdown), not just adjacent points, so a slow cumulative
-    # reversal cannot certify; its witness is the later point of the pair
-    if rule == "incr":
+    # reversal cannot certify; its witness is the later point of the pair.  Monotone values need
+    # no scan: max/min of equals returns the second, so the scan would return them bit for bit
+    if monotone and ((kept[1:] >= kept[:-1]) if rule == "incr" else (kept[1:] <= kept[:-1])).all():
+        viol = kept[1:] - kept[1:]
+    elif rule == "incr":
         viol = np.maximum.accumulate(kept)[1:] - kept[1:]
     elif rule == "decr":
         viol = kept[1:] - np.minimum.accumulate(kept)[1:]
@@ -366,7 +373,8 @@ def integral_identity_check(
          lambda v: dist._elasticity(np.clip(-np.expm1(-v), EPS_CLAMP, 1.0 - EPS_CLAMP), "R", slope=False)],
         upper, x, quad_tol, kinks)
     h, omh = sys._h_pair(x)
-    err = np.abs(np.stack((_minus_log(h, omh), _minus_log(omh, h))) - rhs)
+    # both forms are read almost everywhere on the two sides, so both come from one pair
+    err = np.abs(np.stack((_minus_log(h, lambda far: omh[far]), _minus_log(omh, lambda far: h[far]))) - rhs)
     # argmax keeps the first maximum as the witness
     ic, ib = np.argmax(err, axis=1)
     return IdentityReport(float(err[0, ic]), float(err[1, ib]), float(x[ic]), float(x[ib]), x.size, quad_tol)

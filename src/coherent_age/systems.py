@@ -32,7 +32,9 @@ nonnegative, so nothing cancels near p = 0 or p = 1.  The powers p^k and
 k < POWER_BUDGET / (2 x bytes of the points); a verify config holds its
 p-grid's, so verifies under one config, or the default one, share them.
 Dependent copulas use the signed sum of c_j K_j, which can cancel in 1-h
-and h' near p = 1 for parallel-heavy structures.
+and h' near p = 1 for parallel-heavy structures.  A system's cumulative
+hazard -ln h(sf(x)) reads h on every point and 1-h only where h > 1/2, and
+its reversed one the other way round: each form only where it is read.
 """
 
 from __future__ import annotations
@@ -214,16 +216,16 @@ class Distortion:
 
     def _evaluate(self, p, which: int) -> np.ndarray:
         """h, 1-h, h' or h'' (which = 0, 1, 2, 3) on a validated argument (or
-        its GridBasis): Bernstein weights under independence, else the copula's
-        one-call signed sum ``_sum``, sum_j c_j times K_j, 1-K_j, K_j' or K_j''
-        (Clayton-Oakes shares ln p and expm1(-theta ln p) across its terms)."""
-        b = _basis(p)
-        if b.p.ndim != 1:
+        its GridBasis): Bernstein weights under independence, from its GridBasis
+        (made here for an array), else the copula's one-call signed sum ``_sum`` on the points,
+        sum_j c_j times K_j, 1-K_j, K_j' or K_j'' (Clayton-Oakes shares ln p and expm1(-theta ln p))."""
+        points = p.p if isinstance(p, GridBasis) else p
+        if points.ndim != 1:
             # a scalar runs as a one-point array, to match an array call bit for bit
-            return on_points(self._evaluate, b.p, which)
+            return on_points(self._evaluate, points, which)
         if self._bernstein is not None:
-            return _bernstein_sum(b, self._bernstein[which])
-        return self.copula._sum(b.p, self.coeffs, which)
+            return _bernstein_sum(p, self._bernstein[which])
+        return self.copula._sum(points, self.coeffs, which)
 
     def H(self, p):
         """Hazard-transfer elasticity p h'(p)/h(p), clamped to the open interval.
@@ -329,14 +331,14 @@ class Distortion:
     @staticmethod
     def _check_unit(p) -> np.ndarray:
         pa = as_float_array(p)
-        if np.any((pa < 0.0) | (pa > 1.0)):
+        if ((pa < 0.0) | (pa > 1.0)).any():
             raise ValueError("distortion argument must lie in [0, 1]")
         return pa
 
     @staticmethod
     def _check_open(p) -> np.ndarray:
         pa = as_float_array(p)
-        if np.any((pa <= 0.0) | (pa >= 1.0)):
+        if ((pa <= 0.0) | (pa >= 1.0)).any():
             raise ValueError("derivative argument must lie in the open interval (0, 1)")
         return pa
 
@@ -392,7 +394,7 @@ def _bernstein_sum(p, weights: tuple[float, ...]) -> np.ndarray:
     nonnegative, so nothing cancels."""
     b = _basis(p)
     deg = len(weights) - 1
-    out = np.zeros_like(b.p)
+    out = np.zeros(b.p.shape)
     for k, w in enumerate(weights):
         if w:
             out += w * b.power(k) * b.power(deg - k, True)
@@ -412,7 +414,7 @@ def _flagged_ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         out = num / den
     bad = den == 0.0
-    if np.any(bad):
+    if bad.any():
         out = np.where(bad & (num == 0.0), np.nan, out)
         out = np.where(bad & (num != 0.0), np.inf, out)
     return out
@@ -438,21 +440,32 @@ class SystemModel:
         self.distortion = build_distortion(self.structure, self.copula)
 
     def cum_hazard(self, x):
-        """-ln h(sf(x))."""
-        return match_input(x, _minus_log(*self._h_pair(x)))
+        """-ln h(sf(x)): h on every point, and 1 - h only where _minus_log reads it."""
+        return match_input(x, self._minus_log_at(x, 0))
 
     def cum_rev_hazard(self, x):
-        """-ln(1 - h(sf(x)))."""
-        return match_input(x, _minus_log(*reversed(self._h_pair(x))))
+        """-ln(1 - h(sf(x))): 1 - h on every point, and h only where _minus_log reads it."""
+        return match_input(x, self._minus_log_at(x, 1))
+
+    def _minus_log_at(self, x, which: int) -> np.ndarray:
+        """-ln of h (which 0) or 1 - h (which 1) at sf(x), each in its stable form."""
+        d = self.distortion
+        return on_points(lambda s: _minus_log(d._evaluate(s, which), lambda far: d._evaluate(s[far], 1 - which)),
+                         as_float_array(self.margin.sf(x)))
 
     def _h_pair(self, x):
-        """h(sf(x)) and 1 - h(sf(x)), each in its stable form, from one sf and its GridBasis."""
-        b = _basis(self.margin.sf(x))
-        return self.distortion._evaluate(b, 0), self.distortion._evaluate(b, 1)
+        """h(sf(x)) and 1 - h(sf(x)), each in its stable form, from one sf."""
+        s = as_float_array(self.margin.sf(x))
+        return self.distortion._evaluate(s, 0), self.distortion._evaluate(s, 1)
 
 
-def _minus_log(value, compl) -> np.ndarray:
-    """-ln value: log of the value where it is small, log1p of its stable
-    complement where it is near 1, accurate in both regimes."""
+def _minus_log(value: np.ndarray, complement_at) -> np.ndarray:
+    """-ln value on a 1-D array, accurate near 0 and near 1: -log of the value on every point, then at
+    far = ~(value <= 0.5) (near 1, or nan) -log1p of complement_at(far), the stable complement 1 - value
+    evaluated at just those points, so each form is evaluated only where it is read."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(value <= 0.5, -np.log(np.maximum(value, 0.0)), -np.log1p(-np.minimum(compl, 1.0)))
+        out = -np.log(np.maximum(value, 0.0))
+        far = ~(value <= 0.5)
+        if far.any():
+            out[far] = -np.log1p(-np.minimum(complement_at(far), 1.0))
+    return out

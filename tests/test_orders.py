@@ -43,6 +43,32 @@ def golden_grid(sysm, size=200):
     return Grid.margin_bracketed(sysm.margin, sysm.margin, size=size)
 
 
+def checks_in_order(points):
+    """The message of the first grid check that points fail, each check on its own, or None."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 1 or pts.size < 2:
+        return "grid needs at least two points"
+    if not np.all(np.isfinite(pts)):
+        return "grid points must be finite"
+    if np.any(pts <= 0.0):
+        return "grid points must be positive"
+    if np.any(np.diff(pts) <= 0.0):
+        return "grid points must be strictly increasing"
+    return None
+
+
+nan, inf = math.nan, math.inf
+GRID_CHECK_INPUTS = {
+    "scalar": 1.0, "2d": [[1.0, 2.0], [3.0, 4.0]], "empty": [], "one": [1.0], "one-nan": [nan],
+    "nan-first": [nan, 1.0, 2.0], "nan-middle": [1.0, nan, 2.0], "nan-last": [1.0, 2.0, nan],
+    "inf-last": [1.0, 2.0, inf], "inf-first": [inf, 1.0, 2.0], "minus-inf-first": [-inf, 1.0, 2.0],
+    "minus-inf-last": [1.0, 2.0, -inf], "zero-first": [0.0, 1.0, 2.0], "zero-middle": [1.0, 0.0, 2.0],
+    "negative-first": [-1.0, 1.0, 2.0], "negative-last": [1.0, 2.0, -3.0], "negative-and-nan": [-1.0, nan],
+    "equal-neighbours": [1.0, 2.0, 2.0, 3.0], "decreasing": [1.0, 3.0, 2.0], "reversed": [3.0, 2.0, 1.0],
+    "increasing": [1.0, 2.0, 3.0], "two-points": [1e-300, 1e300], "subnormal-first": [5e-324, 1.0],
+}
+
+
 class TestGrid:
     def test_log_spacing(self):
         g = Grid.log_spaced(0.01, 10.0, 101)
@@ -76,6 +102,16 @@ class TestGrid:
             Grid(np.array([0.0, 1.0]))
         with pytest.raises(ValueError):
             Grid(np.array([1.0, 1.0]))
+
+    @pytest.mark.parametrize("points", GRID_CHECK_INPUTS.values(), ids=GRID_CHECK_INPUTS.keys())
+    def test_messages_follow_the_checks_in_order(self, points):
+        want = checks_in_order(points)
+        if want is None:
+            assert np.array_equal(Grid(np.array(points)).points, points)
+        else:
+            with pytest.raises(ValueError) as raised:
+                Grid(np.array(points))
+            assert str(raised.value) == want
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_points_rejected(self, bad):
@@ -542,6 +578,30 @@ class TestSystemOrderDirect:
         with pytest.raises(ValueError, match=f"^tol must be finite and >= 0, got {tol!r}$"):
             system_order_direct(fgm_system(), series3_system(), relation, grid=grid, tol=tol)
 
+    @pytest.mark.parametrize("relation", ["c_star", "b_star"])
+    @pytest.mark.parametrize("pair", [("series3-indep", "fgm-pair-series"), ("gumbel-series4", "clayton-series3")])
+    def test_complement_evaluated_only_where_read(self, pair, relation, monkeypatch):
+        # each system evaluates its form on every point, then the complement on
+        # exactly the points where that form is not <= 1/2, and nothing else
+        sys1, sys2 = (golden_system(name) for name in pair)
+        x = Grid.system_bracketed(sys1, sys2).points
+        which = 0 if relation == "c_star" else 1
+        want = []
+        for system in (sys1, sys2):
+            value = system.distortion._evaluate(np.asarray(system.margin.sf(x)), which)
+            far = np.count_nonzero(~(value <= 0.5))
+            assert 0 < far < x.size
+            want += [(which, x.size), (1 - which, far)]
+        calls, evaluate = [], systems.Distortion._evaluate
+
+        def counting(self, p, form):
+            calls.append((form, np.size(p.p if isinstance(p, systems.GridBasis) else p)))
+            return evaluate(self, p, form)
+
+        monkeypatch.setattr(systems.Distortion, "_evaluate", counting)
+        system_order_direct(sys1, sys2, relation, grid=Grid(x))
+        assert calls == want
+
     def test_kofn_direct_agrees_with_index_predicate(self):
         # where the index inequalities hold the direct grid check must agree
         from coherent_age.verifier import corollary_index_check
@@ -689,8 +749,8 @@ class TestIntegralIdentity:
     def test_direct_sides_are_the_cumulative_hazards(self, name, monkeypatch):
         sides = []
 
-        def recording(value, compl):
-            sides.append(_minus_log(value, compl))
+        def recording(value, complement_at):
+            sides.append(_minus_log(value, complement_at))
             return sides[-1]
 
         # the identity check imports _minus_log from systems when it runs

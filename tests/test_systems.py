@@ -8,12 +8,13 @@ import pytest
 from mpmath import mp, mpf
 
 from coherent_age.copulas import ClaytonOakes, FGM, GumbelHougaard, Independence
-from coherent_age.distributions import Exponential, LinearFailureRate, Weibull
+from coherent_age.distributions import Exponential, LinearFailureRate, Weibull, _minus_log_cdf
 from coherent_age import systems
 from coherent_age.systems import (
     MAX_COMPONENTS, Distortion, Structure, SystemModel, _members, build_distortion, k_of_n_paths,
 )
-from corpus_helpers import audit_distortions, exact_exch
+from coherent_age.orders import MAX_SKIP_FRACTION, RULES, Grid, OrderVerdict, verdict
+from corpus_helpers import audit_distortions, exact_exch, golden_corpus
 
 GRID = np.linspace(0.0, 1.0, 1001)
 OPEN_GRID = np.linspace(1e-3, 1.0 - 1e-3, 1001)
@@ -760,3 +761,163 @@ class TestScalarMatchesArray:
             f = getattr(copula, name)
             for j in range(copula.dim + 1):
                 assert_same_bits(f(self.P, j), [f(float(p), j) for p in self.P])
+
+
+def where_minus_log(value, compl):
+    """-ln value from both forms on every point, one kept by np.where."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(value <= 0.5, -np.log(np.maximum(value, 0.0)), -np.log1p(-np.minimum(compl, 1.0)))
+
+
+def where_cum_hazards(system, x):
+    """Both system cumulative hazards from h and 1 - h each on every point."""
+    sf = np.asarray(system.margin.sf(x), dtype=float)
+    h, omh = system.distortion._evaluate(sf, 0), system.distortion._evaluate(sf, 1)
+    return where_minus_log(h, omh), where_minus_log(omh, h)
+
+
+def where_minus_log_cdf(delta):
+    """-ln F from both forms on every point, one kept by np.where."""
+    with np.errstate(divide="ignore"):
+        small = -np.log(-np.expm1(-delta))
+        large = -np.log1p(-np.exp(-delta))
+        return np.where(delta <= math.log(2.0), small, large)
+
+
+def scan_verdict(xs, values, rule, tol, relation):
+    """verdict with the boolean-index copies and the running-extreme scan on every call."""
+    xs, values = np.asarray(xs, dtype=float), np.asarray(values, dtype=float)
+    finite = np.isfinite(values)
+    xs, kept = xs[finite], values[finite]
+    skipped = finite.size - kept.size
+    if kept.size == 0:
+        raise ValueError("empty grid after skipping flagged points")
+    monotone = rule in ("incr", "decr")
+    if skipped > MAX_SKIP_FRACTION * finite.size or (monotone and kept.size < 2):
+        return OrderVerdict(relation, "inconclusive", None, np.nan, tol, skipped, kept.size,
+                            note="too many points skipped")
+    if rule == "incr":
+        viol = np.maximum.accumulate(kept)[1:] - kept[1:]
+    elif rule == "decr":
+        viol = kept[1:] - np.minimum.accumulate(kept)[1:]
+    else:
+        viol = kept if rule == "nonpositive" else -kept
+    idx = int(np.argmax(viol))
+    worst = float(viol[idx])
+    return OrderVerdict(relation, "yes" if worst <= tol else "no", float(xs[idx + monotone]), worst, tol,
+                        skipped, kept.size)
+
+
+def outcome(f, *args):
+    """The repr of f(*args), or the message of the ValueError it raises."""
+    try:
+        return repr(f(*args))
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+# x where sf is 1 (x = 0), where it underflows to 0 or h does (a series of 20
+# at sf = e^-50), past every float (inf) and not a number
+EDGE_X = np.array([0.0, 1e-300, 50.0, 400.0, 800.0, 1e150, np.inf, np.nan, 1.0, np.nan])
+
+
+def verdict_values(rng, n=200):
+    """Random walks, exact plateaus, signed-zero mixes, each as drawn and sorted both ways."""
+    walk = np.cumsum(rng.standard_normal(n))
+    plateaus = np.repeat(np.cumsum(rng.standard_normal(n // 10)), 10)
+    zeros = rng.choice([0.0, -0.0], n)
+    tiny = rng.choice([0.0, -0.0, 5e-324, -5e-324, 1e-9, -1e-9], n)
+    steps = np.cumsum(rng.choice([-1.0, 0.0, 0.0, 1.0], n))
+    # sorted but for one reversal of an ulp
+    dip = np.sort(walk)
+    dip[n // 3] = np.nextafter(dip[n // 3 - 1], -np.inf)
+    for base in (walk, plateaus, zeros, tiny, steps, dip):
+        yield from (base, np.sort(base), np.sort(base)[::-1], -base)
+
+
+def with_flags(rng, values):
+    """values with non-finite points at the ends and in the middle, and with
+    skip counts one below, at and one above MAX_SKIP_FRACTION of the points."""
+    limit = int(MAX_SKIP_FRACTION * values.size)
+    for positions in ([0], [values.size - 1], [values.size // 2], [0, values.size // 2, values.size - 1]):
+        for flag in (np.nan, np.inf, -np.inf):
+            flagged = values.copy()
+            flagged[positions] = flag
+            yield flagged
+    for count in (limit - 1, limit, limit + 1):
+        flagged = values.copy()
+        flagged[rng.choice(values.size, count, replace=False)] = rng.choice([np.nan, np.inf, -np.inf], count)
+        yield flagged
+
+
+def assert_same_bits_but_nan_sign(got, want):
+    """assert_same_bits, but any NaN matches any NaN: IEEE 754 leaves a NaN's
+    sign unspecified, and without AVX-512 numpy's kernels give a NaN a sign
+    that depends on its place in the array (a SIMD lane or the scalar tail)."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    assert_same_bits(got[~np.isnan(got)], want[~np.isnan(want)])
+
+
+class TestSplitEvaluationBits:
+    """Each grid value computed only in the form its result reads gives the
+    bits of both forms computed everywhere and one picked by np.where, and a
+    verdict that skips its copies and scans gives the verdict of one that
+    makes them, signed zeros included."""
+
+    def assert_cum_hazards(self, system, x):
+        want = where_cum_hazards(system, x)
+        assert_same_bits_but_nan_sign(system.cum_hazard(x), want[0])
+        assert_same_bits_but_nan_sign(system.cum_rev_hazard(x), want[1])
+        assert_same_bits_but_nan_sign(system.margin.cum_rev_hazard(x),
+                                      where_minus_log_cdf(system.margin.cum_hazard(x)))
+
+    def test_every_kofn_up_to_20(self):
+        for n in range(1, 21):
+            for k in range(1, n + 1):
+                system = SystemModel(k_of_n_paths(k, n), Independence(n), Exponential(1.3))
+                x = Grid.system_bracketed(system, system).points
+                self.assert_cum_hazards(system, np.concatenate((x, EDGE_X)))
+
+    @pytest.mark.parametrize("margin", SCALAR_MARGINS, ids=["exp", "lfr", "weibull"])
+    def test_golden_and_dependent(self, margin):
+        triples = [(structure, copula) for _, structure, copula, _ in golden_corpus()] + [
+            (k_of_n_paths(3, 6), GumbelHougaard(2.0, 6)), (k_of_n_paths(3, 6), ClaytonOakes(1.5, 6)),
+            (k_of_n_paths(2, 3), FGM(0.7))]
+        for structure, copula in triples:
+            system = SystemModel(structure, copula, margin)
+            x = Grid.system_bracketed(system, system).points
+            self.assert_cum_hazards(system, np.concatenate((x, EDGE_X)))
+
+    def test_minus_log_picks_by_the_value(self):
+        # the complement here is not 1 - value, so each point shows which form it took
+        rng = np.random.default_rng(38)
+        value = np.concatenate(([0.5, np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0), 0.0, -0.0, 1.0, np.nan,
+                                 -1.0, 2.0, np.inf], rng.random(200)))
+        compl = rng.random(value.size)
+        assert_same_bits_but_nan_sign(systems._minus_log(value, lambda far: compl[far]), where_minus_log(value, compl))
+
+    def test_minus_log_cdf_picks_by_delta(self):
+        ln2 = math.log(2.0)
+        delta = np.concatenate(([ln2, np.nextafter(ln2, 0.0), np.nextafter(ln2, 1.0), 0.0, 5e-324, 40.0, 800.0,
+                                 np.inf, np.nan], np.random.default_rng(39).exponential(1.0, 200)))
+        assert_same_bits_but_nan_sign(_minus_log_cdf(delta), where_minus_log_cdf(delta))
+
+    def test_scalar_edges(self):
+        system = SystemModel(k_of_n_paths(3, 6), ClaytonOakes(1.5, 6), Exponential(1.0))
+        for x in EDGE_X.tolist():
+            want = where_cum_hazards(system, np.array([x]))
+            assert_same_bits_but_nan_sign([system.cum_hazard(x), system.cum_rev_hazard(x)], [want[0][0], want[1][0]])
+
+    @pytest.mark.parametrize("rule", RULES)
+    def test_verdicts(self, rule):
+        rng = np.random.default_rng(3838)
+        xs = np.geomspace(0.01, 10.0, 200)
+        for values in verdict_values(rng):
+            for case in (values, *with_flags(rng, values)):
+                for tol in (0.0, 1e-9):
+                    want = outcome(scan_verdict, xs, case, rule, tol, "r")
+                    assert outcome(verdict, xs, case, rule, tol, "r") == want
+        for case in ([1.0, np.nan], [np.nan, np.nan], [-0.0, 0.0], [0.0, -0.0], [1.0, 1.0]):
+            assert outcome(verdict, xs[:2], np.array(case), rule, 0.0, "r") == outcome(
+                scan_verdict, xs[:2], np.array(case), rule, 0.0, "r")
