@@ -5,7 +5,7 @@ names through ``_require``, each number through ``_number`` (an int or
 float, never a bool or a string), each real through ``_real`` and each
 integer through ``_integer``.  ``read_fragment`` reads a margin or copula
 fragment under the same rule: its field list and defaults are the family
-class's dataclass fields, so no family keeps a key table of its own.  The
+class's constructor fields, so no family keeps a key table of its own.  The
 module imports no numpy, so the ``corollary`` command reads its spec
 without it.
 """
@@ -70,8 +70,8 @@ def _integer(value, what: str) -> int:
 def read_fragment(fragment, tag: str, families: dict[str, type], where: str, **fixed):
     """Build the family named by ``fragment[tag]`` from the fragment's reals.
 
-    The fields a fragment may carry are the family's dataclass fields other
-    than ``fixed`` (arguments the caller supplies, such as a copula's
+    The fields a fragment may carry are the family's constructor fields
+    other than ``fixed`` (arguments the caller supplies, such as a copula's
     dimension); those without a default are required.  A value the family
     constructor refuses is reported against ``where``.
     """
@@ -82,7 +82,7 @@ def read_fragment(fragment, tag: str, families: dict[str, type], where: str, **f
     if not isinstance(name, str) or name not in families:
         raise SpecError(f"{where}.{tag} must be one of {sorted(families)}, got {name!r}")
     cls = families[name]
-    fields = [f for f in dataclasses.fields(cls) if f.name not in fixed]
+    fields = [f for f in dataclasses.fields(cls) if f.init and f.name not in fixed]
     required = {f.name for f in fields if f.default is dataclasses.MISSING}
     _require(fragment, required | {tag}, {f.name for f in fields}, where)
     params = {key: _real(value, f"{where}.{key}") for key, value in fragment.items() if key != tag}

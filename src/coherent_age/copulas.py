@@ -1,11 +1,11 @@
 """Exchangeable survival copulas coupling component lifetimes.
 
-Four families: Independence, the trivariate Farlie-Gumbel-Morgenstern (FGM)
-perturbation of independence, Gumbel-Hougaard, and Clayton-Oakes.  All are
-exchangeable, so evaluating at a point with ``j`` coordinates equal to ``p``
-and the rest equal to 1 depends only on ``(p, j)``; that reduction ``K_j``,
-its first two derivatives and its complement are what the distortion engine
-consumes.
+Three families: the trivariate Farlie-Gumbel-Morgenstern (FGM) perturbation
+of independence, Gumbel-Hougaard, whose theta = 1 member is Independence, and
+Clayton-Oakes.  All are exchangeable, so evaluating at a point with ``j``
+coordinates equal to ``p`` and the rest equal to 1 depends only on ``(p, j)``;
+that reduction ``K_j``, its first two derivatives and its complement are what
+the distortion engine consumes.
 Evaluations switch to log-space wherever the direct form would overflow or
 underflow.
 
@@ -27,7 +27,7 @@ derivatives, which live on the open interval, and has no public wrapper.
 
 Clayton-Oakes uses the standard exchangeable Archimedean form
 ``(sum p_i^-theta - (n-1))^(-1/theta)``; it is an extension family here, kept
-alongside the three others for breadth of the simulation oracle.  Its terms
+alongside the two others for breadth of the simulation oracle.  Its terms
 share their log-space work: ``ln p``, ``w = -theta ln p``, the mask of points
 before the cutoff and ``expm1(w)`` are computed once per ``_sum`` call, and
 each term then costs its ``ln S_j = log1p(j expm1(w))`` and one ``exp``.
@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 import operator
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import SimpleNamespace
 
 import numpy as np
@@ -129,31 +129,6 @@ class Copula(ABC):
 
 
 @dataclass(frozen=True)
-class Independence(Copula):
-    dim: int
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("dimension must be at least 1")
-
-    def _sum(self, p, coeffs, which, xp=_ARRAYS):
-        if which == 1:
-            log_p = xp.log(xp.maximum(p, 1e-300))
-        out = xp.zeros_like(p)
-        for j, c in coeffs:
-            if which == 0:
-                term = xp.power(p, j)
-            elif which == 1:
-                term = xp.where(p > 0.0, -xp.expm1(j * log_p), 1.0)
-            elif which == 2:
-                term = j * xp.power(p, j - 1)
-            else:
-                term = j * (j - 1) * xp.power(p, j - 2) if j > 1 else 0.0
-            out += c * term
-        return out
-
-
-@dataclass(frozen=True)
 class FGM(Copula):
     """Trivariate FGM: K(p1,p2,p3) = p1 p2 p3 (1 + theta (1-p1)(1-p2)(1-p3)).
 
@@ -229,6 +204,13 @@ class GumbelHougaard(Copula):
 
 
 @dataclass(frozen=True)
+class Independence(GumbelHougaard):
+    """The product copula, Gumbel-Hougaard's member at theta = 1."""
+
+    theta: float = field(default=1.0, init=False, repr=False)
+
+
+@dataclass(frozen=True)
 class ClaytonOakes(Copula):
     """Archimedean family (sum p_i^-theta - (n-1))^(-1/theta), theta > 0."""
 
@@ -288,9 +270,9 @@ class ClaytonOakes(Copula):
 
 
 def _is_independence(copula: Copula) -> bool:
-    """Whether the copula is exactly the independence law: Independence
-    itself, GumbelHougaard at theta = 1 or FGM at theta = 0."""
-    return (isinstance(copula, Independence) or (isinstance(copula, GumbelHougaard) and copula.theta == 1.0)
+    """Whether the copula is exactly the independence law: GumbelHougaard
+    at theta = 1 (Independence among them) or FGM at theta = 0."""
+    return ((isinstance(copula, GumbelHougaard) and copula.theta == 1.0)
             or (isinstance(copula, FGM) and copula.theta == 0.0))
 
 

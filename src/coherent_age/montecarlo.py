@@ -10,8 +10,8 @@ stream's survivors and sums the integer counts, which is exact.
 
 Each sampler draws a latent array and a row map to uniforms whose joint
 distribution function is the survival copula K.  The independence law
-(Independence, Gumbel-Hougaard at theta = 1, FGM at theta = 0) and the
-trivariate FGM draw the uniforms themselves.  FGM takes three uniforms per
+(Gumbel-Hougaard at theta = 1, Independence among them, FGM at theta = 0) and
+the trivariate FGM draw the uniforms themselves.  FGM takes three uniforms per
 row by conditional inversion (Nelsen 2006, section 2.9): its pairwise margins
 are independent, so U1 and U2 are drawn as they are, and U3 is the root of
 its conditional cdf given them, a quadratic taken in its cancellation-free

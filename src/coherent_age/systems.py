@@ -177,10 +177,10 @@ class Distortion:
     N_n = 1 (h(1) = 1).  With independent components
     h = sum_k N_k p^k (1-p)^(n-k), so expanding (1-p)^(n-k) gives
     c_j = sum_k (-1)^(j-k) C(n-k, j-k) N_k, summed over the nonzero N_k
-    only (series(n) has one).  Under the independence law (Independence,
-    GumbelHougaard at theta = 1, FGM at theta = 0) h, 1-h, h' and h'' are
-    evaluated in Bernstein form instead, from weights derived once from the
-    counts.
+    only (series(n) has one).  Under the independence law (GumbelHougaard
+    at theta = 1, Independence among them, and FGM at theta = 0) h, 1-h, h'
+    and h'' are evaluated in Bernstein form instead, from weights derived
+    once from the counts.
     """
 
     copula: Copula

@@ -455,6 +455,15 @@ class TestSchemaValidation:
         }
         assert run(tmp_path, "verify", bad) == 1
 
+    def test_independence_takes_no_theta(self, tmp_path, capsys):
+        # Independence is Gumbel-Hougaard with theta fixed at 1, outside its
+        # constructor, so a spec field theta is unknown, not a TypeError
+        system1 = {**SERIES3_SYSTEM, "copula": {"copula": "independence", "theta": 1.0}}
+        assert run(tmp_path, "verify", {**VERIFY_SPEC, "system1": system1}) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: unknown fields in system1.copula: ['theta']\n"
+
     @pytest.mark.parametrize("command", ["distortion", "verify", "simulate"])
     def test_margin_only_system_is_refused_where_a_model_is_run(self, tmp_path, capsys, command):
         margin_only = {"margin": SERIES3_SYSTEM["margin"]}

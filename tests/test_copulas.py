@@ -386,6 +386,41 @@ class TestFloatSumMatchesArray:
                     assert np.array([getattr(_FLOATS, name)(x, 1e-300)]).view(np.int64) == want.view(np.int64)
 
 
+class TestIndependenceIsGumbelAtOne:
+    """Independence is GumbelHougaard's theta = 1 member and has no formula
+    of its own: its public K_j, K_j' and 1 - K_j and its float sums are
+    those of GumbelHougaard(1.0, n) bit for bit, through numpy's power,
+    expm1 and log kernels."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 6, 20])
+    def test_bit_for_bit(self, n):
+        ind, gum = Independence(n), GumbelHougaard(1.0, n)
+        rng = np.random.default_rng(39)
+        p = np.concatenate(([0.0, 5e-324, 1e-300, 1.0 - 2.0**-53, 1.0], rng.random(200),
+                            np.exp(-rng.uniform(0.0, 744.0, 50))))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for j in range(n + 1):
+                for name in ("exch", "exch_deriv", "exch_compl"):
+                    want = getattr(gum, name)(p, j)
+                    np.testing.assert_array_equal(getattr(ind, name)(p, j).view(np.int64), want.view(np.int64))
+                    got = np.array([getattr(ind, name)(x, j) for x in p.tolist()])
+                    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64), err_msg=f"{name} {j}")
+            # each one-term sum, and parallel(n)'s signed sum over every j
+            for coeffs in [((j, 1),) for j in range(1, n + 1)] + [build_distortion(Structure.parallel(n), gum).coeffs]:
+                for which in range(3):
+                    got, want = ([cop._sum(x, coeffs, which, _FLOATS) for x in p.tolist()] for cop in (ind, gum))
+                    np.testing.assert_array_equal(np.array(got).view(np.int64), np.array(want).view(np.int64))
+
+    def test_member_of_the_family(self):
+        # the same law, but its own class: repr, equality and specs are Independence's
+        assert repr(Independence(3)) == "Independence(dim=3)"
+        assert isinstance(Independence(3), GumbelHougaard)
+        assert Independence(3) != GumbelHougaard(1.0, 3)
+        with pytest.raises(ValueError, match="dimension must be at least 1"):
+            Independence(0)
+
+
 class TestValidation:
     def test_fgm_theta_range(self):
         with pytest.raises(ValueError):

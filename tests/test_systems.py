@@ -571,6 +571,23 @@ class TestLevels:
                 # q = fl(1-p), whose rounding q^18 amplifies to 6 units
                 assert max(level_errors(build_distortion(structure, copula), want)) <= 8
 
+    def test_float_bernstein_sum_within_8_ulps(self):
+        # the rounds' _bernstein_float takes libm's powers (Python's **), not
+        # numpy's, so it is not the array _bernstein_sum's bits; this pins the
+        # gap over every k-out-of-n with n <= 20 (weights from the closed-form
+        # counts), which 0-2, random p and both tails of (0, 1)
+        rng = np.random.default_rng(76)
+        tails = np.exp(-rng.uniform(0.0, 744.0, 40))
+        p = np.concatenate((rng.random(120), tails, 1.0 - tails, [0.0, 2.0**-1074, 1.0 - 2.0**-53, 1.0]))
+        for n in range(1, 21):
+            for k in range(1, n + 1):
+                weights = systems._bernstein_weights(tuple(math.comb(n, j) if j >= k else 0 for j in range(n + 1)))
+                for which in range(3):
+                    want = systems._bernstein_sum(p, weights[which])
+                    got = np.array([systems._bernstein_float(x, weights[which]) for x in p.tolist()])
+                    ulps = np.abs(got - want) / np.array([math.ulp(w) for w in want.tolist()])
+                    assert ulps.max() <= 8, (k, n, which, p[np.argmax(ulps)])
+
     @pytest.mark.parametrize("theta", [1.0, -1.0])
     @pytest.mark.parametrize("structure", [Structure.series(3), Structure.from_paths(3, [[1, 2], [1, 3]]),
                                            k_of_n_paths(2, 3), Structure.parallel(3)],

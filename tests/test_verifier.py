@@ -7,9 +7,9 @@ import threading
 
 import numpy as np
 import pytest
-from corpus_helpers import golden_corpus, random_instance
+from corpus_helpers import golden_corpus, random_instance, random_margin_pair, random_structure
 
-from coherent_age.copulas import FGM, GumbelHougaard, Independence
+from coherent_age.copulas import ClaytonOakes, FGM, GumbelHougaard, Independence
 from coherent_age import systems
 from coherent_age.distributions import Exponential, LinearFailureRate, Weibull
 from coherent_age.orders import Grid, verdict
@@ -19,6 +19,7 @@ from coherent_age.systems import (
     GridBasis,
     Structure,
     SystemModel,
+    _members,
     build_distortion,
     k_of_n_paths,
 )
@@ -151,6 +152,44 @@ class TestIndependenceLaw:
             for copula in (Independence(3), FGM(0.0))
         ]
         assert repr(reports[1]) == repr(reports[0])
+
+
+def relabelled(structure, rng):
+    """The structure with its components renamed by a random permutation."""
+    perm = rng.permutation(structure.n) + 1
+    return Structure.from_paths(structure.n, [[int(perm[i - 1]) for i in _members(path)] for path in structure.paths])
+
+
+class TestRelabelling:
+    """Renaming the components leaves the counts, and so every report,
+    unchanged (a metamorphic invariant: no reference value is needed)."""
+
+    COPULAS = {
+        "independence": Independence,
+        "fgm": lambda n: FGM(0.6),
+        "gumbel": lambda n: GumbelHougaard(1.8, n),
+        "clayton": lambda n: ClaytonOakes(0.7, n),
+    }
+
+    def test_counts_and_reports(self):
+        rng = np.random.default_rng(17)
+        structures = [k_of_n_paths(k, n) for n in range(1, 7) for k in range(1, n + 1)]
+        structures += [random_structure(rng, n) for n in range(2, 7) for _ in range(4)]
+        renamed = [relabelled(s, rng) for s in structures]
+        for structure, other in zip(structures, renamed):
+            assert other.counts == structure.counts, (structure, other)
+        for name, copula in self.COPULAS.items():
+            # FGM is defined for three components only
+            pool = [i for i, s in enumerate(structures) if s.n > 1 and (name != "fgm" or s.n == 3)]
+            for relation, verify in 3 * (("c_star", verify_cstar), ("b_star", verify_bstar)):
+                first, second = rng.choice(pool, 2, replace=False)
+                margins = random_margin_pair(rng, relation)
+                reports = [
+                    verify(*(SystemModel(group[i], copula(group[i].n), m) for i, m in zip((first, second), margins)),
+                           FAST_CFG)
+                    for group in (structures, renamed)
+                ]
+                assert repr(reports[1]) == repr(reports[0]), (name, structures[first], structures[second])
 
 
 class TestVerifyConfig:
