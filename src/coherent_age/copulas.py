@@ -44,7 +44,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from ._num import read_fragment
-from .distributions import as_float_array, match_input, on_points
+from .distributions import _check_unit, match_input, on_points
 
 __all__ = [
     "Copula",
@@ -61,18 +61,18 @@ _CLAYTON_LOG_CUTOFF = 500.0
 
 
 def _array_log(x):
-    # ln 0 = -inf, which only Clayton's limit points reach, without the warning
+    # ln 0 = -inf, without the warning: Gumbel's -expm1(a ln p) reads 1, Clayton's w inf
     with np.errstate(divide="ignore"):
         return np.log(x)
 
 
 _ARRAYS = SimpleNamespace(
     log=_array_log, exp=np.exp, expm1=np.expm1, log1p=np.log1p, power=operator.pow, where=np.where,
-    minimum=np.minimum, maximum=np.maximum, all=np.all, logical_not=np.logical_not, zeros_like=np.zeros_like,
+    minimum=np.minimum, any=np.any, zeros_like=np.zeros_like,
 )
 
-# numpy's ufuncs on a Python float run the array kernels; minimum and maximum
-# carry a NaN in their first argument, as numpy's do
+# numpy's ufuncs on a Python float run the array kernels; minimum carries a
+# NaN in its first argument, as numpy's does
 _FLOATS = SimpleNamespace(
     log=lambda x: -math.inf if x == 0.0 else float(np.log(x)),
     exp=lambda x: float(np.exp(x)),
@@ -81,9 +81,7 @@ _FLOATS = SimpleNamespace(
     power=lambda x, e: float(np.power(x, e)),
     where=lambda mask, a, b: a if mask else b,
     minimum=lambda a, b: b if a > b else a,
-    maximum=lambda a, b: b if a < b else a,
-    all=bool,
-    logical_not=operator.not_,
+    any=bool,
     zeros_like=lambda p: 0.0,
 )
 
@@ -122,10 +120,7 @@ class Copula(ABC):
     def _check_exch(self, p, j: int) -> np.ndarray:
         if isinstance(j, bool) or not isinstance(j, (int, np.integer)) or j < 0 or j > self.dim:
             raise ValueError(f"j must be an integer in [0, {self.dim}], got {j!r}")
-        pa = as_float_array(p)
-        if np.any((pa < 0.0) | (pa > 1.0)):
-            raise ValueError("copula arguments must lie in [0, 1]")
-        return pa
+        return _check_unit(p, "copula arguments")
 
 
 @dataclass(frozen=True)
@@ -184,18 +179,20 @@ class GumbelHougaard(Copula):
         return j ** (1.0 / self.theta)
 
     def _sum(self, p, coeffs, which, xp=_ARRAYS):
-        # K_j = p^a with a = j^(1/theta) >= 1
+        # K_j = p^a with a = j^(1/theta) >= 1, and 1 - K_j = -expm1(a ln p)
         if which == 1:
-            log_p = xp.log(xp.maximum(p, 1e-300))
+            log_p = xp.log(p)
         out = xp.zeros_like(p)
         for j, c in coeffs:
             a = self._exponent(j)
             if which == 0:
                 term = xp.power(p, a)
             elif which == 1:
-                term = xp.where(p > 0.0, -xp.expm1(a * log_p), 1.0)
+                term = -xp.expm1(a * log_p)
             elif which == 2:
                 term = a * xp.power(p, a - 1.0)
+            elif j == 1:
+                continue  # K_1'' = 0 would add nothing
             else:
                 # a - 1 = expm1(ln j / theta) keeps its digits as theta grows
                 term = (a * math.expm1(math.log(j) / self.theta)) * xp.power(p, a - 2.0)
@@ -226,12 +223,12 @@ class ClaytonOakes(Copula):
     def _sum(self, p, coeffs, which, xp=_ARRAYS):
         # K_j = S_j^(-1/theta) with ln S_j = log1p(j expm1(w)), w = -theta ln p;
         # at p = 0 and past the cutoff, where p^-theta overflows, the exact
-        # limits are written in, only where the input has such points
+        # limits are written in, only where the input has such points (w = inf at p = 0)
         theta = self.theta
         logp = xp.log(p)
         w = -theta * logp
-        direct = (p > 0.0) & (w < _CLAYTON_LOG_CUTOFF)
-        limit = None if xp.all(direct) else xp.logical_not(direct)
+        limit = w >= _CLAYTON_LOG_CUTOFF
+        limit = limit if xp.any(limit) else None
         em = xp.expm1(xp.minimum(w, _CLAYTON_LOG_CUTOFF))
         if which == 2:
             # K_j' = j p^-(theta+1) S_j^-(1+1/theta); zeroed at the limit

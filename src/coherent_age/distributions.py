@@ -4,11 +4,11 @@ Every family exposes the functions used throughout the package: survival
 ``sf``, distribution ``cdf``, hazard rate ``hazard``, the cumulative
 (reversed) hazards ``cum_hazard`` / ``cum_rev_hazard``, and the inverse
 survival function ``isf``.  All are exact closed forms; there is no generic
-numeric inversion anywhere.  Where a log argument underflows to zero the
-affected function returns ``inf`` instead of raising, so grid sweeps can
-skip and count flagged points.  ``match_input``, ``as_float_array`` and
-``on_points``, the scalar-or-array input helpers of every numeric module,
-live here.
+numeric inversion anywhere.  A cumulative hazard past the float range reads
+``inf``, and the survival function 0, without a warning, so grid sweeps can
+skip and count flagged points; ``isf`` refuses a level outside [0, 1].
+``match_input``, ``as_float_array``, ``on_points`` and ``_check_unit``, the
+input helpers of every numeric module, live here.
 """
 
 from __future__ import annotations
@@ -51,10 +51,20 @@ def on_points(f, xa: np.ndarray, *args) -> np.ndarray:
     return f(xa.reshape(-1), *args).reshape(xa.shape)
 
 
-def _check_nonneg(x) -> np.ndarray:
+def _on_lifetimes(core, x) -> np.ndarray:
+    """core on the validated lifetimes x, run by on_points; a value past the
+    float range is inf (and so sf is 0) without a warning."""
     xa = as_float_array(x)
     if (xa < 0.0).any():
         raise ValueError("lifetime argument must be nonnegative")
+    with np.errstate(over="ignore"):
+        return on_points(core, xa)
+
+
+def _check_unit(x, what: str) -> np.ndarray:
+    xa = as_float_array(x)
+    if ((xa < 0.0) | (xa > 1.0)).any():
+        raise ValueError(f"{what} must lie in [0, 1]")
     return xa
 
 
@@ -77,24 +87,30 @@ class LifetimeDistribution(ABC):
         """Hazard rate, density over sf, on a validated array."""
 
     @abstractmethod
+    def _isf(self, va: np.ndarray) -> np.ndarray:
+        """Inverse survival function on a validated 1-D array of levels."""
+
     def isf(self, v):
-        """Inverse survival function: x such that sf(x) = v."""
+        """Inverse survival function: x such that sf(x) = v; a quantile past
+        the float range is +inf, like the one at v = 0."""
+        with np.errstate(divide="ignore", over="ignore"):
+            return match_input(v, on_points(self._isf, _check_unit(v, "survival level")))
 
     # every public function validates its argument once, then calls the cores on its points
     def cum_hazard(self, x):
-        return match_input(x, on_points(self._chz, _check_nonneg(x)))
+        return match_input(x, _on_lifetimes(self._chz, x))
 
     def hazard(self, x):
-        return match_input(x, on_points(self._hz, _check_nonneg(x)))
+        return match_input(x, _on_lifetimes(self._hz, x))
 
     def sf(self, x):
-        return match_input(x, np.exp(-on_points(self._chz, _check_nonneg(x))))
+        return match_input(x, np.exp(-_on_lifetimes(self._chz, x)))
 
     def cdf(self, x):
-        return match_input(x, -np.expm1(-on_points(self._chz, _check_nonneg(x))))
+        return match_input(x, -np.expm1(-_on_lifetimes(self._chz, x)))
 
     def cum_rev_hazard(self, x):
-        return match_input(x, _minus_log_cdf(on_points(self._chz, _check_nonneg(x))))
+        return match_input(x, _minus_log_cdf(_on_lifetimes(self._chz, x)))
 
 
 def _minus_log_cdf(delta: np.ndarray) -> np.ndarray:
@@ -121,14 +137,10 @@ class Exponential(LifetimeDistribution):
         return self.rate * xa
 
     def _hz(self, xa):
-        return np.full_like(xa, self.rate)
+        return np.where(np.isnan(xa), xa, self.rate)
 
-    def isf(self, v):
-        va = as_float_array(v)
-        # a quantile past the float range is +inf, like the one at v = 0
-        with np.errstate(divide="ignore", over="ignore"):
-            out = -np.log(va) / self.rate
-        return match_input(v, out)
+    def _isf(self, va):
+        return -np.log(va) / self.rate
 
 
 @dataclass(frozen=True)
@@ -152,15 +164,12 @@ class LinearFailureRate(LifetimeDistribution):
     def _hz(self, xa):
         return self.alpha * (1.0 + 2.0 * self.beta * xa)
 
-    def isf(self, v):
+    def _isf(self, va):
         # positive root of beta*x^2 + x - t/alpha = 0, written so the
         # beta -> 0 limit needs no branch and small t loses no precision;
-        # at v = 0 (t = inf) the form reads inf/inf, so the root +inf is set,
-        # and a root past the float range is a quiet +inf
-        va = as_float_array(v)
-        with np.errstate(divide="ignore"):
-            t = -np.log(va)
-        with np.errstate(invalid="ignore", over="ignore"):
+        # at v = 0 (t = inf) the form reads inf/inf, so the root +inf is set
+        t = -np.log(va)
+        with np.errstate(invalid="ignore"):
             scaled = self.alpha * (1.0 + np.sqrt(1.0 + 4.0 * self.beta * t / self.alpha))
             out = np.asarray(2.0 * t / scaled)
             # where alpha*root is not finite (4*beta*t/alpha past the float
@@ -173,7 +182,7 @@ class LinearFailureRate(LifetimeDistribution):
                 ra, tw = math.sqrt(self.alpha), t[wide]
                 out[wide] = (2.0 * tw / ra) / (ra + np.hypot(ra, 2.0 * math.sqrt(self.beta) * np.sqrt(tw)))
         out[t == np.inf] = np.inf
-        return match_input(v, out)
+        return out
 
 
 @dataclass(frozen=True)
@@ -194,12 +203,8 @@ class Weibull(LifetimeDistribution):
         with np.errstate(divide="ignore"):
             return (self.shape / self.scale) * (xa / self.scale) ** (self.shape - 1.0)
 
-    def isf(self, v):
-        va = as_float_array(v)
-        # a quantile past the float range is +inf, like the one at v = 0
-        with np.errstate(divide="ignore", over="ignore"):
-            out = on_points(lambda u: self.scale * (-np.log(u)) ** (1.0 / self.shape), va)
-        return match_input(v, out)
+    def _isf(self, va):
+        return self.scale * (-np.log(va)) ** (1.0 / self.shape)
 
 
 _FAMILIES = {"exp": Exponential, "lfr": LinearFailureRate, "weibull": Weibull}

@@ -48,7 +48,7 @@ from operator import and_, or_
 import numpy as np
 
 from .copulas import _FLOATS, Copula, _is_independence
-from .distributions import LifetimeDistribution, as_float_array, match_input, on_points
+from .distributions import LifetimeDistribution, _check_unit, as_float_array, match_input, on_points
 
 __all__ = [
     "Structure",
@@ -60,6 +60,8 @@ __all__ = [
 
 # endpoint clamp for the elasticity functionals, defined on the open interval
 EPS_CLAMP = 1e-9
+# the elasticities' degenerate points read IEEE's flags (see Distortion.H), quietly
+_IEEE_FLAGS = {"divide": "ignore", "invalid": "ignore", "over": "ignore"}
 # bytes of powers a GridBasis keeps: p^k and q^k for k < POWER_BUDGET / (2 x bytes
 # of the points), so k <= 31 on 2001 points
 POWER_BUDGET = 1 << 20
@@ -204,12 +206,12 @@ class Distortion:
 
     # each public function validates its argument once; _evaluate and _elasticity never do
     def h(self, p):
-        return match_input(p, self._evaluate(self._check_unit(p), 0))
+        return match_input(p, self._evaluate(_check_unit(p, "distortion argument"), 0))
 
     def one_minus_h(self, p):
         # signed form: coefficients sum to 1, so 1-h = sum c_j (1 - K_j); each
         # complement is computed in its stable per-family form
-        return match_input(p, self._evaluate(self._check_unit(p), 1))
+        return match_input(p, self._evaluate(_check_unit(p, "distortion argument"), 1))
 
     def h_prime(self, p):
         return match_input(p, self._evaluate(self._check_open(p), 2))
@@ -230,8 +232,9 @@ class Distortion:
     def H(self, p):
         """Hazard-transfer elasticity p h'(p)/h(p), clamped to the open interval.
 
-        Degenerate points are flagged: inf when h underflows with a nonzero
-        numerator, nan when numerator and denominator both underflow.
+        Degenerate points are flagged by IEEE arithmetic, without a warning:
+        x/0 is inf, of x's sign, where h underflows and 0/0 is nan where
+        numerator and denominator both do.
         """
         return match_input(p, self._elasticity(self._clamped(p), "H", slope=False))
 
@@ -242,12 +245,14 @@ class Distortion:
     def H_prime(self, p):
         """dH/dp = H (1/p + h''/h' - h'/h), in closed form."""
         value, dlog = self._elasticity(self._check_open(p), "H")
-        return match_input(p, value * dlog)
+        with np.errstate(**_IEEE_FLAGS):
+            return match_input(p, value * dlog)
 
     def R_prime(self, p):
         """dR/dp = R (-1/(1-p) + h''/h' + h'/(1-h)), in closed form."""
         value, dlog = self._elasticity(self._check_open(p), "R")
-        return match_input(p, value * dlog)
+        with np.errstate(**_IEEE_FLAGS):
+            return match_input(p, value * dlog)
 
     def elasticity_profile(self, p, kind: str):
         """(H, (1-p) H'/H) for kind "H", or (R, p R'/R) for kind "R".
@@ -265,21 +270,18 @@ class Distortion:
 
     def _elasticity(self, p, kind: str, slope: bool = True):
         """H or R on a validated argument in the open interval (or its
-        GridBasis), and with slope its logarithmic derivative d ln H/dp or d ln R/dp."""
+        GridBasis), and with slope its logarithmic derivative d ln H/dp or d ln R/dp.
+        h (or 1-h), h' and h'' come first, so the quiet block keeps their warnings."""
         b = _basis(p)
-        d1 = self._evaluate(b, 2)
-        if kind == "H":
-            hv = self._evaluate(b, 0)
-            value = _flagged_ratio(b.p * d1, hv)
-        else:
-            omh = self._evaluate(b, 1)
-            value = _flagged_ratio(b.q * d1, omh)
-        if not slope:
-            return value
-        curvature = _flagged_ratio(self._evaluate(b, 3), d1)
-        if kind == "H":
-            return value, 1.0 / b.p + curvature - _flagged_ratio(d1, hv)
-        return value, -1.0 / b.q + curvature + _flagged_ratio(d1, omh)
+        d1, den = self._evaluate(b, 2), self._evaluate(b, 0 if kind == "H" else 1)
+        d2 = self._evaluate(b, 3) if slope else None
+        with np.errstate(**_IEEE_FLAGS):
+            value = (b.p if kind == "H" else b.q) * d1 / den
+            if not slope:
+                return value
+            if kind == "H":
+                return value, 1.0 / b.p + d2 / d1 - d1 / den
+            return value, -1.0 / b.q + d2 / d1 + d1 / den
 
     def _levels(self, q_lo: float, q_hi: float) -> tuple[float, float]:
         """The reliabilities p with 1 - h(p) = q_lo and with h(p) = 1 - q_hi,
@@ -326,14 +328,7 @@ class Distortion:
     @staticmethod
     def _clamped(p) -> np.ndarray:
         # h's [0, 1] rule, then the clamp to the open interval
-        return np.clip(Distortion._check_unit(p), EPS_CLAMP, 1.0 - EPS_CLAMP)
-
-    @staticmethod
-    def _check_unit(p) -> np.ndarray:
-        pa = as_float_array(p)
-        if ((pa < 0.0) | (pa > 1.0)).any():
-            raise ValueError("distortion argument must lie in [0, 1]")
-        return pa
+        return np.clip(_check_unit(p, "distortion argument"), EPS_CLAMP, 1.0 - EPS_CLAMP)
 
     @staticmethod
     def _check_open(p) -> np.ndarray:
@@ -407,16 +402,6 @@ def _bernstein_float(p: float, weights: tuple[float, ...]) -> float:
     for k, w in enumerate(weights):
         if w:
             out += w * p**k * q ** (deg - k)
-    return out
-
-
-def _flagged_ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = num / den
-    bad = den == 0.0
-    if bad.any():
-        out = np.where(bad & (num == 0.0), np.nan, out)
-        out = np.where(bad & (num != 0.0), np.inf, out)
     return out
 
 

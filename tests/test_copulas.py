@@ -370,8 +370,8 @@ class TestFloatSumMatchesArray:
 
     def test_namespace_edges(self):
         # each float function against the array one on a one-point array: ln
-        # is -inf only at 0 and carries NaN, minimum and maximum carry a NaN
-        # first argument, and nothing warns
+        # is -inf only at 0 and carries NaN, minimum carries a NaN first
+        # argument, any reads Clayton's limit mask alike, and nothing warns
         points = [0.0, -0.0, 2.0**-1074, 1e-300, 0.5, 1.0, 500.0, math.inf, math.nan]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -381,9 +381,9 @@ class TestFloatSumMatchesArray:
                     got = getattr(_FLOATS, name)(x)
                     assert type(got) is float
                     assert np.array([got]).view(np.int64) == want.view(np.int64), (name, x)
-                for name in ("minimum", "maximum"):
-                    want = getattr(_ARRAYS, name)(np.array([x]), 1e-300)
-                    assert np.array([getattr(_FLOATS, name)(x, 1e-300)]).view(np.int64) == want.view(np.int64)
+                want = _ARRAYS.minimum(np.array([x]), 1e-300)
+                assert np.array([_FLOATS.minimum(x, 1e-300)]).view(np.int64) == want.view(np.int64)
+                assert _FLOATS.any(x >= 500.0) == _ARRAYS.any(np.array([x]) >= 500.0)
 
 
 class TestIndependenceIsGumbelAtOne:

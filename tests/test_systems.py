@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 from itertools import combinations
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from mpmath import mp, mpf
 
-from coherent_age.copulas import ClaytonOakes, FGM, GumbelHougaard, Independence
+from coherent_age.copulas import _CLAYTON_LOG_CUTOFF, _FLOATS, ClaytonOakes, FGM, GumbelHougaard, Independence
 from coherent_age.distributions import Exponential, LinearFailureRate, Weibull, _minus_log_cdf
 from coherent_age import systems
 from coherent_age.systems import (
@@ -938,3 +939,173 @@ class TestSplitEvaluationBits:
         for case in ([1.0, np.nan], [np.nan, np.nan], [-0.0, 0.0], [0.0, -0.0], [1.0, 1.0]):
             assert outcome(verdict, xs[:2], np.array(case), rule, 0.0, "r") == outcome(
                 scan_verdict, xs[:2], np.array(case), rule, 0.0, "r")
+
+
+def flagged_ratio(num, den):
+    """The former elasticity quotient: num / den, with 0/0 read as nan and
+    every other x/0 as +inf."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = num / den
+    bad = den == 0.0
+    if bad.any():
+        out = np.where(bad & (num == 0.0), np.nan, out)
+        out = np.where(bad & (num != 0.0), np.inf, out)
+    return out
+
+
+def flagged_elasticity(d, p, kind):
+    """The former Distortion._elasticity, by flagged_ratio: H or R and its
+    log-slope at p (a GridBasis made here), its warnings silenced."""
+    b = systems.GridBasis(p)
+    d1, den = d._evaluate(b, 2), d._evaluate(b, 0 if kind == "H" else 1)
+    with np.errstate(all="ignore"):
+        value = flagged_ratio((b.p if kind == "H" else b.q) * d1, den)
+        curvature = flagged_ratio(d._evaluate(b, 3), d1)
+        if kind == "H":
+            return value, 1.0 / b.p + curvature - flagged_ratio(d1, den)
+        return value, -1.0 / b.q + curvature + flagged_ratio(d1, den)
+
+
+def floored_gumbel_compl(cop, p, coeffs):
+    """The former GumbelHougaard._sum for 1 - K_j: ln p floored at 1e-300, and 1 written in at p = 0."""
+    log_p = np.log(np.maximum(p, 1e-300))
+    out = np.zeros_like(p)
+    for j, c in coeffs:
+        out += c * np.where(p > 0.0, -np.expm1(cop._exponent(j) * log_p), 1.0)
+    return out
+
+
+def masked_clayton_sum(cop, p, coeffs, which):
+    """The former ClaytonOakes._sum on an array, whose limit points were those
+    not both p > 0 and w < cutoff."""
+    theta = cop.theta
+    with np.errstate(divide="ignore"):
+        logp = np.log(p)
+    w = -theta * logp
+    direct = (p > 0.0) & (w < _CLAYTON_LOG_CUTOFF)
+    limit = None if np.all(direct) else np.logical_not(direct)
+    em = np.expm1(np.minimum(w, _CLAYTON_LOG_CUTOFF))
+    if which == 2:
+        power = (theta + 1.0) * logp
+        if limit is not None:
+            power = np.where(limit, 0.0, power)
+    elif which == 3:
+        power = (theta + 2.0) * logp
+    out = np.zeros_like(p)
+    for j, c in coeffs:
+        if which == 3 and j == 1:
+            continue
+        log_s = np.log1p(j * em)
+        if which == 3:
+            if limit is not None:
+                log_s = np.where(limit, math.log(j) + w, log_s)
+            term = np.exp(math.log(j * (j - 1) * (theta + 1.0)) - power - (2.0 + 1.0 / theta) * log_s)
+        else:
+            if which == 0:
+                term = np.exp(-log_s / theta)
+            elif which == 1:
+                term = -np.expm1(-log_s / theta)
+            else:
+                term = np.exp(math.log(j) - power - ((theta + 1.0) / theta) * log_s)
+            if limit is not None:
+                edge = j ** (-1.0 / theta)
+                if which < 2:
+                    edge = p * edge if which == 0 else 1.0 - p * edge
+                term = np.where(limit, edge, term)
+        out += c * term
+    return out
+
+
+def ieee_points(*extra):
+    """p = 0, subnormal and tiny p, p about 1e-300, random p, log-uniform p
+    and 1 - p down to 2^-53, 1, and the given points; no NaN."""
+    rng = np.random.default_rng(40)
+    tails = np.exp(-rng.uniform(0.0, 744.0, 150))
+    edges = [0.0, 5e-324, 1e-310, np.nextafter(1e-300, 0.0), 1e-300, np.nextafter(1e-300, 1.0), 1e-200, 1e-9, 0.5,
+             1.0 - 1e-9, 1.0 - 1e-16, 1.0 - 2.0**-53, 1.0]
+    return np.concatenate((edges, rng.random(300), tails, 1.0 - np.exp(-rng.uniform(0.0, 36.7, 150)), extra))
+
+
+def assert_same_bits_but_inf_sign(got, want):
+    """assert_same_bits_but_nan_sign, where an infinity matches an infinity of
+    either sign: where cancellation leaves a negative numerator over a zero
+    denominator, IEEE's quotient is -inf and the former rule read +inf."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    both = np.isinf(got) & np.isinf(want)
+    assert_same_bits_but_nan_sign(got[~both], want[~both])
+
+
+class TestIeeeFlagBits:
+    """The elasticity quotients by plain IEEE division, Gumbel's 1 - K_j as
+    -expm1(a ln p) with ln 0 = -inf, and Clayton's limit mask w >= cutoff
+    give the bits of the former rules on arguments that are not NaN:
+    flagged_ratio's flags, Gumbel's 1e-300 floor and Clayton's "not (p > 0
+    and w < cutoff)".  Under the independence law every bit matches; a
+    dependent copula's signed sums can cancel to a negative numerator over a
+    zero denominator, where only the sign of the infinity moves."""
+
+    P = ieee_points()
+
+    def assert_elasticities(self, d, same=assert_same_bits_but_nan_sign):
+        p = self.P
+        open_p = p[(p > 0.0) & (p < 1.0)]
+        clamped = np.clip(p, systems.EPS_CLAMP, 1.0 - systems.EPS_CLAMP)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for kind, value, derivative in (("H", d.H, d.H_prime), ("R", d.R, d.R_prime)):
+                want, dlog = flagged_elasticity(d, clamped, kind)
+                same(value(p), want)
+                got = d.elasticity_profile(p, kind)
+                same(got[0], want)
+                same(got[1], (1.0 - clamped if kind == "H" else clamped) * dlog)
+                want, dlog = flagged_elasticity(d, open_p, kind)
+                with np.errstate(all="ignore"):
+                    product = want * dlog
+                same(derivative(open_p), product)
+
+    def test_every_kofn_up_to_8_under_independence(self):
+        for n in range(1, 9):
+            for k in range(1, n + 1):
+                self.assert_elasticities(kofn(k, n))
+
+    def test_golden_and_dependent(self):
+        distortions = [build_distortion(structure, copula) for _, structure, copula, _ in golden_corpus()]
+        for copula in (FGM(1.0), FGM(-1.0), FGM(0.7)):
+            distortions += [build_distortion(s, copula) for s in (Structure.series(3), Structure.parallel(3),
+                                                                   k_of_n_paths(2, 3))] + [fgm_pair_series(copula.theta)]
+        for copula in (GumbelHougaard(2.0, 6), GumbelHougaard(7.5, 6), ClaytonOakes(0.01, 6),
+                       ClaytonOakes(1.5, 6), ClaytonOakes(20.0, 6)):
+            distortions += [build_distortion(s, copula) for s in (k_of_n_paths(3, 6), Structure.parallel(6),
+                                                                   Structure.series(6))]
+        for d in distortions:
+            self.assert_elasticities(d, same=assert_same_bits_but_inf_sign)
+
+    @pytest.mark.parametrize("theta", [1.0, 1.0 + 1e-9, 2.0, 7.5, 50.0])
+    def test_gumbel_complement(self, theta):
+        cop, p = GumbelHougaard(theta, 8), self.P
+        coeffs = [((j, 1),) for j in range(1, 9)] + [kofn(k, 8).coeffs for k in range(1, 9)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for c in coeffs:
+                want = floored_gumbel_compl(cop, p, c)
+                assert_same_bits(cop._sum(p, c, 1), want)
+                assert_same_bits([cop._sum(x, c, 1, _FLOATS) for x in p.tolist()], want)
+
+    @pytest.mark.parametrize("theta", [0.05, 0.3, 1.0, 2.7, 8.0, 40.0])
+    @pytest.mark.parametrize("which", range(4), ids=["K", "1-K", "K'", "K''"])
+    def test_clayton_mask(self, theta, which):
+        cop = ClaytonOakes(theta, 6)
+        cutoff = math.exp(-_CLAYTON_LOG_CUTOFF / theta)
+        p = ieee_points(*(cutoff * f for f in (0.5, 1.0 - 1e-15, 1.0, 1.0 + 1e-15, 2.0)))
+        if which == 3:
+            p = p[(p > 0.0) & (p < 1.0)]
+        coeffs = [((1, 1),), ((1, 2), (2, -1)), ((2, 3), (3, -3), (4, 1)), ((1, 1), (3, 1), (4, -1)), ((6, 1),)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for c in coeffs:
+                want = masked_clayton_sum(cop, p, c, which)
+                assert_same_bits(cop._sum(p, c, which), want)
+                assert_same_bits([cop._sum(x, c, which, _FLOATS) for x in p.tolist()], want)
+                # a limit point alone, and no limit point at all
+                for part in (p[:1], p[p > cutoff * 2.0]):
+                    assert_same_bits(cop._sum(part, c, which), masked_clayton_sum(cop, part, c, which))
