@@ -11,8 +11,8 @@ underflow.
 
 Each family writes its formulas once, in one method ``_sum(p, coeffs, which,
 xp)``: the signed sum ``sum_j c_j F_j`` with ``F_j`` one of ``K_j``,
-``1 - K_j``, ``K_j'`` and ``K_j''`` (``which`` 0-3), over the terms in
-coefficient order.  ``xp`` is the namespace its logs, exponentials, powers
+``1 - K_j``, ``K_j'`` and ``K_j''`` (``which`` 0-3, FGM's 0-2), over the terms
+in coefficient order.  ``xp`` is the namespace its logs, exponentials, powers
 and masks come from.  ``_ARRAYS``, the default, runs them on an array, as
 the grids' distortion engine does.  ``_FLOATS`` runs them on one Python float,
 as the rounds of the distortion inverse do: each log, exponential and power
@@ -24,6 +24,9 @@ of p to ``xp.power``.  The public ``exch``, ``exch_deriv`` and ``exch_compl``
 validate ``(p, j)`` once, answer ``j = 0`` and call the one-term sum, on a
 one-point array for a scalar ``p``; ``K_j''`` feeds only the elasticity
 derivatives, which live on the open interval, and has no public wrapper.
+
+Where h is a polynomial, ``_bernstein(counts)`` gives its Bernstein weights in
+place of ``_sum``: Gumbel-Hougaard's at theta = 1, and FGM's, of degree 6.
 
 Clayton-Oakes uses the standard exchangeable Archimedean form
 ``(sum p_i^-theta - (n-1))^(-1/theta)``; it is an extension family here, kept
@@ -39,6 +42,7 @@ import math
 import operator
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -99,6 +103,10 @@ class Copula(ABC):
         computed without cancellation near p = 1, and K_j'' only for
         0 < p < 1."""
 
+    def _bernstein(self, counts):
+        """Exact weights w_k of h = sum_k w_k p^k (1-p)^(deg-k) for counts N_k, or None: h is ``_sum``."""
+        return None
+
     def exch(self, p, j: int):
         """K with j coordinates at p and n-j at 1; j = 0 gives 1."""
         return self._one_term(p, j, 0)
@@ -140,24 +148,30 @@ class FGM(Copula):
         if self.dim != 3:
             raise ValueError("FGM copula is defined for dimension 3 only")
 
+    def _bernstein(self, counts):
+        # sum_k N_k p^k q^(3-k) (p + q)^3 + theta c_3 p^3 q^3, c_3 = N_3 - N_2 + N_1, theta exact
+        if self.theta == 0.0:
+            return counts
+        weights = counts
+        for _ in range(3):  # times p + q
+            weights = [a + b for a, b in zip((0, *weights), (*weights, 0))]
+        weights[3] += Fraction(self.theta) * (counts[3] - counts[2] + counts[1])
+        return tuple(weights)
+
     def _sum(self, p, coeffs, which, xp=_ARRAYS):
         # K_1 = p and K_2 = p^2; the cubes are the terms of K_3
         theta, q, out = self.theta, 1.0 - p, xp.zeros_like(p)
         for j, c in coeffs:
             if j == 1:
-                term = (p, q, 1.0, 0.0)[which]
+                term = (p, q, 1.0)[which]
             elif j == 2:
-                term = p * p if which == 0 else q * (1.0 + p) if which == 1 else 2.0 * p if which == 2 else 2.0
+                term = p * p if which == 0 else q * (1.0 + p) if which == 1 else 2.0 * p
             elif which == 0:
                 term = xp.power(p, 3) * (1.0 + theta * xp.power(q, 3))
             elif which == 1:
                 term = q * (1.0 + p + p * p) - theta * xp.power(p, 3) * xp.power(q, 3)
-            elif which == 2:
-                term = 3.0 * (p * p) + 3.0 * theta * (p * p) * (q * q) * (1.0 - 2.0 * p)
             else:
-                # 6p (1 + theta (1-p)(1 - 5p + 5p^2)), regrouped so that theta = -1
-                # does not cancel near p = 0; the bracket is positive on [0, 1]
-                term = 6.0 * p * ((1.0 + theta) - theta * p * (6.0 - 10.0 * p + 5.0 * (p * p)))
+                term = 3.0 * (p * p) + 3.0 * theta * (p * p) * (q * q) * (1.0 - 2.0 * p)
             out += c * term
         return out
 
@@ -174,6 +188,9 @@ class GumbelHougaard(Copula):
             raise ValueError(f"Gumbel-Hougaard theta must be >= 1, got {self.theta!r}")
         if self.dim < 1:
             raise ValueError("dimension must be at least 1")
+
+    def _bernstein(self, counts):
+        return counts if self.theta == 1.0 else None  # theta = 1: the independence law
 
     def _exponent(self, j: int) -> float:
         return j ** (1.0 / self.theta)
@@ -264,13 +281,6 @@ class ClaytonOakes(Copula):
                     term = xp.where(limit, edge, term)
             out += c * term
         return out
-
-
-def _is_independence(copula: Copula) -> bool:
-    """Whether the copula is exactly the independence law: GumbelHougaard
-    at theta = 1 (Independence among them) or FGM at theta = 0."""
-    return ((isinstance(copula, GumbelHougaard) and copula.theta == 1.0)
-            or (isinstance(copula, FGM) and copula.theta == 0.0))
 
 
 _FAMILIES = {

@@ -158,11 +158,12 @@ class LinearFailureRate(LifetimeDistribution):
         if not math.isfinite(self.beta) or self.beta < 0.0:
             raise ValueError(f"beta must be a nonnegative finite real, got {self.beta!r}")
 
+    # beta = 0 takes Exponential(alpha)'s forms, where beta x would read 0 * inf = nan at x = inf
     def _chz(self, xa):
-        return self.alpha * (xa + self.beta * xa * xa)
+        return self.alpha * (xa + self.beta * xa * xa) if self.beta else self.alpha * xa
 
     def _hz(self, xa):
-        return self.alpha * (1.0 + 2.0 * self.beta * xa)
+        return self.alpha * (1.0 + 2.0 * self.beta * xa) if self.beta else np.where(np.isnan(xa), xa, self.alpha)
 
     def _isf(self, va):
         # positive root of beta*x^2 + x - t/alpha = 0, written so the

@@ -9,10 +9,10 @@ results are joined in stream order, so output is bit-identical for a fixed
 stream's survivors and sums the integer counts, which is exact.
 
 Each sampler draws a latent array and a row map to uniforms whose joint
-distribution function is the survival copula K.  The independence law
-(Gumbel-Hougaard at theta = 1, Independence among them, FGM at theta = 0) and
-the trivariate FGM draw the uniforms themselves.  FGM takes three uniforms per
-row by conditional inversion (Nelsen 2006, section 2.9): its pairwise margins
+distribution function is the survival copula K.  Gumbel-Hougaard at theta = 1
+(the independence law) and the trivariate FGM, which returns them bit for bit
+at theta = 0, draw the uniforms themselves.  FGM takes three uniforms per row
+by conditional inversion (Nelsen 2006, section 2.9): its pairwise margins
 are independent, so U1 and U2 are drawn as they are, and U3 is the root of
 its conditional cdf given them, a quadratic taken in its cancellation-free
 form; there is no rejection loop.  Gumbel-Hougaard (positive-stable frailty V,
@@ -40,7 +40,7 @@ from functools import reduce
 import numpy as np
 
 from ._num import _integer
-from .copulas import ClaytonOakes, Copula, FGM, GumbelHougaard, _is_independence
+from .copulas import ClaytonOakes, Copula, FGM, GumbelHougaard
 from .distributions import LifetimeDistribution
 from .systems import Structure, _members, build_distortion
 
@@ -133,11 +133,11 @@ def _per_stream(copula: Copula, cfg: SimConfig, finish) -> list:
 def _sample_chunk(copula: Copula, count: int, rng: np.random.Generator):
     """A (count, dim) latent array and the decreasing row map taking it to
     the copula's uniforms; the map is None where the latent is the uniforms."""
-    if _is_independence(copula):
-        return rng.random((count, copula.dim)), None
     if isinstance(copula, FGM):
         return _sample_fgm(copula.theta, count, rng), None
     if isinstance(copula, GumbelHougaard):
+        if copula.theta == 1.0:
+            return rng.random((count, copula.dim)), None
         return _sample_gumbel(copula.theta, copula.dim, count, rng)
     if isinstance(copula, ClaytonOakes):
         return _sample_clayton(copula.theta, copula.dim, count, rng)

@@ -349,14 +349,14 @@ def integral_identity_check(
         -ln h(sf(x))     = integral_0^{Delta(x)}  H(e^-v) dv
         -ln(1 - h(sf(x))) = integral_0^{Dtilde(x)} R(1-e^-v) dv
 
-    One margin pass gives Delta and Dtilde, and ``sys._h_pair`` the h, 1-h pair.  Both integrals are
-    running sums over shared pieces: on [0, head] (head the smallest positive limit,
-    or the lower clamp kink of H and R if smaller) the clamp holds each integrand at
-    its v = 0 value, so that piece is exact; above it Gauss-Legendre pieces are cut at
-    head * 2^k and both kinks, and each limit adds its own from the last cut below it.
-    RuntimeError is raised where the summed rule differences exceed max(quad_tol, quad_tol * |integral|).
+    One margin pass gives the limits Delta and Dtilde; the direct sides are ``sys.cum_hazard`` and
+    ``sys.cum_rev_hazard``.  Both integrals are running sums over shared pieces: on [0, head] (head
+    the smallest positive limit, or the lower clamp kink of H and R if smaller) the clamp holds each
+    integrand at its v = 0 value, so that piece is exact; above it Gauss-Legendre pieces are cut at
+    head * 2^k and both kinks, and each limit adds its own from the last cut below it.  RuntimeError
+    is raised where the summed rule differences exceed max(quad_tol, quad_tol * |integral|).
     """
-    from .systems import EPS_CLAMP, _minus_log
+    from .systems import EPS_CLAMP
 
     if grid is None:
         grid = Grid.margin_bracketed(sys.margin, sys.margin, size=200)
@@ -372,9 +372,7 @@ def integral_identity_check(
         [lambda v: dist._elasticity(np.clip(np.exp(-v), EPS_CLAMP, 1.0 - EPS_CLAMP), "H", slope=False),
          lambda v: dist._elasticity(np.clip(-np.expm1(-v), EPS_CLAMP, 1.0 - EPS_CLAMP), "R", slope=False)],
         upper, x, quad_tol, kinks)
-    h, omh = sys._h_pair(x)
-    # both forms are read almost everywhere on the two sides, so both come from one pair
-    err = np.abs(np.stack((_minus_log(h, lambda far: omh[far]), _minus_log(omh, lambda far: h[far]))) - rhs)
+    err = np.abs(np.stack((sys.cum_hazard(x), sys.cum_rev_hazard(x))) - rhs)
     # argmax keeps the first maximum as the witness
     ic, ib = np.argmax(err, axis=1)
     return IdentityReport(float(err[0, ic]), float(err[1, ib]), float(x[ic]), float(x[ib]), x.size, quad_tol)

@@ -23,16 +23,16 @@ and their derivatives in closed form from h, 1-h, h' and h'':
     p R'/R     = p (-1/(1-p) + h''/h' + h'/(1-h))
 
 so an elasticity and its relative slope on a p-grid cost three evaluations
-of the distortion.  Under independent components h is a polynomial and h,
-1-h, h' and h'' are evaluated in Bernstein form, sum_k w_k p^k (1-p)^(deg-k),
-whose weights for h count the component subsets that contain a path set
-(the structure's signature representation): the terms of h, 1-h and h' are
-nonnegative, so nothing cancels near p = 0 or p = 1.  The powers p^k and
-(1-p)^k come from a ``GridBasis`` of the points, which keeps them for
-k < POWER_BUDGET / (2 x bytes of the points); a verify config holds its
-p-grid's, so verifies under one config, or the default one, share them.
-Dependent copulas use the signed sum of c_j K_j, which can cancel in 1-h
-and h' near p = 1 for parallel-heavy structures.  A system's cumulative
+of the distortion.  Where the copula makes h a polynomial, h, 1-h, h' and
+h'' are evaluated in Bernstein form, sum_k w_k p^k (1-p)^(deg-k), from the
+weights of h it gives (under independence the counts of component subsets
+that contain a path set, the structure's signature representation): the
+terms of h, 1-h and h' are nonnegative, so nothing cancels near p = 0 or
+p = 1.  The powers p^k and (1-p)^k come from a ``GridBasis`` of the points,
+which keeps them for k < POWER_BUDGET / (2 x bytes of the points); a verify
+config holds its p-grid's, so verifies under one config share them.  Other
+copulas use the signed sum of c_j K_j, which can cancel in 1-h and h' near
+p = 1 for parallel-heavy structures.  A system's cumulative
 hazard -ln h(sf(x)) reads h on every point and 1-h only where h > 1/2, and
 its reversed one the other way round: each form only where it is read.
 """
@@ -47,7 +47,7 @@ from operator import and_, or_
 
 import numpy as np
 
-from .copulas import _FLOATS, Copula, _is_independence
+from .copulas import _FLOATS, Copula
 from .distributions import LifetimeDistribution, _check_unit, as_float_array, match_input, on_points
 
 __all__ = [
@@ -179,16 +179,14 @@ class Distortion:
     N_n = 1 (h(1) = 1).  With independent components
     h = sum_k N_k p^k (1-p)^(n-k), so expanding (1-p)^(n-k) gives
     c_j = sum_k (-1)^(j-k) C(n-k, j-k) N_k, summed over the nonzero N_k
-    only (series(n) has one).  Under the independence law (GumbelHougaard
-    at theta = 1, Independence among them, and FGM at theta = 0) h, 1-h, h'
-    and h'' are evaluated in Bernstein form instead, from weights derived
-    once from the counts.
+    only (series(n) has one).  Where the copula gives h's Bernstein weights,
+    h, 1-h, h' and h'' are evaluated from weights derived once from them.
     """
 
     copula: Copula
     counts: tuple[int, ...]
     coeffs: tuple[tuple[int, int], ...] = field(init=False, compare=False)
-    # (h, 1-h, h', h'') Bernstein weights under the independence law, None otherwise
+    # (h, 1-h, h', h'') Bernstein weights where the copula gives h's, None otherwise
     _bernstein: tuple | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -201,8 +199,8 @@ class Distortion:
                 for j in range(k, n + 1):
                     sums[j] += (-1) ** (j - k) * comb(n - k, j - k) * count
         object.__setattr__(self, "coeffs", tuple((j, c) for j, c in enumerate(sums) if c))
-        if _is_independence(self.copula):
-            object.__setattr__(self, "_bernstein", _bernstein_weights(self.counts))
+        if (weights := self.copula._bernstein(self.counts)) is not None:
+            object.__setattr__(self, "_bernstein", _bernstein_weights(weights))
 
     # each public function validates its argument once; _evaluate and _elasticity never do
     def h(self, p):
@@ -217,10 +215,9 @@ class Distortion:
         return match_input(p, self._evaluate(self._check_open(p), 2))
 
     def _evaluate(self, p, which: int) -> np.ndarray:
-        """h, 1-h, h' or h'' (which = 0, 1, 2, 3) on a validated argument (or
-        its GridBasis): Bernstein weights under independence, from its GridBasis
-        (made here for an array), else the copula's one-call signed sum ``_sum`` on the points,
-        sum_j c_j times K_j, 1-K_j, K_j' or K_j'' (Clayton-Oakes shares ln p and expm1(-theta ln p))."""
+        """h, 1-h, h' or h'' (which = 0, 1, 2, 3) on a validated argument (or its GridBasis): from
+        the Bernstein weights where the copula gives them, on its GridBasis (made here for an array),
+        else the copula's one-call signed sum ``_sum``, sum_j c_j times K_j, 1-K_j, K_j' or K_j''."""
         points = p.p if isinstance(p, GridBasis) else p
         if points.ndim != 1:
             # a scalar runs as a one-point array, to match an array call bit for bit
@@ -291,7 +288,7 @@ class Distortion:
         x = p (the second) in the coordinate ln x, where ln(1-h) and ln h
         have the slopes R(p) and H(p), so a power-law tail takes one step.
         A round reads 1-h or h, and h', on Python floats: from the Bernstein
-        weights under the independence law, else from the copula's
+        weights where the copula gives them, else from the copula's
         ``_sum`` on the float namespace ``_FLOATS``, whose numpy ufuncs on
         Python floats return the bits of the same ``_sum`` on an array.
         The brackets, x in [2^-53, 1] and [2^-1074, 1], span the floats p in
@@ -338,21 +335,20 @@ class Distortion:
         return pa
 
 
-def _bernstein_weights(counts) -> tuple[tuple[float, ...], ...]:
-    """Bernstein weights of h, 1-h, h' and h'' under independence.
-
-    h = sum_k N_k p^k (1-p)^(n-k) has the degree-n weights N_k, the number
-    of k-subsets of components that contain a path set; 1-h has
-    C(n,k) - N_k; h' has the degree-(n-1) weights
-    D_k = (k+1) N_(k+1) - (n-k) N_k, and h'' the degree-(n-2) weights
-    (k+1) D_(k+1) - (n-1-k) D_k.  The first three are nonnegative for a
-    coherent structure; h'' changes sign where h' turns.
-    """
-    n = len(counts) - 1
-    compl = [comb(n, k) - counts[k] for k in range(n + 1)]
-    deriv = [(k + 1) * counts[k + 1] - (n - k) * counts[k] for k in range(n)]
+def _bernstein_weights(weights) -> tuple[tuple[float, ...], ...]:
+    """Bernstein weights of h, 1-h, h' and h'' from h's exact weights W_k
+    (integers or fractions) of degree n, each derived exactly and rounded once:
+    1-h has C(n,k) - W_k, h' the degree-(n-1) D_k = (k+1) W_(k+1) - (n-k) W_k
+    and h'' the degree-(n-2) (k+1) D_(k+1) - (n-1-k) D_k, which changes sign
+    where h' turns."""
+    n = len(weights) - 1
+    # integers over the weights' common denominator; int / int rounds once
+    den = math.lcm(*(w.denominator for w in weights))
+    nums = [w.numerator * (den // w.denominator) for w in weights]
+    compl = [comb(n, k) * den - nums[k] for k in range(n + 1)]
+    deriv = [(k + 1) * nums[k + 1] - (n - k) * nums[k] for k in range(n)]
     second = [(k + 1) * deriv[k + 1] - (n - 1 - k) * deriv[k] for k in range(n - 1)]
-    return tuple(tuple(float(w) for w in weights) for weights in (counts, compl, deriv, second))
+    return tuple(tuple(w / den for w in derived) for derived in (nums, compl, deriv, second))
 
 
 class GridBasis:
@@ -437,11 +433,6 @@ class SystemModel:
         d = self.distortion
         return on_points(lambda s: _minus_log(d._evaluate(s, which), lambda far: d._evaluate(s[far], 1 - which)),
                          as_float_array(self.margin.sf(x)))
-
-    def _h_pair(self, x):
-        """h(sf(x)) and 1 - h(sf(x)), each in its stable form, from one sf."""
-        s = as_float_array(self.margin.sf(x))
-        return self.distortion._evaluate(s, 0), self.distortion._evaluate(s, 1)
 
 
 def _minus_log(value: np.ndarray, complement_at) -> np.ndarray:

@@ -191,8 +191,6 @@ SECOND_DERIVATIVE_EDGES = [
     ClaytonOakes(8.0, 4),
     GumbelHougaard(1.0, 4),
     GumbelHougaard(3.0, 4),
-    FGM(1.0),
-    FGM(-1.0),
     Independence(4),
 ]
 

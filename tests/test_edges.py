@@ -23,7 +23,7 @@ P = np.array([0.0, 5e-324, 1e-300, 1e-9, 0.5, 1.0 - 1e-16, 1.0, math.nan])
 OPEN_P = P[~((P <= 0.0) | (P >= 1.0))]
 
 MARGINS = [Exponential(2.0), LinearFailureRate(1.0, 1.0), LinearFailureRate(0.5, 0.3), Weibull(3.0, 2.0),
-           Weibull(0.5, 1.0)]
+           Weibull(0.5, 1.0), LinearFailureRate(1.0, 0.0)]
 COPULAS = [Independence(3), FGM(0.7), FGM(-1.0), FGM(1.0), GumbelHougaard(2.0, 3), GumbelHougaard(7.5, 3),
            ClaytonOakes(2.0, 3), ClaytonOakes(0.05, 3), ClaytonOakes(40.0, 3)]
 STRUCTURES = [Structure.series(3), Structure.parallel(3), k_of_n_paths(2, 3), Structure.from_paths(3, [[1, 2], [1, 3]])]
@@ -110,6 +110,12 @@ class TestNamedPoints:
             assert Exponential(2.0).cum_hazard(1.7e308) == math.inf
             system = SystemModel(Structure.series(3), GumbelHougaard(2.0, 3), Weibull(3.0, 2.0))
             assert system.cum_hazard(1e300) == math.inf
+
+    def test_linear_failure_rate_without_beta_is_exponential(self):
+        # inf, 0, 1, 0 and alpha at x = inf, where beta x^2 would be 0 * inf
+        for name in ("cum_hazard", "hazard", "sf", "cdf", "cum_rev_hazard"):
+            got, want = (getattr(margin, name)(X) for margin in (LinearFailureRate(1.5, 0.0), Exponential(1.5)))
+            np.testing.assert_array_equal(got, want, err_msg=name)
 
     def test_gumbel_complement_at_and_below_1e_300(self):
         # ln 0 = -inf, so 1 - p^a = -expm1(a ln p) reads 1 at p = 0 as below 1e-300

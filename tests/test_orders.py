@@ -753,7 +753,7 @@ class TestIntegralIdentity:
             sides.append(_minus_log(value, complement_at))
             return sides[-1]
 
-        # the identity check imports _minus_log from systems when it runs
+        # the direct sides are the system's cumulative hazards, which look _minus_log up in systems
         monkeypatch.setattr(systems, "_minus_log", recording)
         sysm = golden_system(name)
         x = golden_grid(sysm).points

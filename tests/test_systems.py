@@ -576,26 +576,35 @@ class TestLevels:
         # the rounds' _bernstein_float takes libm's powers (Python's **), not
         # numpy's, so it is not the array _bernstein_sum's bits; this pins the
         # gap over every k-out-of-n with n <= 20 (weights from the closed-form
-        # counts), which 0-2, random p and both tails of (0, 1)
+        # counts) and FGM's five structures, which 0-2, random p and both
+        # tails of (0, 1)
         rng = np.random.default_rng(76)
         tails = np.exp(-rng.uniform(0.0, 744.0, 40))
         p = np.concatenate((rng.random(120), tails, 1.0 - tails, [0.0, 2.0**-1074, 1.0 - 2.0**-53, 1.0]))
         for n in range(1, 21):
             for k in range(1, n + 1):
                 weights = systems._bernstein_weights(tuple(math.comb(n, j) if j >= k else 0 for j in range(n + 1)))
-                for which in range(3):
-                    want = systems._bernstein_sum(p, weights[which])
-                    got = np.array([systems._bernstein_float(x, weights[which]) for x in p.tolist()])
-                    ulps = np.abs(got - want) / np.array([math.ulp(w) for w in want.tolist()])
-                    assert ulps.max() <= 8, (k, n, which, p[np.argmax(ulps)])
+                self.assert_float_sums_within_8_ulps(p, weights, (k, n))
+        # and FGM's degree-6 weights, which its level search reads
+        for structure in FGM_STRUCTURES.values():
+            for theta in (-1.0, -0.5, 0.5, 0.8013132685182651, 1.0):
+                self.assert_float_sums_within_8_ulps(p, build_distortion(structure, FGM(theta))._bernstein, theta)
+
+    @staticmethod
+    def assert_float_sums_within_8_ulps(p, weights, case):
+        for which in range(3):
+            want = systems._bernstein_sum(p, weights[which])
+            got = np.array([systems._bernstein_float(x, weights[which]) for x in p.tolist()])
+            ulps = np.abs(got - want) / np.array([math.ulp(w) for w in want.tolist()])
+            assert ulps.max() <= 8, (case, which, p[np.argmax(ulps)])
 
     @pytest.mark.parametrize("theta", [1.0, -1.0])
     @pytest.mark.parametrize("structure", [Structure.series(3), Structure.from_paths(3, [[1, 2], [1, 3]]),
                                            k_of_n_paths(2, 3), Structure.parallel(3)],
                              ids=["series", "pair-series", "2of3", "parallel"])
     def test_fgm_at_both_ends_of_theta(self, structure, theta):
-        # the signed FGM sum for parallel(3) at theta = 1 cancels in 1 - h
-        # near p = 0.86, where p is off by 7.6e-15 relative
+        # FGM's rounds read its degree-6 Bernstein weights, whose terms of h,
+        # 1 - h and h' are nonnegative at both ends, so nothing cancels
         d = build_distortion(structure, FGM(theta))
         got = d._levels(*LEVELS)
         for g, w in zip(got, exact_levels(d, got)):
@@ -660,21 +669,72 @@ class TestLevels:
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 8])
     def test_dependent_levels_match_the_zero_d_reference(self, seed):
-        # every dependent-copula level of the benchmark's verify-audit rounds:
-        # the float rounds give the 0-d search's bits, whose evaluations were
-        # numpy's kernels on a 0-d array, but for one.  The 0-d FGM sum read
-        # (1-p)^3 as a numpy scalar power, libm's pow, so under numpy's AVX-512
-        # power seed 8's FGM(0.80...) series(3) level for h = 0.001 moves 1 ulp
-        # (0.47 -> 0.53 ulp from the 50-digit root); where that power equals
-        # libm's nothing moves
+        # every level of the benchmark's verify-audit rounds that the signed
+        # sum gives (Gumbel-Hougaard and Clayton-Oakes): the float rounds give
+        # the bits of the 0-d search, whose evaluations were numpy's kernels
+        # on a 0-d array
         moved = []
         for d in audit_distortions(seed):
             if d._bernstein is None:
                 got, want = d._levels(*LEVELS), reference_levels(d, *LEVELS)
                 moved += [(d, w, g) for g, w in zip(got, want) if g != w]
-        called_out = (build_distortion(Structure.series(3), FGM(0.8013132685182651)),
-                      0.08526273909118448, 0.0852627390911845)
-        assert moved in ([], [called_out] if seed == 8 else [])
+        assert moved == []
+
+
+FGM_STRUCTURES = {
+    "series": Structure.series(3),
+    "pair-series": Structure.from_paths(3, [[1, 2], [1, 3]]),
+    "2of3": k_of_n_paths(2, 3),
+    "parallel": Structure.parallel(3),
+    "single-or-pair": Structure.from_paths(3, [[1], [2, 3]]),
+}
+
+
+def fgm_exact(d, t):
+    """h, 1-h, h' and h'' at an mpmath point t from FGM's definition:
+    K_j = t^j for j < 3 and K_3 = t^3 (1 + theta (1-t)^3), summed over the
+    distortion's signed coefficients, so it shares nothing with the weights."""
+    theta, s = mpf(d.copula.theta), 1 - t
+    k = {1: (t, 1, 0), 2: (t**2, 2 * t, 2),
+         3: (t**3 * (1 + theta * s**3), 3 * t**2 + theta * (3 * t**2 * s**3 - 3 * t**3 * s**2),
+             6 * t + theta * (6 * t * s**3 - 18 * t**2 * s**2 + 6 * t**3 * s))}
+    h, d1, d2 = (sum(c * k[j][i] for j, c in d.coeffs) for i in range(3))
+    return h, 1 - h, d1, d2
+
+
+class TestFgmBernsteinForm:
+    """FGM's h is a degree-6 polynomial, evaluated from Bernstein weights."""
+
+    # the non-dyadic thetas round in the weights: 1 - theta is the weight of
+    # parallel(3)'s 1 - h at k = 3, the leading one near p = 1
+    THETAS = [-1.0, -0.5, -0.3, 0.5, 0.99, 1.0]
+
+    @pytest.mark.parametrize("structure", FGM_STRUCTURES.values(), ids=FGM_STRUCTURES.keys())
+    def test_weights_of_h_its_complement_and_slope_are_nonnegative(self, structure):
+        # the weights are linear in theta, so both ends cover [-1, 1]
+        for theta in (-1.0, 1.0):
+            weights = build_distortion(structure, FGM(theta))._bernstein
+            assert all(min(weights[which]) >= 0.0 for which in range(3)), theta
+
+    @pytest.mark.parametrize("structure", FGM_STRUCTURES.values(), ids=FGM_STRUCTURES.keys())
+    def test_within_8_units_of_the_80_digit_reference(self, structure):
+        # 600 uniform points and 250 log-uniform down to 1e-14 from each end;
+        # errors in units of 2^-53 of the value, and for h'', which changes
+        # sign, of the sum of its terms' magnitudes
+        rng = np.random.default_rng(41)
+        tails = np.exp(-rng.uniform(0.0, math.log(1e14), (2, 250)))
+        p = np.concatenate((rng.uniform(0.0, 1.0, 600), tails[0], 1.0 - tails[1]))
+        for theta in self.THETAS:
+            d = build_distortion(structure, FGM(theta))
+            got = [d._evaluate(p, which) for which in range(4)]
+            magnitude = systems._bernstein_sum(p, tuple(abs(w) for w in d._bernstein[3]))
+            with mp.workdps(80):
+                for i, x in enumerate(p.tolist()):
+                    exact = fgm_exact(d, mpf(x))
+                    for which, want in enumerate(exact):
+                        scale = abs(want) if which < 3 else mpf(magnitude[i])
+                        units = abs(mpf(got[which][i]) - want) / (scale * mpf(2) ** -53)
+                        assert units <= 8, (theta, which, x, float(units))
 
 
 class TestSystemModel:
