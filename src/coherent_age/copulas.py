@@ -28,6 +28,18 @@ derivatives, which live on the open interval, and has no public wrapper.
 Where h is a polynomial, ``_bernstein(counts)`` gives its Bernstein weights in
 place of ``_sum``: Gumbel-Hougaard's at theta = 1, and FGM's, of degree 6.
 
+Each family draws its own sample for the simulation oracle: ``_draw(count,
+rng)`` returns a latent array and a row map to uniforms whose joint
+distribution function is the survival copula K.  Gumbel-Hougaard at theta = 1
+(the independence law) and the trivariate FGM, which returns them bit for bit
+at theta = 0, draw the uniforms themselves.  FGM takes three uniforms per row
+by conditional inversion (Nelsen 2006, section 2.9): its pairwise margins
+are independent, so U1 and U2 are drawn as they are, and U3 is the root of
+its conditional cdf given them, a quadratic taken in its cancellation-free
+form; there is no rejection loop.  Gumbel-Hougaard (positive-stable frailty V,
+Chambers-Mallows-Stuck) and Clayton-Oakes (gamma frailty V) draw exponentials
+E_i and map them to U_i = phi(E_i / V), with phi decreasing.
+
 Clayton-Oakes uses the standard exchangeable Archimedean form
 ``(sum p_i^-theta - (n-1))^(-1/theta)``; it is an extension family here, kept
 alongside the two others for breadth of the simulation oracle.  Its terms
@@ -103,6 +115,11 @@ class Copula(ABC):
         computed without cancellation near p = 1, and K_j'' only for
         0 < p < 1."""
 
+    @abstractmethod
+    def _draw(self, count: int, rng: np.random.Generator):
+        """A (count, dim) latent array and the decreasing row map taking it to
+        the copula's uniforms; the map is None where the latent is the uniforms."""
+
     def _bernstein(self, counts):
         """Exact weights w_k of h = sum_k w_k p^k (1-p)^(deg-k) for counts N_k, or None: h is ``_sum``."""
         return None
@@ -158,6 +175,23 @@ class FGM(Copula):
         weights[3] += Fraction(self.theta) * (counts[3] - counts[2] + counts[1])
         return tuple(weights)
 
+    def _draw(self, count, rng):
+        u = rng.random((count, 3))
+        # columns 0 and 1 are independent (K(p1, p2, 1) = p1 p2); column 2 is w,
+        # mapped in place to the root of u (1 + b (1 - u)) = w, the conditional
+        # cdf of U3 given U1, U2, with b = theta (1 - 2 u1)(1 - 2 u2) in [-1, 1],
+        # taken as 4 theta (1/2 - u1)(1/2 - u2)
+        w = u[:, 2]
+        b = (4.0 * self.theta) * (0.5 - u[:, 0]) * (0.5 - u[:, 1])
+        a = np.abs(b)
+        # the discriminant (1 + b)^2 - 4 b w as a sum of nonnegative terms:
+        # (1 - b)^2 + 4 b (1 - w) for b >= 0, (1 + b)^2 - 4 b w for b < 0;
+        # |w - 1| is 1 - w and |w - 0| is w, both exact
+        d = (1.0 - a) ** 2 + 4.0 * a * np.abs(w - (b >= 0.0))
+        # w = 0 keeps its root 0, and with it the one 0/0 point, b = -1
+        np.divide(2.0 * w, (1.0 + b) + np.sqrt(d), out=w, where=w > 0.0)
+        return u, None
+
     def _sum(self, p, coeffs, which, xp=_ARRAYS):
         # K_1 = p and K_2 = p^2; the cubes are the terms of K_3
         theta, q, out = self.theta, 1.0 - p, xp.zeros_like(p)
@@ -191,6 +225,19 @@ class GumbelHougaard(Copula):
 
     def _bernstein(self, counts):
         return counts if self.theta == 1.0 else None  # theta = 1: the independence law
+
+    def _draw(self, count, rng):
+        if self.theta == 1.0:  # the independence law
+            return rng.random((count, self.dim)), None
+        alpha = 1.0 / self.theta
+        # positive stable frailty with Laplace transform exp(-t^alpha)
+        w = rng.uniform(0.0, np.pi, count)
+        e0 = rng.standard_exponential(count)
+        stable = (np.sin(alpha * w) / np.sin(w) ** (1.0 / alpha)) * (
+            np.sin((1.0 - alpha) * w) / e0
+        ) ** ((1.0 - alpha) / alpha)
+        e = rng.standard_exponential((count, self.dim))
+        return e, lambda t: np.exp(-((t / stable[:, None]) ** alpha))
 
     def _exponent(self, j: int) -> float:
         return j ** (1.0 / self.theta)
@@ -236,6 +283,11 @@ class ClaytonOakes(Copula):
             raise ValueError(f"Clayton-Oakes theta must be > 0, got {self.theta!r}")
         if self.dim < 1:
             raise ValueError("dimension must be at least 1")
+
+    def _draw(self, count, rng):
+        frailty = rng.gamma(shape=1.0 / self.theta, scale=1.0, size=count)
+        e = rng.standard_exponential((count, self.dim))
+        return e, lambda t: (1.0 + t / frailty[:, None]) ** (-1.0 / self.theta)
 
     def _sum(self, p, coeffs, which, xp=_ARRAYS):
         # K_j = S_j^(-1/theta) with ln S_j = log1p(j expm1(w)), w = -theta ln p;

@@ -8,21 +8,12 @@ results are joined in stream order, so output is bit-identical for a fixed
 (seed, stream_count) whatever the CPU count.  A simulation counts each
 stream's survivors and sums the integer counts, which is exact.
 
-Each sampler draws a latent array and a row map to uniforms whose joint
-distribution function is the survival copula K.  Gumbel-Hougaard at theta = 1
-(the independence law) and the trivariate FGM, which returns them bit for bit
-at theta = 0, draw the uniforms themselves.  FGM takes three uniforms per row
-by conditional inversion (Nelsen 2006, section 2.9): its pairwise margins
-are independent, so U1 and U2 are drawn as they are, and U3 is the root of
-its conditional cdf given them, a quadratic taken in its cancellation-free
-form; there is no rejection loop.  Gumbel-Hougaard (positive-stable frailty V,
-Chambers-Mallows-Stuck) and Clayton-Oakes (gamma frailty V) draw exponentials
-E_i and map them to U_i = phi(E_i / V), with phi decreasing.
-
-The system lifetime max_P min_{i in P} isf(U_i) is reduced before any
-per-component transform.  isf is decreasing, so it is isf(min_P max_{i in P}
-U_i) for the uniform families and isf(phi(max_P min_{i in P} E_i / V)) for
-the frailty ones: one map and one isf per row.  This equals inverting every
+Each stream draws from the copula's own ``_draw``: the uniforms U_i, or
+exponentials E_i with a decreasing row map phi(E_i / V) to them.  The system
+lifetime max_P min_{i in P} isf(U_i) is reduced before any per-component
+transform.  isf is decreasing, so it is isf(min_P max_{i in P} U_i) for the
+uniforms and isf(phi(max_P min_{i in P} E_i / V)) for the frailty draws: one
+map and one isf per row.  This equals inverting every
 component where isf(phi(.)) keeps the order of a row's components in floating
 point, which no theorem gives (LinearFailureRate(1, 1).isf reverses some
 adjacent floats near u = 0.1 by one ulp); the tests pin it on sampled rows.
@@ -40,7 +31,7 @@ from functools import reduce
 import numpy as np
 
 from ._num import _integer
-from .copulas import ClaytonOakes, Copula, FGM, GumbelHougaard
+from .copulas import Copula
 from .distributions import LifetimeDistribution
 from .systems import Structure, _members, build_distortion
 
@@ -112,7 +103,7 @@ def _per_stream(copula: Copula, cfg: SimConfig, finish) -> list:
         for i in range(first, len(streams), workers):
             child, rows = streams[i]
             try:
-                draw = _sample_chunk(copula, rows.stop - rows.start, np.random.default_rng(child))
+                draw = copula._draw(rows.stop - rows.start, np.random.default_rng(child))
                 results[i] = finish(rows, *draw)
             except BaseException as exc:  # re-raised in the caller below
                 errors[i] = exc
@@ -128,56 +119,6 @@ def _per_stream(copula: Copula, cfg: SimConfig, finish) -> list:
         if exc is not None:
             raise exc
     return results
-
-
-def _sample_chunk(copula: Copula, count: int, rng: np.random.Generator):
-    """A (count, dim) latent array and the decreasing row map taking it to
-    the copula's uniforms; the map is None where the latent is the uniforms."""
-    if isinstance(copula, FGM):
-        return _sample_fgm(copula.theta, count, rng), None
-    if isinstance(copula, GumbelHougaard):
-        if copula.theta == 1.0:
-            return rng.random((count, copula.dim)), None
-        return _sample_gumbel(copula.theta, copula.dim, count, rng)
-    if isinstance(copula, ClaytonOakes):
-        return _sample_clayton(copula.theta, copula.dim, count, rng)
-    raise TypeError(f"no sampler for copula type {type(copula).__name__}")
-
-
-def _sample_fgm(theta: float, count: int, rng: np.random.Generator) -> np.ndarray:
-    u = rng.random((count, 3))
-    # columns 0 and 1 are independent (K(p1, p2, 1) = p1 p2); column 2 is w,
-    # mapped in place to the root of u (1 + b (1 - u)) = w, the conditional
-    # cdf of U3 given U1, U2, with b = theta (1 - 2 u1)(1 - 2 u2) in [-1, 1],
-    # taken as 4 theta (1/2 - u1)(1/2 - u2)
-    w = u[:, 2]
-    b = (4.0 * theta) * (0.5 - u[:, 0]) * (0.5 - u[:, 1])
-    a = np.abs(b)
-    # the discriminant (1 + b)^2 - 4 b w as a sum of nonnegative terms:
-    # (1 - b)^2 + 4 b (1 - w) for b >= 0, (1 + b)^2 - 4 b w for b < 0;
-    # |w - 1| is 1 - w and |w - 0| is w, both exact
-    d = (1.0 - a) ** 2 + 4.0 * a * np.abs(w - (b >= 0.0))
-    # w = 0 keeps its root 0, and with it the one 0/0 point, b = -1
-    np.divide(2.0 * w, (1.0 + b) + np.sqrt(d), out=w, where=w > 0.0)
-    return u
-
-
-def _sample_gumbel(theta: float, dim: int, count: int, rng: np.random.Generator):
-    alpha = 1.0 / theta
-    # positive stable frailty with Laplace transform exp(-t^alpha)
-    w = rng.uniform(0.0, np.pi, count)
-    e0 = rng.standard_exponential(count)
-    stable = (np.sin(alpha * w) / np.sin(w) ** (1.0 / alpha)) * (
-        np.sin((1.0 - alpha) * w) / e0
-    ) ** ((1.0 - alpha) / alpha)
-    e = rng.standard_exponential((count, dim))
-    return e, lambda t: np.exp(-((t / stable[:, None]) ** alpha))
-
-
-def _sample_clayton(theta: float, dim: int, count: int, rng: np.random.Generator):
-    frailty = rng.gamma(shape=1.0 / theta, scale=1.0, size=count)
-    e = rng.standard_exponential((count, dim))
-    return e, lambda t: (1.0 + t / frailty[:, None]) ** (-1.0 / theta)
 
 
 def _system_lifetime(values: np.ndarray, paths, rising: bool = True) -> np.ndarray:

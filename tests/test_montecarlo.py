@@ -15,7 +15,6 @@ from coherent_age.distributions import Exponential, LinearFailureRate, Weibull
 from coherent_age.montecarlo import (
     SimConfig,
     _count_survivors,
-    _sample_fgm,
     _system_lifetime,
     sample_copula,
     simulate_system,
@@ -107,7 +106,7 @@ class TestSamplers:
     @pytest.mark.parametrize("theta", [1.0, 0.35, -0.6, -1.0])
     def test_fgm_keeps_the_raw_pair_and_inverts_the_conditional_cdf(self, theta):
         raw = np.random.default_rng(19).random((30_001, 3))
-        u = _sample_fgm(theta, 30_001, np.random.default_rng(19))
+        u = FGM(theta)._draw(30_001, np.random.default_rng(19))[0]
         assert np.array_equal(u[:, :2], raw[:, :2])
         w, u3 = raw[:, 2], u[:, 2]
         b = theta * (1.0 - 2.0 * raw[:, 0]) * (1.0 - 2.0 * raw[:, 1])
@@ -124,8 +123,8 @@ class TestSamplers:
         rows = [[0.0, 0.0, 0.0], [0.0, 0.0, 0.25], [0.0, 0.0, 0.5], [0.5, 0.3, 0.7], [0.0, 0.0, 0.0]]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            low = _sample_fgm(-1.0, 5, Rows())[:, 2]
-            high = _sample_fgm(1.0, 5, Rows())[:, 2]
+            low = FGM(-1.0)._draw(5, Rows())[0][:, 2]
+            high = FGM(1.0)._draw(5, Rows())[0][:, 2]
         # at b = -1 the cdf is u^2, at b = 1 it is u (2 - u), at b = 0 it is u
         eps = np.finfo(float).eps
         np.testing.assert_allclose(low, [0.0, 0.5, math.sqrt(0.5), 0.7, 0.0], rtol=2.0 * eps, atol=0.0)
@@ -278,7 +277,7 @@ class TestReferenceFormulations:
     @pytest.mark.parametrize("theta", [1.0, 0.35, -0.6, -1.0])
     def test_fgm_sampler_matches_other_root(self, theta):
         for seed in (0, 9):
-            a = _sample_fgm(theta, 30_001, np.random.default_rng(seed))
+            a = FGM(theta)._draw(30_001, np.random.default_rng(seed))[0]
             b = reference_sample_fgm(theta, 30_001, np.random.default_rng(seed))
             assert np.allclose(a, b)
 
@@ -423,7 +422,7 @@ class TestConcurrentStreams:
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     @pytest.mark.parametrize("failing", [{1}, {1, 2}, {2, 3}, {0, 3}], ids=str)
     def test_lowest_failing_stream_is_raised(self, failing, cpus, monkeypatch):
-        draw = montecarlo._sample_chunk
+        draw = GumbelHougaard._draw
 
         def failing_draw(copula, count, rng):
             stream = rng.bit_generator.seed_seq.spawn_key[-1]
@@ -432,7 +431,8 @@ class TestConcurrentStreams:
             return draw(copula, count, rng)
 
         monkeypatch.setattr(montecarlo, "_cpu_count", lambda: cpus)
-        monkeypatch.setattr(montecarlo, "_sample_chunk", failing_draw)
+        # Independence inherits Gumbel-Hougaard's draw
+        monkeypatch.setattr(GumbelHougaard, "_draw", failing_draw)
         cfg = SimConfig(sample_count=400, seed=6, stream_count=4)
         with pytest.raises(LookupError, match=f"^stream {min(failing)}$"):
             simulate_system(Structure.series(3), Independence(3), Exponential(1.0), cfg)
