@@ -230,14 +230,17 @@ class GumbelHougaard(Copula):
         if self.theta == 1.0:  # the independence law
             return rng.random((count, self.dim)), None
         alpha = 1.0 / self.theta
-        # positive stable frailty with Laplace transform exp(-t^alpha)
+        # positive stable frailty S with Laplace transform exp(-t^alpha), kept
+        # as scale = S^-alpha, formed from logs: S's own factors, such as
+        # sin(w)^theta, underflow once theta passes about 60
         w = rng.uniform(0.0, np.pi, count)
         e0 = rng.standard_exponential(count)
-        stable = (np.sin(alpha * w) / np.sin(w) ** (1.0 / alpha)) * (
-            np.sin((1.0 - alpha) * w) / e0
-        ) ** ((1.0 - alpha) / alpha)
+        scale = np.log(np.sin(w))
+        scale -= alpha * np.log(np.sin(alpha * w))
+        scale -= (1.0 - alpha) * (np.log(np.sin((1.0 - alpha) * w)) - np.log(e0))
+        np.exp(scale, out=scale)
         e = rng.standard_exponential((count, self.dim))
-        return e, lambda t: np.exp(-((t / stable[:, None]) ** alpha))
+        return e, lambda t: np.exp(-(t**alpha) * scale[:, None])
 
     def _exponent(self, j: int) -> float:
         return j ** (1.0 / self.theta)

@@ -109,9 +109,9 @@ def _elasticity_sign_condition(name, kind, p, values, sign_slack, tol) -> Condit
     sign = "nonpositive" if kind == "H" else "nonnegative"
     sign_verdict = verdict(p, values, sign, sign_slack, f"{name}:sign")
     mono_verdict = verdict(p, values, "decr", tol, f"{name}:decreasing")
-    # boundary: the sign holds only by slack (identically-zero case); "nonnegative" values are negated
-    kept = values[np.isfinite(values)] * (1.0 if sign == "nonpositive" else -1.0)
-    boundary = bool(kept.size and np.max(kept) > -sign_slack)
+    # boundary: the sign holds only by slack (identically-zero case); an
+    # inconclusive verdict's NaN violation flags none
+    boundary = sign_verdict.violation > -sign_slack
     detail = "holds in the zero-within-slack boundary sense" if boundary else ""
     return _combine(name, [sign_verdict, mono_verdict], boundary=boundary, detail=detail)
 

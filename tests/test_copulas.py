@@ -12,6 +12,7 @@ from coherent_age.copulas import (
     _CLAYTON_LOG_CUTOFF,
     _FLOATS,
     ClaytonOakes,
+    Copula,
     FGM,
     GumbelHougaard,
     Independence,
@@ -420,6 +421,17 @@ class TestIndependenceIsGumbelAtOne:
 
 
 class TestValidation:
+    def test_family_without_a_sampler_cannot_be_built(self):
+        # every family draws its own sample: the simulator has no fallback
+        class NoDraw(Copula):
+            dim = 2
+
+            def _sum(self, p, coeffs, which, xp=None):
+                return p
+
+        with pytest.raises(TypeError, match="_draw"):
+            NoDraw()
+
     def test_fgm_theta_range(self):
         with pytest.raises(ValueError):
             FGM(theta=1.5)
