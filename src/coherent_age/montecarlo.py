@@ -13,10 +13,10 @@ exponentials E_i with a decreasing row map phi(E_i / V) to them.  The system
 lifetime max_P min_{i in P} isf(U_i) is reduced before any per-component
 transform.  isf is decreasing, so it is isf(min_P max_{i in P} U_i) for the
 uniforms and isf(phi(max_P min_{i in P} E_i / V)) for the frailty draws: one
-map and one isf per row.  This equals inverting every
-component where isf(phi(.)) keeps the order of a row's components in floating
-point, which no theorem gives (LinearFailureRate(1, 1).isf reverses some
-adjacent floats near u = 0.1 by one ulp); the tests pin it on sampled rows.
+map and one isf per row.  This equals inverting every component where
+isf(phi(.)) keeps the order of a row's components in floating point, which no
+theorem gives (LinearFailureRate(1, 1).isf reverses some adjacent floats near
+u = 0.1 by one ulp); the tests pin it on sampled rows.
 The survival identity P(tau > x) = h(sf(x)) is then checked empirically.
 """
 
@@ -103,8 +103,7 @@ def _per_stream(copula: Copula, cfg: SimConfig, finish) -> list:
         for i in range(first, len(streams), workers):
             child, rows = streams[i]
             try:
-                draw = copula._draw(rows.stop - rows.start, np.random.default_rng(child))
-                results[i] = finish(rows, *draw)
+                results[i] = finish(rows, *copula._draw(rows.stop - rows.start, np.random.default_rng(child)))
             except BaseException as exc:  # re-raised in the caller below
                 errors[i] = exc
                 return
