@@ -349,22 +349,26 @@ def integral_identity_check(
         -ln h(sf(x))     = integral_0^{Delta(x)}  H(e^-v) dv
         -ln(1 - h(sf(x))) = integral_0^{Dtilde(x)} R(1-e^-v) dv
 
-    One margin pass gives the limits Delta and Dtilde; the direct sides are ``sys.cum_hazard`` and
+    One margin pass gives the limits Delta and Dtilde, and sf(x) = exp(-Delta) to the bit.  One h,
+    1 - h pair on a GridBasis of sf(x) gives both direct sides, each -ln by ``systems._minus_log``
+    reading the other array at its far points: the bits of ``sys.cum_hazard`` and
     ``sys.cum_rev_hazard``.  Both integrals are running sums over shared pieces: on [0, head] (head
     the smallest positive limit, or the lower clamp kink of H and R if smaller) the clamp holds each
     integrand at its v = 0 value, so that piece is exact; above it Gauss-Legendre pieces are cut at
     head * 2^k and both kinks, and each limit adds its own from the last cut below it.  RuntimeError
-    is raised where the summed rule differences exceed max(quad_tol, quad_tol * |integral|).
+    is raised where the summed rule differences exceed max(quad_tol, quad_tol * |integral|);
+    quad_tol must be finite and >= 0, else ValueError.
     """
-    from .systems import EPS_CLAMP
+    from .systems import EPS_CLAMP, GridBasis, _minus_log
 
+    _tolerance(quad_tol, "quad_tol")
     if grid is None:
         grid = Grid.margin_bracketed(sys.margin, sys.margin, size=200)
     dist = sys.distortion
     x = grid.points
     delta = sys.margin._chz(x)
-    upper = np.stack((delta, _minus_log_cdf(delta)))
-    if not np.all(np.isfinite(upper)):
+    upper = np.array((delta, _minus_log_cdf(delta)))
+    if not np.isfinite(upper).all():
         raise ValueError("integration limit is not finite; shrink the grid range")
     # where the clamp of H(e^-v) and R(1-e^-v) to [EPS_CLAMP, 1-EPS_CLAMP] sets in
     kinks = (-math.log1p(-EPS_CLAMP), -math.log(EPS_CLAMP))
@@ -372,7 +376,9 @@ def integral_identity_check(
         [lambda v: dist._elasticity(np.clip(np.exp(-v), EPS_CLAMP, 1.0 - EPS_CLAMP), "H", slope=False),
          lambda v: dist._elasticity(np.clip(-np.expm1(-v), EPS_CLAMP, 1.0 - EPS_CLAMP), "R", slope=False)],
         upper, x, quad_tol, kinks)
-    err = np.abs(np.stack((sys.cum_hazard(x), sys.cum_rev_hazard(x))) - rhs)
+    basis = GridBasis(np.exp(-delta))
+    h, compl = dist._evaluate(basis, 0), dist._evaluate(basis, 1)
+    err = np.abs(np.array((_minus_log(h, lambda far: compl[far]), _minus_log(compl, lambda far: h[far]))) - rhs)
     # argmax keeps the first maximum as the witness
     ic, ib = np.argmax(err, axis=1)
     return IdentityReport(float(err[0, ic]), float(err[1, ib]), float(x[ic]), float(x[ib]), x.size, quad_tol)
@@ -390,34 +396,41 @@ def _piece_rule() -> tuple[np.ndarray, np.ndarray]:
 
 def _identity_integrals(integrands, upper: np.ndarray, xs: np.ndarray, quad_tol: float, kinks) -> np.ndarray:
     """integral_0^upper[k, i] integrands[k](v) dv for both k and every i, each
-    integrand constant on [0, head]; raises where the error estimate exceeds quad_tol."""
+    integrand constant on [0, head]; raises where the error estimate exceeds quad_tol.
+
+    Integral k sums the shared pieces up to the last break below its largest
+    limit, then adds each limit's own piece from the last break below it; a
+    piece's width is its end minus its start."""
     nodes, weights = _piece_rule()
-    out, err = np.zeros((2, *upper.shape))
-    positive = upper > 0.0
-    if np.any(positive):
-        # the breaks both integrals share, and the last one at or below each limit
-        head, top = min(upper[positive].min(), kinks[0]), upper.max()
-        doublings = np.ldexp(head, np.arange(int(math.log2(top) - math.log2(head)) + 1))
-        breaks = np.sort(np.concatenate((doublings, [k for k in kinks if head < k < top])))
+    # each limit's error estimate and integral
+    res = np.zeros((*upper.shape, 2))
+    positive, top = upper > 0.0, upper.max()
+    if top > 0.0:
+        # the breaks both integrals share (the doublings, sorted with a kink only
+        # when one falls inside them), and the last one at or below each limit
+        head = upper.min(where=positive, initial=kinks[0])
+        breaks = np.ldexp(head, np.arange(int(math.log2(top) - math.log2(head)) + 1))
+        inside = [kink for kink in kinks if head < kink < top]
+        if inside:
+            breaks = np.sort(np.concatenate((breaks, inside)))
         below = np.searchsorted(breaks, upper, side="right") - 1
-        # each limit's own piece runs from the last break below it over the rest of the way
-        cut = breaks[below]
-        rest, gaps = upper - cut, np.diff(breaks)
         step = (GL_BLOCK - 1) // nodes.size
         # a zero weight meets an infinite value as nan: the estimate is not finite either way
         with np.errstate(invalid="ignore"):
-            for k in np.flatnonzero(positive.any(axis=1)):
-                # the shared pieces up to this integral's last break, then each limit's own
-                own, last = positive[k], below[k, positive[k]]
+            for k, integrand in enumerate(integrands):
+                own = positive[k]
+                if not own.any():
+                    continue
+                last = below[k, own]
                 shared = last.max()
-                lo = np.concatenate((breaks[:shared], cut[k, own]))[:, None]
-                width = np.concatenate((gaps[:shared], rest[k, own]))[:, None]
+                lo = np.concatenate((breaks[:shared], breaks[last]))[:, None]
+                width = np.concatenate((breaks[1 : shared + 1], upper[k, own]))[:, None] - lo
                 # the head piece, then each piece at one and two panels, from one
                 # integrand call per block of pieces, the first led by v = 0
                 rows = np.empty((1 + width.size, 2))
                 for i in range(0, width.size, step):
                     v = (lo[i : i + step] + width[i : i + step] * nodes).ravel()
-                    values = integrands[k](v if i else np.concatenate(([0.0], v)))
+                    values = integrand(v if i else np.concatenate(([0.0], v)))
                     if not i:
                         constant, values = values[0], values[1:]
                     np.matmul(values.reshape(-1, nodes.size), weights, out=rows[1 + i : 1 + i + step])
@@ -425,10 +438,10 @@ def _identity_integrals(integrands, upper: np.ndarray, xs: np.ndarray, quad_tol:
                 # each piece's error estimate and integral; the exact head's estimate is 0 (nan if not finite)
                 rows[0] = 0.0 * constant, head * constant
                 rows[1:, 0] = np.abs(rows[1:, 1] - rows[1:, 0])
-                running = np.cumsum(rows[: shared + 1], axis=0)
-                err[k, own], out[k, own] = (running[last] + rows[shared + 1 :]).T
-    bad = ~(err <= np.maximum(quad_tol, quad_tol * np.abs(out)))
-    if np.any(bad):
-        k, i = np.unravel_index(np.argmax(bad), bad.shape)
+                res[k, own] = np.add.accumulate(rows[: shared + 1])[last] + rows[shared + 1 :]
+    err, out = res[..., 0], res[..., 1]
+    ok = err <= np.maximum(quad_tol, quad_tol * np.abs(out))
+    if not ok.all():
+        k, i = np.unravel_index(np.argmin(ok), ok.shape)
         raise RuntimeError(f"quadrature did not converge: at x={xs[i]:.17g} the error estimate is {err[k, i]:.3e}")
     return out

@@ -699,6 +699,14 @@ class TestIntegralIdentity:
         with pytest.raises(RuntimeError, match=r"quadrature did not converge: at x=\d\S* the error estimate"):
             integral_identity_check(fgm_system(), quad_tol=1e-18)
 
+    @pytest.mark.parametrize("quad_tol", BAD_TOLERANCES, ids=str)
+    def test_quad_tol_not_finite_and_nonnegative_rejected(self, quad_tol, identity_integrals):
+        # nan or -1 read "did not converge ... the error estimate is 0.000e+00", and inf
+        # turned the convergence check off; each is refused before the quadrature runs
+        with pytest.raises(ValueError, match=f"^quad_tol must be finite and >= 0, got {quad_tol!r}$"):
+            integral_identity_check(fgm_system(), quad_tol=quad_tol)
+        assert identity_integrals == ([], [])
+
     def test_infinite_limit_raises(self):
         # Weibull shape 10: F(1e-40) underflows to 0, so Dtilde = -ln F is infinite
         sysm = series3_system(Weibull(10.0, 1.0))
@@ -761,6 +769,42 @@ class TestIntegralIdentity:
         assert len(sides) == 2
         assert np.array_equal(sides[0], sysm.cum_hazard(x))
         assert np.array_equal(sides[1], sysm.cum_rev_hazard(x))
+
+    @pytest.mark.parametrize("name", ["series3-indep", "gumbel-series4"])
+    def test_direct_sides_in_one_pass(self, name, monkeypatch):
+        # the limits' one margin pass gives sf(x), and one h, 1-h pair on it both direct
+        # sides: no sf, cum_hazard or cum_rev_hazard call, and outside the quadrature no
+        # distortion evaluation but those two (from Bernstein weights, then a signed sum)
+        sysm = golden_system(name)
+        x = golden_grid(sysm).points
+        margin, calls = type(sysm.margin), []
+        evaluate, quadrature = systems.Distortion._evaluate, orders._identity_integrals
+
+        def recorded(owner, method):
+            original = getattr(owner, method)
+
+            def call(self, *args, **kwargs):
+                calls.append((owner.__name__, method, args))
+                return original(self, *args, **kwargs)
+
+            return call
+
+        def integrals(*args):
+            # the integrands' evaluations are not recorded
+            with monkeypatch.context() as inner:
+                inner.setattr(systems.Distortion, "_evaluate", evaluate)
+                return quadrature(*args)
+
+        for owner, method in ((margin, "_chz"), (margin, "sf"), (margin, "cum_hazard"), (margin, "cum_rev_hazard"),
+                              (SystemModel, "cum_hazard"), (SystemModel, "cum_rev_hazard"),
+                              (systems.Distortion, "_evaluate")):
+            monkeypatch.setattr(owner, method, recorded(owner, method))
+        monkeypatch.setattr(orders, "_identity_integrals", integrals)
+        integral_identity_check(sysm, Grid(x))
+        assert [call[:2] for call in calls] == [(margin.__name__, "_chz"), ("Distortion", "_evaluate"),
+                                                ("Distortion", "_evaluate")]
+        assert np.array_equal(calls[0][2][0], x)
+        assert [call[2][1] for call in calls[1:]] == [0, 1]
 
     def test_zero_limit_integrates_to_zero(self, identity_integrals):
         # LFR(1, 1) at x = 50: F = 1 - e^-1300 rounds to 1, so Dtilde = 0
