@@ -701,8 +701,8 @@ class TestIntegralIdentity:
 
     @pytest.mark.parametrize("quad_tol", BAD_TOLERANCES, ids=str)
     def test_quad_tol_not_finite_and_nonnegative_rejected(self, quad_tol, identity_integrals):
-        # nan or -1 read "did not converge ... the error estimate is 0.000e+00", and inf
-        # turned the convergence check off; each is refused before the quadrature runs
+        # unchecked, nan or -1 reads as a convergence failure with an estimate of 0, and
+        # inf turns the convergence check off; each is refused before the quadrature runs
         with pytest.raises(ValueError, match=f"^quad_tol must be finite and >= 0, got {quad_tol!r}$"):
             integral_identity_check(fgm_system(), quad_tol=quad_tol)
         assert identity_integrals == ([], [])
