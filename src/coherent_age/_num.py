@@ -6,13 +6,14 @@ float, never a bool or a string), each real through ``_real`` and each
 integer through ``_integer``.  ``read_fragment`` reads a margin or copula
 fragment under the same rule: its field list and defaults are the family
 class's constructor fields, so no family keeps a key table of its own.  The
-module imports no numpy, so the ``corollary`` command reads its spec
-without it.
+module imports neither numpy nor ``dataclasses``, so the ``corollary``
+command reads its spec without them: ``read_fragment`` imports
+``dataclasses`` when it runs, after the family classes' own modules have
+loaded it.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import sys
 
@@ -75,6 +76,8 @@ def read_fragment(fragment, tag: str, families: dict[str, type], where: str, **f
     dimension); those without a default are required.  A value the family
     constructor refuses is reported against ``where``.
     """
+    import dataclasses
+
     if not isinstance(fragment, dict):
         raise SpecError(f"{where} must be a JSON object")
     name = fragment.get(tag)

@@ -17,8 +17,11 @@ from them, under the rule the library applies.  Any breach raises
 ``SpecError``.
 
 The module loads only the spec rule and the corollary predicate; each
-subcommand imports the numeric modules it runs, so ``corollary`` starts
-without numpy and ``simulate`` without the order checks and verifier.
+subcommand imports the numeric modules it runs, so ``simulate`` starts
+without the order checks and verifier.  The module's own records are a
+named tuple and a plain namespace, not dataclasses, so ``corollary`` starts
+without numpy, ``dataclasses`` and ``inspect``; ``fractions`` loads only
+for FGM's exact weights.
 
 Subcommands and exit codes:
 
@@ -38,8 +41,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING, Callable
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from ._num import SpecError, _integer, _real, _require
 from .corollary import corollary_index_check
@@ -111,19 +114,20 @@ def _load_system(d: dict, where: str, model: bool) -> SystemModel | LifetimeDist
     return SystemModel(structure, copula, margin) if model else margin
 
 
-@dataclass
-class RunSpec:
-    """Validated run spec plus the raw dict it came from."""
+class RunSpec(SimpleNamespace):
+    """Validated run spec plus the raw dict it came from.
 
-    raw: dict
-    command: str
-    system1: SystemModel | LifetimeDistribution | None = None
-    system2: SystemModel | LifetimeDistribution | None = None
-    relation: str | None = None
-    cfg: VerifyConfig | None = None
-    sim: SimConfig | None = None
-    output: str | None = None
-    indices: tuple[int, int, int, int] | None = None
+    A plain namespace, compared and shown field by field; not a dataclass,
+    so that reading a spec loads no ``dataclasses``.
+    """
+
+    def __init__(self, raw: dict, command: str,
+                 system1: SystemModel | LifetimeDistribution | None = None,
+                 system2: SystemModel | LifetimeDistribution | None = None,
+                 relation: str | None = None, cfg: VerifyConfig | None = None, sim: SimConfig | None = None,
+                 output: str | None = None, indices: tuple[int, int, int, int] | None = None):
+        super().__init__(raw=raw, command=command, system1=system1, system2=system2, relation=relation,
+                         cfg=cfg, sim=sim, output=output, indices=indices)
 
     @property
     def sha256(self) -> str:
@@ -182,6 +186,8 @@ def load_spec(raw: dict, command: str, **flags) -> RunSpec:
             raise SpecError(str(exc)) from exc
 
     if command == "simulate":
+        from dataclasses import fields
+
         from .montecarlo import SimConfig
 
         block = raw.get("simulation", {})
@@ -274,7 +280,12 @@ def _cmd_simulate(spec: RunSpec) -> tuple[str, int]:
     from .montecarlo import simulate_system
 
     model = spec.system1
-    result = simulate_system(model.structure, model.copula, model.margin, spec.sim)
+    try:
+        result = simulate_system(model.structure, model.copula, model.margin, spec.sim)
+    # numpy refuses a sample it cannot hold: MemoryError when the allocation
+    # fails, ValueError when its size is past what an array can address
+    except (MemoryError, ValueError) as exc:
+        raise SpecError(f"cannot simulate the system: {exc}") from exc
     meta = {
         "spec_sha256": spec.sha256,
         "seed": spec.sim.seed,
@@ -304,8 +315,7 @@ def _cmd_corollary(spec: RunSpec) -> tuple[str, int]:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n", 0 if holds else 2
 
 
-@dataclass(frozen=True)
-class _Command:
+class _Command(NamedTuple):
     """What one subcommand reads and runs.
 
     ``required`` and ``optional`` are its top-level spec fields; ``settings``
@@ -367,8 +377,9 @@ def main(argv: list[str] | None = None) -> int:
         with open(args.spec, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
     # ValueError covers JSONDecodeError and an integer literal past the
-    # interpreter's digit limit, which json.load refuses with a plain ValueError
-    except (OSError, ValueError) as exc:
+    # interpreter's digit limit, which json.load refuses with a plain ValueError;
+    # RecursionError a document nested past the interpreter's recursion limit
+    except (OSError, ValueError, RecursionError) as exc:
         print(f"error: cannot read spec: {exc}", file=sys.stderr)
         return 1
     row = _COMMANDS[args.command]

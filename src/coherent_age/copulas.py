@@ -54,7 +54,6 @@ import math
 import operator
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -166,9 +165,13 @@ class FGM(Copula):
             raise ValueError("FGM copula is defined for dimension 3 only")
 
     def _bernstein(self, counts):
-        # sum_k N_k p^k q^(3-k) (p + q)^3 + theta c_3 p^3 q^3, c_3 = N_3 - N_2 + N_1, theta exact
+        # sum_k N_k p^k q^(3-k) (p + q)^3 + theta c_3 p^3 q^3, c_3 = N_3 - N_2 + N_1, theta exact;
+        # fractions (and with it decimal) is imported here, at its one use, so
+        # only an FGM distortion with theta != 0 loads it
         if self.theta == 0.0:
             return counts
+        from fractions import Fraction
+
         weights = counts
         for _ in range(3):  # times p + q
             weights = [a + b for a, b in zip((0, *weights), (*weights, 0))]

@@ -77,22 +77,30 @@ def fresh_python(code: str, *argv: str) -> str:
     return out.stdout
 
 
-# prints the package modules loaded so far, and numpy if it is loaded
-LOADED = "print(json.dumps(sorted(m for m in sys.modules if m == 'numpy' or m.startswith('coherent_age'))))"
+# the modules outside the package that a command loads only if it needs them:
+# numpy, dataclasses (with inspect, which it imports) and fractions
+OUTSIDE = ("numpy", "dataclasses", "inspect", "fractions")
+# prints the package modules loaded so far, and those of OUTSIDE
+LOADED = f"print(json.dumps(sorted(m for m in sys.modules if m in {OUTSIDE} or m.startswith('coherent_age'))))"
 RUN_MAIN = ("import contextlib, io, json, sys\n"
             "from coherent_age.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    main(sys.argv[1:])\n" + LOADED)
 # the modules each subcommand loads, beyond the package: the command line
-# itself loads only the spec rule and the corollary predicate
+# itself loads only the spec rule and the corollary predicate; the numeric
+# modules keep their records as dataclasses, and only FGM's exact Bernstein
+# weights load fractions
 FRONT = {"cli", "_num", "corollary"}
-MARGINS_AND_SYSTEMS = FRONT | {"copulas", "distributions", "systems", "numpy"}
+NUMERIC = {"numpy", "dataclasses"}
+MARGINS_AND_SYSTEMS = FRONT | NUMERIC | {"copulas", "distributions", "systems"}
+# (command, spec, modules) by test id
 COMMAND_MODULES = {
-    "distortion": ("fgm_distortion_table.json", MARGINS_AND_SYSTEMS | {"orders"}),
-    "check-order": ("margins_check_order.json", FRONT | {"distributions", "orders", "numpy"}),
-    "verify": ("fgm_lfr_verify.json", MARGINS_AND_SYSTEMS | {"orders", "verifier"}),
-    "simulate": ("series3_simulate.json", MARGINS_AND_SYSTEMS | {"montecarlo"}),
-    "corollary": ("corollary_indices.json", FRONT),
+    "distortion": ("distortion", "fgm_distortion_table.json", MARGINS_AND_SYSTEMS | {"orders", "fractions"}),
+    "check-order": ("check-order", "margins_check_order.json", FRONT | NUMERIC | {"distributions", "orders"}),
+    "verify": ("verify", "fgm_lfr_verify.json", MARGINS_AND_SYSTEMS | {"orders", "verifier", "fractions"}),
+    "gumbel_exp_verify": ("verify", "gumbel_exp_verify.json", MARGINS_AND_SYSTEMS | {"orders", "verifier"}),
+    "simulate": ("simulate", "series3_simulate.json", MARGINS_AND_SYSTEMS | {"montecarlo"}),
+    "corollary": ("corollary", "corollary_indices.json", FRONT),
 }
 
 
@@ -104,12 +112,15 @@ class TestImport:
     def test_package_import_loads_no_submodule(self):
         assert json.loads(fresh_python("import json, sys, coherent_age; " + LOADED)) == ["coherent_age"]
 
-    @pytest.mark.parametrize("command", COMMAND_MODULES)
-    def test_command_loads_its_modules(self, command):
-        spec, modules = COMMAND_MODULES[command]
-        loaded = json.loads(fresh_python(RUN_MAIN, command, str(ROOT / "specs" / spec)))
-        want = {"coherent_age", *(m if m == "numpy" else f"coherent_age.{m}" for m in modules)}
-        assert set(loaded) == want
+    @pytest.mark.parametrize("case", COMMAND_MODULES)
+    def test_command_loads_its_modules(self, case):
+        command, spec, modules = COMMAND_MODULES[case]
+        loaded = set(json.loads(fresh_python(RUN_MAIN, command, str(ROOT / "specs" / spec))))
+        # numpy imports inspect itself, so only a command without numpy pins it
+        if "numpy" in loaded:
+            loaded.discard("inspect")
+        want = {"coherent_age", *(m if m in OUTSIDE else f"coherent_age.{m}" for m in modules)}
+        assert loaded == want
 
     def test_corollary_runs_where_numpy_cannot_load(self):
         # a None entry in sys.modules makes every import of numpy fail; a
@@ -297,6 +308,25 @@ class TestSimulate:
         assert run(tmp_path, "simulate", payload, "--seed", "77") == 0
         meta, _, _ = parse_table(capsys.readouterr().out)
         assert meta["seed"] == "77"
+
+    def test_sample_past_the_array_size_is_one_error_line(self, tmp_path, capsys):
+        # numpy refuses a 10**19-row sample with a ValueError before it
+        # allocates anything
+        payload = {"system1": SERIES3_SYSTEM, "simulation": {"sample_count": 10**19}}
+        assert run(tmp_path, "simulate", payload) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: cannot simulate the system: ") and err.count("\n") == 1
+
+    def test_sample_that_cannot_be_allocated_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        import coherent_age.montecarlo
+
+        def simulate_system(*args):
+            raise MemoryError("Unable to allocate the sample")
+
+        monkeypatch.setattr(coherent_age.montecarlo, "simulate_system", simulate_system)
+        assert run(tmp_path, "simulate", {"system1": SERIES3_SYSTEM}) == 1
+        assert capsys.readouterr() == ("", "error: cannot simulate the system: Unable to allocate the sample\n")
 
 
 class TestUnreadFlags:
@@ -800,6 +830,14 @@ class TestSchemaValidation:
         assert main(["check-order", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_nested_past_the_recursion_limit_is_one_error_line(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        assert main(["verify", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: cannot read spec: ") and err.count("\n") == 1
 
     def test_load_spec_rejects_unknown_command(self):
         with pytest.raises(SpecError):
