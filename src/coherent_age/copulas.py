@@ -9,24 +9,26 @@ the distortion engine consumes.
 Evaluations switch to log-space wherever the direct form would overflow or
 underflow.
 
-Each family writes its formulas once, in one method ``_sum(p, coeffs, which,
-xp)``: the signed sum ``sum_j c_j F_j`` with ``F_j`` one of ``K_j``,
-``1 - K_j``, ``K_j'`` and ``K_j''`` (``which`` 0-3, FGM's 0-2), over the terms
-in coefficient order.  ``xp`` is the namespace its logs, exponentials, powers
-and masks come from.  ``_ARRAYS``, the default, runs them on an array, as
-the grids' distortion engine does.  ``_FLOATS`` runs them on one Python float,
+Each family writes its formulas once.  Where h is a polynomial,
+``_bernstein(counts)`` gives its Bernstein weights: Gumbel-Hougaard's at
+theta = 1, and FGM's, of degree 6, which has no other formula.  Elsewhere
+one method ``_sum(p, coeffs, which, xp)`` gives the signed sum
+``sum_j c_j F_j`` with ``F_j`` one of ``K_j``, ``1 - K_j``, ``K_j'`` and
+``K_j''`` (``which`` 0-3), over the terms in coefficient order.  ``xp`` is
+the namespace its logs, exponentials, powers and masks come from.
+``_ARRAYS``, the default, runs them on an array, as the grids' distortion
+engine does.  ``_FLOATS`` runs them on one Python float,
 as the rounds of the distortion inverse do: each log, exponential and power
 is numpy's ufunc on the float, which runs the array kernel and so returns
 the array sum's bits, and the masks are plain Python.  Python's ``**`` and
 ``math``, and ``**`` on a numpy scalar, call libm, which can differ in the
 last ulp, so the formulas square by a product and leave every other power
 of p to ``xp.power``.  The public ``exch``, ``exch_deriv`` and ``exch_compl``
-validate ``(p, j)`` once, answer ``j = 0`` and call the one-term sum, on a
-one-point array for a scalar ``p``; ``K_j''`` feeds only the elasticity
-derivatives, which live on the open interval, and has no public wrapper.
-
-Where h is a polynomial, ``_bernstein(counts)`` gives its Bernstein weights in
-place of ``_sum``: Gumbel-Hougaard's at theta = 1, and FGM's, of degree 6.
+validate ``(p, j)`` once, answer ``j = 0`` and read ``K_j`` as the distortion
+of one path set on ``j`` of the components through the distortion engine, so
+they take the law's one formula, on a one-point array for a scalar ``p``;
+``K_j''`` feeds only the elasticity derivatives, which live on the open
+interval, and has no public wrapper.
 
 Each family draws its own sample for the simulation oracle: ``_draw(count,
 rng)`` returns a latent array and a row map to uniforms whose joint
@@ -58,8 +60,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from ._num import read_fragment
-from .distributions import _check_unit, match_input, on_points
+from ._num import _integer, read_fragment
+from .distributions import _check_unit, match_input
 
 __all__ = [
     "Copula",
@@ -106,18 +108,25 @@ class Copula(ABC):
 
     dim: int
 
-    @abstractmethod
     def _sum(self, p, coeffs, which: int, xp=_ARRAYS):
         """sum_j c_j F_j at a validated p with 1 <= j <= dim, F_j = K_j,
         1 - K_j, K_j' or K_j'' for which = 0, 1, 2, 3, on an array for
         xp = _ARRAYS or at a Python float for xp = _FLOATS.  1 - K_j is
         computed without cancellation near p = 1, and K_j'' only for
-        0 < p < 1."""
+        0 < p < 1.  Only a law whose ``_bernstein`` can give None writes
+        it; the others are read from their weights alone."""
+        raise TypeError(f"{type(self).__name__} has no signed sum: its distortions read its Bernstein weights")
 
     @abstractmethod
     def _draw(self, count: int, rng: np.random.Generator):
         """A (count, dim) latent array and the decreasing row map taking it to
         the copula's uniforms; the map is None where the latent is the uniforms."""
+
+    def _check_dim(self) -> None:
+        # read under the spec rule for integers, as SimConfig reads its fields
+        object.__setattr__(self, "dim", _integer(self.dim, "dimension"))
+        if self.dim < 1:
+            raise ValueError("dimension must be at least 1")
 
     def _bernstein(self, counts):
         """Exact weights w_k of h = sum_k w_k p^k (1-p)^(deg-k) for counts N_k, or None: h is ``_sum``."""
@@ -136,10 +145,15 @@ class Copula(ABC):
         return self._one_term(p, j, 1)
 
     def _one_term(self, p, j: int, which: int):
+        # K_j is the distortion of one path set on j of the dim components,
+        # N_k = C(dim - j, k - j), read as any distortion of the law is
+        from .systems import Distortion
+
         pa = self._check_exch(p, j)
         if not j:
             return match_input(p, np.full_like(pa, float(which == 0)))
-        return match_input(p, on_points(self._sum, pa, ((j, 1),), which))
+        counts = (0,) * j + tuple(math.comb(self.dim - j, i) for i in range(self.dim - j + 1))
+        return match_input(p, Distortion(self, counts)._evaluate(pa, which))
 
     def _check_exch(self, p, j: int) -> np.ndarray:
         if isinstance(j, bool) or not isinstance(j, (int, np.integer)) or j < 0 or j > self.dim:
@@ -161,6 +175,7 @@ class FGM(Copula):
     def __post_init__(self):
         if not math.isfinite(self.theta) or abs(self.theta) > 1.0:
             raise ValueError(f"FGM theta must lie in [-1, 1], got {self.theta!r}")
+        self._check_dim()
         if self.dim != 3:
             raise ValueError("FGM copula is defined for dimension 3 only")
 
@@ -195,23 +210,6 @@ class FGM(Copula):
         np.divide(2.0 * w, (1.0 + b) + np.sqrt(d), out=w, where=w > 0.0)
         return u, None
 
-    def _sum(self, p, coeffs, which, xp=_ARRAYS):
-        # K_1 = p and K_2 = p^2; the cubes are the terms of K_3
-        theta, q, out = self.theta, 1.0 - p, xp.zeros_like(p)
-        for j, c in coeffs:
-            if j == 1:
-                term = (p, q, 1.0)[which]
-            elif j == 2:
-                term = p * p if which == 0 else q * (1.0 + p) if which == 1 else 2.0 * p
-            elif which == 0:
-                term = xp.power(p, 3) * (1.0 + theta * xp.power(q, 3))
-            elif which == 1:
-                term = q * (1.0 + p + p * p) - theta * xp.power(p, 3) * xp.power(q, 3)
-            else:
-                term = 3.0 * (p * p) + 3.0 * theta * (p * p) * (q * q) * (1.0 - 2.0 * p)
-            out += c * term
-        return out
-
 
 @dataclass(frozen=True)
 class GumbelHougaard(Copula):
@@ -223,8 +221,7 @@ class GumbelHougaard(Copula):
     def __post_init__(self):
         if not math.isfinite(self.theta) or self.theta < 1.0:
             raise ValueError(f"Gumbel-Hougaard theta must be >= 1, got {self.theta!r}")
-        if self.dim < 1:
-            raise ValueError("dimension must be at least 1")
+        self._check_dim()
 
     def _bernstein(self, counts):
         return counts if self.theta == 1.0 else None  # theta = 1: the independence law
@@ -287,8 +284,7 @@ class ClaytonOakes(Copula):
     def __post_init__(self):
         if not math.isfinite(self.theta) or self.theta <= 0.0:
             raise ValueError(f"Clayton-Oakes theta must be > 0, got {self.theta!r}")
-        if self.dim < 1:
-            raise ValueError("dimension must be at least 1")
+        self._check_dim()
 
     def _draw(self, count, rng):
         frailty = rng.gamma(shape=1.0 / self.theta, scale=1.0, size=count)

@@ -47,6 +47,7 @@ from operator import and_, or_
 
 import numpy as np
 
+from ._num import _integer
 from .copulas import _FLOATS, Copula
 from .distributions import LifetimeDistribution, _check_unit, as_float_array, match_input, on_points
 
@@ -85,6 +86,7 @@ class Structure:
     counts: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _integer(self.n, "component count"))
         if self.n < 1:
             raise ValueError("component count must be at least 1")
         if not self.paths:
@@ -129,7 +131,9 @@ class Structure:
 
     @classmethod
     def from_paths(cls, n: int, paths) -> "Structure":
-        members = [sorted({int(i) for i in path}) for path in paths]
+        # each label under the spec rule for integers; a Python int, the common case, is taken as it is
+        n = _integer(n, "component count")
+        members = [sorted({i if type(i) is int else _integer(i, "path label") for i in path}) for path in paths]
         for path in members:
             if path and not 1 <= path[0] <= path[-1] <= n:
                 raise ValueError(f"path {path} uses components outside 1..{n}")
@@ -151,6 +155,7 @@ def _members(mask: int) -> list[int]:
 
 def k_of_n_paths(k: int, n: int) -> Structure:
     """Structure whose minimal path sets are all k-subsets of {1..n}, as masks in increasing order."""
+    k, n = _integer(k, "k"), _integer(n, "n")
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     if k < n and n > MAX_COMPONENTS:

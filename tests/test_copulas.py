@@ -18,7 +18,8 @@ from coherent_age.copulas import (
     Independence,
     copula_from_dict,
 )
-from coherent_age.systems import Structure, build_distortion, k_of_n_paths
+from coherent_age.montecarlo import SimConfig, sample_copula
+from coherent_age.systems import Distortion, Structure, build_distortion, k_of_n_paths
 
 
 def all_families(n=3):
@@ -324,10 +325,11 @@ class TestClaytonSum:
         assert [repr(r) for r in reports] == [repr(verify(sys1, sys2)) for verify, sys1, sys2 in pairs]
 
 
-# every family, with ClaytonOakes(0.05) on parallel(8) the sum that cancels most
-FLOAT_SUM_COPULAS = [Independence(6), FGM(0.5), FGM(-1.0), FGM(1.0), GumbelHougaard(2.0, 6),
-                     GumbelHougaard(1.0 + 1e-9, 6), GumbelHougaard(7.5, 6), ClaytonOakes(1.5, 6),
-                     ClaytonOakes(40.0, 6), ClaytonOakes(0.05, 8)]
+# every family with a signed sum, with ClaytonOakes(0.05) on parallel(8) the sum
+# that cancels most; FGM has none, and its float Bernstein sum is pinned by
+# TestLevels::test_float_bernstein_sum_within_8_ulps
+FLOAT_SUM_COPULAS = [Independence(6), GumbelHougaard(2.0, 6), GumbelHougaard(1.0 + 1e-9, 6), GumbelHougaard(7.5, 6),
+                     ClaytonOakes(1.5, 6), ClaytonOakes(40.0, 6), ClaytonOakes(0.05, 8)]
 
 
 def float_sum_points(cop):
@@ -352,11 +354,9 @@ class TestFloatSumMatchesArray:
 
     @pytest.mark.parametrize("cop", FLOAT_SUM_COPULAS, ids=repr)
     def test_bit_for_bit(self, cop):
-        # every k-out-of-n, parallel(n) among them, and under FGM the pair series
+        # every k-out-of-n, parallel(n) among them
         n = cop.dim
         structures = [k_of_n_paths(k, n) for k in range(1, n + 1)]
-        if n == 3:
-            structures.append(Structure.from_paths(3, [[1, 2], [1, 3]]))
         p = float_sum_points(cop)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -420,6 +420,78 @@ class TestIndependenceIsGumbelAtOne:
             Independence(0)
 
 
+# a law of each kind: weights at theta = 1 and under FGM (0 and -0 among them), a signed sum elsewhere
+TRIO_COPULAS = [Independence(1), Independence(4), GumbelHougaard(1.0, 3), GumbelHougaard(2.0, 4),
+                GumbelHougaard(7.5, 4), ClaytonOakes(0.05, 4), ClaytonOakes(1.5, 4), ClaytonOakes(40.0, 4),
+                FGM(-1.0), FGM(-0.0), FGM(0.0), FGM(0.7), FGM(1.0)]
+TRIO = (("exch", 0), ("exch_compl", 1), ("exch_deriv", 2))
+
+
+def trio_points():
+    """0, 1, NaN, subnormals, random p and both tails of (0, 1)."""
+    rng = np.random.default_rng(45)
+    tails = np.exp(-rng.uniform(0.0, 744.0, 60))
+    return np.concatenate(([0.0, 1.0, math.nan, 5e-324, 2.0**-1030, 1e-310, 1.0 - 2.0**-53],
+                           rng.random(150), tails, 1.0 - tails))
+
+
+def assert_bits(got, want, msg=""):
+    np.testing.assert_array_equal(np.asarray(got).view(np.int64), want.view(np.int64), err_msg=msg)
+
+
+class TestTrioReadsTheEngine:
+    """exch, exch_compl and exch_deriv at j are the distortion of one path
+    set on j of the components, N_k = C(n-j, k-j), through the engine that
+    reads every distortion of the law: its Bernstein weights where it gives
+    them, else its one-term signed sum."""
+
+    @pytest.mark.parametrize("cop", TRIO_COPULAS, ids=repr)
+    def test_bit_for_bit(self, cop):
+        p, n = trio_points(), cop.dim
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for j in range(1, n + 1):
+                d = Distortion(cop, (0,) * j + tuple(math.comb(n - j, i) for i in range(n - j + 1)))
+                assert d.coeffs == ((j, 1),)
+                for name, which in TRIO:
+                    want = d._evaluate(p, which)
+                    if d._bernstein is None:
+                        assert_bits(cop._sum(p, ((j, 1),), which), want, f"{name} {j}")
+                    assert_bits(getattr(cop, name)(p, j), want, f"{name} {j}")
+                    # a scalar runs as a one-point array
+                    assert_bits([getattr(cop, name)(x, j) for x in p.tolist()], want, f"{name} {j} scalar")
+
+    @pytest.mark.parametrize("theta", [0.0, -0.0])
+    def test_fgm_at_zero_is_independence(self, theta):
+        p = trio_points()
+        for j in range(4):
+            for name, _ in TRIO:
+                assert_bits(getattr(FGM(theta), name)(p, j), getattr(Independence(3), name)(p, j), f"{name} {j}")
+
+
+class TestFgmTrioAccuracy:
+    """FGM's trio reads its Bernstein weights, whose terms are nonnegative,
+    so nothing cancels: p^3 (1 - (1-p)^3) at theta = -1 keeps its digits
+    as p -> 0."""
+
+    @pytest.mark.parametrize("theta", [-1.0, -0.5, 0.5, 1.0])
+    def test_within_8_units_of_the_50_digit_reference(self, theta):
+        # errors in units of 2^-53 of the value; log-uniform p down to 1e-20
+        # and q = 1 - p down to 1e-15
+        rng = np.random.default_rng(45)
+        p = np.concatenate(([1e-20, 1.2e-14, 1e-6], rng.random(150), np.exp(-rng.uniform(0.0, math.log(1e20), 60)),
+                            1.0 - np.exp(-rng.uniform(0.0, math.log(1e15), 60))))
+        cop = FGM(theta)
+        with mp.workdps(50):
+            for j in (1, 2, 3):
+                got = [getattr(cop, name)(p, j) for name, _ in TRIO]
+                for i, x in enumerate(p.tolist()):
+                    k, k_prime = exact_exch(cop, mpf(x), j)
+                    for which, want in enumerate((k, 1 - k, k_prime)):
+                        units = abs(mpf(got[which][i]) - want) / (abs(want) * mpf(2) ** -53)
+                        assert units <= 8, (j, TRIO[which][0], x, float(units))
+
+
 class TestValidation:
     def test_family_without_a_sampler_cannot_be_built(self):
         # every family draws its own sample: the simulator has no fallback
@@ -441,6 +513,25 @@ class TestValidation:
     def test_fgm_dimension_fixed(self):
         with pytest.raises(ValueError):
             FGM(theta=0.5, dim=4)
+
+    def test_law_with_weights_has_no_signed_sum(self):
+        with pytest.raises(TypeError, match="FGM has no signed sum"):
+            FGM(0.5)._sum(np.array([0.5]), ((3, 1),), 0)
+
+    @pytest.mark.parametrize("dim", [3.5, "3", True], ids=["fraction", "string", "bool"])
+    def test_dimension_must_be_an_integer(self, dim):
+        for make in (Independence, lambda d: GumbelHougaard(2.0, d), lambda d: ClaytonOakes(1.5, d),
+                     lambda d: FGM(0.5, d)):
+            with pytest.raises(ValueError, match="dimension must be"):
+                make(dim)
+
+    def test_integral_dimension_reads_as_an_integer(self):
+        # dim = 3.0 passed verify, and the simulator then refused the float
+        cfg = SimConfig(sample_count=64, stream_count=1)
+        for cop in (Independence(3.0), GumbelHougaard(2.0, 3.0), ClaytonOakes(1.5, np.int64(3)), FGM(0.5, 3.0)):
+            assert type(cop.dim) is int
+            assert repr(cop).endswith("dim=3)")
+            assert sample_copula(cop, cfg).shape == (64, 3)
 
     def test_gumbel_theta_range(self):
         with pytest.raises(ValueError):

@@ -128,6 +128,27 @@ class TestStructure:
         assert str(info.value) == (f"path {_members(paths[0])} is contained in {nested}; "
                                    f"path sets must be minimal")
 
+    @pytest.mark.parametrize("label", [1.7, "1", True], ids=["fraction", "string", "bool"])
+    def test_path_label_must_be_an_integer(self, label):
+        # a label read by int() would build component 1
+        with pytest.raises(ValueError, match="path label must be"):
+            Structure.from_paths(3, [[label, 2], [3]])
+
+    def test_integral_labels_and_counts_read_as_integers(self):
+        # the spec rule for integers: 3.0 reads as 3, a numpy integer as its value
+        structure = Structure.from_paths(3.0, [[np.int64(1), 2.0], [3]])
+        assert structure == Structure.from_paths(3, [[1, 2], [3]])
+        assert type(structure.n) is int
+        assert type(Structure(3.0, (7,)).n) is int
+
+    @pytest.mark.parametrize("n", [3.5, "3", True], ids=["fraction", "string", "bool"])
+    def test_component_count_must_be_an_integer(self, n):
+        # 3.5 ended in a bare TypeError from >>
+        with pytest.raises(ValueError, match="component count must be"):
+            Structure(n, (1,))
+        with pytest.raises(ValueError, match="component count must be"):
+            Structure.from_paths(n, [[1]])
+
     def test_series_keeps_its_counts(self):
         # one path set: every component is common, and the table has one entry
         assert Structure.series(400).counts == (0,) * 400 + (1,)
@@ -327,10 +348,13 @@ class TestKofN:
             assert d.h_prime(p) == pytest.approx(float(dh), rel=1e-14)
 
     def test_index_validation(self):
-        with pytest.raises(ValueError):
-            k_of_n_paths(0, 3)
-        with pytest.raises(ValueError):
-            k_of_n_paths(4, 3)
+        # 2.5 was reported as a structure without path sets, True built parallel(3)
+        for k, n, match in [(0, 3, "need 1 <= k <= n"), (4, 3, "need 1 <= k <= n"),
+                            (2.5, 3, "k must be an integer"), (True, 3, "k must be a number"),
+                            (2, 3.5, "n must be an integer"), (2, "3", "n must be a number")]:
+            with pytest.raises(ValueError, match=match):
+                k_of_n_paths(k, n)
+        assert k_of_n_paths(2.0, 3.0) == k_of_n_paths(2, 3)
 
     def test_parallel_reversed_elasticity_is_constant(self):
         # (1-p) h'/(1-h) for the parallel system is identically n; this dies
