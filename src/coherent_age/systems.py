@@ -91,7 +91,9 @@ class Structure:
             raise ValueError("component count must be at least 1")
         if not self.paths:
             raise ValueError("structure needs at least one path set")
-        object.__setattr__(self, "paths", tuple(sorted(self.paths)))
+        # each mask under the spec rule for integers; a Python int, the common case, is taken as it is
+        object.__setattr__(self, "paths", tuple(sorted(
+            path if type(path) is int else _integer(path, "path mask") for path in self.paths)))
         if self.paths[0] <= 0:
             raise ValueError("path sets must be nonempty")
         if self.paths[-1] >> self.n:
@@ -293,9 +295,11 @@ class Distortion:
         x = p (the second) in the coordinate ln x, where ln(1-h) and ln h
         have the slopes R(p) and H(p), so a power-law tail takes one step.
         A round reads 1-h or h, and h', on Python floats: from the Bernstein
-        weights where the copula gives them, else from the copula's
-        ``_sum`` on the float namespace ``_FLOATS``, whose numpy ufuncs on
-        Python floats return the bits of the same ``_sum`` on an array.
+        weights where the copula gives them, by ``_bernstein_float``, whose
+        powers are libm's, so it stays within 8 ulps of the array sum but
+        not on its bits; else from the copula's ``_sum`` on the float
+        namespace ``_FLOATS``, whose numpy ufuncs on Python floats return
+        the bits of the same ``_sum`` on an array.
         The brackets, x in [2^-53, 1] and [2^-1074, 1], span the floats p in
         (0, 1), and 1-h <= n(1-p) and h <= n p put the level inside.  A step
         that leaves its bracket bisects it in ln x instead.  The iteration
@@ -398,7 +402,11 @@ def _bernstein_sum(p, weights: tuple[float, ...]) -> np.ndarray:
 
 
 def _bernstein_float(p: float, weights: tuple[float, ...]) -> float:
-    """_bernstein_sum at a Python float p, in its order and grouping (a loop: sum() compensates from 3.12)."""
+    """_bernstein_sum at a Python float p, in its order and grouping (a loop: sum() compensates from 3.12).
+
+    Its powers are Python's ``**``, libm's pow, which can differ from numpy's
+    array kernel in the last ulp, so the sum stays within 8 ulps of the array
+    sum (TestLevels::test_float_bernstein_sum_within_8_ulps), not on its bits."""
     q, deg, out = 1.0 - p, len(weights) - 1, 0.0
     for k, w in enumerate(weights):
         if w:

@@ -1,7 +1,7 @@
 """Shared randomized-instance generators, the golden triple corpus, the
 benchmark's verify-audit systems, the full copula K(p_1, ..., p_n) that the
-exchangeable reductions are tested against, and their 50-digit closed forms
-K_j and K_j'."""
+exchangeable reductions are tested against, their 50-digit closed forms
+K_j and K_j', and the one bit-for-bit comparison of float arrays."""
 
 import importlib.util
 from pathlib import Path
@@ -12,7 +12,13 @@ from mpmath import mpf
 from coherent_age.copulas import ClaytonOakes, FGM, GumbelHougaard, Independence, copula_from_dict
 from coherent_age.distributions import Exponential, LinearFailureRate, Weibull
 from coherent_age.systems import Structure, SystemModel, build_distortion, k_of_n_paths
-from coherent_age.verifier import verify_bstar, verify_cstar
+
+
+def assert_same_bits(got, want, msg=""):
+    """got and want, each read as a float array, hold the same float64 bits."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    np.testing.assert_array_equal(got, want, err_msg=msg)  # NaN-aware, with a readable report
+    assert got.tobytes() == want.tobytes(), msg  # and +0.0 against -0.0, and a NaN's sign
 
 
 def random_structure(rng, n):
@@ -89,27 +95,6 @@ def audit_distortions(seed):
             structure = Structure.from_paths(n, block["structure"]["paths"])
             out.append(build_distortion(structure, copula_from_dict(block["copula"], n)))
     return out
-
-
-def clayton_pairs(rng, count):
-    """(verify, system1, system2) for count random Clayton-Oakes pairs with
-    theta log-uniform on [0.05, 8], then parallel(5) under Exp(3) against
-    parallel(8) under Exp(2) at theta 0.05 and at theta 8."""
-    pairs = []
-    for i in range(count):
-        relation = ("c_star", "b_star")[i % 2]
-        mx, my = random_margin_pair(rng, relation)
-        systems = []
-        for margin in (mx, my):
-            n = int(rng.integers(2, 7))
-            theta = float(np.exp(rng.uniform(np.log(0.05), np.log(8.0))))
-            systems.append(SystemModel(random_structure(rng, n), ClaytonOakes(theta, n), margin))
-        pairs.append((verify_cstar if relation == "c_star" else verify_bstar, *systems))
-    for theta in (0.05, 8.0):
-        sys1 = SystemModel(Structure.parallel(5), ClaytonOakes(theta, 5), Exponential(3.0))
-        sys2 = SystemModel(Structure.parallel(8), ClaytonOakes(theta, 8), Exponential(2.0))
-        pairs.append((verify_bstar, sys1, sys2))
-    return pairs
 
 
 def golden_corpus():

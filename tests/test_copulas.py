@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from corpus_helpers import clayton_pairs, copula_eval, exact_exch
+from corpus_helpers import assert_same_bits, copula_eval, exact_exch
 from hypothesis import given, strategies as st
 from mpmath import mp, mpf
 
@@ -19,7 +19,7 @@ from coherent_age.copulas import (
     copula_from_dict,
 )
 from coherent_age.montecarlo import SimConfig, sample_copula
-from coherent_age.systems import Distortion, Structure, build_distortion, k_of_n_paths
+from coherent_age.systems import Distortion, build_distortion, k_of_n_paths
 
 
 def all_families(n=3):
@@ -197,86 +197,54 @@ SECOND_DERIVATIVE_EDGES = [
 ]
 
 
+def one_path_set(cop, j):
+    """The distortion of one path set on j of the law's components, N_k = C(n-j, k-j): its h is K_j."""
+    return Distortion(cop, (0,) * j + tuple(math.comb(cop.dim - j, i) for i in range(cop.dim - j + 1)))
+
+
 class TestSecondDerivative:
     @pytest.mark.parametrize("cop", SECOND_DERIVATIVE_EDGES, ids=repr)
     def test_matches_50_digit_reference(self, cop):
-        # K_j'' against mpmath's numerical derivative of the closed form K_j
+        # K_j'' as the engine reads it (the law's Bernstein weights at theta = 1,
+        # else its signed sum) against mpmath's numerical derivative of the closed form K_j
         p = np.array([0.001, 0.5, 0.999])
-        np.testing.assert_array_equal(cop._sum(p, ((1, 1),), 3), 0.0)  # K_1 = p
+        np.testing.assert_array_equal(one_path_set(cop, 1)._evaluate(p, 3), 0.0)  # K_1 = p
         with mp.workdps(50):
             for j in range(2, cop.dim + 1):
                 want = [float(mp.diff(lambda t: exact_exch(cop, t, j)[0], mpf(x), 2)) for x in p]
-                np.testing.assert_allclose(cop._sum(p, ((j, 1),), 3), want, rtol=1e-12, atol=0.0)
+                np.testing.assert_allclose(one_path_set(cop, j)._evaluate(p, 3), want, rtol=1e-12, atol=0.0)
 
 
-# The per-j Clayton cores that ClaytonOakes._sum replaced, kept unchanged as
-# the reference its one-pass sums must equal bit for bit.
-def reference_exch(self, pa, j):
-    out = np.zeros_like(pa)
-    pos = pa > 0.0
-    with np.errstate(divide="ignore"):
-        w = np.where(pos, -self.theta * np.log(np.maximum(pa, 1e-300)), np.inf)
-    direct = w < _CLAYTON_LOG_CUTOFF
-    wd = np.minimum(w, _CLAYTON_LOG_CUTOFF)
-    k_direct = np.exp(-np.log1p(j * np.expm1(wd)) / self.theta)
-    k_limit = pa * j ** (-1.0 / self.theta)
-    out[pos] = np.where(direct, k_direct, k_limit)[pos]
-    return out
+def unit_points(cop, size):
+    """size log-uniform p and q = 1 - p and 2 size random p; p = 0, 2^-1074
+    and 1, q = 2^-k for k up to 53, p about 1e-300, and p on both sides of
+    Clayton's cutoff exp(-500/theta)."""
+    rng = np.random.default_rng(34)
+    tails = np.exp(-rng.uniform(0.0, 744.0, size))
+    edges = [0.0, 2.0**-1074, 1.0, 1e-310, 1e-301, 1e-300, 1e-299] + [1.0 - 2.0**-k for k in range(1, 54)]
+    if isinstance(cop, ClaytonOakes):
+        cutoff = math.exp(-_CLAYTON_LOG_CUTOFF / cop.theta)
+        edges += [cutoff * f for f in (0.5, 1.0 - 1e-15, 1.0, 1.0 + 1e-15, 2.0)]
+    return np.concatenate((rng.random(2 * size), tails, 1.0 - tails, edges))
 
 
-def reference_exch_deriv(self, pa, j):
-    out = np.full_like(pa, j ** (-1.0 / self.theta))  # p -> 0 limit
-    pos = pa > 0.0
-    with np.errstate(divide="ignore"):
-        logp = np.log(np.maximum(pa, 1e-300))
-    w = -self.theta * logp
-    direct = pos & (w < _CLAYTON_LOG_CUTOFF)
-    wd = np.minimum(w, _CLAYTON_LOG_CUTOFF)
-    log_kp = math.log(j) - (self.theta + 1.0) * logp - ((self.theta + 1.0) / self.theta) * np.log1p(
-        j * np.expm1(wd)
-    )
-    # the limit points' log_kp can exceed the float range: exponentiate
-    # only the direct ones
-    return np.where(direct, np.exp(np.where(direct, log_kp, 0.0)), out)
+def units_off(got, want):
+    """|got - want| in units of 2^-53 of want, or of 2^-1074 where want is
+    subnormal; 0 for an infinite got where want is past the float range."""
+    if got == math.inf and want > mpf(2) ** 1024:
+        return 0.0
+    return float(abs(mpf(got) - want) / max(abs(want) * mpf(2) ** -53, mpf(2) ** -1074))
 
 
-def reference_exch_second(self, pa, j):
-    # K'' = K' (theta+1)(j-1) / (p S) with S = 1 + j (p^-theta - 1), in
-    # log space; past the cutoff S = j p^-theta to float precision
-    if j == 1:
-        return np.zeros_like(pa)
-    logp = np.log(pa)
-    w = -self.theta * logp
-    direct = w < _CLAYTON_LOG_CUTOFF
-    log_s = np.where(direct, np.log1p(j * np.expm1(np.minimum(w, _CLAYTON_LOG_CUTOFF))), math.log(j) + w)
-    return np.exp(
-        math.log(j * (j - 1) * (self.theta + 1.0)) - (self.theta + 2.0) * logp - (2.0 + 1.0 / self.theta) * log_s
-    )
-
-
-def reference_exch_compl(self, pa, j):
-    out = np.ones_like(pa)
-    pos = pa > 0.0
-    with np.errstate(divide="ignore"):
-        w = np.where(pos, -self.theta * np.log(np.maximum(pa, 1e-300)), np.inf)
-    direct = w < _CLAYTON_LOG_CUTOFF
-    wd = np.minimum(w, _CLAYTON_LOG_CUTOFF)
-    c_direct = -np.expm1(-np.log1p(j * np.expm1(wd)) / self.theta)
-    c_limit = 1.0 - pa * j ** (-1.0 / self.theta)
-    out[pos] = np.where(direct, c_direct, c_limit)[pos]
-    return out
-
-
-def reference_sum(self, pa, coeffs, which, xp=_ARRAYS):
-    """The distortion engine's former per-j loop over the reference cores,
-    at a Python float (the float namespace) on a one-point array."""
-    if xp is _FLOATS:
-        return float(reference_sum(self, np.array([pa]), coeffs, which)[0])
-    core = (reference_exch, reference_exch_compl, reference_exch_deriv, reference_exch_second)[which]
-    out = np.zeros_like(pa)
-    for j, c in coeffs:
-        out += c * core(self, pa, j)
-    return out
+def clayton_terms(theta, t, j):
+    """K_j, 1 - K_j, K_j' and K_j'' of Clayton-Oakes at an mpmath point t in
+    (0, 1], from S = j t^-theta - (j-1): K_j = S^(-1/theta), K_j' = j
+    t^-(theta+1) S^-(1+1/theta) and K_j'' = K_j' (theta+1)(j-1) / (t S)."""
+    big = t**-theta
+    s = j * big - (j - 1)
+    k = s ** (-1 / theta)
+    k1 = j * big / t * k / s
+    return k, 1 - k, k1, k1 * (theta + 1) * (j - 1) / (t * s)
 
 
 CLAYTON_THETAS = [0.05, 0.3, 1.0, 2.7, 8.0, 40.0]
@@ -286,63 +254,82 @@ CLAYTON_POINTS = np.concatenate([[0.0, 1e-300, 1e-200, 1e-30], np.linspace(0.0, 
 
 class TestClaytonSum:
     @pytest.mark.parametrize("theta", CLAYTON_THETAS)
-    @pytest.mark.parametrize("which", range(4), ids=["K", "1-K", "K'", "K''"])
-    @pytest.mark.parametrize("coeffs", CLAYTON_COEFFS, ids=str)
-    def test_equals_the_per_j_loop(self, theta, which, coeffs):
+    def test_terms_against_mpmath(self, theta):
+        # each K_j, 1 - K_j, K_j' and K_j'' (on 0 < p < 1) within 16 units of
+        # 2^-53 per unit of its exp-log chain's conditioning, 1 + (theta+2)|ln p|,
+        # plus ln j / theta for the limit j^(-1/theta) that p = 0 and the points
+        # past the cutoff read; at p = 0 K_j is 0, 1 - K_j is 1 and K_j' is that limit
         cop = ClaytonOakes(theta, 6)
-        p = CLAYTON_POINTS
-        if which == 3:
-            p = p[(p > 0.0) & (p < 1.0)]
-        with warnings.catch_warnings():
+        p = unit_points(cop, 8)
+        # K_j'' on the open interval only: 0.5 stands in at p = 0 and p = 1
+        inner = np.where((p > 0.0) & (p < 1.0), p, 0.5)
+        th = mpf(theta)
+        with warnings.catch_warnings(), mp.workdps(50):
             warnings.simplefilter("error")
-            got = cop._sum(p, coeffs, which)
-            assert np.array_equal(got, reference_sum(cop, p, coeffs, which))
-            # a scalar call is a 0-d array, as the distortion engine passes it
-            for x in map(np.asarray, p[[0, 1, 2, p.size // 2, -1]]):
-                assert np.array_equal(cop._sum(x, coeffs, which), reference_sum(cop, x, coeffs, which))
+            for j in range(1, 7):
+                got = [cop._sum(p, ((j, 1),), which) for which in range(3)] + [cop._sum(inner, ((j, 1),), 3)]
+                for i, x in enumerate(p.tolist()):
+                    if x == 0.0:
+                        want = (mpf(0), mpf(1), mpf(j) ** (-1 / th), None)
+                    else:
+                        want = clayton_terms(th, mpf(x), j)
+                    bound = 16 * (1 + (theta + 2.0) * abs(math.log(x) if x else 0.0) + math.log(j) / theta)
+                    for which, w in enumerate(want if 0.0 < x < 1.0 else want[:3]):
+                        assert units_off(got[which][i], w) <= bound, (j, which, x)
+
+    @pytest.mark.parametrize("theta", CLAYTON_THETAS)
+    def test_signed_sum_is_its_terms(self, theta):
+        # the terms share their log-space work and limit mask: a signed sum is
+        # the sum of its one-term sums in coefficient order, and a point's sum
+        # does not depend on the other points of its array (a limit point
+        # alone, and no limit point at all)
+        cop = ClaytonOakes(theta, 6)
+        cutoff = math.exp(-_CLAYTON_LOG_CUTOFF / theta)
+        for which in range(4):
+            p = CLAYTON_POINTS if which < 3 else CLAYTON_POINTS[(CLAYTON_POINTS > 0.0) & (CLAYTON_POINTS < 1.0)]
+            for coeffs in CLAYTON_COEFFS:
+                got = cop._sum(p, coeffs, which)
+                want = np.zeros_like(p)
+                for j, c in coeffs:
+                    want += c * cop._sum(p, ((j, 1),), which)
+                assert_same_bits(got, want, f"{coeffs} {which}")
+                for part in (slice(0, 1), p <= cutoff * 2.0, p > cutoff * 2.0):
+                    assert_same_bits(cop._sum(p[part], coeffs, which), got[part])
 
     @pytest.mark.parametrize("theta", [0.05, 0.5])
     @pytest.mark.parametrize("p", [1e-310, 5e-324])
     def test_below_1e_300_against_mpmath(self, theta, p):
         # subnormal p: the direct form needs ln p itself, not a floored one
         cop = ClaytonOakes(theta, 3)
-        t, th = mpf(p), mpf(theta)
         with mp.workdps(50):
             for j in (2, 3):
-                k = exact_exch(cop, t, j)[0]
-                # K_j' = j t^-(theta+1) S^-(1+1/theta), S = j t^-theta - (j-1)
-                k_prime = j * t ** -(th + 1) * (j * t**-th - (j - 1)) ** (-1 - 1 / th)
-                for which, want in ((0, k), (1, 1 - k), (2, k_prime)):
+                k, compl, k_prime, _ = clayton_terms(mpf(theta), mpf(p), j)
+                for which, want in ((0, k), (1, compl), (2, k_prime)):
                     got = cop._sum(np.array([p]), ((j, 1),), which)[0]
                     assert got == pytest.approx(float(want), rel=1e-12, abs=0.0)
 
-    def test_verify_reports_equal_those_of_the_per_j_loop(self, monkeypatch):
-        # the patch replaces both paths, the grids' arrays and the levels' floats
-        pairs = clayton_pairs(np.random.default_rng(14), 18)
-        assert len(pairs) == 20
-        reports = [verify(sys1, sys2) for verify, sys1, sys2 in pairs]
-        monkeypatch.setattr(ClaytonOakes, "_sum", reference_sum)
-        assert [repr(r) for r in reports] == [repr(verify(sys1, sys2)) for verify, sys1, sys2 in pairs]
+
+class TestGumbelComplement:
+    @pytest.mark.parametrize("theta", [1.0 + 1e-9, 2.0, 7.5, 50.0])
+    def test_within_4_units_of_the_50_digit_reference(self, theta):
+        # 1 - K_j = -expm1(a ln p), a = j^(1/theta), keeps its digits as p -> 1,
+        # where 1 - p^a cancels; ln 0 = -inf reads 1 at p = 0, without a warning
+        cop = GumbelHougaard(theta, 8)
+        p = unit_points(cop, 30)
+        with warnings.catch_warnings(), mp.workdps(50):
+            warnings.simplefilter("error")
+            for j in range(1, 9):
+                got = cop._sum(p, ((j, 1),), 1)
+                a = mpf(j) ** (1 / mpf(theta))
+                for x, g in zip(p.tolist(), got.tolist()):
+                    assert units_off(g, 1 - mpf(x) ** a) <= 4, (j, x)
 
 
 # every family with a signed sum, with ClaytonOakes(0.05) on parallel(8) the sum
-# that cancels most; FGM has none, and its float Bernstein sum is pinned by
-# TestLevels::test_float_bernstein_sum_within_8_ulps
-FLOAT_SUM_COPULAS = [Independence(6), GumbelHougaard(2.0, 6), GumbelHougaard(1.0 + 1e-9, 6), GumbelHougaard(7.5, 6),
+# that cancels most; FGM and the independence law read their Bernstein weights,
+# whose float sum is pinned by TestLevels::test_float_bernstein_sum_within_8_ulps
+FLOAT_SUM_COPULAS = [GumbelHougaard(2.0, 6), GumbelHougaard(1.0 + 1e-9, 6), GumbelHougaard(7.5, 6),
                      ClaytonOakes(1.5, 6), ClaytonOakes(40.0, 6), ClaytonOakes(0.05, 8)]
-
-
-def float_sum_points(cop):
-    """Random p, log-uniform p and q = 1 - p, p = 0, 2^-1074 and 1, q = 2^-k
-    for k up to 53, p about Gumbel's 1e-300 clamp, and p on both sides of
-    Clayton's cutoff exp(-500/theta)."""
-    rng = np.random.default_rng(34)
-    tails = np.exp(-rng.uniform(0.0, 744.0, 300))
-    edges = [0.0, 2.0**-1074, 1.0, 1e-310, 1e-301, 1e-300, 1e-299] + [1.0 - 2.0**-k for k in range(1, 54)]
-    if isinstance(cop, ClaytonOakes):
-        cutoff = math.exp(-_CLAYTON_LOG_CUTOFF / cop.theta)
-        edges += [cutoff * f for f in (0.5, 1.0 - 1e-15, 1.0, 1.0 + 1e-15, 2.0)]
-    return np.concatenate((rng.random(600), tails, 1.0 - tails, edges))
 
 
 class TestFloatSumMatchesArray:
@@ -357,15 +344,15 @@ class TestFloatSumMatchesArray:
         # every k-out-of-n, parallel(n) among them
         n = cop.dim
         structures = [k_of_n_paths(k, n) for k in range(1, n + 1)]
-        p = float_sum_points(cop)
+        p = unit_points(cop, 300)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for structure in structures:
                 coeffs = build_distortion(structure, cop).coeffs
                 for which in range(3):
                     want = cop._sum(p, coeffs, which)
-                    got = np.array([cop._sum(x, coeffs, which, _FLOATS) for x in p.tolist()])
-                    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64), err_msg=f"{coeffs} {which}")
+                    got = [cop._sum(x, coeffs, which, _FLOATS) for x in p.tolist()]
+                    assert_same_bits(got, want, f"{coeffs} {which}")
 
     def test_namespace_edges(self):
         # each float function against the array one on a one-point array: ln
@@ -376,40 +363,26 @@ class TestFloatSumMatchesArray:
             warnings.simplefilter("error")
             for x in points:
                 for name in ("log", "exp", "expm1", "log1p"):
-                    want = getattr(_ARRAYS, name)(np.array([x]))
                     got = getattr(_FLOATS, name)(x)
                     assert type(got) is float
-                    assert np.array([got]).view(np.int64) == want.view(np.int64), (name, x)
-                want = _ARRAYS.minimum(np.array([x]), 1e-300)
-                assert np.array([_FLOATS.minimum(x, 1e-300)]).view(np.int64) == want.view(np.int64)
+                    assert_same_bits([got], getattr(_ARRAYS, name)(np.array([x])), f"{name} {x}")
+                assert_same_bits([_FLOATS.minimum(x, 1e-300)], _ARRAYS.minimum(np.array([x]), 1e-300))
                 assert _FLOATS.any(x >= 500.0) == _ARRAYS.any(np.array([x]) >= 500.0)
 
 
 class TestIndependenceIsGumbelAtOne:
     """Independence is GumbelHougaard's theta = 1 member and has no formula
-    of its own: its public K_j, K_j' and 1 - K_j and its float sums are
-    those of GumbelHougaard(1.0, n) bit for bit, through numpy's power,
-    expm1 and log kernels."""
+    of its own: both give the same Bernstein weights, from which every
+    distortion of the law, the exch trio and the level search read."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 6, 20])
-    def test_bit_for_bit(self, n):
+    def test_same_weights(self, n):
         ind, gum = Independence(n), GumbelHougaard(1.0, n)
-        rng = np.random.default_rng(39)
-        p = np.concatenate(([0.0, 5e-324, 1e-300, 1.0 - 2.0**-53, 1.0], rng.random(200),
-                            np.exp(-rng.uniform(0.0, 744.0, 50))))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            for j in range(n + 1):
-                for name in ("exch", "exch_deriv", "exch_compl"):
-                    want = getattr(gum, name)(p, j)
-                    np.testing.assert_array_equal(getattr(ind, name)(p, j).view(np.int64), want.view(np.int64))
-                    got = np.array([getattr(ind, name)(x, j) for x in p.tolist()])
-                    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64), err_msg=f"{name} {j}")
-            # each one-term sum, and parallel(n)'s signed sum over every j
-            for coeffs in [((j, 1),) for j in range(1, n + 1)] + [build_distortion(Structure.parallel(n), gum).coeffs]:
-                for which in range(3):
-                    got, want = ([cop._sum(x, coeffs, which, _FLOATS) for x in p.tolist()] for cop in (ind, gum))
-                    np.testing.assert_array_equal(np.array(got).view(np.int64), np.array(want).view(np.int64))
+        distortions = [(one_path_set(ind, j), one_path_set(gum, j)) for j in range(1, n + 1)]
+        distortions += [(build_distortion(k_of_n_paths(k, n), ind), build_distortion(k_of_n_paths(k, n), gum))
+                        for k in range(1, n + 1) if n <= 6]
+        for d_ind, d_gum in distortions:
+            assert d_ind._bernstein is not None and d_ind._bernstein == d_gum._bernstein
 
     def test_member_of_the_family(self):
         # the same law, but its own class: repr, equality and specs are Independence's
@@ -425,18 +398,15 @@ TRIO_COPULAS = [Independence(1), Independence(4), GumbelHougaard(1.0, 3), Gumbel
                 GumbelHougaard(7.5, 4), ClaytonOakes(0.05, 4), ClaytonOakes(1.5, 4), ClaytonOakes(40.0, 4),
                 FGM(-1.0), FGM(-0.0), FGM(0.0), FGM(0.7), FGM(1.0)]
 TRIO = (("exch", 0), ("exch_compl", 1), ("exch_deriv", 2))
+# 0, 1, NaN and subnormals; TestScalarMatchesArray::test_exch_entries holds the scalar calls elsewhere
+TRIO_EDGES = [0.0, 1.0, math.nan, 5e-324, 2.0**-1030, 1e-310, 1.0 - 2.0**-53]
 
 
 def trio_points():
-    """0, 1, NaN, subnormals, random p and both tails of (0, 1)."""
+    """The edges, random p and both tails of (0, 1)."""
     rng = np.random.default_rng(45)
     tails = np.exp(-rng.uniform(0.0, 744.0, 60))
-    return np.concatenate(([0.0, 1.0, math.nan, 5e-324, 2.0**-1030, 1e-310, 1.0 - 2.0**-53],
-                           rng.random(150), tails, 1.0 - tails))
-
-
-def assert_bits(got, want, msg=""):
-    np.testing.assert_array_equal(np.asarray(got).view(np.int64), want.view(np.int64), err_msg=msg)
+    return np.concatenate((TRIO_EDGES, rng.random(150), tails, 1.0 - tails))
 
 
 class TestTrioReadsTheEngine:
@@ -447,41 +417,41 @@ class TestTrioReadsTheEngine:
 
     @pytest.mark.parametrize("cop", TRIO_COPULAS, ids=repr)
     def test_bit_for_bit(self, cop):
-        p, n = trio_points(), cop.dim
+        p = trio_points()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for j in range(1, n + 1):
-                d = Distortion(cop, (0,) * j + tuple(math.comb(n - j, i) for i in range(n - j + 1)))
+            for j in range(1, cop.dim + 1):
+                d = one_path_set(cop, j)
                 assert d.coeffs == ((j, 1),)
                 for name, which in TRIO:
                     want = d._evaluate(p, which)
                     if d._bernstein is None:
-                        assert_bits(cop._sum(p, ((j, 1),), which), want, f"{name} {j}")
-                    assert_bits(getattr(cop, name)(p, j), want, f"{name} {j}")
+                        assert_same_bits(cop._sum(p, ((j, 1),), which), want, f"{name} {j}")
+                    assert_same_bits(getattr(cop, name)(p, j), want, f"{name} {j}")
                     # a scalar runs as a one-point array
-                    assert_bits([getattr(cop, name)(x, j) for x in p.tolist()], want, f"{name} {j} scalar")
+                    assert_same_bits([getattr(cop, name)(x, j) for x in TRIO_EDGES], want[:len(TRIO_EDGES)],
+                                     f"{name} {j} scalar")
 
     @pytest.mark.parametrize("theta", [0.0, -0.0])
     def test_fgm_at_zero_is_independence(self, theta):
         p = trio_points()
         for j in range(4):
             for name, _ in TRIO:
-                assert_bits(getattr(FGM(theta), name)(p, j), getattr(Independence(3), name)(p, j), f"{name} {j}")
+                assert_same_bits(getattr(FGM(theta), name)(p, j), getattr(Independence(3), name)(p, j), f"{name} {j}")
 
 
-class TestFgmTrioAccuracy:
-    """FGM's trio reads its Bernstein weights, whose terms are nonnegative,
-    so nothing cancels: p^3 (1 - (1-p)^3) at theta = -1 keeps its digits
-    as p -> 0."""
+class TestTrioAccuracy:
+    """The trio of a law with Bernstein weights sums nonnegative terms, so
+    nothing cancels: FGM's p^3 (1 - (1-p)^3) at theta = -1 keeps its digits
+    as p -> 0, and so do the independence law's p^j, 1 - p^j and j p^(j-1)."""
 
-    @pytest.mark.parametrize("theta", [-1.0, -0.5, 0.5, 1.0])
-    def test_within_8_units_of_the_50_digit_reference(self, theta):
+    @pytest.mark.parametrize("cop", [FGM(-1.0), FGM(-0.5), FGM(0.5), FGM(1.0), Independence(3)], ids=repr)
+    def test_within_8_units_of_the_50_digit_reference(self, cop):
         # errors in units of 2^-53 of the value; log-uniform p down to 1e-20
         # and q = 1 - p down to 1e-15
         rng = np.random.default_rng(45)
         p = np.concatenate(([1e-20, 1.2e-14, 1e-6], rng.random(150), np.exp(-rng.uniform(0.0, math.log(1e20), 60)),
                             1.0 - np.exp(-rng.uniform(0.0, math.log(1e15), 60))))
-        cop = FGM(theta)
         with mp.workdps(50):
             for j in (1, 2, 3):
                 got = [getattr(cop, name)(p, j) for name, _ in TRIO]

@@ -7,7 +7,7 @@ import threading
 
 import numpy as np
 import pytest
-from corpus_helpers import golden_corpus, random_instance, random_margin_pair, random_structure
+from corpus_helpers import assert_same_bits, golden_corpus, random_instance, random_margin_pair, random_structure
 
 from coherent_age.copulas import ClaytonOakes, FGM, GumbelHougaard, Independence
 from coherent_age import systems
@@ -379,11 +379,6 @@ def basis_models():
 @functools.cache
 def basis_distortions():
     return tuple(build_distortion(s, c) for s, c in basis_models())
-
-
-def assert_same_bits(got, want):
-    np.testing.assert_array_equal(got, want)  # NaN-aware, with a readable report
-    assert got.tobytes() == want.tobytes()  # and +0.0 against -0.0
 
 
 def inline_bernstein_sum(p, weights):
