@@ -254,7 +254,8 @@ CLAYTON_POINTS = np.concatenate([[0.0, 1e-300, 1e-200, 1e-30], np.linspace(0.0, 
 
 class TestClaytonSum:
     @pytest.mark.parametrize("theta", CLAYTON_THETAS)
-    def test_terms_against_mpmath(self, theta):
+    @pytest.mark.parametrize("j", range(1, 7))
+    def test_terms_against_mpmath(self, theta, j):
         # each K_j, 1 - K_j, K_j' and K_j'' (on 0 < p < 1) within 16 units of
         # 2^-53 per unit of its exp-log chain's conditioning, 1 + (theta+2)|ln p|,
         # plus ln j / theta for the limit j^(-1/theta) that p = 0 and the points
@@ -266,35 +267,34 @@ class TestClaytonSum:
         th = mpf(theta)
         with warnings.catch_warnings(), mp.workdps(50):
             warnings.simplefilter("error")
-            for j in range(1, 7):
-                got = [cop._sum(p, ((j, 1),), which) for which in range(3)] + [cop._sum(inner, ((j, 1),), 3)]
-                for i, x in enumerate(p.tolist()):
-                    if x == 0.0:
-                        want = (mpf(0), mpf(1), mpf(j) ** (-1 / th), None)
-                    else:
-                        want = clayton_terms(th, mpf(x), j)
-                    bound = 16 * (1 + (theta + 2.0) * abs(math.log(x) if x else 0.0) + math.log(j) / theta)
-                    for which, w in enumerate(want if 0.0 < x < 1.0 else want[:3]):
-                        assert units_off(got[which][i], w) <= bound, (j, which, x)
+            got = [cop._sum(p, ((j, 1),), which) for which in range(3)] + [cop._sum(inner, ((j, 1),), 3)]
+            for i, x in enumerate(p.tolist()):
+                if x == 0.0:
+                    want = (mpf(0), mpf(1), mpf(j) ** (-1 / th), None)
+                else:
+                    want = clayton_terms(th, mpf(x), j)
+                bound = 16 * (1 + (theta + 2.0) * abs(math.log(x) if x else 0.0) + math.log(j) / theta)
+                for which, w in enumerate(want if 0.0 < x < 1.0 else want[:3]):
+                    assert units_off(got[which][i], w) <= bound, (which, x)
 
     @pytest.mark.parametrize("theta", CLAYTON_THETAS)
-    def test_signed_sum_is_its_terms(self, theta):
+    @pytest.mark.parametrize("which", range(4), ids=["K", "1-K", "K'", "K''"])
+    @pytest.mark.parametrize("coeffs", CLAYTON_COEFFS, ids=str)
+    def test_signed_sum_is_its_terms(self, theta, which, coeffs):
         # the terms share their log-space work and limit mask: a signed sum is
         # the sum of its one-term sums in coefficient order, and a point's sum
         # does not depend on the other points of its array (a limit point
         # alone, and no limit point at all)
         cop = ClaytonOakes(theta, 6)
         cutoff = math.exp(-_CLAYTON_LOG_CUTOFF / theta)
-        for which in range(4):
-            p = CLAYTON_POINTS if which < 3 else CLAYTON_POINTS[(CLAYTON_POINTS > 0.0) & (CLAYTON_POINTS < 1.0)]
-            for coeffs in CLAYTON_COEFFS:
-                got = cop._sum(p, coeffs, which)
-                want = np.zeros_like(p)
-                for j, c in coeffs:
-                    want += c * cop._sum(p, ((j, 1),), which)
-                assert_same_bits(got, want, f"{coeffs} {which}")
-                for part in (slice(0, 1), p <= cutoff * 2.0, p > cutoff * 2.0):
-                    assert_same_bits(cop._sum(p[part], coeffs, which), got[part])
+        p = CLAYTON_POINTS if which < 3 else CLAYTON_POINTS[(CLAYTON_POINTS > 0.0) & (CLAYTON_POINTS < 1.0)]
+        got = cop._sum(p, coeffs, which)
+        want = np.zeros_like(p)
+        for j, c in coeffs:
+            want += c * cop._sum(p, ((j, 1),), which)
+        assert_same_bits(got, want)
+        for part in (slice(0, 1), p <= cutoff * 2.0, p > cutoff * 2.0):
+            assert_same_bits(cop._sum(p[part], coeffs, which), got[part])
 
     @pytest.mark.parametrize("theta", [0.05, 0.5])
     @pytest.mark.parametrize("p", [1e-310, 5e-324])
@@ -311,18 +311,18 @@ class TestClaytonSum:
 
 class TestGumbelComplement:
     @pytest.mark.parametrize("theta", [1.0 + 1e-9, 2.0, 7.5, 50.0])
-    def test_within_4_units_of_the_50_digit_reference(self, theta):
+    @pytest.mark.parametrize("j", range(1, 9))
+    def test_within_4_units_of_the_50_digit_reference(self, theta, j):
         # 1 - K_j = -expm1(a ln p), a = j^(1/theta), keeps its digits as p -> 1,
         # where 1 - p^a cancels; ln 0 = -inf reads 1 at p = 0, without a warning
         cop = GumbelHougaard(theta, 8)
         p = unit_points(cop, 30)
         with warnings.catch_warnings(), mp.workdps(50):
             warnings.simplefilter("error")
-            for j in range(1, 9):
-                got = cop._sum(p, ((j, 1),), 1)
-                a = mpf(j) ** (1 / mpf(theta))
-                for x, g in zip(p.tolist(), got.tolist()):
-                    assert units_off(g, 1 - mpf(x) ** a) <= 4, (j, x)
+            got = cop._sum(p, ((j, 1),), 1)
+            a = mpf(j) ** (1 / mpf(theta))
+            for x, g in zip(p.tolist(), got.tolist()):
+                assert units_off(g, 1 - mpf(x) ** a) <= 4, x
 
 
 # every family with a signed sum, with ClaytonOakes(0.05) on parallel(8) the sum
